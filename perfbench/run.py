@@ -60,15 +60,34 @@ RESIDUAL_FACTOR = 100.0
 RESIDUAL_FLOOR = 1e-4
 
 
+def _stencil_matrix(n=257):
+    from scipy.sparse import diags, identity, kron
+    second = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    return (kron(identity(n), second) + kron(second, identity(n))).tocsr()
+
+
+_STENCIL = _stencil_matrix()
+_STENCIL_X = np.cos(np.arange(_STENCIL.shape[0], dtype=float))
+
+
 def reference_kernel():
-    """Seconds for a fixed job owned by the benchmark: a small CSV round trip.
+    """Seconds for a fixed job owned by the benchmark: a small CSV round trip
+    and a sparse stencil iteration.
 
     It does the kinds of work a pass does: complex transcendental ufuncs on
     a 129^2 grid, printf-style formatting of the samples into CSV rows, a
-    file write and a ``np.loadtxt`` read back.  The host's speed drifts by
-    15-25% over minutes; dividing by this kernel's time removes much of it.
+    file write and a ``np.loadtxt`` read back, then 60 CG-like steps (a
+    5-point matvec on 257^2 nodes, dot products, axpys), which are memory
+    bound as the Poisson solve is.  The host's speed drifts by 15-25% over
+    minutes; dividing by this kernel's time removes much of it.
     """
     t0 = perf_counter()
+    x, r = _STENCIL_X.copy(), _STENCIL_X.copy()
+    for _ in range(60):
+        y = _STENCIL @ x
+        step = 1e-3 * float(r @ r) / (float(x @ y) + float(r @ r))
+        r -= step * y
+        x += step * r
     u, v = np.meshgrid(np.linspace(-2.0, 2.0, 129), np.linspace(-2.0, 0.0, 129),
                        indexing="ij")
     for _ in range(8):
@@ -80,8 +99,8 @@ def reference_kernel():
         fh.write("".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
     back = np.loadtxt(path, delimiter=",")
     os.remove(path)
-    if back.shape != (u.size, 4):
-        raise RuntimeError("reference kernel produced a malformed table")
+    if back.shape != (u.size, 4) or not np.all(np.isfinite(x)):
+        raise RuntimeError("reference kernel produced malformed output")
     return perf_counter() - t0
 
 
