@@ -22,9 +22,16 @@ import numpy as np
 
 from .catalog import FIXTURE_NAMES, fixture_by_name
 from .errors import DomainError, GridMismatchError, InvalidDataError, PoleError
+from .export import (
+    _jsonable,
+    load_patch_manifest,
+    save_obj,
+    save_patch_manifest,
+    save_ply,
+)
 from .fields import Grid2D, RealField, lincomb_real, save_field_csv, sup_abs
 from .lorentz import rotation
-from .poisson import load_problem, solve_weighted_poisson
+from .poisson import PoissonProblem, SolverOptions, load_problem, solve_weighted_poisson
 from .surfaces import (
     liu_decompose,
     mean_curvature,
@@ -39,6 +46,8 @@ from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, TOL_EXACT, fd_cap
 from .weierstrass import (
     WeierstrassFirst,
     WeierstrassSecond,
+    _has_first,
+    _has_value,
     deform_elliptic,
     deform_hyperbolic,
     deform_parabolic,
@@ -53,18 +62,7 @@ from .weierstrass import (
 __all__ = ["main", "parse_grid_spec"]
 
 
-def parse_grid_spec(text):
-    """Grid2D from ``umin:umax:vmin:vmax:NUxNV``."""
-    parts = text.split(":")
-    if len(parts) != 5:
-        raise ValueError("grid spec must be umin:umax:vmin:vmax:NUxNV, got %r"
-                         % text)
-    try:
-        u_min, u_max, v_min, v_max = (float(p) for p in parts[:4])
-        n_u, n_v = (int(p) for p in parts[4].lower().split("x"))
-    except ValueError:
-        raise ValueError("cannot parse grid spec %r" % text)
-    return Grid2D(u_min, u_max, v_min, v_max, n_u, n_v)
+parse_grid_spec = Grid2D.from_spec   # public name of the --grid parser
 
 
 def _check(name, value, threshold, sense):
@@ -127,30 +125,16 @@ class RunManifest:
         return path
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    # bool before int: Python bool subclasses int
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    return str(obj)
+def _validate(data, args):
+    validate = validate_second if isinstance(data, WeierstrassSecond) else validate_first
+    return validate(data, eps_zero=args.eps_zero, eps_immersion=args.eps_immersion)
 
 
 def _data_exact(data):
     fields = ((data.gauss, data.pot1, data.pot2)
               if isinstance(data, WeierstrassFirst)
               else (data.holo, data.height, data.null_pot))
-    def ok(f):
-        return f.analytic is not None and f.analytic.has_value and f.analytic.has_first
-    return all(ok(f) for f in fields)
+    return all(_has_value(f) and _has_first(f) for f in fields)
 
 
 def _patch_checks(manifest, patch, exact, args):
@@ -158,15 +142,12 @@ def _patch_checks(manifest, patch, exact, args):
     cap = args.tol_exact if exact else fd_cap(grid, 100.0)
     loop_cap = args.tol_exact if exact else fd_cap(grid, 50.0)
     inv = patch.invariants
-    manifest.add_check("conformality", inv["conformality"], cap)
-    manifest.add_check("mean_null", inv["mean_null"], cap)
-    manifest.add_check("gauss_tangency", inv["gauss_tangency"], cap)
-    manifest.add_check("gauss_null", inv["gauss_null"], cap)
+    for name in ("conformality", "mean_null", "gauss_tangency", "gauss_null"):
+        manifest.add_check(name, inv[name], cap)
     manifest.add_check("conformal_min", inv["conformal_min"], 0.0, "min_above")
-    if "metric_agreement" in inv:
-        manifest.add_check("metric_agreement", inv["metric_agreement"], cap)
-    if "coordinate_identity" in inv:
-        manifest.add_check("coordinate_identity", inv["coordinate_identity"], cap)
+    for name in ("metric_agreement", "coordinate_identity"):
+        if name in inv:
+            manifest.add_check(name, inv[name], cap)
     if "loop_residual" in inv:
         manifest.add_check("loop_residual", inv["loop_residual"], loop_cap)
     _, h_report = mean_curvature(patch)
@@ -206,12 +187,6 @@ def _quadric_cap(patch, exact, args):
     return fd_cap(patch.grid, 100.0) * scale
 
 
-def _third_inputs(first_data):
-    coord3 = lincomb_real([(1.0, first_data.pot1), (-1.0, first_data.pot2)])
-    coord4 = lincomb_real([(1.0, first_data.pot1), (1.0, first_data.pot2)])
-    return first_data.gauss, coord3, coord4
-
-
 def _represent(data, rep, anchor, order="rows"):
     """Convert to the kind the representation needs and build the patch."""
     if rep == "second":
@@ -222,8 +197,9 @@ def _represent(data, rep, anchor, order="rows"):
         data = second_to_first(data)
     if rep == "first":
         return represent_first(data, anchor=anchor, order=order), data
-    gauss, coord3, coord4 = _third_inputs(data)
-    return represent_third(gauss, coord3, coord4, anchor=anchor, order=order), data
+    coord3 = lincomb_real([(1.0, data.pot1), (-1.0, data.pot2)])
+    coord4 = lincomb_real([(1.0, data.pot1), (1.0, data.pot2)])
+    return represent_third(data.gauss, coord3, coord4, anchor=anchor, order=order), data
 
 
 def _fixture_params(args):
@@ -236,7 +212,7 @@ def _fixture_params(args):
 
 
 def _resolve_fixture(args):
-    grid = parse_grid_spec(args.grid) if args.grid else None
+    grid = Grid2D.from_spec(args.grid) if args.grid else None
     return fixture_by_name(args.fixture, grid=grid, params=_fixture_params(args))
 
 
@@ -248,20 +224,39 @@ def _tolerances(args):
 
 
 def _mesh_artifacts(manifest, patch, out_dir, name):
-    from .export import save_obj, save_patch_manifest, save_ply
     manifest.add_artifacts(save_obj(patch, os.path.join(out_dir, name + ".obj")))
     manifest.add_artifacts(save_ply(patch, os.path.join(out_dir, name + ".ply")))
     manifest.add_artifacts(
         save_patch_manifest(patch, os.path.join(out_dir, name + ".json")))
 
 
+_RUN_ERRORS = (DomainError, PoleError, InvalidDataError, GridMismatchError,
+               ValueError)
+
+
+def _run(args, command, inputs, body, table=False):
+    """Run ``body(manifest)``, record an expected failure as the run's
+    error, save the manifest and return the exit status."""
+    manifest = RunManifest(command, inputs, _tolerances(args))
+    os.makedirs(args.out, exist_ok=True)
+    try:
+        body(manifest)
+    except _RUN_ERRORS as exc:
+        manifest.error = str(exc)
+    path = manifest.save(os.path.join(args.out, args.name + ".manifest.json"))
+    if table:
+        _print_check_table(manifest)
+    print("manifest: %s" % path)
+    if manifest.error:
+        print("error: %s" % manifest.error, file=sys.stderr)
+    return 0 if manifest.passed else 1
+
+
 def cmd_generate(args):
     inputs = {"fixture": args.fixture, "data": args.data, "grid": args.grid,
               "rep": args.rep, "name": args.name}
-    manifest = RunManifest("generate", inputs, _tolerances(args))
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    try:
+
+    def run(manifest):
         if args.fixture:
             fixture = _resolve_fixture(args)
             if fixture.kind == "patch":
@@ -273,9 +268,7 @@ def cmd_generate(args):
                 _fixture_checks(manifest, patch, fixture, exact, args)
             else:
                 data = fixture.data
-                report = (validate_second if isinstance(data, WeierstrassSecond)
-                          else validate_first)(data, eps_zero=args.eps_zero,
-                                               eps_immersion=args.eps_immersion)
+                report = _validate(data, args)
                 manifest.add_report_checks(report, "data_")
                 anchor = fixture.expected.get("anchor")
                 patch, used = _represent(data, args.rep, anchor)
@@ -283,24 +276,16 @@ def cmd_generate(args):
                 _patch_checks(manifest, patch, exact, args)
                 _fixture_checks(manifest, patch, fixture, exact, args)
                 manifest.add_artifacts(
-                    save_data(data, os.path.join(out_dir, args.name + ".data.json")))
+                    save_data(data, os.path.join(args.out, args.name + ".data.json")))
         else:
             data = load_data(args.data)
-            report = (validate_second if isinstance(data, WeierstrassSecond)
-                      else validate_first)(data, eps_zero=args.eps_zero,
-                                           eps_immersion=args.eps_immersion)
+            report = _validate(data, args)
             manifest.add_report_checks(report, "data_")
             patch, used = _represent(data, args.rep, None)
             _patch_checks(manifest, patch, _data_exact(used), args)
-        _mesh_artifacts(manifest, patch, out_dir, args.name)
-    except (DomainError, PoleError, InvalidDataError, GridMismatchError,
-            ValueError) as exc:
-        manifest.error = str(exc)
-    path = manifest.save(os.path.join(out_dir, args.name + ".manifest.json"))
-    print("manifest: %s" % path)
-    if manifest.error:
-        print("error: %s" % manifest.error, file=sys.stderr)
-    return 0 if manifest.passed else 1
+        _mesh_artifacts(manifest, patch, args.out, args.name)
+
+    return _run(args, "generate", inputs, run)
 
 
 _FAMILY_KIND = {"parabolic": "first", "elliptic": "second", "hyperbolic": "first"}
@@ -310,10 +295,8 @@ def cmd_deform(args):
     inputs = {"fixture": args.fixture, "data": args.data, "grid": args.grid,
               "family": args.family, "parameter": args.parameter,
               "name": args.name}
-    manifest = RunManifest("deform", inputs, _tolerances(args))
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    try:
+
+    def run(manifest):
         if args.fixture:
             fixture = _resolve_fixture(args)
             if fixture.kind == "patch":
@@ -337,9 +320,7 @@ def cmd_deform(args):
         else:
             deformed = deform_hyperbolic(base, lam)
 
-        report = (validate_second if isinstance(deformed, WeierstrassSecond)
-                  else validate_first)(deformed, eps_zero=args.eps_zero,
-                                       eps_immersion=args.eps_immersion)
+        report = _validate(deformed, args)
         manifest.add_report_checks(report, "deformed_")
         exact = _data_exact(base)
         ident = deformed.provenance.get("identity_residual")
@@ -348,8 +329,7 @@ def cmd_deform(args):
                                args.tol_exact if exact
                                else fd_cap(base.grid, 50.0))
 
-        rep = "second" if need == "second" else "first"
-        represent = represent_second if rep == "second" else represent_first
+        represent = represent_second if need == "second" else represent_first
         patch0 = represent(base)
         patch1 = represent(deformed)
         cong = verify_congruence(patch0, patch1,
@@ -359,15 +339,9 @@ def cmd_deform(args):
         manifest.add_check("congruence_residual", cong["residual"],
                            args.congruence_tol)
         manifest.add_artifacts(
-            save_data(deformed, os.path.join(out_dir, args.name + ".data.json")))
-    except (DomainError, PoleError, InvalidDataError, GridMismatchError,
-            ValueError) as exc:
-        manifest.error = str(exc)
-    path = manifest.save(os.path.join(out_dir, args.name + ".manifest.json"))
-    print("manifest: %s" % path)
-    if manifest.error:
-        print("error: %s" % manifest.error, file=sys.stderr)
-    return 0 if manifest.passed else 1
+            save_data(deformed, os.path.join(args.out, args.name + ".data.json")))
+
+    return _run(args, "deform", inputs, run)
 
 
 _HOLO_FOR_WEIGHT = {"re-exp-iz": "exp-iz"}
@@ -376,13 +350,10 @@ _HOLO_FOR_WEIGHT = {"re-exp-iz": "exp-iz"}
 def cmd_solve(args):
     inputs = {"problem": args.problem, "name": args.name,
               "generate": bool(args.generate)}
-    manifest = RunManifest("solve", inputs, _tolerances(args))
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    try:
+
+    def run(manifest):
         problem = load_problem(args.problem)
         if args.target is not None:
-            from .poisson import PoissonProblem, SolverOptions
             problem = PoissonProblem(
                 problem.grid, problem.weight, problem.source, problem.boundary,
                 SolverOptions(problem.options.max_iter, args.target))
@@ -390,7 +361,7 @@ def cmd_solve(args):
         manifest.reports["solver"] = report
         manifest.add_check("solver_residual", report["residual_max"],
                            report["effective_target"])
-        out_csv = os.path.join(out_dir, args.name + ".csv")
+        out_csv = os.path.join(args.out, args.name + ".csv")
         save_field_csv(solution, out_csv)
         manifest.add_artifacts([out_csv])
 
@@ -416,15 +387,9 @@ def cmd_solve(args):
             if vreport.ok:
                 patch = represent_second(data)
                 _patch_checks(manifest, patch, False, args)
-                _mesh_artifacts(manifest, patch, out_dir, args.name)
-    except (DomainError, PoleError, InvalidDataError, GridMismatchError,
-            ValueError) as exc:
-        manifest.error = str(exc)
-    path = manifest.save(os.path.join(out_dir, args.name + ".manifest.json"))
-    print("manifest: %s" % path)
-    if manifest.error:
-        print("error: %s" % manifest.error, file=sys.stderr)
-    return 0 if manifest.passed else 1
+                _mesh_artifacts(manifest, patch, args.out, args.name)
+
+    return _run(args, "solve", inputs, run)
 
 
 def _anchor_for_data(data, args):
@@ -468,10 +433,8 @@ def cmd_verify(args):
               "against": args.against, "family": args.family,
               "parameter": args.parameter,
               "quadric_constant": args.quadric_constant}
-    manifest = RunManifest("verify", inputs, _tolerances(args))
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    try:
+
+    def run(manifest):
         with open(args.input) as fh:
             doc = json.load(fh)
         fmt = doc.get("format")
@@ -481,7 +444,6 @@ def cmd_verify(args):
             exact = _data_exact(data)
         elif fmt == "mtsurf-patch":
             kind = "patch"
-            from .export import load_patch_manifest
             patch, _ = load_patch_manifest(args.input)
             exact = False
         else:
@@ -492,9 +454,7 @@ def cmd_verify(args):
         manifest.inputs["resolved_checks"] = selected
 
         if kind == "data":
-            report = (validate_second if isinstance(data, WeierstrassSecond)
-                      else validate_first)(data, eps_zero=args.eps_zero,
-                                           eps_immersion=args.eps_immersion)
+            report = _validate(data, args)
             if "validation" in selected:
                 manifest.add_report_checks(report, "data_")
             patch, used = _represent(data, args.rep, _anchor_for_data(data, args))
@@ -530,7 +490,6 @@ def cmd_verify(args):
                     or args.parameter is None:
                 raise ValueError("--against, --family and --parameter are "
                                  "required for the congruence check")
-            from .export import load_patch_manifest
             other, _ = load_patch_manifest(args.against)
             cong = verify_congruence(patch, other,
                                      rotation(args.family, args.parameter),
@@ -538,15 +497,8 @@ def cmd_verify(args):
             manifest.reports["congruence"] = cong
             manifest.add_check("congruence_residual", cong["residual"],
                                args.congruence_tol)
-    except (DomainError, PoleError, InvalidDataError, GridMismatchError,
-            ValueError) as exc:
-        manifest.error = str(exc)
-    path = manifest.save(os.path.join(out_dir, args.name + ".manifest.json"))
-    _print_check_table(manifest)
-    print("manifest: %s" % path)
-    if manifest.error:
-        print("error: %s" % manifest.error, file=sys.stderr)
-    return 0 if manifest.passed else 1
+
+    return _run(args, "verify", inputs, run, table=True)
 
 
 def _print_check_table(manifest):

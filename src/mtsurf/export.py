@@ -126,8 +126,8 @@ def save_patch_manifest(patch, path):
         "version": 1,
         "grid": patch.grid.to_dict(),
         "fields": fields,
-        "invariants": {k: _json_number(v) for k, v in patch.invariants.items()},
-        "provenance": _json_safe(patch.provenance),
+        "invariants": _jsonable(patch.invariants),
+        "provenance": _jsonable(patch.provenance),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -161,21 +161,20 @@ def load_patch_manifest(path):
     return patch, doc
 
 
-def _json_number(x):
-    if isinstance(x, (tuple, list)):
-        return [_json_number(v) for v in x]
-    return float(x)
-
-
-def _json_safe(obj):
+def _jsonable(obj):
+    """Plain JSON types for manifests: numpy scalars unwrapped, tuples as
+    lists, anything else unknown as its string."""
     if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (tuple, list)):
-        return [_json_safe(v) for v in obj]
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    # bool before int: Python bool subclasses int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj if isinstance(obj, str) or obj is None else str(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    return str(obj)

@@ -74,6 +74,8 @@ class Grid2D:
         object.__setattr__(self, "v_max", float(self.v_max))
         object.__setattr__(self, "n_u", int(self.n_u))
         object.__setattr__(self, "n_v", int(self.n_v))
+        if not np.all(np.isfinite([self.u_min, self.u_max, self.v_min, self.v_max])):
+            raise ValueError("grid bounds must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy u_min < u_max and v_min < v_max")
         if self.n_u < 3 or self.n_v < 3:
@@ -118,13 +120,15 @@ class Grid2D:
     def from_spec(cls, text):
         """Parse ``umin:umax:vmin:vmax:NuxNv``."""
         parts = str(text).split(":")
-        if len(parts) != 5:
-            raise ValueError("grid spec must look like umin:umax:vmin:vmax:NuxNv, got %r" % (text,))
-        counts = parts[4].lower().split("x")
-        if len(counts) != 2:
-            raise ValueError("grid spec node counts must look like NuxNv, got %r" % (parts[4],))
-        return cls(float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
-                   int(counts[0]), int(counts[1]))
+        try:
+            if len(parts) != 5:
+                raise ValueError
+            bounds = [float(p) for p in parts[:4]]
+            n_u, n_v = (int(c) for c in parts[4].lower().split("x"))
+        except ValueError:
+            raise ValueError("grid spec must look like umin:umax:vmin:vmax:NuxNv, "
+                             "got %r" % (text,)) from None
+        return cls(*bounds, n_u, n_v)
 
     def to_dict(self):
         return {

@@ -4,13 +4,15 @@ Three interchangeable representations turn data triples into a patch
 X : grid -> R^{3,1} whose mean curvature vector H = (4/conformal) X_zzbar
 is null: the first consumes a (gauss, pot1, pot2) triple, the second a
 (holo, height, null_pot) triple and the third a (gauss, coord3, coord4)
-triple whose coupling weight is (-1+|gauss|^2)/(1+|gauss|^2).  Each
-integrates the tangent field coordinatewise with
+triple.  They are one construction driven by a per-kind table: a triple
+is a holomorphic field w plus potentials (a, b) with lap(a) = weight
+lap(b), the tangent field is Xz = dz(a) frame1(w) + dz(b) frame2(w), and
+X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
+validates the triple, integrates Xz coordinatewise with
 :func:`mtsurf.fields.integrate_primitive` and assembles X_zzbar from the
-closed formula of the construction (a real multiple of the null normal
-direction), so the nullness of H is carried by algebra while conformality,
-metric agreement and the coordinate identities are measured and recorded
-in ``SurfacePatch.invariants``.
+closed formula, so the nullness of H is carried by algebra while
+conformality, metric agreement and the coordinate identities are measured
+and recorded in ``SurfacePatch.invariants``.
 
 Patches can also be built directly from four coordinate fields
 (:func:`patch_from_chart`), with derivatives taken from callbacks when
@@ -21,11 +23,12 @@ assumptions beyond smoothness.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidDataError
+from .errors import DomainError
 from .fields import (
     Analytic,
     ComplexField,
@@ -38,19 +41,9 @@ from .fields import (
     wirtinger_dz,
     wirtinger_dzbar,
 )
-from .lorentz import METRIC_SIGNS, complex_bilinear, minkowski_inner
-from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, TOL_EXACT, fd_cap
-from .weierstrass import (
-    CheckResult,
-    ValidationReport,
-    _has_first,
-    _has_lap,
-    _has_value,
-    _min_check,
-    _sup_interior_check,
-    validate_first,
-    validate_second,
-)
+from .lorentz import complex_bilinear, minkowski_inner
+from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, validation_cap
+from .weierstrass import _certify, _has_first, _has_value
 
 __all__ = [
     "SurfacePatch",
@@ -174,15 +167,111 @@ def _shift_residual(actual, target):
     return sup_abs(diff - diff[0, 0])
 
 
-def _complex_fields(grid, values_list, callbacks):
-    out = []
-    for vals, cb in zip(values_list, callbacks):
-        out.append(ComplexField(grid, vals, Analytic(value=cb) if cb else None))
-    return tuple(out)
+def _one(w):
+    return 1.0 + 0j * w
 
 
-def _real_fields(grid, values_list):
-    return tuple(RealField(grid, np.real(v)) for v in values_list)
+def _zero(w):
+    return 0j * w
+
+
+def _stereographic_null(g):
+    gsq = np.abs(g) ** 2
+    return (2.0 * np.real(g), 2.0 * np.imag(g), gsq - 1.0, gsq + 1.0)
+
+
+def _second_null(h):
+    hsq = np.abs(h) ** 2
+    return (np.real(h), -np.imag(h), (1.0 - hsq) / 2.0, (1.0 + hsq) / 2.0)
+
+
+#: How one kind turns its holomorphic field w and potentials (a, b) into a
+#: patch: Xz = dz(a) frame1(w) + dz(b) frame2(w) componentwise, conformal
+#: factor scale(w) |dz(a) - weight dz(b)|^2 (weight from the validator),
+#: X_zzbar = lap(b)/4 xzzbar_factor(w) null_dir(w), and ``identities``
+#: pairs coordinate combinations with the potentials they must equal.
+_Kind = namedtuple("_Kind", "frame1 frame2 scale null_dir xzzbar_factor identities")
+
+_KINDS = {
+    "first": _Kind(
+        frame1=(lambda w: 1.0 / w, lambda w: 1j / w, _one, _one),
+        frame2=(lambda w: w, lambda w: -1j * w, lambda w: -1.0 + 0j * w, _one),
+        scale=lambda g: 4.0 / np.abs(g) ** 2,
+        null_dir=_stereographic_null,
+        xzzbar_factor=lambda g: 1.0,
+        identities=lambda x, a, b: ((x[2], a - b), (x[3], a + b))),
+    "second": _Kind(
+        frame1=(_one, lambda w: -1j + 0j * w, lambda w: -w, lambda w: w),
+        frame2=(_zero, lambda w: 1j * w, lambda w: (1.0 + w ** 2) / 2.0,
+                lambda w: (1.0 - w ** 2) / 2.0),
+        scale=lambda h: 4.0,
+        null_dir=_second_null,
+        xzzbar_factor=lambda h: 1.0,
+        identities=lambda x, a, b: ((x[0], a), (x[2] + x[3], b))),
+    "third": _Kind(
+        frame1=(lambda w: (1.0 / w - w) / 2.0, lambda w: 1j * (1.0 / w + w) / 2.0,
+                _one, _zero),
+        frame2=(lambda w: (1.0 / w + w) / 2.0, lambda w: 1j * (1.0 / w - w) / 2.0,
+                _zero, _one),
+        scale=lambda g: (np.abs(g) + 1.0 / np.abs(g)) ** 2,
+        null_dir=_stereographic_null,
+        xzzbar_factor=lambda g: 1.0 / (1.0 + np.abs(g) ** 2),
+        identities=lambda x, a, b: ((x[2], a), (x[3], b))),
+}
+
+
+def _represent(kind, holo, a, b, anchor, validate, order, source=None,
+               eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+    """The one representation pipeline, driven by ``_KINDS[kind]``.
+
+    Validation runs first: the frames and the conformal scale divide by
+    the holomorphic field.  The tangent field carries exact callbacks when
+    ``holo`` has a value callback and both potentials first derivatives.
+    """
+    report, weight, a_z, b_z, b_zzbar = _certify(kind, holo, a, b,
+                                                 eps_zero, eps_immersion)
+    if validate:
+        report.raise_for_failure()
+    spec = _KINDS[kind]
+    grid = holo.grid
+    w = holo.values
+    exact = _has_value(holo) and _has_first(a) and _has_first(b)
+
+    xz_fields = []
+    for c1, c2 in zip(spec.frame1, spec.frame2):
+        analytic = None
+        if exact:
+            def cb(u, v, _c1=c1, _c2=c2, _w=holo.analytic, _a=a.analytic,
+                   _b=b.analytic):
+                wval = _w.value(u, v)
+                return _a.dz(u, v) * _c1(wval) + _b.dz(u, v) * _c2(wval)
+            analytic = Analytic(value=cb)
+        xz_fields.append(ComplexField(grid, a_z * c1(w) + b_z * c2(w), analytic))
+    X, worst_loop = _integrate_coords(xz_fields, anchor, order,
+                                      validation_cap(grid, exact),
+                                      "represent_" + kind)
+
+    null_dir = spec.null_dir(w)
+    xzzbar_coeff = b_zzbar * spec.xzzbar_factor(w)
+    xzzbar = tuple(RealField(grid, xzzbar_coeff * n) for n in null_dir)
+    gauss_map = tuple(RealField(grid, n) for n in null_dir)
+    lam_values = spec.scale(w) * np.abs(a_z - weight * b_z) ** 2
+    h_fields = _mean_curvature_fields(grid, xzzbar, lam_values)
+
+    x_values = [f.values for f in X]
+    coord_res = max(_shift_residual(actual, target) for actual, target
+                    in spec.identities(x_values, a.values, b.values))
+    provenance = {"representation": kind, "anchor": list(anchor or (0.0,) * 4)}
+    if source is not None:
+        provenance["source"] = dict(source)
+    return SurfacePatch(
+        grid, X, tuple(xz_fields), xzzbar, RealField(grid, lam_values), h_fields,
+        gauss_map, provenance=provenance,
+        invariants=_patch_invariants(
+            grid, np.stack(x_values), np.stack([f.values for f in xz_fields]),
+            np.stack([f.values for f in h_fields]), np.stack(null_dir),
+            lam_values, closed_metric=lam_values,
+            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
 
 
 def represent_first(data, anchor=None, validate=True, order="rows"):
@@ -194,62 +283,8 @@ def represent_first(data, anchor=None, validate=True, order="rows"):
     - |g|^2 dz(pot2)|^2 and X_zzbar equals lap(pot2)/4 times the null
     direction (2 Re g, 2 Im g, -1+|g|^2, 1+|g|^2).
     """
-    if validate:
-        validate_first(data).raise_for_failure()
-    grid = data.grid
-    g = data.gauss
-    gv = g.values
-    p_z = wirtinger_dz(data.pot1)
-    q_z = wirtinger_dz(data.pot2)
-    ones = np.ones(grid.shape)
-
-    frame1 = (1.0 / gv, 1j / gv, ones, ones)
-    frame2 = (gv, -1j * gv, -ones, ones)
-    xz_values = [p_z.values * frame1[k] + q_z.values * frame2[k] for k in range(4)]
-
-    callbacks = [None] * 4
-    exact = _has_value(g) and _has_first(data.pot1) and _has_first(data.pot2)
-    if exact:
-        ga, pa, qa = g.analytic, data.pot1.analytic, data.pot2.analytic
-        coeff1 = (lambda w: 1.0 / w, lambda w: 1j / w,
-                  lambda w: 1.0 + 0j * w, lambda w: 1.0 + 0j * w)
-        coeff2 = (lambda w: w, lambda w: -1j * w,
-                  lambda w: -1.0 + 0j * w, lambda w: 1.0 + 0j * w)
-        for k in range(4):
-            def cb(u, v, _c1=coeff1[k], _c2=coeff2[k]):
-                gval = ga.value(u, v)
-                return pa.dz(u, v) * _c1(gval) + qa.dz(u, v) * _c2(gval)
-            callbacks[k] = cb
-    xz_fields = _complex_fields(grid, xz_values, callbacks)
-
-    loop_cap = TOL_EXACT if exact else fd_cap(grid, 50.0)
-    X, worst_loop = _integrate_coords(xz_fields, anchor, order, loop_cap,
-                                      "represent_first")
-
-    gsq = np.abs(gv) ** 2
-    null_dir = (2.0 * np.real(gv), 2.0 * np.imag(gv), gsq - 1.0, gsq + 1.0)
-    q_zzbar = laplacian(data.pot2).values / 4.0
-    xzzbar = tuple(RealField(grid, q_zzbar * null_dir[k]) for k in range(4))
-    gauss_map = tuple(RealField(grid, null_dir[k]) for k in range(4))
-
-    lam_values = (4.0 / gsq) * np.abs(p_z.values - gsq * q_z.values) ** 2
-    lam = RealField(grid, lam_values)
-    h_fields = _mean_curvature_fields(grid, xzzbar, lam_values)
-
-    coord_res = max(
-        _shift_residual(X[2].values, data.pot1.values - data.pot2.values),
-        _shift_residual(X[3].values, data.pot1.values + data.pot2.values))
-
-    patch = SurfacePatch(
-        grid, X, xz_fields, xzzbar, lam, h_fields, gauss_map,
-        provenance={"representation": "first", "anchor": list(anchor or (0.0,) * 4),
-                    "source": dict(data.provenance)},
-        invariants=_patch_invariants(
-            grid, np.stack([f.values for f in X]), np.stack(xz_values),
-            np.stack([f.values for f in h_fields]), np.stack(null_dir),
-            lam_values, closed_metric=lam_values,
-            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
-    return patch
+    return _represent("first", data.gauss, data.pot1, data.pot2, anchor,
+                      validate, order, source=data.provenance)
 
 
 def represent_second(data, anchor=None, validate=True, order="rows"):
@@ -261,92 +296,8 @@ def represent_second(data, anchor=None, validate=True, order="rows"):
     4 |dz(height) - Re(h) dz(null_pot)|^2 and X_zzbar equals
     lap(null_pot)/4 times (Re h, -Im h, (1-|h|^2)/2, (1+|h|^2)/2).
     """
-    if validate:
-        validate_second(data).raise_for_failure()
-    grid = data.grid
-    h = data.holo
-    hv = h.values
-    m_z = wirtinger_dz(data.height)
-    n_z = wirtinger_dz(data.null_pot)
-    ones = np.ones(grid.shape)
-    zeros = np.zeros(grid.shape)
-
-    frame1 = (ones + 0j, -1j * ones, -hv, hv)
-    frame2 = (zeros + 0j, 1j * hv, (1.0 + hv ** 2) / 2.0, (1.0 - hv ** 2) / 2.0)
-    xz_values = [m_z.values * frame1[k] + n_z.values * frame2[k] for k in range(4)]
-
-    callbacks = [None] * 4
-    exact = _has_value(h) and _has_first(data.height) and _has_first(data.null_pot)
-    if exact:
-        ha, ma, na = h.analytic, data.height.analytic, data.null_pot.analytic
-        coeff1 = (lambda w: 1.0 + 0j * w, lambda w: -1j + 0j * w,
-                  lambda w: -w, lambda w: w)
-        coeff2 = (lambda w: 0j * w, lambda w: 1j * w,
-                  lambda w: (1.0 + w ** 2) / 2.0, lambda w: (1.0 - w ** 2) / 2.0)
-        for k in range(4):
-            def cb(u, v, _c1=coeff1[k], _c2=coeff2[k]):
-                hval = ha.value(u, v)
-                return ma.dz(u, v) * _c1(hval) + na.dz(u, v) * _c2(hval)
-            callbacks[k] = cb
-    xz_fields = _complex_fields(grid, xz_values, callbacks)
-
-    loop_cap = TOL_EXACT if exact else fd_cap(grid, 50.0)
-    X, worst_loop = _integrate_coords(xz_fields, anchor, order, loop_cap,
-                                      "represent_second")
-
-    hsq = np.abs(hv) ** 2
-    null_dir = (np.real(hv), -np.imag(hv), (1.0 - hsq) / 2.0, (1.0 + hsq) / 2.0)
-    n_zzbar = laplacian(data.null_pot).values / 4.0
-    xzzbar = tuple(RealField(grid, n_zzbar * null_dir[k]) for k in range(4))
-    gauss_map = tuple(RealField(grid, null_dir[k]) for k in range(4))
-
-    lam_values = 4.0 * np.abs(m_z.values - np.real(hv) * n_z.values) ** 2
-    lam = RealField(grid, lam_values)
-    h_fields = _mean_curvature_fields(grid, xzzbar, lam_values)
-
-    coord_res = max(
-        _shift_residual(X[0].values, data.height.values),
-        _shift_residual(X[2].values + X[3].values, data.null_pot.values))
-
-    patch = SurfacePatch(
-        grid, X, xz_fields, xzzbar, lam, h_fields, gauss_map,
-        provenance={"representation": "second", "anchor": list(anchor or (0.0,) * 4),
-                    "source": dict(data.provenance)},
-        invariants=_patch_invariants(
-            grid, np.stack([f.values for f in X]), np.stack(xz_values),
-            np.stack([f.values for f in h_fields]), np.stack(null_dir),
-            lam_values, closed_metric=lam_values,
-            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
-    return patch
-
-
-def _validate_third(gauss, coord3, coord4, eps_zero, eps_immersion):
-    grid = gauss.grid
-    gv = gauss.values
-    gsq = np.abs(gv) ** 2
-    weight = (gsq - 1.0) / (gsq + 1.0)
-
-    exact_holo = _has_first(gauss)
-    exact_pde = _has_lap(coord3) and _has_lap(coord4)
-    tol_holo = TOL_EXACT if exact_holo else fd_cap(grid, 50.0)
-    tol_pde = TOL_EXACT if exact_pde else fd_cap(grid, 50.0)
-
-    g_zbar = wirtinger_dzbar(gauss).values
-    a_zzbar = laplacian(coord3).values / 4.0
-    b_zzbar = laplacian(coord4).values / 4.0
-    a_z = wirtinger_dz(coord3).values
-    b_z = wirtinger_dz(coord4).values
-
-    checks = (
-        _min_check("nonvanishing", grid, gv, eps_zero),
-        _sup_interior_check("holomorphic", grid, g_zbar, tol_holo),
-        _sup_interior_check("compatible", grid, a_zzbar - weight * b_zzbar, tol_pde),
-        _min_check("immersion", grid, a_z - weight * b_z, eps_immersion),
-    )
-    report = ValidationReport("third", checks,
-                              exact_holo and exact_pde
-                              and _has_first(coord3) and _has_first(coord4))
-    return report, weight, a_z, b_z, b_zzbar
+    return _represent("second", data.holo, data.height, data.null_pot, anchor,
+                      validate, order, source=data.provenance)
 
 
 def represent_third(gauss, coord3, coord4, anchor=None, validate=True,
@@ -362,62 +313,8 @@ def represent_third(gauss, coord3, coord4, anchor=None, validate=True,
     - w dz(coord4)|^2.  With coord4 = 0 the patch is a minimal surface in
     the x4 = 0 slice; with coord3 = 0 a maximal surface in x3 = 0.
     """
-    report, weight, a_z, b_z, b_zzbar = _validate_third(
-        gauss, coord3, coord4, eps_zero, eps_immersion)
-    if validate:
-        report.raise_for_failure()
-    grid = gauss.grid
-    gv = gauss.values
-    ones = np.ones(grid.shape)
-    zeros = np.zeros(grid.shape)
-
-    frame1 = ((1.0 / gv - gv) / 2.0, 1j * (1.0 / gv + gv) / 2.0, ones + 0j, zeros + 0j)
-    frame2 = ((1.0 / gv + gv) / 2.0, 1j * (1.0 / gv - gv) / 2.0, zeros + 0j, ones + 0j)
-    xz_values = [a_z * frame1[k] + b_z * frame2[k] for k in range(4)]
-
-    callbacks = [None] * 4
-    exact = _has_value(gauss) and _has_first(coord3) and _has_first(coord4)
-    if exact:
-        ga, aa, ba = gauss.analytic, coord3.analytic, coord4.analytic
-        coeff1 = (lambda w: (1.0 / w - w) / 2.0, lambda w: 1j * (1.0 / w + w) / 2.0,
-                  lambda w: 1.0 + 0j * w, lambda w: 0j * w)
-        coeff2 = (lambda w: (1.0 / w + w) / 2.0, lambda w: 1j * (1.0 / w - w) / 2.0,
-                  lambda w: 0j * w, lambda w: 1.0 + 0j * w)
-        for k in range(4):
-            def cb(u, v, _c1=coeff1[k], _c2=coeff2[k]):
-                gval = ga.value(u, v)
-                return aa.dz(u, v) * _c1(gval) + ba.dz(u, v) * _c2(gval)
-            callbacks[k] = cb
-    xz_fields = _complex_fields(grid, xz_values, callbacks)
-
-    loop_cap = TOL_EXACT if exact else fd_cap(grid, 50.0)
-    X, worst_loop = _integrate_coords(xz_fields, anchor, order, loop_cap,
-                                      "represent_third")
-
-    gsq = np.abs(gv) ** 2
-    null_dir = (2.0 * np.real(gv), 2.0 * np.imag(gv), gsq - 1.0, gsq + 1.0)
-    scale = 1.0 / (1.0 + gsq)
-    xzzbar = tuple(RealField(grid, b_zzbar * scale * null_dir[k]) for k in range(4))
-    gauss_map = tuple(RealField(grid, null_dir[k]) for k in range(4))
-
-    mod = np.abs(gv)
-    lam_values = (mod + 1.0 / mod) ** 2 * np.abs(a_z - weight * b_z) ** 2
-    lam = RealField(grid, lam_values)
-    h_fields = _mean_curvature_fields(grid, xzzbar, lam_values)
-
-    coord_res = max(
-        _shift_residual(X[2].values, coord3.values),
-        _shift_residual(X[3].values, coord4.values))
-
-    patch = SurfacePatch(
-        grid, X, xz_fields, xzzbar, lam, h_fields, gauss_map,
-        provenance={"representation": "third", "anchor": list(anchor or (0.0,) * 4)},
-        invariants=_patch_invariants(
-            grid, np.stack([f.values for f in X]), np.stack(xz_values),
-            np.stack([f.values for f in h_fields]), np.stack(null_dir),
-            lam_values, closed_metric=lam_values,
-            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
-    return patch
+    return _represent("third", gauss, coord3, coord4, anchor, validate, order,
+                      eps_zero=eps_zero, eps_immersion=eps_immersion)
 
 
 def patch_from_chart(coords, provenance=None):

@@ -13,7 +13,6 @@ __all__ = [
     "PSI_CUTOFF",
     "fd_cap",
     "validation_cap",
-    "patch_cap",
 ]
 
 EPS_ZERO = 1e-6
@@ -31,8 +30,3 @@ def fd_cap(grid, factor):
 def validation_cap(grid, exact):
     """Sup-norm cap for data-condition residuals."""
     return TOL_EXACT if exact else fd_cap(grid, 50.0)
-
-
-def patch_cap(grid, exact):
-    """Sup-norm cap for assembled surface-patch residuals."""
-    return TOL_EXACT if exact else fd_cap(grid, 100.0)

@@ -42,7 +42,7 @@ from .fields import (
     wirtinger_dz,
     wirtinger_dzbar,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, TOL_EXACT, fd_cap, validation_cap
+from .tolerances import EPS_IMMERSION, EPS_ZERO, validation_cap
 
 __all__ = [
     "WeierstrassFirst",
@@ -211,77 +211,64 @@ def _min_check(name, grid, arr, threshold):
                        (float(u), float(v)))
 
 
-def validate_first(data, tol_holo=None, tol_pde=None,
-                   eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+#: Coupling weight of each kind as a function of its holomorphic samples:
+#: the two potentials (a, b) of a triple satisfy lap(a) = weight lap(b).
+_WEIGHT = {
+    "first": lambda g: np.abs(g) ** 2,
+    "second": np.real,
+    "third": lambda g: (np.abs(g) ** 2 - 1.0) / (np.abs(g) ** 2 + 1.0),
+}
+
+
+def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+    """The four checks of :func:`validate_first` for any kind's triple.
+
+    ``holo`` is the kind's holomorphic field and (a, b) its potentials,
+    coupled through the weight ``_WEIGHT[kind](holo)``.  Returns (report,
+    weight, dz(a), dz(b), lap(b)/4) so the representations reuse the
+    arrays instead of recomputing them.
+    """
+    grid = holo.grid
+    weight = _WEIGHT[kind](holo.values)
+    exact_holo = _has_first(holo)
+    exact_pde = _has_lap(a) and _has_lap(b)
+    a_z = wirtinger_dz(a).values
+    b_z = wirtinger_dz(b).values
+    b_zzbar = laplacian(b).values / 4.0
+    checks = (
+        _min_check("nonvanishing", grid, holo.values, eps_zero),
+        _sup_interior_check("holomorphic", grid, wirtinger_dzbar(holo).values,
+                            validation_cap(grid, exact_holo)),
+        _sup_interior_check("compatible", grid,
+                            laplacian(a).values / 4.0 - weight * b_zzbar,
+                            validation_cap(grid, exact_pde)),
+        _min_check("immersion", grid, a_z - weight * b_z, eps_immersion),
+    )
+    exact = exact_holo and exact_pde and _has_first(a) and _has_first(b)
+    return ValidationReport(kind, checks, exact), weight, a_z, b_z, b_zzbar
+
+
+def validate_first(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
     """Certify the first-kind conditions on the grid.
 
     Checks, in order: ``nonvanishing`` (min |gauss|), ``holomorphic``
     (sup |dzbar(gauss)| over the interior), ``compatible``
     (sup |lap(pot1)/4 - |gauss|^2 lap(pot2)/4| over the interior) and
     ``immersion`` (min |dz(pot1) - |gauss|^2 dz(pot2)|).  Residual caps
-    default to 1e-8 when the needed callbacks exist and 50 h^2 otherwise.
+    are 1e-8 when the needed callbacks exist and 50 h^2 otherwise.
     """
-
-    grid = data.grid
-    g = data.gauss.values
-    gsq = np.abs(g) ** 2
-
-    exact_holo = _has_first(data.gauss)
-    exact_pde = _has_lap(data.pot1) and _has_lap(data.pot2)
-    exact_first = _has_first(data.pot1) and _has_first(data.pot2)
-    if tol_holo is None:
-        tol_holo = validation_cap(grid, exact_holo)
-    if tol_pde is None:
-        tol_pde = validation_cap(grid, exact_pde)
-
-    gzbar = wirtinger_dzbar(data.gauss).values
-    p_zzbar = laplacian(data.pot1).values / 4.0
-    q_zzbar = laplacian(data.pot2).values / 4.0
-    p_z = wirtinger_dz(data.pot1).values
-    q_z = wirtinger_dz(data.pot2).values
-
-    checks = (
-        _min_check("nonvanishing", grid, g, eps_zero),
-        _sup_interior_check("holomorphic", grid, gzbar, tol_holo),
-        _sup_interior_check("compatible", grid, p_zzbar - gsq * q_zzbar, tol_pde),
-        _min_check("immersion", grid, p_z - gsq * q_z, eps_immersion),
-    )
-    return ValidationReport("first", checks, exact_holo and exact_pde and exact_first)
+    return _certify("first", data.gauss, data.pot1, data.pot2,
+                    eps_zero, eps_immersion)[0]
 
 
-def validate_second(data, tol_holo=None, tol_pde=None,
-                    eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+def validate_second(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
     """Certify the second-kind conditions; mirror of :func:`validate_first`.
 
     The coupling here is ``lap(height) = Re(holo) lap(null_pot)`` and the
     immersion certificate is ``min |dz(height) - Re(holo) dz(null_pot)|``.
     """
-
-    grid = data.grid
-    h = data.holo.values
-    re_h = np.real(h)
-
-    exact_holo = _has_first(data.holo)
-    exact_pde = _has_lap(data.height) and _has_lap(data.null_pot)
-    exact_first = _has_first(data.height) and _has_first(data.null_pot)
-    if tol_holo is None:
-        tol_holo = validation_cap(grid, exact_holo)
-    if tol_pde is None:
-        tol_pde = validation_cap(grid, exact_pde)
-
-    hzbar = wirtinger_dzbar(data.holo).values
-    m_zzbar = laplacian(data.height).values / 4.0
-    n_zzbar = laplacian(data.null_pot).values / 4.0
-    m_z = wirtinger_dz(data.height).values
-    n_z = wirtinger_dz(data.null_pot).values
-
-    checks = (
-        _min_check("nonvanishing", grid, h, eps_zero),
-        _sup_interior_check("holomorphic", grid, hzbar, tol_holo),
-        _sup_interior_check("compatible", grid, m_zzbar - re_h * n_zzbar, tol_pde),
-        _min_check("immersion", grid, m_z - re_h * n_z, eps_immersion),
-    )
-    return ValidationReport("second", checks, exact_holo and exact_pde and exact_first)
+    return _certify("second", data.holo, data.height, data.null_pot,
+                    eps_zero, eps_immersion)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +307,15 @@ def _reciprocal_field(f):
     return ComplexField(f.grid, 1.0 / f.values, new)
 
 
-def _integrate_real(grid, values, value_cb, lap_cb, loop_cap, what, order):
+def _integrate_real(grid, values, value_cb, lap_cb, what, order):
     """Primitive of a complex integrand, with the loop certificate enforced.
 
     ``lap_cb`` is the closed-form Laplacian the construction pins for the
     primitive; it is attached so validators see an exact coupling check.
+    The loop cap is 1e-8 with a value callback and 50 h^2 without.
     Returns (RealField, loop_residual).
     """
+    loop_cap = validation_cap(grid, value_cb is not None)
 
     integrand = ComplexField(
         grid, values, Analytic(value=value_cb) if value_cb is not None else None)
@@ -346,8 +335,14 @@ def _integrate_real(grid, values, value_cb, lap_cb, loop_cap, what, order):
     return out, pr.loop_residual
 
 
-def _loop_cap(grid, exact):
-    return TOL_EXACT if exact else fd_cap(grid, 50.0)
+def _provenance(data, head, loop_res, identity):
+    """Provenance of derived data: ``head``, its residuals, the source's."""
+    prov = dict(head, identity_residual=identity)
+    if loop_res is not None:
+        prov["loop_residual"] = loop_res
+    if data.provenance:
+        prov["source"] = dict(data.provenance)
+    return prov
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +382,7 @@ def first_to_second(data, validate=True, order="rows"):
             return 2.0 * np.real(1.0 / _g.value(u, v)) * _p.lap(u, v)
 
     height, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb,
-        _loop_cap(grid, value_cb is not None), "first_to_second", order)
+        grid, e_vals, value_cb, lap_cb, "first_to_second", order)
 
     holo = _reciprocal_field(g)
     null_pot = _scaled_field(data.pot1, 2.0)
@@ -397,11 +391,8 @@ def first_to_second(data, validate=True, order="rows"):
         (wirtinger_dz(height).values - np.real(holo.values) * wirtinger_dz(null_pot).values)
         + (p_z.values - np.abs(gv) ** 2 * q_z.values) / np.conj(gv))))
 
-    prov = {"transform": "first_to_second", "loop_residual": loop_res,
-            "identity_residual": identity}
-    if data.provenance:
-        prov["source"] = dict(data.provenance)
-    return WeierstrassSecond(holo, height, null_pot, prov)
+    return WeierstrassSecond(holo, height, null_pot, _provenance(
+        data, {"transform": "first_to_second"}, loop_res, identity))
 
 
 def second_to_first(data, validate=True, order="rows"):
@@ -435,8 +426,7 @@ def second_to_first(data, validate=True, order="rows"):
             return 0.5 * np.abs(_h.value(u, v)) ** 2 * _n.lap(u, v)
 
     pot2, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb,
-        _loop_cap(grid, value_cb is not None), "second_to_first", order)
+        grid, e_vals, value_cb, lap_cb, "second_to_first", order)
 
     gauss = _reciprocal_field(h)
     pot1 = _scaled_field(data.null_pot, 0.5)
@@ -447,25 +437,12 @@ def second_to_first(data, validate=True, order="rows"):
         (p_z - np.abs(gauss.values) ** 2 * q_z) / np.conj(gauss.values)
         + (m_z.values - np.real(hv) * n_z.values))))
 
-    prov = {"transform": "second_to_first", "loop_residual": loop_res,
-            "identity_residual": identity}
-    if data.provenance:
-        prov["source"] = dict(data.provenance)
-    return WeierstrassFirst(gauss, pot1, pot2, prov)
+    return WeierstrassFirst(gauss, pot1, pot2, _provenance(
+        data, {"transform": "second_to_first"}, loop_res, identity))
 
 
 # ---------------------------------------------------------------------------
 # deformation families
-
-def _deform_provenance(data, family, parameter, loop_res, identity):
-    prov = {"family": family, "parameter": float(parameter),
-            "identity_residual": identity}
-    if loop_res is not None:
-        prov["loop_residual"] = loop_res
-    if data.provenance:
-        prov["source"] = dict(data.provenance)
-    return prov
-
 
 def deform_parabolic(data, lam, validate=True, order="rows"):
     """Parabolic deformation of first-kind data with parameter ``lam``.
@@ -519,16 +496,15 @@ def deform_parabolic(data, lam, validate=True, order="rows"):
             return _p.lap(u, v) / np.abs(glam) ** 2
 
     pot2_lam, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb,
-        _loop_cap(grid, value_cb is not None), "deform_parabolic", order)
+        grid, e_vals, value_cb, lap_cb, "deform_parabolic", order)
 
     glam_v = gauss_lam.values
     lhs = p_z.values - np.abs(glam_v) ** 2 * wirtinger_dz(pot2_lam).values
     rhs = (np.conj(glam_v) / np.conj(gv)) * (p_z.values - np.abs(gv) ** 2 * q_z.values)
     identity = float(np.max(np.abs(lhs - rhs)))
 
-    return WeierstrassFirst(gauss_lam, data.pot1, pot2_lam,
-                            _deform_provenance(data, "parabolic", lam, loop_res, identity))
+    return WeierstrassFirst(gauss_lam, data.pot1, pot2_lam, _provenance(
+        data, {"family": "parabolic", "parameter": lam}, loop_res, identity))
 
 
 def deform_elliptic(data, tau, validate=True, order="rows"):
@@ -567,15 +543,14 @@ def deform_elliptic(data, tau, validate=True, order="rows"):
             return np.real(phase * _h.value(u, v)) * _n.lap(u, v)
 
     height_tau, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb,
-        _loop_cap(grid, value_cb is not None), "deform_elliptic", order)
+        grid, e_vals, value_cb, lap_cb, "deform_elliptic", order)
 
     lhs = wirtinger_dz(height_tau).values - np.real(holo_tau.values) * n_z.values
     rhs = np.exp(1j * tau) * (m_z.values - np.real(hv) * n_z.values)
     identity = float(np.max(np.abs(lhs - rhs)))
 
-    return WeierstrassSecond(holo_tau, height_tau, data.null_pot,
-                             _deform_provenance(data, "elliptic", tau, loop_res, identity))
+    return WeierstrassSecond(holo_tau, height_tau, data.null_pot, _provenance(
+        data, {"family": "elliptic", "parameter": tau}, loop_res, identity))
 
 
 def deform_hyperbolic(data, eta, validate=True):
@@ -603,8 +578,8 @@ def deform_hyperbolic(data, eta, validate=True):
                - np.abs(data.gauss.values) ** 2 * wirtinger_dz(data.pot2).values)
     identity = float(np.max(np.abs(lhs - rhs)))
 
-    return WeierstrassFirst(gauss_eta, pot1_eta, pot2_eta,
-                            _deform_provenance(data, "hyperbolic", eta, None, identity))
+    return WeierstrassFirst(gauss_eta, pot1_eta, pot2_eta, _provenance(
+        data, {"family": "hyperbolic", "parameter": eta}, None, identity))
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +658,8 @@ def load_data(path):
             raise GridMismatchError("payload %r disagrees with the document grid" % name)
         loaded.append(f)
 
-    prov = doc.get("provenance", {})
-    if kind == "first":
-        g, p1, p2 = loaded
-        if not isinstance(g, ComplexField):
-            g = ComplexField(grid, g.values)
-        return WeierstrassFirst(g, p1, p2, prov)
-    h, m, n = loaded
-    if not isinstance(h, ComplexField):
-        h = ComplexField(grid, h.values)
-    return WeierstrassSecond(h, m, n, prov)
+    holo, a, b = loaded
+    if not isinstance(holo, ComplexField):
+        holo = ComplexField(grid, holo.values)
+    cls = WeierstrassFirst if kind == "first" else WeierstrassSecond
+    return cls(holo, a, b, doc.get("provenance", {}))

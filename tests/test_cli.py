@@ -81,6 +81,21 @@ class TestGenerate:
         assert "admissible-domain" in doc["error"]
         assert doc["checks"] == []
 
+    def test_non_finite_grid_fails_with_strict_manifest(self, tmp_path):
+        out = str(tmp_path)
+        rc = run(["generate", "--fixture", "sigma-theta", "--grid",
+                  "0:inf:-2:2:9x9", "--out", out, "--name", "inf"])
+        assert rc == 1
+
+        def reject(token):
+            raise ValueError("non-standard JSON constant %s" % token)
+
+        with open(os.path.join(out, "inf.manifest.json")) as fh:
+            doc = json.load(fh, parse_constant=reject)
+        assert doc["passed"] is False
+        assert "finite" in doc["error"]
+        assert doc["checks"] == []
+
     def test_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["generate", "--out", str(tmp_path)])

@@ -13,6 +13,7 @@ from mtsurf.export import (
     save_ply,
 )
 from mtsurf.fields import Grid2D, sup_abs
+from mtsurf.poisson import assemble_second_kind, named_field
 from mtsurf.surfaces import patch_from_chart, represent_second
 from mtsurf.tolerances import fd_cap
 
@@ -109,6 +110,22 @@ def test_patch_manifest_deterministic(tmp_path):
         files = save_patch_manifest(patch, os.path.join(sub, "patch.json"))
         digests.append(tuple(digest(f) for f in files))
     assert digests[0] == digests[1]
+
+
+def test_patch_manifest_keeps_provenance_booleans(tmp_path):
+    # the solver report carried in the provenance holds Python bools, which
+    # must stay JSON booleans rather than turn into 0/1
+    fx = fixture_sigma_theta(0.0, grid=Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17))
+    data, vrep, srep = assemble_second_kind(
+        fx.data.holo, named_field("zero", fx.grid),
+        lambda u, v: np.asarray(u) + 0.0 * np.asarray(v))
+    assert vrep.ok
+    path = os.path.join(str(tmp_path), "patch.json")
+    save_patch_manifest(represent_second(data), path)
+    solver = json.load(open(path))["provenance"]["source"]["solver"]
+    assert solver["converged"] is True
+    assert solver["floor_warning"] is False
+    assert solver["iterations"] == srep["iterations"]
 
 
 def test_load_rejects_foreign_json(tmp_path):

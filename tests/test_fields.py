@@ -50,6 +50,12 @@ class TestGrid2D:
         with pytest.raises(ValueError):
             Grid2D.from_spec(bad)
 
+    @pytest.mark.parametrize("bad", ["0:inf:0:1:9x9", "-inf:0:0:1:9x9",
+                                     "0:1:nan:1:9x9", "0:1:0:inf:9x9"])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Grid2D.from_spec(bad)
+
     def test_too_small_or_inverted(self):
         with pytest.raises(ValueError):
             Grid2D(0, 1, 0, 1, 2, 5)
