@@ -356,7 +356,7 @@ def cmd_solve(args):
         if args.target is not None:
             problem = PoissonProblem(
                 problem.grid, problem.weight, problem.source, problem.boundary,
-                SolverOptions(problem.options.max_iter, args.target))
+                SolverOptions(args.target))
         solution, report = solve_weighted_poisson(problem)
         manifest.reports["solver"] = report
         manifest.add_check("solver_residual", report["residual_max"],

@@ -562,10 +562,18 @@ def load_field_binary(path):
     if len(raw) < _BIN_HEADER.size or raw[:5] != _BIN_MAGIC:
         raise ValueError("not a field binary file (bad magic)")
     magic, kind, n_u, n_v, u_min, u_max, v_min, v_max = _BIN_HEADER.unpack_from(raw)
+    if kind not in (0, 1):
+        raise ValueError("field binary %r has kind byte %d; expected 0 (real) "
+                         "or 1 (complex)" % (path, kind))
     grid = Grid2D(u_min, u_max, v_min, v_max, n_u, n_v)
+    dtype = np.dtype("<c16" if kind == 1 else "<f8")
     body = raw[_BIN_HEADER.size:]
+    expected = n_u * n_v * dtype.itemsize
+    if len(body) != expected:
+        raise ValueError("field binary %r body holds %d bytes; a %dx%d %s grid "
+                         "needs %d" % (path, len(body), n_u, n_v,
+                                       "complex" if kind == 1 else "real", expected))
+    vals = np.frombuffer(body, dtype=dtype).reshape(n_u, n_v)
     if kind == 1:
-        vals = np.frombuffer(body, dtype="<c16").reshape(n_u, n_v)
         return ComplexField(grid, vals.astype(np.complex128))
-    vals = np.frombuffer(body, dtype="<f8").reshape(n_u, n_v)
     return RealField(grid, vals.astype(np.float64))

@@ -203,7 +203,7 @@ def test_solver_matches_closed_form_with_second_order_convergence():
             g, named_weight("re-exp-iz", g), named_field("exp-v-cosh-u", g),
             boundary_from_function(
                 g, lambda u, v: np.sinh(u) * np.sin(u) + z0(u, v)),
-            SolverOptions(max_iter=20000, target=1e-10))
+            SolverOptions(target=1e-10))
         solution, report = solve_weighted_poisson(problem)
         assert report["converged"]
         U, _ = g.mesh()
@@ -337,7 +337,7 @@ def test_random_datasets_validate_or_reject_with_located_failure():
     grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 33, 33)
     U, V = grid.mesh()
     cap = fd_cap(grid, 100.0)
-    options = SolverOptions(max_iter=5000, target=1e-9)
+    options = SolverOptions(target=1e-9)
     accepted = rejected = 0
 
     for k in range(200):

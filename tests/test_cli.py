@@ -8,7 +8,7 @@ import pytest
 
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.cli import main, parse_grid_spec
-from mtsurf.fields import Grid2D
+from mtsurf.fields import Grid2D, RealField
 from mtsurf.poisson import (
     PoissonProblem,
     SolverOptions,
@@ -163,13 +163,13 @@ class TestDeform:
 
 
 class TestSolve:
-    def descriptor(self, tmp_path, n=17, max_iter=20000, target=1e-10):
+    def descriptor(self, tmp_path, n=17, target=1e-10):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
         problem = PoissonProblem(
             g, named_weight("re-exp-iz", g), named_field("exp-v-cosh-u", g),
             boundary_from_function(
                 g, lambda u, v: np.sinh(u) * np.sin(u) + 0.0 * np.asarray(v)),
-            SolverOptions(max_iter=max_iter, target=target))
+            SolverOptions(target=target))
         path = os.path.join(str(tmp_path), "problem.json")
         save_problem(problem, path, weight_name="re-exp-iz",
                      source_name="exp-v-cosh-u")
@@ -198,8 +198,16 @@ class TestSolve:
         assert "solution.json" in doc["artifacts"]
 
     def test_nonconvergence_fails_run(self, tmp_path):
+        # a 1e10-scale source over a zero boundary puts the 1e-10 target
+        # out of reach of float64 solves; the run must fail, not raise
         out = os.path.join(str(tmp_path), "out")
-        path = self.descriptor(tmp_path, n=65, max_iter=2)
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 65, 65)
+        problem = PoissonProblem(
+            g, named_weight("one", g),
+            RealField(g, 1e10 * named_field("exp-v-cosh-u", g).values),
+            boundary_from_function(g, lambda u, v: 0.0 * u * v))
+        path = os.path.join(str(tmp_path), "problem.json")
+        save_problem(problem, path, weight_name="one")
         rc = run(["solve", "--problem", path, "--out", out])
         assert rc == 1
         doc = manifest_of(out, "solution")

@@ -336,3 +336,22 @@ class TestSerialization:
         p.write_bytes(b"not a field")
         with pytest.raises(ValueError):
             load_field_binary(p)
+
+    def test_binary_truncated_body_names_byte_counts(self, tmp_path):
+        g = grid(5)
+        p = tmp_path / "f.bin"
+        save_field_binary(RealField(g, np.ones(g.shape)), p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:len(raw) - 22 * 8])
+        with pytest.raises(ValueError, match=r"f\.bin.*24 bytes.*needs 200"):
+            load_field_binary(p)
+
+    def test_binary_unknown_kind_byte_rejected(self, tmp_path):
+        g = grid(5)
+        p = tmp_path / "f.bin"
+        save_field_binary(RealField(g, np.ones(g.shape)), p)
+        raw = bytearray(p.read_bytes())
+        raw[5] = 7
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="kind byte 7"):
+            load_field_binary(p)
