@@ -46,8 +46,8 @@ from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, TOL_EXACT, fd_cap
 from .weierstrass import (
     WeierstrassFirst,
     WeierstrassSecond,
-    _has_first,
-    _has_value,
+    _exact_callbacks,
+    _triple,
     deform_elliptic,
     deform_hyperbolic,
     deform_parabolic,
@@ -131,10 +131,7 @@ def _validate(data, args):
 
 
 def _data_exact(data):
-    fields = ((data.gauss, data.pot1, data.pot2)
-              if isinstance(data, WeierstrassFirst)
-              else (data.holo, data.height, data.null_pot))
-    return all(_has_value(f) and _has_first(f) for f in fields)
+    return _exact_callbacks(*_triple(data)[1:])
 
 
 def _patch_checks(manifest, patch, exact, args):
@@ -187,19 +184,19 @@ def _quadric_cap(patch, exact, args):
     return fd_cap(patch.grid, 100.0) * scale
 
 
-def _represent(data, rep, anchor, order="rows"):
+def _represent(data, rep, anchor):
     """Convert to the kind the representation needs and build the patch."""
     if rep == "second":
         if isinstance(data, WeierstrassFirst):
             data = first_to_second(data)
-        return represent_second(data, anchor=anchor, order=order), data
+        return represent_second(data, anchor=anchor), data
     if isinstance(data, WeierstrassSecond):
         data = second_to_first(data)
     if rep == "first":
-        return represent_first(data, anchor=anchor, order=order), data
+        return represent_first(data, anchor=anchor), data
     coord3 = lincomb_real([(1.0, data.pot1), (-1.0, data.pot2)])
     coord4 = lincomb_real([(1.0, data.pot1), (1.0, data.pot2)])
-    return represent_third(data.gauss, coord3, coord4, anchor=anchor, order=order), data
+    return represent_third(data.gauss, coord3, coord4, anchor=anchor), data
 
 
 def _fixture_params(args):

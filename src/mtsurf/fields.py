@@ -263,14 +263,6 @@ class ComplexField(_Field):
     _dtype = np.complex128
 
 
-def _same_grid(*fields):
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("fields live on different grids")
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # derivatives
 
@@ -507,6 +499,12 @@ def load_field_csv(path):
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 4:
         raise ValueError("field CSV must have columns u,v,re,im")
+    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError("field CSV %r holds a non-finite value on line %d, node %d "
+                         "in row-major order: u,v,re,im = %s" % (
+                             path, k + 2, k, ",".join(_fmt(x) for x in data[k])))
     ucol = data[:, 0]
     changes = np.nonzero(ucol != ucol[0])[0]
     if changes.size == 0:
@@ -574,6 +572,11 @@ def load_field_binary(path):
                          "needs %d" % (path, len(body), n_u, n_v,
                                        "complex" if kind == 1 else "real", expected))
     vals = np.frombuffer(body, dtype=dtype).reshape(n_u, n_v)
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise ValueError("field binary %r holds a non-finite sample at node (%d, %d), "
+                         "(u,v)=(%.17g, %.17g)" % (path, i, j, grid.axis_u[i], grid.axis_v[j]))
     if kind == 1:
         return ComplexField(grid, vals.astype(np.complex128))
     return RealField(grid, vals.astype(np.float64))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .fields import Analytic, ComplexField, Grid2D, RealField, load_field_csv
+from .fields import Analytic, ComplexField, Grid2D, RealField, load_field_csv, save_field_csv
 from .tolerances import EPS_IMMERSION, EPS_ZERO
 from .weierstrass import WeierstrassSecond, validate_second
 
@@ -349,10 +349,6 @@ def named_field(name, grid):
     return _field_from_providers(grid, NAMED_FIELDS[name]())
 
 
-def _field_spec_to_dict(kind, name_or_file):
-    return {"kind": kind, kind: name_or_file}
-
-
 def save_problem(problem, path, weight_name=None, source_name=None):
     """Write a problem descriptor JSON next to any field payload files.
 
@@ -365,7 +361,6 @@ def save_problem(problem, path, weight_name=None, source_name=None):
         if name is not None:
             return {"kind": "named", "name": name}
         fname = os.path.basename(base) + ".%s.csv" % tag
-        from .fields import save_field_csv
         save_field_csv(fld, os.path.join(os.path.dirname(path) or ".", fname))
         return {"kind": "file", "file": fname, "format": "csv"}
 

@@ -42,8 +42,8 @@ from .fields import (
     wirtinger_dzbar,
 )
 from .lorentz import complex_bilinear, minkowski_inner
-from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, validation_cap
-from .weierstrass import _certify, _has_first, _has_value
+from .tolerances import PSI_CUTOFF, validation_cap
+from .weierstrass import _certify, _exact_callbacks
 
 __all__ = [
     "SurfacePatch",
@@ -134,7 +134,7 @@ def _mean_curvature_fields(grid, xzzbar_fields, lam_values):
     return tuple(RealField(grid, 4.0 * f.values / lam_values) for f in xzzbar_fields)
 
 
-def _integrate_coords(xz_fields, anchor, order, loop_cap, what):
+def _integrate_coords(xz_fields, anchor, loop_cap, what):
     """Integrate the four tangent fields into coordinates, origin-anchored.
 
     ``anchor`` gives the value of each coordinate at the grid origin node
@@ -148,7 +148,7 @@ def _integrate_coords(xz_fields, anchor, order, loop_cap, what):
     coords = []
     worst_loop = 0.0
     for k, xz in enumerate(xz_fields):
-        pr = integrate_primitive(xz, order=order)
+        pr = integrate_primitive(xz)
         if pr.loop_residual > loop_cap:
             raise ValueError(
                 "%s: coordinate %d loop residual %.3e exceeds %.3e; tangent "
@@ -220,22 +220,19 @@ _KINDS = {
 }
 
 
-def _represent(kind, holo, a, b, anchor, validate, order, source=None,
-               eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+def _represent(kind, holo, a, b, anchor, source=None):
     """The one representation pipeline, driven by ``_KINDS[kind]``.
 
     Validation runs first: the frames and the conformal scale divide by
     the holomorphic field.  The tangent field carries exact callbacks when
     ``holo`` has a value callback and both potentials first derivatives.
     """
-    report, weight, a_z, b_z, b_zzbar = _certify(kind, holo, a, b,
-                                                 eps_zero, eps_immersion)
-    if validate:
-        report.raise_for_failure()
+    report, weight, a_z, b_z, b_zzbar = _certify(kind, holo, a, b)
+    report.raise_for_failure()
     spec = _KINDS[kind]
     grid = holo.grid
     w = holo.values
-    exact = _has_value(holo) and _has_first(a) and _has_first(b)
+    exact = _exact_callbacks(holo, a, b)
 
     xz_fields = []
     for c1, c2 in zip(spec.frame1, spec.frame2):
@@ -247,8 +244,7 @@ def _represent(kind, holo, a, b, anchor, validate, order, source=None,
                 return _a.dz(u, v) * _c1(wval) + _b.dz(u, v) * _c2(wval)
             analytic = Analytic(value=cb)
         xz_fields.append(ComplexField(grid, a_z * c1(w) + b_z * c2(w), analytic))
-    X, worst_loop = _integrate_coords(xz_fields, anchor, order,
-                                      validation_cap(grid, exact),
+    X, worst_loop = _integrate_coords(xz_fields, anchor, validation_cap(grid, exact),
                                       "represent_" + kind)
 
     null_dir = spec.null_dir(w)
@@ -274,7 +270,7 @@ def _represent(kind, holo, a, b, anchor, validate, order, source=None,
             extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
 
 
-def represent_first(data, anchor=None, validate=True, order="rows"):
+def represent_first(data, anchor=None):
     """Patch from a first-kind triple.
 
     Tangent frame: Xz = dz(pot1) (1/g, i/g, 1, 1) + dz(pot2) (g, -i g,
@@ -284,10 +280,10 @@ def represent_first(data, anchor=None, validate=True, order="rows"):
     direction (2 Re g, 2 Im g, -1+|g|^2, 1+|g|^2).
     """
     return _represent("first", data.gauss, data.pot1, data.pot2, anchor,
-                      validate, order, source=data.provenance)
+                      source=data.provenance)
 
 
-def represent_second(data, anchor=None, validate=True, order="rows"):
+def represent_second(data, anchor=None):
     """Patch from a second-kind triple.
 
     Tangent frame: Xz = dz(height) (1, -i, -h, h) + dz(null_pot)
@@ -297,11 +293,10 @@ def represent_second(data, anchor=None, validate=True, order="rows"):
     lap(null_pot)/4 times (Re h, -Im h, (1-|h|^2)/2, (1+|h|^2)/2).
     """
     return _represent("second", data.holo, data.height, data.null_pot, anchor,
-                      validate, order, source=data.provenance)
+                      source=data.provenance)
 
 
-def represent_third(gauss, coord3, coord4, anchor=None, validate=True,
-                    order="rows", eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+def represent_third(gauss, coord3, coord4, anchor=None):
     """Patch from a holomorphic field plus its last two coordinates.
 
     Preconditions: gauss nowhere zero and holomorphic, and the coupling
@@ -313,8 +308,7 @@ def represent_third(gauss, coord3, coord4, anchor=None, validate=True,
     - w dz(coord4)|^2.  With coord4 = 0 the patch is a minimal surface in
     the x4 = 0 slice; with coord3 = 0 a maximal surface in x3 = 0.
     """
-    return _represent("third", gauss, coord3, coord4, anchor, validate, order,
-                      eps_zero=eps_zero, eps_immersion=eps_immersion)
+    return _represent("third", gauss, coord3, coord4, anchor)
 
 
 def patch_from_chart(coords, provenance=None):

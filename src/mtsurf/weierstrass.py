@@ -6,10 +6,14 @@ nowhere-zero holomorphic field ``gauss`` with two real potentials
 second-kind triple bundles a nowhere-zero holomorphic field ``holo`` with
 a real ``height`` (which becomes the first coordinate of the surface) and
 a real ``null_pot`` (which becomes the sum of the last two coordinates),
-coupled by ``lap(height) = Re(holo) lap(null_pot)``.  Validators certify
-the defining conditions on a grid; transforms convert between the kinds
-and apply the three one-parameter deformation families, each of which
-corresponds to a rotation family in :mod:`mtsurf.lorentz`.
+coupled by ``lap(height) = Re(holo) lap(null_pot)``.  One validator
+certifies the defining conditions of either kind on a grid.  The two kind
+conversions and the three one-parameter deformation families (each the
+counterpart of a rotation family in :mod:`mtsurf.lorentz`) are thin
+wrappers over one transform core: it certifies the input, builds the new
+holomorphic field, keeps or rescales potentials, integrates at most one
+new potential from a 1-form linear in dz(a) and dz(b), and records the
+immersion identity the transform must satisfy.
 
 Where a derived field has a closed-form derivative implied by its
 construction (for example the Laplacian of an integrated potential, which
@@ -115,6 +119,27 @@ class WeierstrassSecond:
         return self.holo.grid
 
 
+_FIELD_NAMES = {
+    "first": ("gauss", "pot1", "pot2"),
+    "second": ("holo", "height", "null_pot"),
+}
+_CLASS = {"first": WeierstrassFirst, "second": WeierstrassSecond}
+
+
+def _data_kind(data):
+    if isinstance(data, WeierstrassFirst):
+        return "first"
+    if isinstance(data, WeierstrassSecond):
+        return "second"
+    raise TypeError("expected a WeierstrassFirst or WeierstrassSecond")
+
+
+def _triple(data):
+    """(kind, holomorphic field, a, b) of a data triple."""
+    kind = _data_kind(data)
+    return (kind,) + tuple(getattr(data, name) for name in _FIELD_NAMES[kind])
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -195,6 +220,13 @@ def _has_first(f):
 
 def _has_lap(f):
     return f.analytic is not None and f.analytic.has_lap
+
+
+def _exact_callbacks(holo, a, b):
+    """Whether the integrands built from a triple carry exact callbacks:
+    ``holo`` has a value callback and both potentials first derivatives.
+    The representations, the transforms and the CLI's caps share it."""
+    return _has_value(holo) and _has_first(a) and _has_first(b)
 
 
 def _sup_interior_check(name, grid, arr, threshold):
@@ -307,48 +339,80 @@ def _reciprocal_field(f):
     return ComplexField(f.grid, 1.0 / f.values, new)
 
 
-def _integrate_real(grid, values, value_cb, lap_cb, what, order):
-    """Primitive of a complex integrand, with the loop certificate enforced.
+# ---------------------------------------------------------------------------
+# the transform core
 
-    ``lap_cb`` is the closed-form Laplacian the construction pins for the
-    primitive; it is attached so validators see an exact coupling check.
-    The loop cap is 1e-8 with a value callback and 50 h^2 without.
-    Returns (RealField, loop_residual).
+def _transform(data, out_kind, holo_map, keep, integrand, factor, head):
+    """The one pipeline behind the kind conversions and the deformations.
+
+    The input triple (w, a, b) is certified first; then ``holo_map`` turns
+    the field w into the output holomorphic field w'.  ``keep`` gives each output
+    potential as ``(c, i)``, c times input potential i, or None for the
+    one potential integrated from dz = ``integrand(w, dz a, dz b)``, with
+    the loop certificate enforced (cap 1e-8 with exact callbacks, 50 h^2
+    without).  Its Laplacian callback follows from the output coupling
+    lap a' = weight' lap b'.  ``factor(w, w')`` is the immersion factor:
+    provenance records sup |imm' - factor imm| with imm = dz a - weight
+    dz b, next to ``head``, the loop residual and the source's provenance.
     """
-    loop_cap = validation_cap(grid, value_cb is not None)
+    kind, holo, a, b = _triple(data)
+    report, weight, a_z, b_z, _ = _certify(kind, holo, a, b)
+    report.raise_for_failure()
+    grid = holo.grid
+    holo_out = holo_map(holo)
+    weight_out = _WEIGHT[out_kind]
+    pots = [None, None]
+    pots_z = [None, None]
+    for slot, spec in enumerate(keep):
+        if spec is not None:
+            c, i = spec
+            pots[slot] = (a, b)[i] if c == 1.0 else _scaled_field((a, b)[i], c)
+            pots_z[slot] = c * (a_z, b_z)[i]
 
-    integrand = ComplexField(
-        grid, values, Analytic(value=value_cb) if value_cb is not None else None)
-    pr = integrate_primitive(integrand, order=order)
-    if pr.loop_residual > loop_cap:
-        raise ValueError(
-            "%s: loop residual %.3e exceeds %.3e; the integrand is not "
-            "integrable on this grid" % (what, pr.loop_residual, loop_cap))
-    out = pr.field
-    if lap_cb is not None:
-        prev = out.analytic
-        kw = {"lap": lap_cb}
-        if prev is not None:
-            kw["du"] = prev._du
-            kw["dv"] = prev._dv
-        out = RealField(grid, out.values, Analytic(**kw))
-    return out, pr.loop_residual
+    prov = dict(head)
+    if integrand is not None:
+        slot = keep.index(None)
+        exact = _exact_callbacks(holo, a, b)
+        analytic = None
+        if exact:
+            def value_cb(u, v, _w=holo.analytic, _a=a.analytic, _b=b.analytic):
+                return integrand(_w.value(u, v), _a.dz(u, v), _b.dz(u, v))
+            analytic = Analytic(value=value_cb)
+        pr = integrate_primitive(
+            ComplexField(grid, integrand(holo.values, a_z, b_z), analytic))
+        loop_cap = validation_cap(grid, exact)
+        if pr.loop_residual > loop_cap:
+            what = head.get("transform") or "deform_" + head["family"]
+            raise ValueError(
+                "%s: loop residual %.3e exceeds %.3e; the integrand is not "
+                "integrable on this grid" % (what, pr.loop_residual, loop_cap))
+        out = pr.field
+        kept = pots[1 - slot]
+        if _has_value(holo_out) and _has_lap(kept):
+            def lap_cb(u, v, _w=holo_out.analytic, _k=kept.analytic):
+                wt = weight_out(_w.value(u, v))
+                return wt * _k.lap(u, v) if slot == 0 else _k.lap(u, v) / wt
+            kw = {"lap": lap_cb}
+            if out.analytic is not None:
+                kw.update(du=out.analytic._du, dv=out.analytic._dv)
+            out = RealField(grid, out.values, Analytic(**kw))
+        pots[slot] = out
+        pots_z[slot] = wirtinger_dz(out).values
+        prov["loop_residual"] = pr.loop_residual
 
-
-def _provenance(data, head, loop_res, identity):
-    """Provenance of derived data: ``head``, its residuals, the source's."""
-    prov = dict(head, identity_residual=identity)
-    if loop_res is not None:
-        prov["loop_residual"] = loop_res
+    w, w_out = holo.values, holo_out.values
+    imm_out = pots_z[0] - weight_out(w_out) * pots_z[1]
+    prov["identity_residual"] = float(np.max(np.abs(
+        imm_out - factor(w, w_out) * (a_z - weight * b_z))))
     if data.provenance:
         prov["source"] = dict(data.provenance)
-    return prov
+    return _CLASS[out_kind](holo_out, *pots, prov)
 
 
 # ---------------------------------------------------------------------------
 # equivalence transforms
 
-def first_to_second(data, validate=True, order="rows"):
+def first_to_second(data):
     """Convert first-kind data to the equivalent second-kind triple.
 
     Output: holo = 1/gauss, null_pot = 2 pot1, and height integrated from
@@ -360,42 +424,13 @@ def first_to_second(data, validate=True, order="rows"):
 
     whose sup residual is recorded under provenance["identity_residual"].
     """
-
-    if validate:
-        validate_first(data).raise_for_failure()
-    grid = data.grid
-    g = data.gauss
-    gv = g.values
-    p_z = wirtinger_dz(data.pot1)
-    q_z = wirtinger_dz(data.pot2)
-
-    e_vals = p_z.values / gv + gv * q_z.values
-    value_cb = None
-    if _has_value(g) and _has_first(data.pot1) and _has_first(data.pot2):
-        def value_cb(u, v, _g=g.analytic, _p=data.pot1.analytic, _q=data.pot2.analytic):
-            gz = _g.value(u, v)
-            return _p.dz(u, v) / gz + gz * _q.dz(u, v)
-
-    lap_cb = None
-    if _has_value(g) and _has_lap(data.pot1):
-        def lap_cb(u, v, _g=g.analytic, _p=data.pot1.analytic):
-            return 2.0 * np.real(1.0 / _g.value(u, v)) * _p.lap(u, v)
-
-    height, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb, "first_to_second", order)
-
-    holo = _reciprocal_field(g)
-    null_pot = _scaled_field(data.pot1, 2.0)
-
-    identity = float(np.max(np.abs(
-        (wirtinger_dz(height).values - np.real(holo.values) * wirtinger_dz(null_pot).values)
-        + (p_z.values - np.abs(gv) ** 2 * q_z.values) / np.conj(gv))))
-
-    return WeierstrassSecond(holo, height, null_pot, _provenance(
-        data, {"transform": "first_to_second"}, loop_res, identity))
+    return _transform(data, "second", _reciprocal_field, (None, (2.0, 0)),
+                      lambda g, p_z, q_z: p_z / g + g * q_z,
+                      lambda g, h: -1.0 / np.conj(g),
+                      {"transform": "first_to_second"})
 
 
-def second_to_first(data, validate=True, order="rows"):
+def second_to_first(data):
     """Convert second-kind data to the equivalent first-kind triple.
 
     Output: gauss = 1/holo, pot1 = null_pot/2, and pot2 integrated from
@@ -403,48 +438,16 @@ def second_to_first(data, validate=True, order="rows"):
     the identity of :func:`first_to_second` holds with the same residual
     bookkeeping.
     """
-
-    if validate:
-        validate_second(data).raise_for_failure()
-    grid = data.grid
-    h = data.holo
-    hv = h.values
-    m_z = wirtinger_dz(data.height)
-    n_z = wirtinger_dz(data.null_pot)
-
-    e_vals = hv * m_z.values - 0.5 * hv ** 2 * n_z.values
-    value_cb = None
-    if _has_value(h) and _has_first(data.height) and _has_first(data.null_pot):
-        def value_cb(u, v, _h=h.analytic, _m=data.height.analytic,
-                     _n=data.null_pot.analytic):
-            hval = _h.value(u, v)
-            return hval * _m.dz(u, v) - 0.5 * hval ** 2 * _n.dz(u, v)
-
-    lap_cb = None
-    if _has_value(h) and _has_lap(data.null_pot):
-        def lap_cb(u, v, _h=h.analytic, _n=data.null_pot.analytic):
-            return 0.5 * np.abs(_h.value(u, v)) ** 2 * _n.lap(u, v)
-
-    pot2, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb, "second_to_first", order)
-
-    gauss = _reciprocal_field(h)
-    pot1 = _scaled_field(data.null_pot, 0.5)
-
-    p_z = wirtinger_dz(pot1).values
-    q_z = wirtinger_dz(pot2).values
-    identity = float(np.max(np.abs(
-        (p_z - np.abs(gauss.values) ** 2 * q_z) / np.conj(gauss.values)
-        + (m_z.values - np.real(hv) * n_z.values))))
-
-    return WeierstrassFirst(gauss, pot1, pot2, _provenance(
-        data, {"transform": "second_to_first"}, loop_res, identity))
+    return _transform(data, "first", _reciprocal_field, ((0.5, 1), None),
+                      lambda h, m_z, n_z: h * m_z - 0.5 * h ** 2 * n_z,
+                      lambda h, g: -1.0 / np.conj(h),
+                      {"transform": "second_to_first"})
 
 
 # ---------------------------------------------------------------------------
 # deformation families
 
-def deform_parabolic(data, lam, validate=True, order="rows"):
+def deform_parabolic(data, lam):
     """Parabolic deformation of first-kind data with parameter ``lam``.
 
     gauss_lam = gauss/(1 + i lam gauss), pot1 is unchanged, and pot2_lam
@@ -455,59 +458,32 @@ def deform_parabolic(data, lam, validate=True, order="rows"):
     parameter.  Raises :class:`PoleError` when 1 + i lam gauss vanishes
     somewhere on the grid (the deformed gauss field has a pole there).
     """
-
-    if validate:
-        validate_first(data).raise_for_failure()
     lam = float(lam)
-    grid = data.grid
-    g = data.gauss
-    gv = g.values
-    denom = 1.0 + 1j * lam * gv
-    u, v, mag = min_abs_location(grid, denom)
-    if mag <= EPS_ZERO:
-        raise PoleError(
-            "deformed gauss field has a pole near (u,v)=(%.6g, %.6g): "
-            "|1 + i*lambda*gauss| = %.3e" % (u, v, mag), location=(u, v))
 
-    ga = g.analytic
-    new_a = None
-    if ga is not None and ga.has_value:
-        kw = {"value": lambda u, v, _a=ga: _a.value(u, v) / (1.0 + 1j * lam * _a.value(u, v))}
-        if ga.has_first:
-            kw["dz"] = lambda u, v, _a=ga: _a.dz(u, v) / (1.0 + 1j * lam * _a.value(u, v)) ** 2
-            kw["dzbar"] = lambda u, v, _a=ga: _a.dzbar(u, v) / (1.0 + 1j * lam * _a.value(u, v)) ** 2
-        new_a = Analytic(**kw)
-    gauss_lam = ComplexField(grid, gv / denom, new_a)
+    def gauss_lam(g):
+        denom = 1.0 + 1j * lam * g.values
+        u, v, mag = min_abs_location(g.grid, denom)
+        if mag <= EPS_ZERO:
+            raise PoleError(
+                "deformed gauss field has a pole near (u,v)=(%.6g, %.6g): "
+                "|1 + i*lambda*gauss| = %.3e" % (u, v, mag), location=(u, v))
+        ga = g.analytic
+        new_a = None
+        if ga is not None and ga.has_value:
+            kw = {"value": lambda u, v: ga.value(u, v) / (1.0 + 1j * lam * ga.value(u, v))}
+            if ga.has_first:
+                kw["dz"] = lambda u, v: ga.dz(u, v) / (1.0 + 1j * lam * ga.value(u, v)) ** 2
+                kw["dzbar"] = lambda u, v: ga.dzbar(u, v) / (1.0 + 1j * lam * ga.value(u, v)) ** 2
+            new_a = Analytic(**kw)
+        return ComplexField(g.grid, g.values / denom, new_a)
 
-    p_z = wirtinger_dz(data.pot1)
-    q_z = wirtinger_dz(data.pot2)
-    e_vals = (1.0 / gv + 1j * lam) * (gv * q_z.values - 1j * lam * p_z.values)
-    value_cb = None
-    if _has_value(g) and _has_first(data.pot1) and _has_first(data.pot2):
-        def value_cb(u, v, _g=g.analytic, _p=data.pot1.analytic, _q=data.pot2.analytic):
-            gval = _g.value(u, v)
-            return (1.0 / gval + 1j * lam) * (gval * _q.dz(u, v) - 1j * lam * _p.dz(u, v))
-
-    lap_cb = None
-    if _has_value(g) and _has_lap(data.pot1):
-        def lap_cb(u, v, _g=g.analytic, _p=data.pot1.analytic):
-            gval = _g.value(u, v)
-            glam = gval / (1.0 + 1j * lam * gval)
-            return _p.lap(u, v) / np.abs(glam) ** 2
-
-    pot2_lam, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb, "deform_parabolic", order)
-
-    glam_v = gauss_lam.values
-    lhs = p_z.values - np.abs(glam_v) ** 2 * wirtinger_dz(pot2_lam).values
-    rhs = (np.conj(glam_v) / np.conj(gv)) * (p_z.values - np.abs(gv) ** 2 * q_z.values)
-    identity = float(np.max(np.abs(lhs - rhs)))
-
-    return WeierstrassFirst(gauss_lam, data.pot1, pot2_lam, _provenance(
-        data, {"family": "parabolic", "parameter": lam}, loop_res, identity))
+    return _transform(data, "first", gauss_lam, ((1.0, 0), None),
+                      lambda g, p_z, q_z: (1.0 / g + 1j * lam) * (g * q_z - 1j * lam * p_z),
+                      lambda g, g_lam: np.conj(g_lam) / np.conj(g),
+                      {"family": "parabolic", "parameter": lam})
 
 
-def deform_elliptic(data, tau, validate=True, order="rows"):
+def deform_elliptic(data, tau):
     """Elliptic deformation of second-kind data with angle ``tau``.
 
     holo_tau = e^{-i tau} holo, null_pot is unchanged, and height_tau is
@@ -516,44 +492,16 @@ def deform_elliptic(data, tau, validate=True, order="rows"):
     the generated surfaces are congruent under the plane rotation of the
     first two coordinates by ``tau``.
     """
-
-    if validate:
-        validate_second(data).raise_for_failure()
     tau = float(tau)
-    grid = data.grid
-    h = data.holo
-    hv = h.values
-    phase = np.exp(-1j * tau)
-
-    holo_tau = _scaled_field(h, phase)
-
-    m_z = wirtinger_dz(data.height)
-    n_z = wirtinger_dz(data.null_pot)
-    e_vals = np.exp(1j * tau) * m_z.values - 1j * np.sin(tau) * hv * n_z.values
-    value_cb = None
-    if _has_value(h) and _has_first(data.height) and _has_first(data.null_pot):
-        def value_cb(u, v, _h=h.analytic, _m=data.height.analytic,
-                     _n=data.null_pot.analytic):
-            return (np.exp(1j * tau) * _m.dz(u, v)
-                    - 1j * np.sin(tau) * _h.value(u, v) * _n.dz(u, v))
-
-    lap_cb = None
-    if _has_value(h) and _has_lap(data.null_pot):
-        def lap_cb(u, v, _h=h.analytic, _n=data.null_pot.analytic):
-            return np.real(phase * _h.value(u, v)) * _n.lap(u, v)
-
-    height_tau, loop_res = _integrate_real(
-        grid, e_vals, value_cb, lap_cb, "deform_elliptic", order)
-
-    lhs = wirtinger_dz(height_tau).values - np.real(holo_tau.values) * n_z.values
-    rhs = np.exp(1j * tau) * (m_z.values - np.real(hv) * n_z.values)
-    identity = float(np.max(np.abs(lhs - rhs)))
-
-    return WeierstrassSecond(holo_tau, height_tau, data.null_pot, _provenance(
-        data, {"family": "elliptic", "parameter": tau}, loop_res, identity))
+    return _transform(data, "second", lambda h: _scaled_field(h, np.exp(-1j * tau)),
+                      (None, (1.0, 1)),
+                      lambda h, m_z, n_z: (np.exp(1j * tau) * m_z
+                                           - 1j * np.sin(tau) * h * n_z),
+                      lambda h, h_tau: np.exp(1j * tau),
+                      {"family": "elliptic", "parameter": tau})
 
 
-def deform_hyperbolic(data, eta, validate=True):
+def deform_hyperbolic(data, eta):
     """Hyperbolic deformation of first-kind data with rapidity ``eta``.
 
     Pure scaling (e^eta gauss, e^eta pot1, e^{-eta} pot2); no integration
@@ -561,43 +509,15 @@ def deform_hyperbolic(data, eta, validate=True):
     generated surfaces are congruent under the boost of the last two
     coordinates by ``eta``.
     """
-
-    if validate:
-        validate_first(data).raise_for_failure()
     eta = float(eta)
     s = float(np.exp(eta))
-
-    gauss_eta = _scaled_field(data.gauss, s)
-    pot1_eta = _scaled_field(data.pot1, s)
-    pot2_eta = _scaled_field(data.pot2, 1.0 / s)
-
-    p_z = wirtinger_dz(pot1_eta).values
-    q_z = wirtinger_dz(pot2_eta).values
-    lhs = p_z - np.abs(gauss_eta.values) ** 2 * q_z
-    rhs = s * (wirtinger_dz(data.pot1).values
-               - np.abs(data.gauss.values) ** 2 * wirtinger_dz(data.pot2).values)
-    identity = float(np.max(np.abs(lhs - rhs)))
-
-    return WeierstrassFirst(gauss_eta, pot1_eta, pot2_eta, _provenance(
-        data, {"family": "hyperbolic", "parameter": eta}, None, identity))
+    return _transform(data, "first", lambda g: _scaled_field(g, s),
+                      ((s, 0), (1.0 / s, 1)), None, lambda g, g_eta: s,
+                      {"family": "hyperbolic", "parameter": eta})
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_FIELD_NAMES = {
-    "first": ("gauss", "pot1", "pot2"),
-    "second": ("holo", "height", "null_pot"),
-}
-
-
-def _data_kind(data):
-    if isinstance(data, WeierstrassFirst):
-        return "first"
-    if isinstance(data, WeierstrassSecond):
-        return "second"
-    raise TypeError("expected a WeierstrassFirst or WeierstrassSecond")
-
 
 def save_data(data, path, payload="csv"):
     """Write a JSON document for the triple, field payloads by reference.
@@ -661,5 +581,4 @@ def load_data(path):
     holo, a, b = loaded
     if not isinstance(holo, ComplexField):
         holo = ComplexField(grid, holo.values)
-    cls = WeierstrassFirst if kind == "first" else WeierstrassSecond
-    return cls(holo, a, b, doc.get("provenance", {}))
+    return _CLASS[kind](holo, a, b, doc.get("provenance", {}))

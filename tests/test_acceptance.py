@@ -372,7 +372,7 @@ def test_random_datasets_validate_or_reject_with_located_failure():
         data, report, _ = assemble_second_kind(
             holo, null_pot, 0.0, options=options)
         if report.ok:
-            patch = represent_second(data, validate=False)
+            patch = represent_second(data)
             inv = patch.invariants
             assert inv["conformality"] < cap
             assert inv["mean_null"] < cap

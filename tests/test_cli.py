@@ -118,6 +118,21 @@ class TestGenerate:
         assert "quadric_residual" not in check_map(doc)
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize("rep", ["first", "third"])
+    def test_converted_callback_data_checked_at_exact_caps(self, tmp_path, rep):
+        # second_to_first integrates pot2 from exact callbacks, so the patch
+        # is built from exact callbacks and its checks use the 1e-8 caps
+        out = str(tmp_path)
+        rc = run(["generate", "--fixture", "sigma-theta", "--theta", "0.3",
+                  "--grid", "-2:2:-2:2:33x33", "--rep", rep, "--out", out,
+                  "--name", "conv"])
+        assert rc == 0
+        checks = check_map(manifest_of(out, "conv"))
+        for name in ("conformality", "mean_null", "loop_residual",
+                     "conformal_factor_match"):
+            assert checks[name]["threshold"] == 1e-8, name
+        assert checks["quadric_residual"]["threshold"] == 1e-10
+
 
 class TestDeform:
     def test_parabolic_congruence(self, tmp_path):
@@ -160,6 +175,19 @@ class TestDeform:
                   "--grid", "-2:2:-2:2:17x17", "--family", "parabolic",
                   "--parameter", "2.0", "--out", str(tmp_path)])
         assert rc == 0
+
+    @pytest.mark.parametrize("family,parameter", [("parabolic", "0.5"),
+                                                  ("hyperbolic", "0.6")])
+    def test_identity_of_converted_data_checked_at_exact_cap(self, tmp_path, family,
+                                                             parameter):
+        out = str(tmp_path)
+        rc = run(["deform", "--fixture", "sigma-theta", "--theta", "0.3",
+                  "--grid", "-2:2:-2:2:33x33", "--family", family,
+                  "--parameter", parameter, "--out", out, "--name", "d"])
+        assert rc == 0
+        check = check_map(manifest_of(out, "d"))["deformation_identity"]
+        assert check["threshold"] == 1e-8
+        assert check["passed"]
 
 
 class TestSolve:
@@ -230,6 +258,30 @@ class TestVerify:
         assert checks["conformality"]["passed"]
         assert doc["inputs"]["resolved_checks"] == [
             "validation", "invariants", "liu", "mean-curvature"]
+
+    def test_non_finite_payload_fails_with_strict_manifest(self, tmp_path):
+        out = str(tmp_path)
+        fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 9))
+        path = os.path.join(out, "sigma.data.json")
+        save_data(fx.data, path)
+        height = os.path.join(out, "sigma.data.height.csv")
+        with open(height) as fh:
+            lines = fh.read().splitlines()
+        u, v, _, im = lines[20].split(",")
+        lines[20] = ",".join((u, v, "nan", im))
+        with open(height, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        rc = run(["verify", "--input", path, "--out", out, "--name", "nan"])
+        assert rc == 1
+
+        def reject(token):
+            raise ValueError("non-standard JSON constant %s" % token)
+
+        with open(os.path.join(out, "nan.manifest.json")) as fh:
+            doc = json.load(fh, parse_constant=reject)
+        assert doc["passed"] is False
+        assert "sigma.data.height.csv" in doc["error"]
+        assert "line 21" in doc["error"]
 
     def test_quadric_check_recovers_fixture_anchor(self, tmp_path):
         out = str(tmp_path)

@@ -355,3 +355,23 @@ class TestSerialization:
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="kind byte 7"):
             load_field_binary(p)
+
+    def test_csv_non_finite_sample_rejected(self, tmp_path):
+        g = grid(5)
+        vals = np.ones(g.shape)
+        vals[2, 3] = np.nan
+        p = tmp_path / "f.csv"
+        save_field_csv(RealField(g, vals), p)
+        # node (2, 3) is the 14th data row, on line 15 after the header
+        with pytest.raises(ValueError, match=r"f\.csv.*non-finite.*line 15, node 13"):
+            load_field_csv(p)
+
+    def test_binary_non_finite_sample_rejected(self, tmp_path):
+        g = grid(5)
+        vals = np.ones(g.shape, complex)
+        vals[1, 4] = 1.0 + 1j * np.inf
+        vals[3, 0] = np.nan
+        p = tmp_path / "f.bin"
+        save_field_binary(ComplexField(g, vals), p)
+        with pytest.raises(ValueError, match=r"f\.bin.*non-finite.*node \(1, 4\)"):
+            load_field_binary(p)

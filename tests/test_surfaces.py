@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mtsurf import surfaces
 from mtsurf.catalog import fixture_classical, fixture_sigma_theta
 from mtsurf.errors import DomainError, InvalidDataError
 from mtsurf.fields import (
@@ -12,6 +13,7 @@ from mtsurf.fields import (
     RealField,
     lincomb_real,
     sup_abs,
+    wirtinger_dz,
 )
 from mtsurf.lorentz import rotation
 from mtsurf.surfaces import (
@@ -26,7 +28,7 @@ from mtsurf.surfaces import (
     represent_third,
     verify_congruence,
 )
-from mtsurf.tolerances import fd_cap
+from mtsurf.tolerances import fd_cap, validation_cap
 from mtsurf.weierstrass import (
     WeierstrassFirst,
     deform_elliptic,
@@ -183,8 +185,17 @@ def test_loop_certificate_rejects_nonintegrable_input():
     noise = RealField(g, 5.0 * rng.standard_normal(g.shape))
     data = WeierstrassFirst(ComplexField(g, np.ones(g.shape, complex)),
                             RealField(g, g.mesh()[0]), noise)
+    with pytest.raises(InvalidDataError, match=r"compatible\s+FAIL"):
+        represent_first(data)
+    # the loop certificate itself, on the tangent field of the same data
+    w = data.gauss.values
+    p_z = wirtinger_dz(data.pot1).values
+    q_z = wirtinger_dz(data.pot2).values
+    spec = surfaces._KINDS["first"]
+    xz = [ComplexField(g, p_z * c1(w) + q_z * c2(w))
+          for c1, c2 in zip(spec.frame1, spec.frame2)]
     with pytest.raises(ValueError) as err:
-        represent_first(data, validate=False)
+        surfaces._integrate_coords(xz, None, validation_cap(g, False), "represent_first")
     assert "loop residual" in str(err.value)
 
 

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -344,6 +345,64 @@ def test_deformed_data_revalidates_without_callbacks():
     report = validate_first(stripped)
     assert not report.exact
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# the callback-free route of the transform core
+
+
+def _strip(data):
+    """The same triple with samples only, as a reloaded document has."""
+    cls = type(data)
+    holo, a, b = (getattr(data, f.name) for f in fields(cls)[:3])
+    return cls(ComplexField(holo.grid, holo.values), RealField(a.grid, a.values),
+               RealField(b.grid, b.values), data.provenance)
+
+
+_TRANSFORMS = [
+    ("first_to_second", "first", first_to_second, {"transform": "first_to_second"}),
+    ("second_to_first", "second", second_to_first, {"transform": "second_to_first"}),
+    ("parabolic", "first", lambda d: deform_parabolic(d, 0.5),
+     {"family": "parabolic", "parameter": 0.5}),
+    ("elliptic", "second", lambda d: deform_elliptic(d, 0.8),
+     {"family": "elliptic", "parameter": 0.8}),
+    ("hyperbolic", "first", lambda d: deform_hyperbolic(d, 0.6),
+     {"family": "hyperbolic", "parameter": 0.6}),
+]
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("name,kind,transform,head", _TRANSFORMS,
+                         ids=[t[0] for t in _TRANSFORMS])
+def test_transforms_on_sample_only_data(n, name, kind, transform, head):
+    g = Grid2D(-2.0, 2.0, -2.0, 2.0, n, n)
+    second = fixture_sigma_theta(0.3, grid=g).data
+    data = _strip(second if kind == "second" else second_to_first(second))
+    out = transform(data)
+    for f in fields(type(out))[:3]:
+        assert getattr(out, f.name).analytic is None, f.name
+    prov = out.provenance
+    for key, value in head.items():
+        assert prov[key] == value
+    assert prov["source"] == dict(data.provenance)
+    assert np.isfinite(prov["identity_residual"])
+    if name == "hyperbolic":
+        assert "loop_residual" not in prov
+    else:
+        assert prov["loop_residual"] <= 50.0 * g.h_u ** 2
+
+
+def test_one_invalid_triple_stops_every_transform():
+    # pot1 = u against a noisy pot2 breaks the coupling under either kind
+    g = grid(17)
+    noise = RealField(g, 5.0 * np.random.default_rng(7).standard_normal(g.shape))
+    holo = ComplexField(g, np.ones(g.shape, complex))
+    pot = RealField(g, g.mesh()[0])
+    triples = {"first": WeierstrassFirst(holo, pot, noise),
+               "second": WeierstrassSecond(holo, pot, noise)}
+    for _, kind, transform, _ in _TRANSFORMS:
+        with pytest.raises(InvalidDataError, match=r"compatible\s+FAIL"):
+            transform(triples[kind])
 
 
 # ---------------------------------------------------------------------------
