@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .catalog import FIXTURE_NAMES, fixture_by_name
+from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError, GridMismatchError, InvalidDataError, PoleError
 from .export import (
     _jsonable,
@@ -29,7 +29,7 @@ from .export import (
     save_patch_manifest,
     save_ply,
 )
-from .fields import Grid2D, RealField, lincomb_real, save_field_csv, sup_abs
+from .fields import Grid2D, lincomb_real, read_document, save_field_csv, sup_abs, write_document
 from .lorentz import rotation
 from .poisson import PoissonProblem, SolverOptions, load_problem, solve_weighted_poisson
 from .surfaces import (
@@ -104,7 +104,7 @@ class RunManifest:
         return self.error is None and all(c["passed"] for c in self.checks)
 
     def save(self, path):
-        doc = {
+        return write_document(path, {
             "format": "mtsurf-run",
             "version": 1,
             "command": self.command,
@@ -118,11 +118,7 @@ class RunManifest:
             "passed": self.passed,
             "error": self.error,
             "wall_time_s": time.perf_counter() - self._t0,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        })
 
 
 def _validate(data, args):
@@ -228,7 +224,7 @@ def _mesh_artifacts(manifest, patch, out_dir, name):
 
 
 _RUN_ERRORS = (DomainError, PoleError, InvalidDataError, GridMismatchError,
-               ValueError)
+               ValueError, OSError)
 
 
 def _run(args, command, inputs, body, table=False):
@@ -363,8 +359,7 @@ def cmd_solve(args):
         manifest.add_artifacts([out_csv])
 
         if args.generate:
-            with open(args.problem) as fh:
-                doc = json.load(fh)
+            doc = read_document(args.problem, "mtsurf-problem", "problem descriptor")
             wspec = doc.get("weight", {})
             holo_name = _HOLO_FOR_WEIGHT.get(wspec.get("name"))
             if holo_name is None:
@@ -372,7 +367,6 @@ def cmd_solve(args):
                     "cannot generate a patch: the problem's weight %r does not "
                     "name a holomorphic field (known: %s)"
                     % (wspec.get("name"), ", ".join(sorted(_HOLO_FOR_WEIGHT))))
-            from .catalog import _holo_exp_iz
             holo = _holo_exp_iz(problem.grid)
             data = WeierstrassSecond(holo, solution, problem.source,
                                      provenance={"transform": "poisson-solve",
@@ -434,7 +428,7 @@ def cmd_verify(args):
     def run(manifest):
         with open(args.input) as fh:
             doc = json.load(fh)
-        fmt = doc.get("format")
+        fmt = doc.get("format") if isinstance(doc, dict) else None
         if fmt == "mtsurf-data":
             kind = "data"
             data = load_data(args.input)

@@ -6,17 +6,19 @@ re-verified.  OBJ carries only three coordinates, so the spatial part
 written to a per-vertex CSV channel next to the mesh; PLY stores all
 four coordinates as named double properties.  All writers format floats
 with 17 significant digits and emit rows in a fixed order, so identical
-patches produce byte-identical files.
+patches produce byte-identical files; the rows come from the one row
+writer in :mod:`mtsurf.fields`, and the manifest's coordinate payloads
+are plain file names next to it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
-from .fields import Grid2D, load_field_csv, save_field_csv
+from .fields import (Grid2D, _rows, load_payload, read_document, save_payload,
+                     write_document)
 from .surfaces import patch_from_samples
 
 __all__ = [
@@ -26,21 +28,13 @@ __all__ = [
     "load_patch_manifest",
 ]
 
-_FMT = "%.17g"
-
 
 def _faces(n_u, n_v):
-    """Two triangles per grid cell over vertex ids i*n_v + j (0-based)."""
-    out = []
-    for i in range(n_u - 1):
-        for j in range(n_v - 1):
-            a = i * n_v + j
-            b = (i + 1) * n_v + j
-            c = (i + 1) * n_v + j + 1
-            d = i * n_v + j + 1
-            out.append((a, b, c))
-            out.append((a, c, d))
-    return out
+    """(m, 3) vertex ids i*n_v + j (0-based), two triangles per grid cell
+    (a, b, c) and (a, c, d), cells in row-major order."""
+    a = (np.arange(n_u - 1)[:, None] * n_v + np.arange(n_v - 1)).ravel()
+    b = a + n_v
+    return np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
 
 
 def save_obj(patch, path):
@@ -50,57 +44,34 @@ def save_obj(patch, path):
     holding ``vertex,x4`` rows aligned with the OBJ vertex numbering
     (vertices are 1-based in OBJ).
     """
-    n_u, n_v = patch.grid.shape
-    stack = patch.x_stack
-    lines = ["# mtsurf patch mesh: vertices are (x1, x2, x3); the fourth"
-             "\n# coordinate is in the .x4.csv channel file\n"]
-    for i in range(n_u):
-        for j in range(n_v):
-            lines.append("v %s %s %s\n" % (_FMT % stack[0, i, j],
-                                           _FMT % stack[1, i, j],
-                                           _FMT % stack[2, i, j]))
-    for a, b, c in _faces(n_u, n_v):
-        lines.append("f %d %d %d\n" % (a + 1, b + 1, c + 1))
+    x1, x2, x3, x4 = patch.x_stack
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.write("# mtsurf patch mesh: vertices are (x1, x2, x3); the fourth"
+                 "\n# coordinate is in the .x4.csv channel file\n")
+        fh.writelines(_rows("v %.17g %.17g %.17g\n", x1, x2, x3))
+        fh.writelines(_rows("f %d %d %d\n", *(_faces(*patch.grid.shape) + 1).T))
 
     channel = path + ".x4.csv"
     with open(channel, "w") as fh:
         fh.write("vertex,x4\n")
-        vertex = 1
-        for i in range(n_u):
-            for j in range(n_v):
-                fh.write("%d,%s\n" % (vertex, _FMT % stack[3, i, j]))
-                vertex += 1
+        fh.writelines(_rows("%d,%.17g\n", np.arange(1, x4.size + 1), x4))
     return [path, channel]
 
 
 def save_ply(patch, path):
     """ASCII PLY with all four coordinates as double properties."""
-    n_u, n_v = patch.grid.shape
-    stack = patch.x_stack
-    faces = _faces(n_u, n_v)
-    lines = [
-        "ply\n",
-        "format ascii 1.0\n",
-        "comment mtsurf patch mesh with all four ambient coordinates\n",
-        "element vertex %d\n" % (n_u * n_v),
-        "property double x1\n",
-        "property double x2\n",
-        "property double x3\n",
-        "property double x4\n",
-        "element face %d\n" % len(faces),
-        "property list uchar int vertex_indices\n",
-        "end_header\n",
-    ]
-    for i in range(n_u):
-        for j in range(n_v):
-            lines.append("%s %s %s %s\n" % tuple(_FMT % stack[k, i, j]
-                                                 for k in range(4)))
-    for a, b, c in faces:
-        lines.append("3 %d %d %d\n" % (a, b, c))
+    faces = _faces(*patch.grid.shape)
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.write("ply\nformat ascii 1.0\n"
+                 "comment mtsurf patch mesh with all four ambient coordinates\n"
+                 "element vertex %d\n"
+                 "property double x1\nproperty double x2\n"
+                 "property double x3\nproperty double x4\n"
+                 "element face %d\n"
+                 "property list uchar int vertex_indices\nend_header\n"
+                 % (patch.grid.n_u * patch.grid.n_v, len(faces)))
+        fh.writelines(_rows("%.17g %.17g %.17g %.17g\n", *patch.x_stack))
+        fh.writelines(_rows("3 %d %d %d\n", *faces.T))
     return [path]
 
 
@@ -111,27 +82,18 @@ def save_patch_manifest(patch, path):
     from the manifest, so :func:`load_patch_manifest` can rebuild the
     patch and re-check its invariants.
     """
-    base = os.path.splitext(path)[0]
-    base_dir = os.path.dirname(path) or "."
-    written = []
-    fields = {}
-    for k, fld in enumerate(patch.X):
-        name = "x%d" % (k + 1)
-        fname = os.path.basename(base) + ".%s.csv" % name
-        save_field_csv(fld, os.path.join(base_dir, fname))
-        fields[name] = {"file": fname, "format": "csv"}
-        written.append(os.path.join(base_dir, fname))
-    doc = {
+    refs, written = {}, []
+    for name, fld in zip(("x1", "x2", "x3", "x4"), patch.X):
+        refs[name], fpath = save_payload(fld, path, name)
+        written.append(fpath)
+    write_document(path, {
         "format": "mtsurf-patch",
         "version": 1,
         "grid": patch.grid.to_dict(),
-        "fields": fields,
+        "fields": refs,
         "invariants": _jsonable(patch.invariants),
         "provenance": _jsonable(patch.provenance),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return [path] + written
 
 
@@ -142,19 +104,10 @@ def load_patch_manifest(path):
     differences), so its invariants are fresh measurements, not copies of
     the stored ones.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "mtsurf-patch":
-        raise ValueError("not a patch manifest: %r" % path)
-    grid = Grid2D.from_dict(doc["grid"])
-    base_dir = os.path.dirname(path) or "."
-    coords = []
-    for k in range(4):
-        entry = doc["fields"]["x%d" % (k + 1)]
-        fld = load_field_csv(os.path.join(base_dir, entry["file"]))
-        if fld.grid != grid:
-            raise ValueError("coordinate payload grid disagrees with manifest")
-        coords.append(np.real(fld.values))
+    doc = read_document(path, "mtsurf-patch", "patch manifest")
+    grid = Grid2D.from_dict(doc.get("grid", {}))
+    coords = [np.real(load_payload(path, doc.get("fields", {}).get(name), name, grid).values)
+              for name in ("x1", "x2", "x3", "x4")]
     patch = patch_from_samples(grid, np.stack(coords),
                                provenance={"representation": "reloaded",
                                            "manifest": os.path.basename(path)})

@@ -17,12 +17,23 @@ exact up to roundoff and path integrals switch to per-interval Gauss
 quadrature); otherwise they fall back to second-order finite differences
 (central in the interior, one-sided at the edges) and to trapezoidal
 accumulation, and tolerances downstream widen from 1e-8/1e-10 to C*h^2.
+
+This module also owns persistence.  One row writer, ``_rows``, formats
+every ASCII table (field CSVs here, mesh vertices, faces and the x4
+channel in :mod:`mtsurf.export`) a block of rows per ``%``.  Every JSON
+document (data triples, patch manifests, problem descriptors, run
+manifests) goes through ``write_document``/``read_document``; field
+payloads are written by ``save_payload`` and resolved only by
+``load_payload``, which accepts a plain file name next to the document
+and nothing else.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -131,15 +142,14 @@ class Grid2D:
         return cls(*bounds, n_u, n_v)
 
     def to_dict(self):
-        return {
-            "u_min": self.u_min, "u_max": self.u_max,
-            "v_min": self.v_min, "v_max": self.v_max,
-            "n_u": self.n_u, "n_v": self.n_v,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["u_min"], d["u_max"], d["v_min"], d["v_max"], d["n_u"], d["n_v"])
+        missing = [k for k in cls.__dataclass_fields__ if k not in d]
+        if missing:
+            raise ValueError("grid entry lacks %s" % ", ".join(missing))
+        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 class Analytic:
@@ -473,21 +483,30 @@ def integrate_primitive(field, order="rows"):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(x):
-    return "%.17g" % x
+#: Rows formatted per ``%`` by :func:`_rows`: enough to amortise the call,
+#: few enough that the argument tuple and the text stay small.
+_ROW_BLOCK = 4096
+
+
+def _rows(fmt, *columns):
+    """Text of ``fmt % row`` for the rows of equal-size columns, in blocks.
+
+    Each block becomes one object table, so integer columns stay Python
+    ints for ``%d`` and float columns Python floats for ``%.17g``.
+    """
+    columns = [np.ravel(c) for c in columns]
+    for start in range(0, columns[0].size, _ROW_BLOCK):
+        block = np.column_stack([c[start:start + _ROW_BLOCK].astype(object) for c in columns])
+        yield fmt * len(block) % tuple(block.ravel().tolist())
 
 
 def save_field_csv(field, path):
     """Write ``u,v,re,im`` rows (u slowest), 17 significant digits."""
     U, V = field.grid.mesh()
-    re = np.real(field.values)
-    im = np.imag(field.values)
-    lines = ["u,v,re,im"]
-    for i in range(field.grid.n_u):
-        for j in range(field.grid.n_v):
-            lines.append(",".join((_fmt(U[i, j]), _fmt(V[i, j]), _fmt(re[i, j]), _fmt(im[i, j]))))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("u,v,re,im\n")
+        fh.writelines(_rows("%.17g,%.17g,%.17g,%.17g\n", U, V,
+                            np.real(field.values), np.imag(field.values)))
 
 
 def load_field_csv(path):
@@ -504,7 +523,7 @@ def load_field_csv(path):
         k = int(bad[0])
         raise ValueError("field CSV %r holds a non-finite value on line %d, node %d "
                          "in row-major order: u,v,re,im = %s" % (
-                             path, k + 2, k, ",".join(_fmt(x) for x in data[k])))
+                             path, k + 2, k, ",".join("%.17g" % x for x in data[k])))
     ucol = data[:, 0]
     changes = np.nonzero(ucol != ucol[0])[0]
     if changes.size == 0:
@@ -520,11 +539,11 @@ def load_field_csv(path):
     scale = max(abs(grid.u_max - grid.u_min), abs(grid.v_max - grid.v_min))
     if np.max(np.abs(U - Ug)) > 1e-12 * scale or np.max(np.abs(V - Vg)) > 1e-12 * scale:
         raise ValueError("field CSV nodes are not a uniform grid in row-major order")
-    re = data[:, 2].reshape(n_u, n_v)
-    im = data[:, 3].reshape(n_u, n_v)
-    if np.all(im == 0.0):
-        return RealField(grid, re)
-    return ComplexField(grid, re + 1j * im)
+    if np.all(data[:, 3] == 0.0):
+        return RealField(grid, data[:, 2].reshape(n_u, n_v))
+    # a view, not re + 1j*im: that sum turns an imaginary -0.0 into +0.0
+    return ComplexField(grid, np.ascontiguousarray(data[:, 2:]).view(np.complex128)
+                        .reshape(n_u, n_v))
 
 
 #: Binary field layout (all little-endian):
@@ -544,10 +563,7 @@ def save_field_binary(field, path):
     is_complex = isinstance(field, ComplexField)
     header = _BIN_HEADER.pack(_BIN_MAGIC, 1 if is_complex else 0, grid.n_u, grid.n_v,
                               grid.u_min, grid.u_max, grid.v_min, grid.v_max)
-    if is_complex:
-        payload = np.ascontiguousarray(field.values, dtype="<c16").tobytes()
-    else:
-        payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(field.values, dtype="<c16" if is_complex else "<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -577,6 +593,62 @@ def load_field_binary(path):
         i, j = (int(k) for k in bad[0])
         raise ValueError("field binary %r holds a non-finite sample at node (%d, %d), "
                          "(u,v)=(%.17g, %.17g)" % (path, i, j, grid.axis_u[i], grid.axis_v[j]))
-    if kind == 1:
-        return ComplexField(grid, vals.astype(np.complex128))
-    return RealField(grid, vals.astype(np.float64))
+    return (ComplexField if kind == 1 else RealField)(grid, vals)
+
+
+# ---------------------------------------------------------------------------
+# documents: JSON plus field payloads referenced by plain file name
+
+def write_document(path, doc):
+    """Write ``doc`` as indented, key-sorted JSON plus a newline."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def read_document(path, fmt, noun):
+    """The JSON object at ``path``; it must declare ``"format": fmt``."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError("not a %s: %r" % (noun, path))
+    return doc
+
+
+_PAYLOAD_EXT = {"csv": "csv", "binary": "fld"}
+
+
+def save_payload(field, doc_path, tag, payload="csv"):
+    """Write ``field`` to ``<stem>.<tag>.csv|fld`` next to the document at
+    ``doc_path``; returns the document's ``{"file", "format"}`` entry and
+    the path written."""
+    if payload not in _PAYLOAD_EXT:
+        raise ValueError("payload must be 'csv' or 'binary'")
+    stem = os.path.splitext(os.path.basename(doc_path))[0]
+    fname = "%s.%s.%s" % (stem, tag, _PAYLOAD_EXT[payload])
+    path = os.path.join(os.path.dirname(doc_path), fname)
+    (save_field_csv if payload == "csv" else save_field_binary)(field, path)
+    return {"file": fname, "format": payload}, path
+
+
+def load_payload(doc_path, ref, name, grid):
+    """Field ``name`` of the document at ``doc_path``, read through its
+    reference ``ref``: a plain file name in the document's own directory
+    and a format, "csv" or "binary".  The payload must lie on ``grid``."""
+    def refuse(why):
+        return ValueError("%r: field %r %s" % (doc_path, name, why))
+
+    if not isinstance(ref, dict) or not isinstance(ref.get("file"), str):
+        raise refuse("has a missing or malformed payload reference")
+    fname, fmt = ref["file"], ref.get("format")
+    if fname in ("", ".", "..") or "\\" in fname or os.path.basename(fname) != fname:
+        raise refuse("payload %r is not a plain file name next to the document" % fname)
+    if fmt not in _PAYLOAD_EXT:
+        raise refuse("payload format %r is not 'csv' or 'binary'" % (fmt,))
+    path = os.path.join(os.path.dirname(doc_path), fname)
+    fld = load_field_csv(path) if fmt == "csv" else load_field_binary(path)
+    if fld.grid != grid:
+        raise GridMismatchError("%r: field %r payload grid disagrees with the "
+                                "document grid" % (doc_path, name))
+    return fld

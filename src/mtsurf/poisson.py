@@ -19,15 +19,14 @@ driven to roundoff rather than to discretization error.
 
 from __future__ import annotations
 
-import json
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .fields import Analytic, ComplexField, Grid2D, RealField, load_field_csv, save_field_csv
+from .fields import (Analytic, Grid2D, RealField, load_payload, read_document,
+                     save_payload, write_document)
 from .tolerances import EPS_IMMERSION, EPS_ZERO
 from .weierstrass import WeierstrassSecond, validate_second
 
@@ -355,16 +354,12 @@ def save_problem(problem, path, weight_name=None, source_name=None):
     Fields with a registry name are stored by name; others are written as
     CSV payloads referenced from the descriptor.
     """
-    base = os.path.splitext(path)[0]
-
     def field_entry(fld, name, tag):
         if name is not None:
             return {"kind": "named", "name": name}
-        fname = os.path.basename(base) + ".%s.csv" % tag
-        save_field_csv(fld, os.path.join(os.path.dirname(path) or ".", fname))
-        return {"kind": "file", "file": fname, "format": "csv"}
+        return dict(save_payload(fld, path, tag)[0], kind="file")
 
-    doc = {
+    return write_document(path, {
         "format": "mtsurf-problem",
         "version": 1,
         "grid": problem.grid.to_dict(),
@@ -372,30 +367,20 @@ def save_problem(problem, path, weight_name=None, source_name=None):
         "source": field_entry(problem.source, source_name, "source"),
         "boundary": {"kind": "edges", "edges": problem.boundary.to_dict()},
         "options": {"target": problem.options.target},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
 
 
-def _load_field_entry(entry, grid, registry, base_dir):
+def _load_field_entry(path, doc, tag, grid, named):
+    entry = doc.get(tag)
+    if not isinstance(entry, dict):
+        raise ValueError("%r: field %r has no entry" % (path, tag))
     kind = entry.get("kind")
     if kind == "named":
-        name = entry["name"]
-        if registry is NAMED_WEIGHTS:
-            return named_weight(name, grid)
-        return named_field(name, grid)
+        return named(entry["name"], grid)
     if kind == "constant":
         return RealField(grid, np.full(grid.shape, float(entry["value"])))
     if kind == "file":
-        fld = load_field_csv(os.path.join(base_dir, entry["file"]))
-        if fld.grid != grid:
-            raise ValueError("field payload %r grid disagrees with problem grid"
-                             % entry["file"])
-        if isinstance(fld, ComplexField):
-            fld = RealField(grid, np.real(fld.values))
-        return fld
+        return RealField(grid, np.real(load_payload(path, entry, tag, grid).values))
     raise ValueError("unknown field spec kind %r" % kind)
 
 
@@ -405,14 +390,10 @@ def load_problem(path):
     An ``options.max_iter`` entry is accepted and ignored: existing
     descriptors carry one, and the direct solve has no iteration budget.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "mtsurf-problem":
-        raise ValueError("not a problem descriptor: %r" % path)
-    grid = Grid2D.from_dict(doc["grid"])
-    base_dir = os.path.dirname(path) or "."
-    weight = _load_field_entry(doc["weight"], grid, NAMED_WEIGHTS, base_dir)
-    source = _load_field_entry(doc["source"], grid, NAMED_FIELDS, base_dir)
+    doc = read_document(path, "mtsurf-problem", "problem descriptor")
+    grid = Grid2D.from_dict(doc.get("grid", {}))
+    weight = _load_field_entry(path, doc, "weight", grid, named_weight)
+    source = _load_field_entry(path, doc, "source", grid, named_field)
     bspec = doc["boundary"]
     if bspec["kind"] == "edges":
         boundary = DirichletBoundary.from_dict(bspec["edges"])

@@ -24,8 +24,6 @@ finite-difference accuracy.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +36,13 @@ from .fields import (
     RealField,
     integrate_primitive,
     laplacian,
-    load_field_binary,
-    load_field_csv,
+    load_payload,
     min_abs_location,
-    save_field_binary,
-    save_field_csv,
+    read_document,
+    save_payload,
     wirtinger_dz,
     wirtinger_dzbar,
+    write_document,
 )
 from .tolerances import EPS_IMMERSION, EPS_ZERO, validation_cap
 
@@ -527,58 +525,29 @@ def save_data(data, path, payload="csv"):
     ``payload`` ("csv" or "binary").  Callbacks do not survive a round
     trip; reloaded data validates at finite-difference tolerances.
     """
-
-    if payload not in ("csv", "binary"):
-        raise ValueError("payload must be 'csv' or 'binary'")
     kind = _data_kind(data)
-    directory = os.path.dirname(os.path.abspath(path))
-    stem = os.path.splitext(os.path.basename(path))[0]
-    ext = "csv" if payload == "csv" else "fld"
-    writer = save_field_csv if payload == "csv" else save_field_binary
-
-    refs = {}
+    refs, written = {}, []
     for name in _FIELD_NAMES[kind]:
-        fname = "%s.%s.%s" % (stem, name, ext)
-        writer(getattr(data, name), os.path.join(directory, fname))
-        refs[name] = {"file": fname, "format": payload}
-
-    doc = {
+        refs[name], fpath = save_payload(getattr(data, name), path, name, payload)
+        written.append(fpath)
+    write_document(path, {
         "format": "mtsurf-data",
         "version": 1,
         "kind": kind,
         "grid": data.grid.to_dict(),
         "fields": refs,
         "provenance": data.provenance,
-    }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [path] + [os.path.join(directory, refs[name]["file"])
-                     for name in _FIELD_NAMES[kind]]
+    })
+    return [path] + written
 
 
 def load_data(path):
     """Inverse of :func:`save_data`."""
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "mtsurf-data":
-        raise ValueError("not a data document: %r" % (path,))
-    kind = doc["kind"]
+    doc = read_document(path, "mtsurf-data", "data document")
+    kind = doc.get("kind")
     if kind not in _FIELD_NAMES:
         raise ValueError("unknown data kind %r" % (kind,))
-    grid = Grid2D.from_dict(doc["grid"])
-    directory = os.path.dirname(os.path.abspath(path))
-
-    loaded = []
-    for name in _FIELD_NAMES[kind]:
-        ref = doc["fields"][name]
-        fpath = os.path.join(directory, ref["file"])
-        f = load_field_csv(fpath) if ref["format"] == "csv" else load_field_binary(fpath)
-        if f.grid != grid:
-            raise GridMismatchError("payload %r disagrees with the document grid" % name)
-        loaded.append(f)
-
-    holo, a, b = loaded
-    if not isinstance(holo, ComplexField):
-        holo = ComplexField(grid, holo.values)
-    return _CLASS[kind](holo, a, b, doc.get("provenance", {}))
+    grid = Grid2D.from_dict(doc.get("grid", {}))
+    holo, a, b = (load_payload(path, doc.get("fields", {}).get(name), name, grid)
+                  for name in _FIELD_NAMES[kind])
+    return _CLASS[kind](ComplexField(grid, holo.values), a, b, doc.get("provenance", {}))

@@ -33,6 +33,17 @@ def check_map(doc):
     return {c["name"]: c for c in doc["checks"]}
 
 
+def failed_run(out_dir, name):
+    """The manifest of a run that failed, parsed as strict JSON."""
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    with open(os.path.join(out_dir, name + ".manifest.json")) as fh:
+        doc = json.load(fh, parse_constant=reject)
+    assert doc["passed"] is False
+    return doc
+
+
 class TestGridSpec:
     def test_valid(self):
         g = parse_grid_spec("-2:2:-1.5:1.5:65x33")
@@ -103,6 +114,13 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             run(["generate", "--fixture", "sigma-theta", "--data", "x.json",
                  "--out", str(tmp_path)])
+
+    def test_missing_data_document_fails_with_manifest(self, tmp_path):
+        out = str(tmp_path)
+        missing = os.path.join(out, "absent.data.json")
+        rc = run(["generate", "--data", missing, "--out", out, "--name", "gone"])
+        assert rc == 1
+        assert "absent.data.json" in failed_run(out, "gone")["error"]
 
     def test_generate_from_data_document(self, tmp_path):
         out = str(tmp_path)
@@ -333,6 +351,48 @@ class TestVerify:
         doc = manifest_of(out, "bad")
         assert "needs a data document" in doc["error"]
 
+    def test_missing_input_fails_with_manifest(self, tmp_path):
+        out = str(tmp_path)
+        missing = os.path.join(out, "absent.json")
+        rc = run(["verify", "--input", missing, "--out", out])
+        assert rc == 1
+        assert "absent.json" in failed_run(out, "verify")["error"]
+
+    def test_grid_lacking_a_key_fails_with_manifest(self, tmp_path):
+        out = str(tmp_path)
+        fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 9))
+        path = os.path.join(out, "sigma.data.json")
+        save_data(fx.data, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc["grid"]["n_v"]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        rc = run(["verify", "--input", path, "--out", out])
+        assert rc == 1
+        assert "n_v" in failed_run(out, "verify")["error"]
+
+    def test_escaping_payload_fails_with_manifest(self, tmp_path):
+        # the payloads of a valid document in a sibling directory, reached
+        # through "../": readable, but outside the document's directory
+        out = str(tmp_path / "docs")
+        fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17))
+        src = str(tmp_path / "secret")
+        os.mkdir(src)
+        save_data(fx.data, os.path.join(src, "src.data.json"))
+        with open(os.path.join(src, "src.data.json")) as fh:
+            doc = json.load(fh)
+        for ref in doc["fields"].values():
+            ref["file"] = "../secret/" + ref["file"]
+        os.mkdir(out)
+        path = os.path.join(out, "evil.data.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        rc = run(["verify", "--input", path, "--out", out])
+        assert rc == 1
+        error = failed_run(out, "verify")["error"]
+        assert "evil.data.json" in error and "'holo'" in error
+
     def test_foreign_json_rejected(self, tmp_path):
         out = str(tmp_path)
         path = os.path.join(out, "foreign.json")
@@ -341,6 +401,15 @@ class TestVerify:
         rc = run(["verify", "--input", path, "--out", out])
         assert rc == 1
         assert "neither" in manifest_of(out, "verify")["error"]
+
+    def test_non_object_json_rejected(self, tmp_path):
+        out = str(tmp_path)
+        path = os.path.join(out, "list.json")
+        with open(path, "w") as fh:
+            json.dump([1, 2], fh)
+        rc = run(["verify", "--input", path, "--out", out])
+        assert rc == 1
+        assert "neither" in failed_run(out, "verify")["error"]
 
 
 def test_repeated_runs_are_deterministic(tmp_path):
