@@ -42,10 +42,11 @@ from .surfaces import (
     represent_third,
     verify_congruence,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, TOL_EXACT, fd_cap
+from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, TOL_EXACT, fd_cap, residual_cap
 from .weierstrass import (
-    WeierstrassFirst,
     WeierstrassSecond,
+    _certificate,
+    _certify,
     _exact_callbacks,
     _triple,
     deform_elliptic,
@@ -55,8 +56,6 @@ from .weierstrass import (
     load_data,
     save_data,
     second_to_first,
-    validate_first,
-    validate_second,
 )
 
 __all__ = ["main", "parse_grid_spec"]
@@ -91,10 +90,7 @@ class RunManifest:
 
     def add_report_checks(self, report, prefix=""):
         for c in report.checks:
-            self.checks.append({
-                "name": prefix + c.name, "value": float(c.value),
-                "threshold": float(c.threshold),
-                "sense": c.sense, "passed": bool(c.passed)})
+            self.add_check(prefix + c.name, c.value, c.threshold, c.sense)
 
     def add_artifacts(self, paths):
         self.artifacts.extend(paths)
@@ -121,19 +117,39 @@ class RunManifest:
         })
 
 
-def _validate(data, args):
-    validate = validate_second if isinstance(data, WeierstrassSecond) else validate_first
-    return validate(data, eps_zero=args.eps_zero, eps_immersion=args.eps_immersion)
+def _certified(data, args):
+    """Certificate of a triple at the run's --eps-zero/--eps-immersion."""
+    return _certificate(data, eps_zero=args.eps_zero, eps_immersion=args.eps_immersion)
 
 
-def _data_exact(data):
-    return _exact_callbacks(*_triple(data)[1:])
+def _as_kind(cert, kind, args):
+    """Certificate of the triple as a ``kind`` triple (first, second or
+    third): ``cert`` itself when it is one already, else its conversion,
+    certified once at the run's tolerances."""
+    if kind == cert.kind:
+        return cert
+    if kind != "third":
+        convert = first_to_second if kind == "second" else second_to_first
+        return _certified(convert(cert), args)
+    _, gauss, pot1, pot2 = _triple(cert if cert.kind == "first" else second_to_first(cert))
+    return _certify("third", gauss, lincomb_real([(1.0, pot1), (-1.0, pot2)]),
+                    lincomb_real([(1.0, pot1), (1.0, pot2)]),
+                    args.eps_zero, args.eps_immersion)
+
+
+def _represent(cert, rep, anchor, args):
+    """The ``rep`` patch of a certified triple, and whether its integrands
+    carry exact callbacks (which picks the caps of its checks)."""
+    used = _as_kind(cert, rep, args)
+    represent = {"first": represent_first, "second": represent_second,
+                 "third": represent_third}[rep]
+    return represent(used, anchor=anchor), _exact_callbacks(used.holo, used.a, used.b)
 
 
 def _patch_checks(manifest, patch, exact, args):
     grid = patch.grid
-    cap = args.tol_exact if exact else fd_cap(grid, 100.0)
-    loop_cap = args.tol_exact if exact else fd_cap(grid, 50.0)
+    cap = residual_cap(grid, exact, 100.0, args.tol_exact)
+    loop_cap = residual_cap(grid, exact, 50.0, args.tol_exact)
     inv = patch.invariants
     for name in ("conformality", "mean_null", "gauss_tangency", "gauss_null"):
         manifest.add_check(name, inv[name], cap)
@@ -158,7 +174,7 @@ def _fixture_checks(manifest, patch, fixture, exact, args):
         closed = expected["conformal_factor"](*grid.mesh())
         res = sup_abs(patch.conformal_factor.values - closed)
         manifest.add_check("conformal_factor_match", res,
-                           args.tol_exact if exact else fd_cap(grid, 100.0))
+                           residual_cap(grid, exact, 100.0, args.tol_exact))
     if expected.get("h_nowhere_zero"):
         manifest.add_check("mean_curvature_min_norm",
                            manifest.reports["mean_curvature"]["min_norm"],
@@ -178,21 +194,6 @@ def _quadric_cap(patch, exact, args):
         return args.quadric_tol
     scale = 1.0 + float(np.max(np.sum(patch.x_stack ** 2, axis=0)))
     return fd_cap(patch.grid, 100.0) * scale
-
-
-def _represent(data, rep, anchor):
-    """Convert to the kind the representation needs and build the patch."""
-    if rep == "second":
-        if isinstance(data, WeierstrassFirst):
-            data = first_to_second(data)
-        return represent_second(data, anchor=anchor), data
-    if isinstance(data, WeierstrassSecond):
-        data = second_to_first(data)
-    if rep == "first":
-        return represent_first(data, anchor=anchor), data
-    coord3 = lincomb_real([(1.0, data.pot1), (-1.0, data.pot2)])
-    coord4 = lincomb_real([(1.0, data.pot1), (1.0, data.pot2)])
-    return represent_third(data.gauss, coord3, coord4, anchor=anchor), data
 
 
 def _fixture_params(args):
@@ -250,32 +251,24 @@ def cmd_generate(args):
               "rep": args.rep, "name": args.name}
 
     def run(manifest):
-        if args.fixture:
-            fixture = _resolve_fixture(args)
-            if fixture.kind == "patch":
-                patch = patch_from_chart(fixture.chart,
-                                         provenance={"representation": "chart",
-                                                     "fixture": fixture.name})
-                exact = True
-                _patch_checks(manifest, patch, exact, args)
-                _fixture_checks(manifest, patch, fixture, exact, args)
-            else:
-                data = fixture.data
-                report = _validate(data, args)
-                manifest.add_report_checks(report, "data_")
-                anchor = fixture.expected.get("anchor")
-                patch, used = _represent(data, args.rep, anchor)
-                exact = _data_exact(used)
-                _patch_checks(manifest, patch, exact, args)
-                _fixture_checks(manifest, patch, fixture, exact, args)
-                manifest.add_artifacts(
-                    save_data(data, os.path.join(args.out, args.name + ".data.json")))
+        fixture = _resolve_fixture(args) if args.fixture else None
+        if fixture is not None and fixture.kind == "patch":
+            patch = patch_from_chart(fixture.chart,
+                                     provenance={"representation": "chart",
+                                                 "fixture": fixture.name})
+            exact = True
         else:
-            data = load_data(args.data)
-            report = _validate(data, args)
-            manifest.add_report_checks(report, "data_")
-            patch, used = _represent(data, args.rep, None)
-            _patch_checks(manifest, patch, _data_exact(used), args)
+            data = fixture.data if fixture is not None else load_data(args.data)
+            cert = _certified(data, args)
+            manifest.add_report_checks(cert.report, "data_")
+            anchor = fixture.expected.get("anchor") if fixture is not None else None
+            patch, exact = _represent(cert, args.rep, anchor, args)
+        _patch_checks(manifest, patch, exact, args)
+        if fixture is not None:
+            _fixture_checks(manifest, patch, fixture, exact, args)
+            if fixture.data is not None:
+                manifest.add_artifacts(save_data(
+                    fixture.data, os.path.join(args.out, args.name + ".data.json")))
         _mesh_artifacts(manifest, patch, args.out, args.name)
 
     return _run(args, "generate", inputs, run)
@@ -300,33 +293,22 @@ def cmd_deform(args):
             base = load_data(args.data)
 
         need = _FAMILY_KIND[args.family]
-        if need == "first" and isinstance(base, WeierstrassSecond):
-            base = second_to_first(base)
-        if need == "second" and isinstance(base, WeierstrassFirst):
-            base = first_to_second(base)
-
-        lam = args.parameter
-        if args.family == "parabolic":
-            deformed = deform_parabolic(base, lam)
-        elif args.family == "elliptic":
-            deformed = deform_elliptic(base, lam)
-        else:
-            deformed = deform_hyperbolic(base, lam)
-
-        report = _validate(deformed, args)
-        manifest.add_report_checks(report, "deformed_")
-        exact = _data_exact(base)
+        base = _as_kind(_certified(base, args), need, args)
+        deform = {"parabolic": deform_parabolic, "elliptic": deform_elliptic,
+                  "hyperbolic": deform_hyperbolic}[args.family]
+        deformed = deform(base, args.parameter)
+        cert = _certified(deformed, args)
+        manifest.add_report_checks(cert.report, "deformed_")
         ident = deformed.provenance.get("identity_residual")
         if ident is not None:
+            exact = _exact_callbacks(base.holo, base.a, base.b)
             manifest.add_check("deformation_identity", ident,
-                               args.tol_exact if exact
-                               else fd_cap(base.grid, 50.0))
+                               residual_cap(deformed.grid, exact, 50.0, args.tol_exact))
 
-        represent = represent_second if need == "second" else represent_first
-        patch0 = represent(base)
-        patch1 = represent(deformed)
+        patch0, _ = _represent(base, need, None, args)
+        patch1, _ = _represent(cert, need, None, args)
         cong = verify_congruence(patch0, patch1,
-                                 rotation(args.family, lam),
+                                 rotation(args.family, args.parameter),
                                  tol=args.congruence_tol)
         manifest.reports["congruence"] = cong
         manifest.add_check("congruence_residual", cong["residual"],
@@ -372,12 +354,11 @@ def cmd_solve(args):
                                      provenance={"transform": "poisson-solve",
                                                  "problem": os.path.basename(
                                                      args.problem)})
-            vreport = validate_second(data, eps_zero=args.eps_zero,
-                                      eps_immersion=args.eps_immersion)
-            manifest.add_report_checks(vreport, "data_")
-            if vreport.ok:
-                patch = represent_second(data)
-                _patch_checks(manifest, patch, False, args)
+            cert = _certified(data, args)
+            manifest.add_report_checks(cert.report, "data_")
+            if cert.report.ok:
+                patch, exact = _represent(cert, "second", None, args)
+                _patch_checks(manifest, patch, exact, args)
                 _mesh_artifacts(manifest, patch, args.out, args.name)
 
     return _run(args, "solve", inputs, run)
@@ -405,9 +386,17 @@ def _anchor_for_data(data, args):
     return None
 
 
+_CHECKS = ("validation", "invariants", "quadric", "liu", "mean-curvature", "congruence")
+
+
 def _applicable_checks(kind, args):
     if args.checks != "auto":
-        return [c.strip() for c in args.checks.split(",") if c.strip()]
+        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        unknown = [c for c in selected if c not in _CHECKS]
+        if unknown:
+            raise ValueError("unknown check %s; known: %s"
+                             % (", ".join(map(repr, unknown)), ", ".join(_CHECKS)))
+        return selected
     if kind == "data":
         out = ["validation", "invariants", "liu", "mean-curvature"]
     else:
@@ -432,7 +421,6 @@ def cmd_verify(args):
         if fmt == "mtsurf-data":
             kind = "data"
             data = load_data(args.input)
-            exact = _data_exact(data)
         elif fmt == "mtsurf-patch":
             kind = "patch"
             patch, _ = load_patch_manifest(args.input)
@@ -445,11 +433,10 @@ def cmd_verify(args):
         manifest.inputs["resolved_checks"] = selected
 
         if kind == "data":
-            report = _validate(data, args)
+            cert = _certified(data, args)
             if "validation" in selected:
-                manifest.add_report_checks(report, "data_")
-            patch, used = _represent(data, args.rep, _anchor_for_data(data, args))
-            exact = _data_exact(used)
+                manifest.add_report_checks(cert.report, "data_")
+            patch, exact = _represent(cert, args.rep, _anchor_for_data(data, args), args)
         elif "validation" in selected:
             raise ValueError("the validation check needs a data document, "
                              "not a patch manifest")
@@ -470,7 +457,7 @@ def cmd_verify(args):
 
         if "liu" in selected:
             liu = liu_decompose(patch, cutoff=args.psi_cutoff)
-            cap = args.tol_exact if exact else fd_cap(patch.grid, 100.0)
+            cap = residual_cap(patch.grid, exact, 100.0, args.tol_exact)
             for key in ("condition1", "condition2", "condition3", "condition4",
                         "reconstruction"):
                 manifest.add_check("liu_%s" % key, liu.residuals[key], cap)
@@ -505,9 +492,11 @@ def _print_check_table(manifest):
 
 def _add_tolerance_args(p):
     p.add_argument("--eps-zero", type=float, default=EPS_ZERO,
-                   help="pointwise nonvanishing threshold (default %(default)s)")
+                   help="pointwise nonvanishing threshold of every data "
+                        "certification in the run (default %(default)s)")
     p.add_argument("--eps-immersion", type=float, default=EPS_IMMERSION,
-                   help="immersion-condition threshold (default %(default)s)")
+                   help="immersion-condition threshold of every data "
+                        "certification in the run (default %(default)s)")
     p.add_argument("--tol-exact", type=float, default=TOL_EXACT,
                    help="residual cap with closed-form derivative providers; "
                         "finite-difference inputs use 50-100*h^2 instead "
@@ -588,8 +577,8 @@ def main(argv=None):
     v.add_argument("--input", required=True,
                    help="data document or patch manifest")
     v.add_argument("--checks", default="auto",
-                   help="comma list among validation,invariants,quadric,liu,"
-                        "mean-curvature,congruence (default: all applicable)")
+                   help="comma list among %s (default: all applicable)"
+                        % ",".join(_CHECKS))
     v.add_argument("--rep", choices=("first", "second", "third"),
                    default="second",
                    help="representation used when the input is a data triple "

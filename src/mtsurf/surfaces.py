@@ -8,7 +8,9 @@ triple.  They are one construction driven by a per-kind table: a triple
 is a holomorphic field w plus potentials (a, b) with lap(a) = weight
 lap(b), the tangent field is Xz = dz(a) frame1(w) + dz(b) frame2(w), and
 X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
-validates the triple, integrates Xz coordinatewise with
+consumes the certificate of the triple (passed in place of the triple,
+else made at the default tolerances), reuses the arrays the certification
+computed, integrates Xz coordinatewise with
 :func:`mtsurf.fields.integrate_primitive` and assembles X_zzbar from the
 closed formula, so the nullness of H is carried by algebra while
 conformality, metric agreement and the coordinate identities are measured
@@ -42,8 +44,8 @@ from .fields import (
     wirtinger_dzbar,
 )
 from .lorentz import complex_bilinear, minkowski_inner
-from .tolerances import PSI_CUTOFF, validation_cap
-from .weierstrass import _certify, _exact_callbacks
+from .tolerances import PSI_CUTOFF, residual_cap
+from .weierstrass import _Certificate, _certificate, _certify, _exact_callbacks
 
 __all__ = [
     "SurfacePatch",
@@ -220,14 +222,14 @@ _KINDS = {
 }
 
 
-def _represent(kind, holo, a, b, anchor, source=None):
-    """The one representation pipeline, driven by ``_KINDS[kind]``.
+def _represent(cert, anchor):
+    """The one representation pipeline, driven by ``_KINDS[cert.kind]``.
 
-    Validation runs first: the frames and the conformal scale divide by
-    the holomorphic field.  The tangent field carries exact callbacks when
+    A failed certificate raises first: the frames and the conformal scale
+    divide by ``holo``.  The tangent field carries exact callbacks when
     ``holo`` has a value callback and both potentials first derivatives.
     """
-    report, weight, a_z, b_z, b_zzbar = _certify(kind, holo, a, b)
+    kind, holo, a, b, source, report, weight, a_z, b_z, b_zzbar = cert
     report.raise_for_failure()
     spec = _KINDS[kind]
     grid = holo.grid
@@ -244,7 +246,7 @@ def _represent(kind, holo, a, b, anchor, source=None):
                 return _a.dz(u, v) * _c1(wval) + _b.dz(u, v) * _c2(wval)
             analytic = Analytic(value=cb)
         xz_fields.append(ComplexField(grid, a_z * c1(w) + b_z * c2(w), analytic))
-    X, worst_loop = _integrate_coords(xz_fields, anchor, validation_cap(grid, exact),
+    X, worst_loop = _integrate_coords(xz_fields, anchor, residual_cap(grid, exact, 50.0),
                                       "represent_" + kind)
 
     null_dir = spec.null_dir(w)
@@ -279,8 +281,7 @@ def represent_first(data, anchor=None):
     - |g|^2 dz(pot2)|^2 and X_zzbar equals lap(pot2)/4 times the null
     direction (2 Re g, 2 Im g, -1+|g|^2, 1+|g|^2).
     """
-    return _represent("first", data.gauss, data.pot1, data.pot2, anchor,
-                      source=data.provenance)
+    return _represent(_certificate(data, "first"), anchor)
 
 
 def represent_second(data, anchor=None):
@@ -292,11 +293,10 @@ def represent_second(data, anchor=None):
     4 |dz(height) - Re(h) dz(null_pot)|^2 and X_zzbar equals
     lap(null_pot)/4 times (Re h, -Im h, (1-|h|^2)/2, (1+|h|^2)/2).
     """
-    return _represent("second", data.holo, data.height, data.null_pot, anchor,
-                      source=data.provenance)
+    return _represent(_certificate(data, "second"), anchor)
 
 
-def represent_third(gauss, coord3, coord4, anchor=None):
+def represent_third(gauss, coord3=None, coord4=None, anchor=None):
     """Patch from a holomorphic field plus its last two coordinates.
 
     Preconditions: gauss nowhere zero and holomorphic, and the coupling
@@ -307,8 +307,12 @@ def represent_third(gauss, coord3, coord4, anchor=None):
     constants and the conformal factor is (|g|+1/|g|)^2 |dz(coord3)
     - w dz(coord4)|^2.  With coord4 = 0 the patch is a minimal surface in
     the x4 = 0 slice; with coord3 = 0 a maximal surface in x3 = 0.
+    ``gauss`` may instead be the certificate of such a triple, with
+    coord3 and coord4 left out.
     """
-    return _represent("third", gauss, coord3, coord4, anchor)
+    if not isinstance(gauss, _Certificate):
+        gauss = _certify("third", gauss, coord3, coord4)
+    return _represent(_certificate(gauss, "third"), anchor)
 
 
 def patch_from_chart(coords, provenance=None):

@@ -4,6 +4,10 @@ Sup-norm residual caps are 1e-8 when every field involved carries exact
 evaluation callbacks, and C*h^2 when any derivative falls back to finite
 differences (C = 50 for data validation, C = 100 for assembled patches).
 Nonvanishing certificates use a fixed absolute floor of 1e-6.
+
+The command line's ``--eps-zero`` and ``--eps-immersion`` replace the two
+floors for every certification in a run: the input triple, each converted
+or deformed triple, and the triples the representations consume.
 """
 
 __all__ = [
@@ -12,7 +16,7 @@ __all__ = [
     "TOL_EXACT",
     "PSI_CUTOFF",
     "fd_cap",
-    "validation_cap",
+    "residual_cap",
 ]
 
 EPS_ZERO = 1e-6
@@ -27,6 +31,7 @@ def fd_cap(grid, factor):
     return factor * h * h
 
 
-def validation_cap(grid, exact):
-    """Sup-norm cap for data-condition residuals."""
-    return TOL_EXACT if exact else fd_cap(grid, 50.0)
+def residual_cap(grid, exact, factor, tol_exact=TOL_EXACT):
+    """Sup-norm cap for a residual: ``tol_exact`` when exact callbacks
+    produced it, ``factor``*h^2 when finite differences did."""
+    return tol_exact if exact else fd_cap(grid, factor)

@@ -7,13 +7,16 @@ second-kind triple bundles a nowhere-zero holomorphic field ``holo`` with
 a real ``height`` (which becomes the first coordinate of the surface) and
 a real ``null_pot`` (which becomes the sum of the last two coordinates),
 coupled by ``lap(height) = Re(holo) lap(null_pot)``.  One validator
-certifies the defining conditions of either kind on a grid.  The two kind
-conversions and the three one-parameter deformation families (each the
-counterpart of a rotation family in :mod:`mtsurf.lorentz`) are thin
-wrappers over one transform core: it certifies the input, builds the new
-holomorphic field, keeps or rescales potentials, integrates at most one
-new potential from a 1-form linear in dz(a) and dz(b), and records the
-immersion identity the transform must satisfy.
+certifies the defining conditions of either kind on a grid and returns a
+certificate: the triple, its report and the arrays the checks computed.
+The two kind conversions and the three one-parameter deformation families
+(each the counterpart of a rotation family in :mod:`mtsurf.lorentz`) are
+thin wrappers over one transform core: it consumes the certificate of its
+input (passed in place of the triple, else made at the default
+tolerances), builds the new holomorphic field, keeps or rescales
+potentials, integrates at most one new potential from a 1-form linear in
+dz(a) and dz(b), and records the immersion identity the transform must
+satisfy.
 
 Where a derived field has a closed-form derivative implied by its
 construction (for example the Laplacian of an integrated potential, which
@@ -24,6 +27,7 @@ finite-difference accuracy.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +48,7 @@ from .fields import (
     wirtinger_dzbar,
     write_document,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, validation_cap
+from .tolerances import EPS_IMMERSION, EPS_ZERO, residual_cap
 
 __all__ = [
     "WeierstrassFirst",
@@ -133,7 +137,9 @@ def _data_kind(data):
 
 
 def _triple(data):
-    """(kind, holomorphic field, a, b) of a data triple."""
+    """(kind, holomorphic field, a, b) of a data triple or a certificate."""
+    if isinstance(data, _Certificate):
+        return tuple(data[:4])
     kind = _data_kind(data)
     return (kind,) + tuple(getattr(data, name) for name in _FIELD_NAMES[kind])
 
@@ -250,13 +256,16 @@ _WEIGHT = {
 }
 
 
-def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+_Certificate = namedtuple("_Certificate", "kind holo a b source report weight a_z b_z b_zzbar")
+
+
+def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION, source=None):
     """The four checks of :func:`validate_first` for any kind's triple.
 
     ``holo`` is the kind's holomorphic field and (a, b) its potentials,
-    coupled through the weight ``_WEIGHT[kind](holo)``.  Returns (report,
-    weight, dz(a), dz(b), lap(b)/4) so the representations reuse the
-    arrays instead of recomputing them.
+    coupled through the weight ``_WEIGHT[kind](holo)``.  Returns a
+    ``_Certificate``: the triple, ``source`` (its provenance or None), the
+    report, and weight, dz(a), dz(b) and lap(b)/4 for its consumers to reuse.
     """
     grid = holo.grid
     weight = _WEIGHT[kind](holo.values)
@@ -268,14 +277,25 @@ def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
     checks = (
         _min_check("nonvanishing", grid, holo.values, eps_zero),
         _sup_interior_check("holomorphic", grid, wirtinger_dzbar(holo).values,
-                            validation_cap(grid, exact_holo)),
+                            residual_cap(grid, exact_holo, 50.0)),
         _sup_interior_check("compatible", grid,
                             laplacian(a).values / 4.0 - weight * b_zzbar,
-                            validation_cap(grid, exact_pde)),
+                            residual_cap(grid, exact_pde, 50.0)),
         _min_check("immersion", grid, a_z - weight * b_z, eps_immersion),
     )
     exact = exact_holo and exact_pde and _has_first(a) and _has_first(b)
-    return ValidationReport(kind, checks, exact), weight, a_z, b_z, b_zzbar
+    return _Certificate(kind, holo, a, b, source,
+                        ValidationReport(kind, checks, exact), weight, a_z, b_z, b_zzbar)
+
+
+def _certificate(data, kind=None, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+    """``data`` when it is a certificate, else the certificate of the triple
+    at the given tolerances; a TypeError unless it is of ``kind`` (if set)."""
+    if not isinstance(data, _Certificate):
+        data = _certify(*_triple(data), eps_zero, eps_immersion, data.provenance)
+    if kind not in (None, data.kind):
+        raise TypeError("expected %s-kind data, got %s-kind" % (kind, data.kind))
+    return data
 
 
 def validate_first(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
@@ -288,7 +308,7 @@ def validate_first(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
     are 1e-8 when the needed callbacks exist and 50 h^2 otherwise.
     """
     return _certify("first", data.gauss, data.pot1, data.pot2,
-                    eps_zero, eps_immersion)[0]
+                    eps_zero, eps_immersion).report
 
 
 def validate_second(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
@@ -298,7 +318,7 @@ def validate_second(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
     immersion certificate is ``min |dz(height) - Re(holo) dz(null_pot)|``.
     """
     return _certify("second", data.holo, data.height, data.null_pot,
-                    eps_zero, eps_immersion)[0]
+                    eps_zero, eps_immersion).report
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +360,21 @@ def _reciprocal_field(f):
 # ---------------------------------------------------------------------------
 # the transform core
 
-def _transform(data, out_kind, holo_map, keep, integrand, factor, head):
+def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     """The one pipeline behind the kind conversions and the deformations.
 
-    The input triple (w, a, b) is certified first; then ``holo_map`` turns
-    the field w into the output holomorphic field w'.  ``keep`` gives each output
-    potential as ``(c, i)``, c times input potential i, or None for the
-    one potential integrated from dz = ``integrand(w, dz a, dz b)``, with
-    the loop certificate enforced (cap 1e-8 with exact callbacks, 50 h^2
-    without).  Its Laplacian callback follows from the output coupling
-    lap a' = weight' lap b'.  ``factor(w, w')`` is the immersion factor:
-    provenance records sup |imm' - factor imm| with imm = dz a - weight
-    dz b, next to ``head``, the loop residual and the source's provenance.
+    A failed certificate ``cert`` of the input (w, a, b) raises first; then
+    ``holo_map`` turns w into the output holomorphic field w'.  ``keep``
+    gives each output potential as ``(c, i)``, c times input potential i,
+    or None for the one potential integrated from dz = ``integrand(w, dz a,
+    dz b)``, with the loop certificate enforced (cap 1e-8 with exact
+    callbacks, 50 h^2 without).  Its Laplacian callback follows from the
+    output coupling lap a' = weight' lap b'.  ``factor(w, w')`` is the
+    immersion factor: provenance records sup |imm' - factor imm| with
+    imm = dz a - weight dz b, next to ``head``, the loop residual and the
+    source's provenance.
     """
-    kind, holo, a, b = _triple(data)
-    report, weight, a_z, b_z, _ = _certify(kind, holo, a, b)
+    _, holo, a, b, source, report, weight, a_z, b_z, _ = cert
     report.raise_for_failure()
     grid = holo.grid
     holo_out = holo_map(holo)
@@ -378,7 +398,7 @@ def _transform(data, out_kind, holo_map, keep, integrand, factor, head):
             analytic = Analytic(value=value_cb)
         pr = integrate_primitive(
             ComplexField(grid, integrand(holo.values, a_z, b_z), analytic))
-        loop_cap = validation_cap(grid, exact)
+        loop_cap = residual_cap(grid, exact, 50.0)
         if pr.loop_residual > loop_cap:
             what = head.get("transform") or "deform_" + head["family"]
             raise ValueError(
@@ -402,8 +422,8 @@ def _transform(data, out_kind, holo_map, keep, integrand, factor, head):
     imm_out = pots_z[0] - weight_out(w_out) * pots_z[1]
     prov["identity_residual"] = float(np.max(np.abs(
         imm_out - factor(w, w_out) * (a_z - weight * b_z))))
-    if data.provenance:
-        prov["source"] = dict(data.provenance)
+    if source:
+        prov["source"] = dict(source)
     return _CLASS[out_kind](holo_out, *pots, prov)
 
 
@@ -422,8 +442,8 @@ def first_to_second(data):
 
     whose sup residual is recorded under provenance["identity_residual"].
     """
-    return _transform(data, "second", _reciprocal_field, (None, (2.0, 0)),
-                      lambda g, p_z, q_z: p_z / g + g * q_z,
+    return _transform(_certificate(data, "first"), "second", _reciprocal_field,
+                      (None, (2.0, 0)), lambda g, p_z, q_z: p_z / g + g * q_z,
                       lambda g, h: -1.0 / np.conj(g),
                       {"transform": "first_to_second"})
 
@@ -436,8 +456,8 @@ def second_to_first(data):
     the identity of :func:`first_to_second` holds with the same residual
     bookkeeping.
     """
-    return _transform(data, "first", _reciprocal_field, ((0.5, 1), None),
-                      lambda h, m_z, n_z: h * m_z - 0.5 * h ** 2 * n_z,
+    return _transform(_certificate(data, "second"), "first", _reciprocal_field,
+                      ((0.5, 1), None), lambda h, m_z, n_z: h * m_z - 0.5 * h ** 2 * n_z,
                       lambda h, g: -1.0 / np.conj(h),
                       {"transform": "second_to_first"})
 
@@ -475,7 +495,7 @@ def deform_parabolic(data, lam):
             new_a = Analytic(**kw)
         return ComplexField(g.grid, g.values / denom, new_a)
 
-    return _transform(data, "first", gauss_lam, ((1.0, 0), None),
+    return _transform(_certificate(data, "first"), "first", gauss_lam, ((1.0, 0), None),
                       lambda g, p_z, q_z: (1.0 / g + 1j * lam) * (g * q_z - 1j * lam * p_z),
                       lambda g, g_lam: np.conj(g_lam) / np.conj(g),
                       {"family": "parabolic", "parameter": lam})
@@ -491,8 +511,8 @@ def deform_elliptic(data, tau):
     first two coordinates by ``tau``.
     """
     tau = float(tau)
-    return _transform(data, "second", lambda h: _scaled_field(h, np.exp(-1j * tau)),
-                      (None, (1.0, 1)),
+    return _transform(_certificate(data, "second"), "second",
+                      lambda h: _scaled_field(h, np.exp(-1j * tau)), (None, (1.0, 1)),
                       lambda h, m_z, n_z: (np.exp(1j * tau) * m_z
                                            - 1j * np.sin(tau) * h * n_z),
                       lambda h, h_tau: np.exp(1j * tau),
@@ -509,7 +529,7 @@ def deform_hyperbolic(data, eta):
     """
     eta = float(eta)
     s = float(np.exp(eta))
-    return _transform(data, "first", lambda g: _scaled_field(g, s),
+    return _transform(_certificate(data, "first"), "first", lambda g: _scaled_field(g, s),
                       ((s, 0), (1.0 / s, 1)), None, lambda g, g_eta: s,
                       {"family": "hyperbolic", "parameter": eta})
 

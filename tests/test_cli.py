@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mtsurf import cli, surfaces, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.cli import main, parse_grid_spec
 from mtsurf.fields import Grid2D, RealField
@@ -151,6 +152,20 @@ class TestGenerate:
             assert checks[name]["threshold"] == 1e-8, name
         assert checks["quadric_residual"]["threshold"] == 1e-10
 
+    @pytest.mark.parametrize("rep", ["first", "second", "third"])
+    def test_eps_zero_governs_the_certification(self, tmp_path, rep):
+        # min |holo| = e^-2 = 0.135 on this grid, below --eps-zero 0.5: the
+        # run fails on its own threshold and exports nothing
+        out = str(tmp_path)
+        rc = run(["generate", "--fixture", "sigma-theta", "--theta", "0.3",
+                  "--grid", "-2:2:-2:2:17x17", "--rep", rep, "--eps-zero", "0.5",
+                  "--out", out, "--name", "eps"])
+        assert rc == 1
+        doc = failed_run(out, "eps")
+        assert "nonvanishing FAIL  1.353e-01 > 5.000e-01" in doc["error"]
+        assert not check_map(doc)["data_nonvanishing"]["passed"]
+        assert not [f for f in os.listdir(out) if f.endswith((".obj", ".ply"))]
+
 
 class TestDeform:
     def test_parabolic_congruence(self, tmp_path):
@@ -207,6 +222,22 @@ class TestDeform:
         assert check["threshold"] == 1e-8
         assert check["passed"]
 
+    def test_eps_flags_reach_every_certification(self, tmp_path):
+        # at eta = -14 the deformed gauss field drops to 1.1e-7, under the
+        # default 1e-6 floor but above the 1e-12 this run asks for
+        out = str(tmp_path)
+        rc = run(["deform", "--fixture", "sigma-theta", "--theta", "0.3",
+                  "--grid", "-2:2:-2:2:33x33", "--family", "hyperbolic",
+                  "--parameter", "-14", "--eps-zero", "1e-12",
+                  "--eps-immersion", "1e-12", "--out", out, "--name", "d"])
+        assert rc == 0
+        doc = manifest_of(out, "d")
+        assert doc["error"] is None
+        checks = check_map(doc)
+        assert checks["deformed_nonvanishing"]["threshold"] == 1e-12
+        assert checks["deformed_nonvanishing"]["value"] < 1e-6
+        assert checks["congruence_residual"]["passed"]
+
 
 class TestSolve:
     def descriptor(self, tmp_path, n=17, target=1e-10):
@@ -242,6 +273,30 @@ class TestSolve:
         assert checks["conformality"]["passed"]
         assert "solution.obj" in doc["artifacts"]
         assert "solution.json" in doc["artifacts"]
+
+    @pytest.mark.parametrize("edit,words", [
+        (lambda d: d.pop("boundary"), ["'boundary'"]),
+        (lambda d: d.update(source={"kind": "constant"}), ["'source'", "'value'"]),
+        (lambda d: d["boundary"].update(edges={}), ["boundary edges", "'u_min'"]),
+        (lambda d: d["weight"].update(name="cosh"), ["'weight'", "'cosh'"]),
+        (lambda d: d["source"].update(name="cosh"), ["'source'", "'cosh'"]),
+        (lambda d: d.update(boundary={"kind": "named", "name": "cosh"}),
+         ["boundary", "'cosh'"]),
+    ], ids=["no-boundary", "no-source-value", "empty-edges", "unknown-weight",
+            "unknown-source", "unknown-boundary"])
+    def test_bad_descriptor_fails_with_manifest(self, tmp_path, edit, words):
+        out = os.path.join(str(tmp_path), "out")
+        path = self.descriptor(tmp_path, n=9)
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        rc = run(["solve", "--problem", path, "--out", out])
+        assert rc == 1
+        error = failed_run(out, "solution")["error"]
+        for word in ["problem.json"] + words:
+            assert word in error, word
 
     def test_nonconvergence_fails_run(self, tmp_path):
         # a 1e10-scale source over a zero boundary puts the 1e-10 target
@@ -351,6 +406,20 @@ class TestVerify:
         doc = manifest_of(out, "bad")
         assert "needs a data document" in doc["error"]
 
+    def test_unknown_check_name_rejected(self, tmp_path):
+        out = str(tmp_path)
+        rc = run(["generate", "--fixture", "catenoid-r3",
+                  "--grid", "-1:1:-1:1:9x9", "--out", out, "--name", "cat"])
+        assert rc == 0
+        rc = run(["verify", "--input", os.path.join(out, "cat.json"),
+                  "--checks", "invariants,quadrc", "--out", out, "--name", "typo"])
+        assert rc == 1
+        doc = failed_run(out, "typo")
+        assert "'quadrc'" in doc["error"]
+        assert "validation, invariants, quadric, liu, mean-curvature, congruence" \
+            in doc["error"]
+        assert doc["checks"] == []
+
     def test_missing_input_fails_with_manifest(self, tmp_path):
         out = str(tmp_path)
         missing = os.path.join(out, "absent.json")
@@ -433,3 +502,63 @@ def test_repeated_runs_are_deterministic(tmp_path):
             ha = hashlib.sha256(open(a, "rb").read()).hexdigest()
             hb = hashlib.sha256(open(b, "rb").read()).hexdigest()
             assert ha == hb, name
+
+
+class TestCertifiedOnce:
+    """Every triple a command builds is certified exactly once."""
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        seen = []           # the triples themselves, so their ids stay distinct
+        real = weierstrass._certify
+
+        def counting(kind, holo, a, b, *args, **kwargs):
+            seen.append((kind, holo, a, b))
+            return real(kind, holo, a, b, *args, **kwargs)
+
+        for module in (weierstrass, surfaces, cli):
+            if hasattr(module, "_certify"):
+                monkeypatch.setattr(module, "_certify", counting)
+        return seen
+
+    @staticmethod
+    def data_document(tmp_path):
+        fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17))
+        path = os.path.join(str(tmp_path), "in.data.json")
+        save_data(fx.data, path)
+        return path
+
+    @staticmethod
+    def assert_each_once(seen, count):
+        ids = [tuple(id(x) for x in triple[1:]) + (triple[0],) for triple in seen]
+        assert len(set(ids)) == len(ids), "a triple was certified twice"
+        assert len(seen) == count
+
+    FIXTURE = ["--fixture", "sigma-theta", "--theta", "0.3", "--grid", "-2:2:-2:2:17x17"]
+
+    @pytest.mark.parametrize("family,count", [("parabolic", 3), ("elliptic", 2),
+                                              ("hyperbolic", 3)])
+    def test_deform(self, tmp_path, certified, family, count):
+        rc = run(["deform"] + self.FIXTURE + ["--family", family, "--parameter", "0.5",
+                                              "--out", str(tmp_path)])
+        assert rc == 0
+        self.assert_each_once(certified, count)
+
+    @pytest.mark.parametrize("source", ["fixture", "data"])
+    @pytest.mark.parametrize("rep,count", [("first", 2), ("second", 1), ("third", 2)])
+    def test_generate(self, tmp_path, certified, source, rep, count):
+        args = self.FIXTURE if source == "fixture" else [
+            "--data", self.data_document(tmp_path)]
+        run(["generate"] + args + ["--rep", rep, "--out", str(tmp_path)])
+        self.assert_each_once(certified, count)
+
+    @pytest.mark.parametrize("rep,count", [("first", 2), ("second", 1), ("third", 2)])
+    def test_verify_data_document(self, tmp_path, certified, rep, count):
+        path = self.data_document(tmp_path)
+        run(["verify", "--input", path, "--rep", rep, "--out", str(tmp_path)])
+        self.assert_each_once(certified, count)
+
+    def test_solve_generate(self, tmp_path, certified):
+        path = TestSolve().descriptor(tmp_path, n=17)
+        assert run(["solve", "--problem", path, "--generate", "--out", str(tmp_path)]) == 0
+        self.assert_each_once(certified, 1)

@@ -28,7 +28,7 @@ from mtsurf.surfaces import (
     represent_third,
     verify_congruence,
 )
-from mtsurf.tolerances import fd_cap, validation_cap
+from mtsurf.tolerances import fd_cap, residual_cap
 from mtsurf.weierstrass import (
     WeierstrassFirst,
     deform_elliptic,
@@ -195,7 +195,7 @@ def test_loop_certificate_rejects_nonintegrable_input():
     xz = [ComplexField(g, p_z * c1(w) + q_z * c2(w))
           for c1, c2 in zip(spec.frame1, spec.frame2)]
     with pytest.raises(ValueError) as err:
-        surfaces._integrate_coords(xz, None, validation_cap(g, False), "represent_first")
+        surfaces._integrate_coords(xz, None, residual_cap(g, False, 50.0), "represent_first")
     assert "loop residual" in str(err.value)
 
 
