@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .fields import Analytic, ComplexField, Grid2D, RealField
+from .fields import Analytic, ComplexField, Grid2D, RealField, lincomb_real
 from .weierstrass import WeierstrassSecond
 
 __all__ = [
@@ -79,25 +79,13 @@ def _holo_exp_iz(grid):
     ))
 
 
-def _lincomb(parts):
-    """Analytic bundle for sum of w * component over (w, slot-dict) parts."""
-    kw = {}
-    for slot in ("value", "du", "dv", "lap"):
-        terms = tuple((w, comp[slot]) for w, comp in parts)
-
-        def cb(u, v, _terms=terms):
-            total = 0.0
-            for w, f in _terms:
-                total = total + w * f(u, v)
-            return total
-
-        kw[slot] = cb
-    return Analytic(**kw)
-
-
 def _chart_fields(grid, component_parts):
-    """Four coordinate RealFields from per-component (weight, slots) lists."""
-    return tuple(RealField.sample(grid, _lincomb(parts)) for parts in component_parts)
+    """Four coordinate RealFields from per-component (weight, slots) lists:
+    each part is sampled with its callbacks and the parts are summed by
+    :func:`mtsurf.fields.lincomb_real`."""
+    return tuple(lincomb_real([(w, RealField.sample(grid, Analytic(**slots)))
+                               for w, slots in parts])
+                 for parts in component_parts)
 
 
 # Base chart for theta = 0 (lies in <X,X> = -1) and theta = pi/2 (in

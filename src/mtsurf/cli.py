@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -65,9 +66,11 @@ parse_grid_spec = Grid2D.from_spec   # public name of the --grid parser
 
 
 def _check(name, value, threshold, sense):
+    """One manifest check; a non-finite value fails whatever its sense."""
     value = float(value)
     threshold = float(threshold)
     passed = value < threshold if sense == "max_below" else value > threshold
+    passed = passed and math.isfinite(value)
     return {"name": name, "value": value, "threshold": threshold,
             "sense": sense, "passed": bool(passed)}
 
@@ -106,7 +109,7 @@ class RunManifest:
             "command": self.command,
             "inputs": _jsonable(self.inputs),
             "tolerances": _jsonable(self.tolerances),
-            "checks": self.checks,
+            "checks": _jsonable(self.checks),
             "reports": _jsonable(self.reports),
             "artifacts": sorted(set(os.path.basename(p)
                                     for p in self.artifacts))
@@ -118,8 +121,9 @@ class RunManifest:
 
 
 def _certified(data, args):
-    """Certificate of a triple at the run's --eps-zero/--eps-immersion."""
-    return _certificate(data, eps_zero=args.eps_zero, eps_immersion=args.eps_immersion)
+    """Certificate of a triple at the run's --eps-zero/--eps-immersion/--tol-exact."""
+    return _certificate(data, eps_zero=args.eps_zero, eps_immersion=args.eps_immersion,
+                        tol_exact=args.tol_exact)
 
 
 def _as_kind(cert, kind, args):
@@ -134,7 +138,7 @@ def _as_kind(cert, kind, args):
     _, gauss, pot1, pot2 = _triple(cert if cert.kind == "first" else second_to_first(cert))
     return _certify("third", gauss, lincomb_real([(1.0, pot1), (-1.0, pot2)]),
                     lincomb_real([(1.0, pot1), (1.0, pot2)]),
-                    args.eps_zero, args.eps_immersion)
+                    args.eps_zero, args.eps_immersion, args.tol_exact)
 
 
 def _represent(cert, rep, anchor, args):
@@ -498,7 +502,8 @@ def _add_tolerance_args(p):
                    help="immersion-condition threshold of every data "
                         "certification in the run (default %(default)s)")
     p.add_argument("--tol-exact", type=float, default=TOL_EXACT,
-                   help="residual cap with closed-form derivative providers; "
+                   help="residual cap with closed-form derivative providers, "
+                        "data certifications and loop caps included; "
                         "finite-difference inputs use 50-100*h^2 instead "
                         "(default %(default)s)")
     p.add_argument("--quadric-tol", type=float, default=1e-10,

@@ -13,6 +13,7 @@ are plain file names next to it.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -116,7 +117,8 @@ def load_patch_manifest(path):
 
 def _jsonable(obj):
     """Plain JSON types for manifests: numpy scalars unwrapped, tuples as
-    lists, anything else unknown as its string."""
+    lists, non-finite floats as the strings "nan", "inf" and "-inf" (strict
+    JSON has no literal for them), anything else unknown as its string."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -125,7 +127,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if obj is None or isinstance(obj, str):

@@ -18,6 +18,14 @@ quadrature); otherwise they fall back to second-order finite differences
 (central in the interior, one-sided at the edges) and to trapezoidal
 accumulation, and tolerances downstream widen from 1e-8/1e-10 to C*h^2.
 
+Path integration has one core, ``_integrate_primitives``: k integrands
+that are functions of shared inputs are integrated from one evaluation of
+those inputs per Gauss node set (the u-edges and the v-edges), taken in
+blocks of ``_QUAD_ROWS`` grid rows so the scratch arrays stay small, and
+reduced one integrand at a time.  :func:`integrate_primitive` is its
+one-field case.  A primitive F of E answers dz(F) with E and dzbar(F) with
+conj(E), one evaluation each.
+
 This module also owns persistence.  One row writer, ``_rows``, formats
 every ASCII table (field CSVs here, mesh vertices, faces and the x4
 channel in :mod:`mtsurf.export`) a block of rows per ``%``.  Every JSON
@@ -406,19 +414,48 @@ class PathIntegralResult:
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
+#: Grid rows per block of the Gauss edge quadrature.  A block evaluates the
+#: inputs on the 5 Gauss nodes of every edge in its rows, so each scratch
+#: array holds at most _QUAD_ROWS * 5 * n_v samples however large n_u is.
+_QUAD_ROWS = 96
 
-def _edge_integrals_gauss(value, grid):
-    """Per-edge Gauss integrals of a = 2 Re E (along u) and b = -2 Im E (along v)."""
+
+def _row_blocks(grid):
+    """(u-edge rows, v-edge rows) of each quadrature block; the last block
+    also takes the last row of v-edges, so both node sets share the count."""
+    last = grid.n_u - 1
+    for start in range(0, last, _QUAD_ROWS):
+        stop = min(start + _QUAD_ROWS, last)
+        yield slice(start, stop), slice(start, stop if stop < last else grid.n_u)
+
+
+def _edge_integrals_gauss(inputs, integrands, grid):
+    """Per-edge Gauss integrals of a_k = 2 Re E_k (along u) and b_k = -2 Im E_k
+    (along v) for k integrands, as (k, n_u-1, n_v) and (k, n_u, n_v-1) arrays.
+
+    ``inputs(u, v)`` is evaluated once per node set of each row block and
+    ``integrands[k]`` maps its arrays to E_k there; the integrands are
+    reduced one at a time, so no (k, rows, 5, n_v) stack is ever built.
+    """
     au = grid.axis_u
     av = grid.axis_v
-    # u-edges: R[i, j] = integral of a over [u_i, u_{i+1}] at v_j
     uq = au[:-1, None] + (_GAUSS_X[None, :] + 1.0) * (grid.h_u / 2.0)   # (n_u-1, 5)
-    ev = value(uq[:, :, None], av[None, None, :])                        # (n_u-1, 5, n_v)
-    R = (grid.h_u / 2.0) * np.einsum("q,iqj->ij", _GAUSS_W, 2.0 * np.real(ev))
-    # v-edges: C[i, j] = integral of b over [v_j, v_{j+1}] at u_i
     vq = av[:-1, None] + (_GAUSS_X[None, :] + 1.0) * (grid.h_v / 2.0)   # (n_v-1, 5)
-    ev = value(au[:, None, None], vq[None, :, :])                        # (n_u, n_v-1, 5)
-    C = (grid.h_v / 2.0) * np.einsum("q,ijq->ij", _GAUSS_W, -2.0 * np.imag(ev))
+    R = np.empty((len(integrands), grid.n_u - 1, grid.n_v))
+    C = np.empty((len(integrands), grid.n_u, grid.n_v - 1))
+    for u_rows, v_rows in _row_blocks(grid):
+        # u-edges: R[k, i, j] = integral of a_k over [u_i, u_{i+1}] at v_j
+        shared = inputs(uq[u_rows, :, None], av[None, None, :])          # (rows, 5, n_v)
+        for R_k, integrand in zip(R, integrands):
+            R_k[u_rows] = (grid.h_u / 2.0) * np.einsum(
+                "q,iqj->ij", _GAUSS_W, 2.0 * np.real(integrand(*shared)))
+        del shared                      # freed before the next evaluation allocates
+        # v-edges: C[k, i, j] = integral of b_k over [v_j, v_{j+1}] at u_i
+        shared = inputs(au[v_rows, None, None], vq[None, :, :])          # (rows, n_v-1, 5)
+        for C_k, integrand in zip(C, integrands):
+            C_k[v_rows] = (grid.h_v / 2.0) * np.einsum(
+                "q,ijq->ij", _GAUSS_W, -2.0 * np.imag(integrand(*shared)))
+        del shared
     return R, C
 
 
@@ -430,54 +467,104 @@ def _edge_integrals_trapezoid(values, grid):
     return R, C
 
 
-def integrate_primitive(field, order="rows"):
-    """Real primitive F with F_z = E, anchored to F = 0 at the origin node.
+def _accumulate(R, C, order):
+    """Primitive from the edge integrals, 0 at the origin node."""
+    if order == "rows":
+        along_row = np.concatenate([[0.0], np.cumsum(R[:, 0])])         # (n_u,)
+        up_columns = np.concatenate([np.zeros((C.shape[0], 1)), np.cumsum(C, axis=1)], axis=1)
+        return along_row[:, None] + up_columns
+    up_column = np.concatenate([[0.0], np.cumsum(C[0, :])])             # (n_v,)
+    along_rows = np.concatenate([np.zeros((1, R.shape[1])), np.cumsum(R, axis=0)], axis=0)
+    return up_column[None, :] + along_rows
 
-    F accumulates the edge integrals of 2 Re(E dz) first along the grid rows
-    then up the columns (``order="rows"``) or the other way around
-    (``order="columns"``).  Edge integrals use 5-point Gauss quadrature on
-    the exact callback when the field has one, trapezoid on the samples
-    otherwise.  The primitive keeps exact first-derivative callbacks
-    (F_u = 2 Re E, F_v = -2 Im E) when the integrand had a value callback.
+
+def _primitive_analytic(a):
+    """Callbacks of the primitive F of a field E with callbacks ``a``:
+    F_u = 2 Re E, F_v = -2 Im E, dz F = E and dzbar F = conj E, each one
+    evaluation of E, plus lap F = 4 Re dzbar E when E has a dzbar."""
+    if a is None or not a.has_value:
+        return None
+
+    def f_du(u, v):
+        return 2.0 * np.real(a.value(u, v))
+
+    def f_dv(u, v):
+        return -2.0 * np.imag(a.value(u, v))
+
+    def f_dzbar(u, v):
+        return np.conj(a.value(u, v))
+
+    lap_cb = None
+    if a.has_first or a._dzbar is not None:
+        def lap_cb(u, v):
+            return 4.0 * np.real(a.dzbar(u, v))
+
+    return Analytic(du=f_du, dv=f_dv, dz=a.value, dzbar=f_dzbar, lap=lap_cb)
+
+
+def _coordinates(u, v):
+    return u, v
+
+
+def _integrate_primitives(fields, inputs=None, integrands=None, order="rows"):
+    """Real primitives F_k with dz(F_k) = E_k of k complex fields on one grid,
+    each anchored to F_k = 0 at the origin node, from one edge quadrature.
+
+    Each F_k accumulates the edge integrals of 2 Re(E_k dz) first along the
+    grid rows then up the columns (``order="rows"``) or the other way
+    around (``order="columns"``).  Edge integrals use 5-point Gauss
+    quadrature in blocks of ``_QUAD_ROWS`` grid rows when exact callbacks
+    exist, trapezoid on the samples otherwise:
+
+    - with ``inputs``, E_k at the Gauss nodes is ``integrands[k](*inputs(u,
+      v))``; ``inputs`` is evaluated once per node set and block and its
+      arrays are shared by all k integrands;
+    - without, each field's own value callback gives E_k when every field
+      has one (this is :func:`integrate_primitive`, k = 1).
+
+    Returns one :class:`PathIntegralResult` per field.  A primitive keeps
+    exact first-derivative callbacks (see ``_primitive_analytic``) when its
+    field has a value callback.
     """
     if order not in ("rows", "columns"):
         raise ValueError("order must be 'rows' or 'columns'")
-    grid = field.grid
-    a = field.analytic
-    if a is not None and a.has_value:
-        R, C = _edge_integrals_gauss(a.value, grid)
+    fields = tuple(fields)
+    if not fields:
+        raise ValueError("no field to integrate")
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields[1:]):
+        raise GridMismatchError("fields to integrate live on different grids")
+    if inputs is None and all(f.analytic is not None and f.analytic.has_value
+                              for f in fields):
+        inputs, integrands = _coordinates, [f.analytic.value for f in fields]
+    if inputs is not None:
+        if integrands is None or len(integrands) != len(fields):
+            raise ValueError("need one integrand per field to integrate")
+        R, C = _edge_integrals_gauss(inputs, integrands, grid)
     else:
-        R, C = _edge_integrals_trapezoid(field.values, grid)
+        R, C = zip(*(_edge_integrals_trapezoid(f.values, grid) for f in fields))
 
-    zeros_u = np.zeros((1, grid.n_v))
-    zeros_v = np.zeros((grid.n_u, 1))
-    if order == "rows":
-        along_row = np.concatenate([[0.0], np.cumsum(R[:, 0])])         # (n_u,)
-        up_columns = np.concatenate([zeros_v, np.cumsum(C, axis=1)], axis=1)
-        F = along_row[:, None] + up_columns
-    else:
-        up_column = np.concatenate([[0.0], np.cumsum(C[0, :])])         # (n_v,)
-        along_rows = np.concatenate([zeros_u, np.cumsum(R, axis=0)], axis=0)
-        F = up_column[None, :] + along_rows
+    results = []
+    for f, R_k, C_k in zip(fields, R, C):
+        circ = R_k[:, :-1] + C_k[1:, :] - R_k[:, 1:] - C_k[:-1, :]
+        loop_residual = float(np.max(np.abs(circ))) if circ.size else 0.0
+        results.append(PathIntegralResult(
+            RealField(grid, _accumulate(R_k, C_k, order), _primitive_analytic(f.analytic)),
+            loop_residual, order))
+    return results
 
-    circ = R[:, :-1] + C[1:, :] - R[:, 1:] - C[:-1, :]
-    loop_residual = float(np.max(np.abs(circ))) if circ.size else 0.0
 
-    analytic = None
-    if a is not None and a.has_value:
-        def f_du(u, v, _val=a.value):
-            return 2.0 * np.real(_val(u, v))
+def integrate_primitive(field, order="rows"):
+    """Real primitive F with F_z = E, anchored to F = 0 at the origin node:
+    the one-field case of :func:`_integrate_primitives`.
 
-        def f_dv(u, v, _val=a.value):
-            return -2.0 * np.imag(_val(u, v))
-
-        lap_cb = None
-        if a.has_first or a._dzbar is not None:
-            def lap_cb(u, v, _a=a):
-                return 4.0 * np.real(_a.dzbar(u, v))
-
-        analytic = Analytic(du=f_du, dv=f_dv, lap=lap_cb)
-    return PathIntegralResult(RealField(grid, F, analytic), loop_residual, order)
+    Edge integrals use 5-point Gauss quadrature on the field's value
+    callback, evaluated in row blocks, when it has one and trapezoid on the
+    samples otherwise.  The primitive keeps exact callbacks F_u = 2 Re E,
+    F_v = -2 Im E, dz F = E and dzbar F = conj E when the integrand had a
+    value callback, and lap F = 4 Re dzbar E when it also had a dzbar.
+    """
+    return _integrate_primitives([field], order=order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +687,14 @@ def load_field_binary(path):
 # documents: JSON plus field payloads referenced by plain file name
 
 def write_document(path, doc):
-    """Write ``doc`` as indented, key-sorted JSON plus a newline."""
+    """Write ``doc`` as indented, key-sorted, strict JSON plus a newline.
+
+    A non-finite float has no strict JSON form, so it raises ValueError
+    before anything is written; callers encode such values themselves.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
     return path
 

@@ -10,11 +10,14 @@ lap(b), the tangent field is Xz = dz(a) frame1(w) + dz(b) frame2(w), and
 X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
 consumes the certificate of the triple (passed in place of the triple,
 else made at the default tolerances), reuses the arrays the certification
-computed, integrates Xz coordinatewise with
-:func:`mtsurf.fields.integrate_primitive` and assembles X_zzbar from the
-closed formula, so the nullness of H is carried by algebra while
-conformality, metric agreement and the coordinate identities are measured
-and recorded in ``SurfacePatch.invariants``.
+computed, integrates the four coordinates of Xz in one shared quadrature
+(w, dz(a) and dz(b) are evaluated once per Gauss node set and row block,
+then each coordinate's integrand is formed and reduced in turn; see
+:mod:`mtsurf.fields`), and assembles X_zzbar from the closed formula, so
+the nullness of H is carried by algebra while conformality, metric
+agreement and the coordinate identities are measured and recorded in
+``SurfacePatch.invariants``.  The loop caps of the integration use the
+certificate's exact-callback cap.
 
 Patches can also be built directly from four coordinate fields
 (:func:`patch_from_chart`), with derivatives taken from callbacks when
@@ -35,7 +38,7 @@ from .fields import (
     Analytic,
     ComplexField,
     RealField,
-    integrate_primitive,
+    _integrate_primitives,
     laplacian,
     min_abs_location,
     sup_abs,
@@ -136,11 +139,13 @@ def _mean_curvature_fields(grid, xzzbar_fields, lam_values):
     return tuple(RealField(grid, 4.0 * f.values / lam_values) for f in xzzbar_fields)
 
 
-def _integrate_coords(xz_fields, anchor, loop_cap, what):
+def _integrate_coords(xz_fields, anchor, loop_cap, what, inputs=None, integrands=None):
     """Integrate the four tangent fields into coordinates, origin-anchored.
 
     ``anchor`` gives the value of each coordinate at the grid origin node
-    (defaults to zero).  Raises when a loop certificate exceeds the cap.
+    (defaults to zero).  ``inputs`` and ``integrands``, when given, are the
+    shared quadrature of :func:`mtsurf.fields._integrate_primitives`.  Raises
+    when a loop certificate exceeds the cap, naming the coordinate.
     """
     if anchor is None:
         anchor = (0.0, 0.0, 0.0, 0.0)
@@ -149,8 +154,7 @@ def _integrate_coords(xz_fields, anchor, loop_cap, what):
         raise ValueError("anchor must supply four coordinate values")
     coords = []
     worst_loop = 0.0
-    for k, xz in enumerate(xz_fields):
-        pr = integrate_primitive(xz)
+    for k, pr in enumerate(_integrate_primitives(xz_fields, inputs, integrands)):
         if pr.loop_residual > loop_cap:
             raise ValueError(
                 "%s: coordinate %d loop residual %.3e exceeds %.3e; tangent "
@@ -229,25 +233,29 @@ def _represent(cert, anchor):
     divide by ``holo``.  The tangent field carries exact callbacks when
     ``holo`` has a value callback and both potentials first derivatives.
     """
-    kind, holo, a, b, source, report, weight, a_z, b_z, b_zzbar = cert
+    kind, holo, a, b, source, report, weight, a_z, b_z, b_zzbar, tol_exact = cert
     report.raise_for_failure()
     spec = _KINDS[kind]
     grid = holo.grid
     w = holo.values
     exact = _exact_callbacks(holo, a, b)
+    inputs = None
+    if exact:
+        def inputs(u, v, _w=holo.analytic, _a=a.analytic, _b=b.analytic):
+            return _w.value(u, v), _a.dz(u, v), _b.dz(u, v)
 
-    xz_fields = []
+    xz_fields, integrands = [], []
     for c1, c2 in zip(spec.frame1, spec.frame2):
+        def xz(w, a_z, b_z, _c1=c1, _c2=c2):
+            return a_z * _c1(w) + b_z * _c2(w)
         analytic = None
         if exact:
-            def cb(u, v, _c1=c1, _c2=c2, _w=holo.analytic, _a=a.analytic,
-                   _b=b.analytic):
-                wval = _w.value(u, v)
-                return _a.dz(u, v) * _c1(wval) + _b.dz(u, v) * _c2(wval)
-            analytic = Analytic(value=cb)
-        xz_fields.append(ComplexField(grid, a_z * c1(w) + b_z * c2(w), analytic))
-    X, worst_loop = _integrate_coords(xz_fields, anchor, residual_cap(grid, exact, 50.0),
-                                      "represent_" + kind)
+            analytic = Analytic(value=lambda u, v, _xz=xz: _xz(*inputs(u, v)))
+        integrands.append(xz)
+        xz_fields.append(ComplexField(grid, xz(w, a_z, b_z), analytic))
+    X, worst_loop = _integrate_coords(xz_fields, anchor,
+                                      residual_cap(grid, exact, 50.0, tol_exact),
+                                      "represent_" + kind, inputs, integrands)
 
     null_dir = spec.null_dir(w)
     xzzbar_coeff = b_zzbar * spec.xzzbar_factor(w)

@@ -8,6 +8,9 @@ Nonvanishing certificates use a fixed absolute floor of 1e-6.
 The command line's ``--eps-zero`` and ``--eps-immersion`` replace the two
 floors for every certification in a run: the input triple, each converted
 or deformed triple, and the triples the representations consume.
+``--tol-exact`` likewise replaces TOL_EXACT for every exact cap of a run:
+those certifications, the loop caps of the representation and transform
+cores (carried by the certificate) and the patch checks.
 """
 
 __all__ = [

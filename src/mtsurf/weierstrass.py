@@ -48,7 +48,7 @@ from .fields import (
     wirtinger_dzbar,
     write_document,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, residual_cap
+from .tolerances import EPS_IMMERSION, EPS_ZERO, TOL_EXACT, residual_cap
 
 __all__ = [
     "WeierstrassFirst",
@@ -256,16 +256,20 @@ _WEIGHT = {
 }
 
 
-_Certificate = namedtuple("_Certificate", "kind holo a b source report weight a_z b_z b_zzbar")
+_Certificate = namedtuple("_Certificate",
+                          "kind holo a b source report weight a_z b_z b_zzbar tol_exact")
 
 
-def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION, source=None):
+def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
+             tol_exact=TOL_EXACT, source=None):
     """The four checks of :func:`validate_first` for any kind's triple.
 
     ``holo`` is the kind's holomorphic field and (a, b) its potentials,
     coupled through the weight ``_WEIGHT[kind](holo)``.  Returns a
     ``_Certificate``: the triple, ``source`` (its provenance or None), the
-    report, and weight, dz(a), dz(b) and lap(b)/4 for its consumers to reuse.
+    report, weight, dz(a), dz(b) and lap(b)/4 for its consumers to reuse,
+    and ``tol_exact``, the exact-callback cap of its checks, which the
+    consumers' loop caps use too.
     """
     grid = holo.grid
     weight = _WEIGHT[kind](holo.values)
@@ -277,22 +281,23 @@ def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION, s
     checks = (
         _min_check("nonvanishing", grid, holo.values, eps_zero),
         _sup_interior_check("holomorphic", grid, wirtinger_dzbar(holo).values,
-                            residual_cap(grid, exact_holo, 50.0)),
+                            residual_cap(grid, exact_holo, 50.0, tol_exact)),
         _sup_interior_check("compatible", grid,
                             laplacian(a).values / 4.0 - weight * b_zzbar,
-                            residual_cap(grid, exact_pde, 50.0)),
+                            residual_cap(grid, exact_pde, 50.0, tol_exact)),
         _min_check("immersion", grid, a_z - weight * b_z, eps_immersion),
     )
     exact = exact_holo and exact_pde and _has_first(a) and _has_first(b)
-    return _Certificate(kind, holo, a, b, source,
-                        ValidationReport(kind, checks, exact), weight, a_z, b_z, b_zzbar)
+    return _Certificate(kind, holo, a, b, source, ValidationReport(kind, checks, exact),
+                        weight, a_z, b_z, b_zzbar, tol_exact)
 
 
-def _certificate(data, kind=None, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+def _certificate(data, kind=None, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
+                 tol_exact=TOL_EXACT):
     """``data`` when it is a certificate, else the certificate of the triple
     at the given tolerances; a TypeError unless it is of ``kind`` (if set)."""
     if not isinstance(data, _Certificate):
-        data = _certify(*_triple(data), eps_zero, eps_immersion, data.provenance)
+        data = _certify(*_triple(data), eps_zero, eps_immersion, tol_exact, data.provenance)
     if kind not in (None, data.kind):
         raise TypeError("expected %s-kind data, got %s-kind" % (kind, data.kind))
     return data
@@ -367,14 +372,14 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     ``holo_map`` turns w into the output holomorphic field w'.  ``keep``
     gives each output potential as ``(c, i)``, c times input potential i,
     or None for the one potential integrated from dz = ``integrand(w, dz a,
-    dz b)``, with the loop certificate enforced (cap 1e-8 with exact
-    callbacks, 50 h^2 without).  Its Laplacian callback follows from the
-    output coupling lap a' = weight' lap b'.  ``factor(w, w')`` is the
-    immersion factor: provenance records sup |imm' - factor imm| with
-    imm = dz a - weight dz b, next to ``head``, the loop residual and the
-    source's provenance.
+    dz b)``, with the loop certificate enforced (cap the certificate's
+    ``tol_exact`` with exact callbacks, 50 h^2 without).  Its Laplacian
+    callback follows from the output coupling lap a' = weight' lap b'.
+    ``factor(w, w')`` is the immersion factor: provenance records
+    sup |imm' - factor imm| with imm = dz a - weight dz b, next to
+    ``head``, the loop residual and the source's provenance.
     """
-    _, holo, a, b, source, report, weight, a_z, b_z, _ = cert
+    _, holo, a, b, source, report, weight, a_z, b_z, _, tol_exact = cert
     report.raise_for_failure()
     grid = holo.grid
     holo_out = holo_map(holo)
@@ -398,7 +403,7 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
             analytic = Analytic(value=value_cb)
         pr = integrate_primitive(
             ComplexField(grid, integrand(holo.values, a_z, b_z), analytic))
-        loop_cap = residual_cap(grid, exact, 50.0)
+        loop_cap = residual_cap(grid, exact, 50.0, tol_exact)
         if pr.loop_residual > loop_cap:
             what = head.get("transform") or "deform_" + head["family"]
             raise ValueError(
@@ -412,7 +417,8 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
                 return wt * _k.lap(u, v) if slot == 0 else _k.lap(u, v) / wt
             kw = {"lap": lap_cb}
             if out.analytic is not None:
-                kw.update(du=out.analytic._du, dv=out.analytic._dv)
+                kw.update((name, getattr(out.analytic, "_" + name))
+                          for name in ("du", "dv", "dz", "dzbar"))
             out = RealField(grid, out.values, Analytic(**kw))
         pots[slot] = out
         pots_z[slot] = wirtinger_dz(out).values
@@ -488,7 +494,10 @@ def deform_parabolic(data, lam):
         ga = g.analytic
         new_a = None
         if ga is not None and ga.has_value:
-            kw = {"value": lambda u, v: ga.value(u, v) / (1.0 + 1j * lam * ga.value(u, v))}
+            def value(u, v):
+                g_uv = ga.value(u, v)
+                return g_uv / (1.0 + 1j * lam * g_uv)
+            kw = {"value": value}
             if ga.has_first:
                 kw["dz"] = lambda u, v: ga.dz(u, v) / (1.0 + 1j * lam * ga.value(u, v)) ** 2
                 kw["dzbar"] = lambda u, v: ga.dzbar(u, v) / (1.0 + 1j * lam * ga.value(u, v)) ** 2

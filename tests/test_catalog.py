@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtsurf import catalog
 from mtsurf.catalog import (
     FIXTURE_NAMES,
     fixture_by_name,
@@ -175,3 +176,33 @@ def test_fixture_by_name_dispatch():
                                   "hyperbolic-catenoid-l3"}
     with pytest.raises(KeyError):
         fixture_by_name("nonsense")
+
+
+@pytest.mark.parametrize("name,tables", [
+    ("sigma-theta", lambda ct, st: ((ct, catalog._CHART_HYP), (st, catalog._CHART_DESITTER))),
+    ("two-param", lambda a, b: ((a, catalog._CHART_LIN_A), (b, catalog._CHART_LIN_B),
+                                (1.0, catalog._CHART_HYP))),
+    ("catenoid-r3", lambda *_: ((1.0, catalog._CHART_CATENOID),)),
+    ("hyperbolic-catenoid-l3", lambda *_: ((1.0, catalog._CHART_HYP_CATENOID),)),
+])
+def test_chart_samples_are_the_weighted_sum_of_their_parts(name, tables):
+    """Each chart coordinate is 0.0 + w1 f1 + w2 f2 + ... of its closed-form
+    parts evaluated on the grid nodes, summed in table order: the samples,
+    and so the fixture's anchor, are exactly that sum, bit for bit."""
+    grid = Grid2D(-1.5, 1.0, -1.2, 1.3, 13, 11)
+    params = {"sigma-theta": {"theta": 0.4}, "two-param": {"alpha": 0.3, "beta": -0.2}}
+    fx = fixture_by_name(name, grid=grid, params=params.get(name))
+    weights = {"sigma-theta": (math.cos(0.4), math.sin(0.4)),
+               "two-param": (0.3, -0.2)}.get(name, ())
+    U, V = grid.mesh()
+    for k, coord in enumerate(fx.chart):
+        total = 0.0
+        for w, table in tables(*weights):
+            total = total + w * np.asarray(table[k]["value"](U, V), dtype=float)
+        assert coord.values.tobytes() == np.asarray(total, dtype=float).tobytes()
+        assert fx.expected["anchor"][k] == float(total[0, 0])
+        # the summed callbacks keep the derivative slots of every part
+        u, v = 0.25, -0.5
+        for slot in ("du", "dv", "lap"):
+            want = sum(w * table[k][slot](u, v) for w, table in tables(*weights))
+            assert getattr(coord.analytic, slot)(u, v) == want

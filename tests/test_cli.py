@@ -562,3 +562,43 @@ class TestCertifiedOnce:
         path = TestSolve().descriptor(tmp_path, n=17)
         assert run(["solve", "--problem", path, "--generate", "--out", str(tmp_path)]) == 0
         self.assert_each_once(certified, 1)
+
+
+class TestTolExact:
+    """--tol-exact is the exact cap of every check in a run, the data
+    certifications and the cores' loop caps included."""
+
+    GRID = ["--fixture", "sigma-theta", "--grid", "-2:2:-2:2:17x17"]
+
+    def test_reaches_the_data_certification(self, tmp_path):
+        assert run(["generate"] + self.GRID + ["--tol-exact", "1e-20",
+                                                "--out", tmp_path]) == 1
+        doc = failed_run(str(tmp_path), "patch")
+        checks = check_map(doc)
+        assert checks["data_holomorphic"]["threshold"] == 1e-20
+        assert checks["data_compatible"]["threshold"] == 1e-20
+        assert "compatible   FAIL" in doc["error"]
+
+    def test_default_is_unchanged(self, tmp_path):
+        assert run(["generate"] + self.GRID + ["--out", tmp_path]) == 0
+        checks = check_map(manifest_of(str(tmp_path), "patch"))
+        for name in ("data_holomorphic", "data_compatible", "conformality", "loop_residual"):
+            assert checks[name]["threshold"] == 1e-8
+
+
+class TestStrictManifest:
+    def test_non_finite_check_value_is_a_string_and_fails(self, tmp_path):
+        manifest = cli.RunManifest("generate", {}, {"tol_exact": float("inf")})
+        manifest.add_check("nan_residual", float("nan"), 1.0)
+        manifest.add_check("inf_minimum", float("inf"), 0.0, "min_above")
+        manifest.add_check("finite", 0.5, 1.0)
+        manifest.reports["solver"] = {"residual_max": np.float64("nan")}
+        manifest.save(os.path.join(str(tmp_path), "run.manifest.json"))
+        doc = failed_run(str(tmp_path), "run")
+        checks = check_map(doc)
+        assert checks["nan_residual"]["value"] == "nan"
+        assert checks["inf_minimum"]["value"] == "inf"
+        assert not checks["nan_residual"]["passed"] and not checks["inf_minimum"]["passed"]
+        assert checks["finite"]["passed"]
+        assert doc["tolerances"]["tol_exact"] == "inf"
+        assert doc["reports"]["solver"]["residual_max"] == "nan"

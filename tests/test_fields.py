@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtsurf import fields
 from mtsurf.errors import GridMismatchError
 from mtsurf.fields import (
     Analytic,
@@ -264,6 +265,73 @@ class TestIntegratePrimitive:
         g = grid(5)
         with pytest.raises(ValueError):
             integrate_primitive(ComplexField(g, np.zeros(g.shape, complex)), order="spiral")
+
+
+class TestSharedQuadrature:
+    """k integrands sharing one evaluation of their inputs per node set."""
+
+    @staticmethod
+    def shared(calls=None):
+        def inputs(u, v):
+            if calls is not None:
+                calls.append(np.shape(u))
+            z = u + 1j * v
+            return np.exp(1j * z), np.cos(u) * np.exp(v) + 0j
+        integrands = [
+            lambda e, c: e,
+            lambda e, c: 1j * e * c + 0.5 * e,
+            lambda e, c: c * c - e,
+            lambda e, c: e / (2.0 + c),
+        ]
+        return inputs, integrands
+
+    @pytest.mark.parametrize("n_u,n_v", [(3, 3), (fields._QUAD_ROWS + 2, 7)])
+    def test_matches_one_integrate_primitive_per_field(self, n_u, n_v):
+        g = Grid2D(-1.0, 1.5, -0.5, 1.0, n_u, n_v)
+        inputs, integrands = self.shared()
+        U, V = g.mesh()
+        flds = [ComplexField(g, f(*inputs(U, V)),
+                             Analytic(value=lambda u, v, _f=f: _f(*inputs(u, v))))
+                for f in integrands]
+        together = fields._integrate_primitives(flds, inputs, integrands)
+        for fld, res in zip(flds, together):
+            alone = integrate_primitive(fld)
+            scale = sup_abs(alone.field.values)
+            assert sup_abs(res.field.values - alone.field.values) <= 1e-15 * scale
+            assert res.loop_residual == pytest.approx(alone.loop_residual, rel=1e-12, abs=1e-16)
+            assert res.field.values[0, 0] == 0.0
+
+    def test_inputs_evaluated_once_per_node_set_and_block(self):
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, fields._QUAD_ROWS + 2, 5)
+        calls = []
+        inputs, integrands = self.shared(calls)
+        flds = [ComplexField(g, np.zeros(g.shape, complex), Analytic(value=lambda u, v: u + 0j))
+                for _ in integrands]
+        fields._integrate_primitives(flds, inputs, integrands)
+        # two row blocks, each with a u-edge and a v-edge node set
+        assert [len(s) for s in calls] == [3, 3, 3, 3]
+        assert sum(s[0] for s in calls[0::2]) == g.n_u - 1
+        assert sum(s[0] for s in calls[1::2]) == g.n_u
+
+    def test_primitive_dz_callback_returns_the_integrand(self):
+        g = grid(9)
+        a = Analytic(value=lambda u, v: np.exp(1j * (u + 1j * v)))
+        res = integrate_primitive(ComplexField.sample(g, a))
+        out = res.field.analytic
+        u = np.linspace(-1.0, 1.0, 6)[:, None]
+        v = np.linspace(-1.0, 1.0, 4)[None, :]
+        np.testing.assert_array_equal(out.dz(u, v), a.value(u, v))
+        np.testing.assert_array_equal(out.dzbar(u, v), np.conj(a.value(u, v)))
+        np.testing.assert_array_equal(out.du(u, v), 2.0 * np.real(a.value(u, v)))
+
+    def test_needs_one_integrand_per_field_on_one_grid(self):
+        g = grid(5)
+        inputs, integrands = self.shared()
+        fld = ComplexField(g, np.zeros(g.shape, complex))
+        with pytest.raises(ValueError):
+            fields._integrate_primitives([fld, fld], inputs, integrands)
+        with pytest.raises(GridMismatchError):
+            fields._integrate_primitives([fld, ComplexField(grid(7), np.zeros((7, 7)))])
 
 
 class TestNormHelpers:

@@ -19,6 +19,7 @@ from mtsurf.fields import (
     load_field_csv,
     save_field_binary,
     save_field_csv,
+    write_document,
 )
 from mtsurf.poisson import (
     PoissonProblem,
@@ -231,3 +232,11 @@ _ordered_bounds = st.lists(st.floats(allow_nan=False, allow_infinity=False),
 def test_grid_spec_round_trip(u_bounds, v_bounds, n_u, n_v):
     g = Grid2D(*u_bounds, *v_bounds, n_u, n_v)
     assert Grid2D.from_spec(g.spec()) == g
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+def test_write_document_refuses_non_finite_floats(tmp_path, bad):
+    path = os.path.join(str(tmp_path), "doc.json")
+    with pytest.raises(ValueError):
+        write_document(path, {"format": "x", "v": [1.0, {"w": bad}]})
+    assert not os.path.exists(path)

@@ -7,6 +7,7 @@ from mtsurf import surfaces
 from mtsurf.catalog import fixture_classical, fixture_sigma_theta
 from mtsurf.errors import DomainError, InvalidDataError
 from mtsurf.fields import (
+    _QUAD_ROWS,
     Analytic,
     ComplexField,
     Grid2D,
@@ -197,6 +198,67 @@ def test_loop_certificate_rejects_nonintegrable_input():
     with pytest.raises(ValueError) as err:
         surfaces._integrate_coords(xz, None, residual_cap(g, False, 50.0), "represent_first")
     assert "loop residual" in str(err.value)
+
+
+def test_nonintegrable_coordinate_is_named():
+    # coordinates 1, 2 and 4 integrate z (dzbar z = 0); coordinate 3 is
+    # i conj(z), whose dzbar = i is not real, so only it breaks the loop cap
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
+
+    def inputs(u, v):
+        return (u + 1j * v,)
+
+    integrands = [lambda z: z, lambda z: 2.0 * z, lambda z: 1j * np.conj(z), lambda z: -z]
+    U, V = g.mesh()
+    xz = [ComplexField(g, f(U + 1j * V), Analytic(value=lambda u, v, _f=f: _f(*inputs(u, v))))
+          for f in integrands]
+    with pytest.raises(ValueError, match=r"represent_first: coordinate 3 loop residual"):
+        surfaces._integrate_coords(xz, None, 1e-8, "represent_first", inputs, integrands)
+
+
+def _counted(fld, calls, name):
+    """``fld`` with callbacks that record each evaluation on a Gauss node set
+    (3-D coordinate arrays; evaluations on the grid nodes are 2-D)."""
+    a = fld.analytic
+
+    def wrap(slot, cb):
+        def counted(u, v):
+            if np.ndim(u) == 3:
+                calls[name + "." + slot] = calls.get(name + "." + slot, 0) + 1
+            return cb(u, v)
+        return counted
+
+    slots = {"dz": a.dz, "dzbar": a.dzbar, "lap": a.lap}
+    if a.has_value:
+        slots["value"] = a.value
+    return type(fld)(fld.grid, fld.values,
+                     Analytic(**{k: wrap(k, cb) for k, cb in slots.items()}))
+
+
+@pytest.mark.parametrize("rep", ["first", "second", "third"])
+def test_represent_evaluates_each_input_once_per_node_set_block(rep):
+    n_u = _QUAD_ROWS + 2                            # two row blocks
+    fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 2.0, -2.0, 0.0, n_u, 9))
+    calls = {}
+    if rep == "second":
+        d = fx.data
+        triple = (d.holo, d.height, d.null_pot)
+    else:
+        d = second_to_first(fx.data)
+        triple = (d.gauss, d.pot1, d.pot2)
+        if rep == "third":
+            triple = (d.gauss, lincomb_real([(1.0, d.pot1), (-1.0, d.pot2)]),
+                      lincomb_real([(1.0, d.pot1), (1.0, d.pot2)]))
+    holo, a, b = (_counted(f, calls, name) for f, name in zip(triple, "wab"))
+    if rep == "first":
+        represent_first(WeierstrassFirst(holo, a, b))
+    elif rep == "second":
+        represent_second(type(fx.data)(holo, a, b))
+    else:
+        represent_third(holo, a, b)
+    # per block one u-edge and one v-edge node set, shared by the four
+    # coordinates; the potentials are read through dz only
+    assert calls == {"w.value": 4, "a.dz": 4, "b.dz": 4}
 
 
 # ---------------------------------------------------------------------------

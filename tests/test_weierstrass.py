@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtsurf import weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.errors import GridMismatchError, InvalidDataError, PoleError
 from mtsurf.fields import (
@@ -15,6 +16,7 @@ from mtsurf.fields import (
     sup_abs,
     wirtinger_dz,
 )
+from mtsurf.surfaces import represent_first
 from mtsurf.weierstrass import (
     WeierstrassFirst,
     WeierstrassSecond,
@@ -403,6 +405,58 @@ def test_one_invalid_triple_stops_every_transform():
     for _, kind, transform, _ in _TRANSFORMS:
         with pytest.raises(InvalidDataError, match=r"compatible\s+FAIL"):
             transform(triples[kind])
+
+
+def exp_iz_plane(g):
+    """First-kind data (exp(iz), u, 0): every certification residual is an
+    exact zero, while integrals of exp(-iz) keep a roundoff loop residual."""
+    gauss = ComplexField.sample(g, Analytic(
+        value=lambda u, v: np.exp(1j * (u + 1j * np.asarray(v))),
+        dz=lambda u, v: 1j * np.exp(1j * (u + 1j * np.asarray(v))),
+        dzbar=lambda u, v: z0(u, v) + 0j))
+    return WeierstrassFirst(gauss, linear_u(g), zero_real(g))
+
+
+def test_tol_exact_reaches_certification_and_loop_caps():
+    data = exp_iz_plane(grid(17))
+    cert = weierstrass._certificate(data, tol_exact=1e-300)
+    assert cert.report.ok and cert.tol_exact == 1e-300
+    assert cert.report.check("holomorphic").threshold == 1e-300
+    assert cert.report.check("compatible").threshold == 1e-300
+    # the loop caps of the transform core follow the certificate's cap
+    with pytest.raises(ValueError, match=r"first_to_second: loop residual .* exceeds 1\.000e-300"):
+        first_to_second(cert)
+    with pytest.raises(ValueError, match=r"represent_first: coordinate 1 loop .* exceeds 1\.000e-300"):
+        represent_first(cert)
+    assert first_to_second(weierstrass._certificate(data)).provenance["loop_residual"] > 0.0
+
+
+def test_parabolic_gauss_evaluates_its_input_once_per_call():
+    data = exp_iz_plane(grid(9))
+    calls = []
+    inner = data.gauss.analytic
+
+    def value(u, v):
+        calls.append(1)
+        return inner.value(u, v)
+
+    counted = WeierstrassFirst(ComplexField(data.grid, data.gauss.values,
+                                            Analytic(value=value, dz=inner.dz,
+                                                     dzbar=inner.dzbar)),
+                               data.pot1, data.pot2)
+    out = deform_parabolic(counted, 0.3).gauss.analytic
+    del calls[:]
+    out.value(0.1, 0.2)
+    assert len(calls) == 1
+    del calls[:]
+    out.dz(0.1, 0.2)
+    assert len(calls) == 1
+
+
+def test_integrated_potential_keeps_a_direct_dz():
+    out = first_to_second(exp_iz_plane(grid(9))).height.analytic
+    assert out._dz is not None and out._dzbar is not None and out.has_lap
+    np.testing.assert_allclose(out.dz(0.3, -0.2), np.exp(-1j * (0.3 - 0.2j)) / 2.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
