@@ -23,13 +23,7 @@ import numpy as np
 
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError, GridMismatchError, InvalidDataError, PoleError
-from .export import (
-    _jsonable,
-    load_patch_manifest,
-    save_obj,
-    save_patch_manifest,
-    save_ply,
-)
+from .export import _jsonable, _write_patch, load_patch_manifest
 from .fields import Grid2D, lincomb_real, read_document, save_field_csv, sup_abs, write_document
 from .lorentz import rotation
 from .poisson import PoissonProblem, SolverOptions, load_problem, solve_weighted_poisson
@@ -222,10 +216,10 @@ def _tolerances(args):
 
 
 def _mesh_artifacts(manifest, patch, out_dir, name):
-    manifest.add_artifacts(save_obj(patch, os.path.join(out_dir, name + ".obj")))
-    manifest.add_artifacts(save_ply(patch, os.path.join(out_dir, name + ".ply")))
-    manifest.add_artifacts(
-        save_patch_manifest(patch, os.path.join(out_dir, name + ".json")))
+    """OBJ, PLY and patch manifest of ``patch`` in one pass of the writer."""
+    stem = os.path.join(out_dir, name)
+    manifest.add_artifacts(_write_patch(patch, obj=stem + ".obj", ply=stem + ".ply",
+                                        manifest=stem + ".json"))
 
 
 _RUN_ERRORS = (DomainError, PoleError, InvalidDataError, GridMismatchError,

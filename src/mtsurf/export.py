@@ -6,19 +6,26 @@ re-verified.  OBJ carries only three coordinates, so the spatial part
 written to a per-vertex CSV channel next to the mesh; PLY stores all
 four coordinates as named double properties.  All writers format floats
 with 17 significant digits and emit rows in a fixed order, so identical
-patches produce byte-identical files; the rows come from the one row
-writer in :mod:`mtsurf.fields`, and the manifest's coordinate payloads
+patches produce byte-identical files.  The manifest's coordinate payloads
 are plain file names next to it.
+
+Every patch file comes from one streamed writer, ``_write_patch``: per
+block of nodes it formats x1..x4 once and appends that text to each file
+asked for, so a patch written as OBJ, PLY and manifest at once formats
+each coordinate once, not three times.  The public writers are its
+one-format cases.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
 import numpy as np
 
-from .fields import (Grid2D, _rows, load_payload, read_document, save_payload,
+from .fields import (_CSV_HEADER, _ROW_BLOCK, Grid2D, _block_text, _csv_text,
+                     _node_blocks, _text, load_payload, payload_path, read_document,
                      write_document)
 from .surfaces import patch_from_samples
 
@@ -29,6 +36,19 @@ __all__ = [
     "load_patch_manifest",
 ]
 
+_COORDS = ("x1", "x2", "x3", "x4")
+
+_OBJ_HEADER = ("# mtsurf patch mesh: vertices are (x1, x2, x3); the fourth"
+               "\n# coordinate is in the .x4.csv channel file\n")
+
+_PLY_HEADER = ("ply\nformat ascii 1.0\n"
+               "comment mtsurf patch mesh with all four ambient coordinates\n"
+               "element vertex %d\n"
+               "property double x1\nproperty double x2\n"
+               "property double x3\nproperty double x4\n"
+               "element face %d\n"
+               "property list uchar int vertex_indices\nend_header\n")
+
 
 def _faces(n_u, n_v):
     """(m, 3) vertex ids i*n_v + j (0-based), two triangles per grid cell
@@ -38,6 +58,82 @@ def _faces(n_u, n_v):
     return np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
 
 
+def _face_blocks(n_u, n_v):
+    """The faces of an n_u x n_v grid a few cell rows at a time: per block,
+    the text of the vertex ids it touches, each formatted once, and its
+    faces as indices into that text (the 0-based id; +1 gives the 1-based
+    one)."""
+    rows = max(1, _ROW_BLOCK // (2 * (n_v - 1)))
+    for i0 in range(0, n_u - 1, rows):
+        touched = min(rows, n_u - 1 - i0) + 1        # vertex rows of the block
+        yield (_text(np.arange(i0 * n_v, (i0 + touched) * n_v + 1), "%d"),
+               _faces(touched, n_v))
+
+
+def _write_patch(patch, obj=None, ply=None, manifest=None):
+    """Write the files of ``patch`` that are asked for, in one pass.
+
+    ``obj`` names the OBJ mesh, which gets its ``<obj>.x4.csv`` channel;
+    ``ply`` the PLY mesh; ``manifest`` the JSON manifest, which gets its
+    four coordinate payloads ``<stem>.x1.csv`` .. ``<stem>.x4.csv``.  Every
+    file is ASCII with ``\\n`` line ends.  For each block of nodes x1..x4
+    are formatted once and that text is appended to every open file, so
+    memory stays at block scale; faces follow the vertices.  Returns the
+    files written in the order of :func:`save_obj`, :func:`save_ply` and
+    :func:`save_patch_manifest`.
+    """
+    grid = patch.grid
+    n_u, n_v = grid.shape
+    x = patch.x_stack.reshape(4, -1)
+    written, refs, payloads = [], {}, []
+    with contextlib.ExitStack() as stack:
+        def start(path, header):
+            fh = stack.enter_context(open(path, "w", encoding="ascii", newline="\n"))
+            fh.write(header)
+            written.append(path)
+            return fh
+
+        if obj is not None:
+            obj_fh = start(obj, _OBJ_HEADER)
+            channel_fh = start(obj + ".x4.csv", "vertex,x4\n")
+        if ply is not None:
+            ply_fh = start(ply, _PLY_HEADER % (n_u * n_v, 2 * (n_u - 1) * (n_v - 1)))
+        if manifest is not None:
+            written.append(manifest)
+            for name in _COORDS:
+                refs[name], path = payload_path(manifest, name)
+                payloads.append(start(path, _CSV_HEADER))
+
+        for nodes, u, v in _node_blocks(grid):
+            text = [_text(c[nodes]) for c in x]
+            if obj is not None:
+                obj_fh.write(_block_text("v %s %s %s\n", text[:3]))
+                ids = np.arange(nodes.start + 1, nodes.start + len(text[3]) + 1)
+                channel_fh.write(_block_text("%d,%s\n", (ids, text[3])))
+            if ply is not None:
+                ply_fh.write(_block_text("%s %s %s %s\n", text))
+            for fh, coord in zip(payloads, text):
+                fh.write(_csv_text(u, v, coord))
+
+        if obj is not None or ply is not None:
+            for ids, faces in _face_blocks(n_u, n_v):
+                if obj is not None:
+                    obj_fh.write(_block_text("f %s %s %s\n", ids[faces + 1].T))
+                if ply is not None:
+                    ply_fh.write(_block_text("3 %s %s %s\n", ids[faces].T))
+
+    if manifest is not None:
+        write_document(manifest, {
+            "format": "mtsurf-patch",
+            "version": 1,
+            "grid": grid.to_dict(),
+            "fields": refs,
+            "invariants": _jsonable(patch.invariants),
+            "provenance": _jsonable(patch.provenance),
+        })
+    return written
+
+
 def save_obj(patch, path):
     """OBJ mesh of (x1, x2, x3) plus an x4 CSV channel alongside.
 
@@ -45,35 +141,12 @@ def save_obj(patch, path):
     holding ``vertex,x4`` rows aligned with the OBJ vertex numbering
     (vertices are 1-based in OBJ).
     """
-    x1, x2, x3, x4 = patch.x_stack
-    with open(path, "w") as fh:
-        fh.write("# mtsurf patch mesh: vertices are (x1, x2, x3); the fourth"
-                 "\n# coordinate is in the .x4.csv channel file\n")
-        fh.writelines(_rows("v %.17g %.17g %.17g\n", x1, x2, x3))
-        fh.writelines(_rows("f %d %d %d\n", *(_faces(*patch.grid.shape) + 1).T))
-
-    channel = path + ".x4.csv"
-    with open(channel, "w") as fh:
-        fh.write("vertex,x4\n")
-        fh.writelines(_rows("%d,%.17g\n", np.arange(1, x4.size + 1), x4))
-    return [path, channel]
+    return _write_patch(patch, obj=path)
 
 
 def save_ply(patch, path):
     """ASCII PLY with all four coordinates as double properties."""
-    faces = _faces(*patch.grid.shape)
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n"
-                 "comment mtsurf patch mesh with all four ambient coordinates\n"
-                 "element vertex %d\n"
-                 "property double x1\nproperty double x2\n"
-                 "property double x3\nproperty double x4\n"
-                 "element face %d\n"
-                 "property list uchar int vertex_indices\nend_header\n"
-                 % (patch.grid.n_u * patch.grid.n_v, len(faces)))
-        fh.writelines(_rows("%.17g %.17g %.17g %.17g\n", *patch.x_stack))
-        fh.writelines(_rows("3 %d %d %d\n", *faces.T))
-    return [path]
+    return _write_patch(patch, ply=path)
 
 
 def save_patch_manifest(patch, path):
@@ -83,19 +156,7 @@ def save_patch_manifest(patch, path):
     from the manifest, so :func:`load_patch_manifest` can rebuild the
     patch and re-check its invariants.
     """
-    refs, written = {}, []
-    for name, fld in zip(("x1", "x2", "x3", "x4"), patch.X):
-        refs[name], fpath = save_payload(fld, path, name)
-        written.append(fpath)
-    write_document(path, {
-        "format": "mtsurf-patch",
-        "version": 1,
-        "grid": patch.grid.to_dict(),
-        "fields": refs,
-        "invariants": _jsonable(patch.invariants),
-        "provenance": _jsonable(patch.provenance),
-    })
-    return [path] + written
+    return _write_patch(patch, manifest=path)
 
 
 def load_patch_manifest(path):
@@ -108,7 +169,7 @@ def load_patch_manifest(path):
     doc = read_document(path, "mtsurf-patch", "patch manifest")
     grid = Grid2D.from_dict(doc.get("grid", {}))
     coords = [np.real(load_payload(path, doc.get("fields", {}).get(name), name, grid).values)
-              for name in ("x1", "x2", "x3", "x4")]
+              for name in _COORDS]
     patch = patch_from_samples(grid, np.stack(coords),
                                provenance={"representation": "reloaded",
                                            "manifest": os.path.basename(path)})

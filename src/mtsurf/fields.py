@@ -26,9 +26,15 @@ reduced one integrand at a time.  :func:`integrate_primitive` is its
 one-field case.  A primitive F of E answers dz(F) with E and dzbar(F) with
 conj(E), one evaluation each.
 
-This module also owns persistence.  One row writer, ``_rows``, formats
-every ASCII table (field CSVs here, mesh vertices, faces and the x4
-channel in :mod:`mtsurf.export`) a block of rows per ``%``.  Every JSON
+This module also owns persistence, and every ASCII table (field CSVs
+here, mesh vertices, faces and the x4 channel in :mod:`mtsurf.export`)
+formats each number once.  ``_text`` turns a block of numbers into text
+in one ``%``; ``_block_text`` lays text columns out as rows, a block of
+rows per ``%``; ``_node_blocks`` walks a grid's nodes a block at a time
+with the u and v columns formatted once per axis value.  A field CSV
+writes an imaginary part that is +0.0 everywhere as the literal ``0``,
+and the patch writer formats each coordinate once for all of its files.
+Memory stays at block scale.  Every JSON
 document (data triples, patch manifests, problem descriptors, run
 manifests) goes through ``write_document``/``read_document``; field
 payloads are written by ``save_payload`` and resolved only by
@@ -372,7 +378,11 @@ def lincomb_real(pairs):
 
     ``pairs`` is a sequence of (weight, RealField) on one grid.  Callback
     slots (value, du, dv, duu, dvv, lap) survive only when every summand
-    provides them; derived slots (dz, dzbar) are left to the accessors.
+    provides them.  dz and dzbar become direct slots summing the
+    summands' own dz/dzbar when every summand has first derivatives, so a
+    primitive among them answers with one evaluation of its integrand,
+    not two through du and dv; halving is exact, so the values match
+    (du - i dv)/2 of the combined du and dv.
     """
     pairs = [(float(w), f) for w, f in pairs]
     if not pairs:
@@ -388,6 +398,11 @@ def lincomb_real(pairs):
                for w, f in pairs]
         if all(cb is not None for _, cb in cbs):
             def combined(u, v, _cbs=tuple(cbs)):
+                return sum(w * cb(u, v) for w, cb in _cbs)
+            slots[name] = combined
+    if all(f.analytic is not None and f.analytic.has_first for _, f in pairs):
+        for name in ("dz", "dzbar"):
+            def combined(u, v, _cbs=tuple((w, getattr(f.analytic, name)) for w, f in pairs)):
                 return sum(w * cb(u, v) for w, cb in _cbs)
             slots[name] = combined
     return RealField(grid, values, Analytic(**slots) if slots else None)
@@ -570,38 +585,82 @@ def integrate_primitive(field, order="rows"):
 # ---------------------------------------------------------------------------
 # serialization
 
-#: Rows formatted per ``%`` by :func:`_rows`: enough to amortise the call,
-#: few enough that the argument tuple and the text stay small.
+#: Rows per ``%`` of :func:`_block_text`, as nodes per block of
+#: :func:`_node_blocks`: enough to amortise the call, few enough that the
+#: argument tuple and the text stay small.
 _ROW_BLOCK = 4096
 
+#: First line of every field CSV.
+_CSV_HEADER = "u,v,re,im\n"
 
-def _rows(fmt, *columns):
-    """Text of ``fmt % row`` for the rows of equal-size columns, in blocks.
 
-    Each block becomes one object table, so integer columns stay Python
-    ints for ``%d`` and float columns Python floats for ``%.17g``.
-    """
-    columns = [np.ravel(c) for c in columns]
-    for start in range(0, columns[0].size, _ROW_BLOCK):
-        block = np.column_stack([c[start:start + _ROW_BLOCK].astype(object) for c in columns])
-        yield fmt * len(block) % tuple(block.ravel().tolist())
+def _block_text(fmt, columns):
+    """Text of ``fmt % row`` for the rows of one block of equal-length
+    columns, in one ``%``.  The columns become one object table, so
+    integer columns stay Python ints for ``%d`` and text columns strings
+    for ``%s``."""
+    block = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    return fmt * len(block) % tuple(block.ravel().tolist())
+
+
+def _text(values, fmt="%.17g"):
+    """The ``fmt`` text of each number in ``values``, formatted in one
+    ``%``, as an object array of strings."""
+    values = np.ravel(values)
+    return np.array(((fmt + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1],
+                    dtype=object)
+
+
+def _node_blocks(grid):
+    """The nodes of ``grid`` in row-major order, ``_ROW_BLOCK`` at a time:
+    per block, its slice of the flattened samples and the text of its u
+    and v columns.  Each axis value is formatted once, not once per node."""
+    u_text = _text(grid.axis_u)
+    v_text = _text(grid.axis_v)
+    size = grid.n_u * grid.n_v
+    for start in range(0, size, _ROW_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + _ROW_BLOCK, size)), grid.n_v)
+        yield slice(start, start + _ROW_BLOCK), u_text[i], v_text[j]
+
+
+def _csv_text(u, v, re, im=None):
+    """Field CSV rows ``u,v,re,im`` of one node block from the text of its
+    columns; ``im=None`` stands for an imaginary part of +0.0 at every
+    node, written as the literal ``0`` that ``%.17g`` gives it."""
+    if im is None:
+        return _block_text("%s,%s,%s,0\n", (u, v, re))
+    return _block_text("%s,%s,%s,%s\n", (u, v, re, im))
 
 
 def save_field_csv(field, path):
-    """Write ``u,v,re,im`` rows (u slowest), 17 significant digits."""
-    U, V = field.grid.mesh()
+    """Write ``u,v,re,im`` rows (u slowest), 17 significant digits, each
+    number formatted once: the grid columns once per axis value, and an
+    imaginary part that is +0.0 at every node as the literal ``0``."""
+    re = np.ravel(np.real(field.values))
+    im = np.ascontiguousarray(np.imag(field.values)).ravel()
+    if not im.view(np.uint64).any():      # bit patterns: -0.0 still prints -0
+        im = None
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("u,v,re,im\n")
-        fh.writelines(_rows("%.17g,%.17g,%.17g,%.17g\n", U, V,
-                            np.real(field.values), np.imag(field.values)))
+        fh.write(_CSV_HEADER)
+        for nodes, u, v in _node_blocks(field.grid):
+            fh.write(_csv_text(u, v, _text(re[nodes]),
+                               None if im is None else _text(im[nodes])))
 
 
 def load_field_csv(path):
     """Inverse of :func:`save_field_csv`.
 
     Returns a RealField when every imaginary part is exactly zero, else a
-    ComplexField.  Loaded fields carry no Analytic callbacks.
+    ComplexField.  Loaded fields carry no Analytic callbacks.  A file whose
+    first line is not the ``u,v,re,im`` header is refused with a
+    ValueError that names it, whatever its numeric rows hold.
     """
+    with open(path, encoding="ascii", errors="replace") as fh:
+        header = fh.readline()
+    if header != _CSV_HEADER:
+        raise ValueError("field CSV %r starts with %r, not the header %r"
+                         % (path, header[:80], _CSV_HEADER.rstrip("\n")))
+    # numpy parses a named file faster than a Python file object
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 4:
         raise ValueError("field CSV must have columns u,v,re,im")
@@ -711,17 +770,23 @@ def read_document(path, fmt, noun):
 _PAYLOAD_EXT = {"csv": "csv", "binary": "fld"}
 
 
-def save_payload(field, doc_path, tag, payload="csv"):
-    """Write ``field`` to ``<stem>.<tag>.csv|fld`` next to the document at
-    ``doc_path``; returns the document's ``{"file", "format"}`` entry and
-    the path written."""
+def payload_path(doc_path, tag, payload="csv"):
+    """The document's ``{"file", "format"}`` entry for payload ``tag`` and
+    the path it names: ``<stem>.<tag>.csv|fld`` next to the document at
+    ``doc_path``."""
     if payload not in _PAYLOAD_EXT:
         raise ValueError("payload must be 'csv' or 'binary'")
     stem = os.path.splitext(os.path.basename(doc_path))[0]
     fname = "%s.%s.%s" % (stem, tag, _PAYLOAD_EXT[payload])
-    path = os.path.join(os.path.dirname(doc_path), fname)
+    return {"file": fname, "format": payload}, os.path.join(os.path.dirname(doc_path), fname)
+
+
+def save_payload(field, doc_path, tag, payload="csv"):
+    """Write ``field`` to the payload file :func:`payload_path` names;
+    returns the document's entry and the path written."""
+    ref, path = payload_path(doc_path, tag, payload)
     (save_field_csv if payload == "csv" else save_field_binary)(field, path)
-    return {"file": fname, "format": payload}, path
+    return ref, path
 
 
 def load_payload(doc_path, ref, name, grid):

@@ -356,6 +356,20 @@ class TestVerify:
         assert "sigma.data.height.csv" in doc["error"]
         assert "line 21" in doc["error"]
 
+    def test_foreign_payload_header_fails_with_manifest(self, tmp_path):
+        out = str(tmp_path)
+        fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 9))
+        path = os.path.join(out, "sigma.data.json")
+        save_data(fx.data, path)
+        height = os.path.join(out, "sigma.data.height.csv")
+        with open(height) as fh:
+            lines = fh.read().splitlines()
+        with open(height, "w") as fh:
+            fh.write("\n".join(["x,y,z,w"] + lines[1:]) + "\n")
+        assert run(["verify", "--input", path, "--out", out, "--name", "foreign"]) == 1
+        error = failed_run(out, "foreign")["error"]
+        assert "sigma.data.height.csv" in error and "u,v,re,im" in error
+
     def test_quadric_check_recovers_fixture_anchor(self, tmp_path):
         out = str(tmp_path)
         fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17))

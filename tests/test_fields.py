@@ -11,6 +11,7 @@ from mtsurf.fields import (
     integrate_primitive,
     interior,
     laplacian,
+    lincomb_real,
     load_field_binary,
     load_field_csv,
     min_abs_location,
@@ -334,6 +335,50 @@ class TestSharedQuadrature:
             fields._integrate_primitives([fld, ComplexField(grid(7), np.zeros((7, 7)))])
 
 
+class TestLincomb:
+    def test_third_kind_coordinate_dz_evaluates_the_integrand_once(self, monkeypatch):
+        # pot1 -/+ pot2 are the third-kind coordinates; pot2 is a primitive
+        # whose dz is its integrand, pot1 has du and dv callbacks
+        from mtsurf.catalog import fixture_sigma_theta
+        from mtsurf.weierstrass import second_to_first
+
+        calls, depth = [], [0]
+        value = Analytic.value
+
+        def counted(self, u, v):
+            # only outermost evaluations: the integrand evaluates the
+            # holomorphic field's callbacks inside its own
+            if not depth[0]:
+                calls.append(self)
+            depth[0] += 1
+            try:
+                return value(self, u, v)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(Analytic, "value", counted)
+        first = second_to_first(fixture_sigma_theta(0.3, grid=grid(9, (-2, 2, -2, 2))).data)
+        for sign in (-1.0, 1.0):
+            coord = lincomb_real([(1.0, first.pot1), (sign, first.pot2)])
+            U, V = coord.grid.mesh()
+            calls.clear()
+            dz = coord.analytic.dz(U, V)
+            assert len(calls) == 1
+            dzbar = coord.analytic.dzbar(U, V)
+            # the same values, bit for bit, as (du -/+ i dv)/2 of the sums
+            split = Analytic(du=coord.analytic._du, dv=coord.analytic._dv)
+            np.testing.assert_array_equal(dz, split.dz(U, V))
+            np.testing.assert_array_equal(dzbar, split.dzbar(U, V))
+
+    def test_no_direct_dz_without_first_derivatives(self):
+        g = grid(5)
+        with_first = RealField.sample(g, Analytic(value=lambda u, v: u * v,
+                                                  du=lambda u, v: v, dv=lambda u, v: u))
+        value_only = RealField.sample(g, Analytic(value=lambda u, v: u + v))
+        coord = lincomb_real([(1.0, with_first), (2.0, value_only)])
+        assert coord.analytic._dz is None and not coord.analytic.has_first
+
+
 class TestNormHelpers:
     def test_interior_strips_one_ring(self):
         arr = np.arange(25.0).reshape(5, 5)
@@ -423,6 +468,17 @@ class TestSerialization:
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="kind byte 7"):
             load_field_binary(p)
+
+    def test_csv_foreign_header_rejected(self, tmp_path):
+        # a 4-column numeric CSV on a uniform grid, but not a field CSV
+        g = grid(4)
+        p = tmp_path / "f.csv"
+        save_field_csv(RealField(g, np.ones(g.shape)), p)
+        lines = p.read_text().splitlines()
+        for header in ("x,y,z,w", "", "u,v,re"):
+            p.write_text("\n".join([header] + lines[1:]) + "\n")
+            with pytest.raises(ValueError, match=r"f\.csv.*not the header 'u,v,re,im'"):
+                load_field_csv(p)
 
     def test_csv_non_finite_sample_rejected(self, tmp_path):
         g = grid(5)

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtsurf import cli
 from mtsurf.catalog import fixture_classical, fixture_sigma_theta
 from mtsurf.errors import GridMismatchError
 from mtsurf.export import _faces, load_patch_manifest, save_obj, save_patch_manifest, save_ply
@@ -30,7 +32,7 @@ from mtsurf.poisson import (
     named_weight,
     save_problem,
 )
-from mtsurf.surfaces import patch_from_chart
+from mtsurf.surfaces import patch_from_chart, patch_from_samples, represent_second
 from mtsurf.weierstrass import load_data, save_data
 
 
@@ -79,6 +81,84 @@ def test_writer_bytes_are_pinned(tmp_path):
     # digests recorded from the per-node writers; any reordering or
     # reformatting of rows, faces or documents changes them
     assert pinned_artifacts(str(tmp_path)) == PINNED
+
+
+def wide_artifacts(out):
+    """Every writer on inputs PINNED cannot reach: a 97x45 grid, more nodes
+    than one row block, whose axes need all 17 digits; a real field; and
+    complex fields whose imaginary parts are all +0.0 or mix +0.0 and -0.0."""
+    g = Grid2D(-2.0, 0.0, -1.0, 1.3, 97, 45)
+    U, V = g.mesh()
+    # arithmetic only, so the digits do not depend on libm
+    patch = patch_from_samples(g, np.stack([U, V, (U * U - V * V) / 3.0, U * V / 7.0]))
+    files = save_obj(patch, os.path.join(out, "wide.obj"))
+    files += save_ply(patch, os.path.join(out, "wide.ply"))
+    files += save_patch_manifest(patch, os.path.join(out, "wide.json"))
+    re = (U - 2.0 * V) / 3.0
+    signed = np.zeros(g.shape, dtype=complex)
+    signed.real = re
+    signed.imag = np.where(np.add(*np.indices(g.shape)) % 3 == 0, -0.0, 0.0)
+    for name, fld in (("wide-real.csv", RealField(g, re)),
+                      ("wide-complex.csv", ComplexField(g, re + 1j * (U * V / 7.0))),
+                      ("zero-im.csv", ComplexField(g, re + 0j)),
+                      ("signed-zero-im.csv", ComplexField(g, signed))):
+        save_field_csv(fld, os.path.join(out, name))
+        files.append(os.path.join(out, name))
+    # the manifest document itself is left out: its invariants go through
+    # numpy's complex kernels, whose last bit may differ between versions
+    return {os.path.basename(f): digest(f) for f in files if not f.endswith(".json")}
+
+
+WIDE_PINNED = {
+    "wide.obj": "95931ec1502b4b63e12c35eb272805b65cb617a43c5ecde0e9b2b7c31586cc06",
+    "wide.obj.x4.csv": "825a1763b5559f4144980a116e5585b513ffaae62e62dba35a3abdcc0f6ff1e9",
+    "wide.ply": "9b3c6d92d6b9b1eb93a85eb47f3e3712cdd675bd386dcd68b6ce2013725f0417",
+    "wide.x1.csv": "f624224a800229c36add3ea32cca24e1901cbb786c9b2ab616641848fee471b1",
+    "wide.x2.csv": "202ed5aeb5c4d5264b686fa8bec6a2a4251bec9ed91f44e0787667d022533c07",
+    "wide.x3.csv": "93a383d922e4815573dfcc7f71b06472ac5679a9d8356fb6459eff7940479b49",
+    "wide.x4.csv": "ae5b05e0f932a4246549901b895423161ed4c1904251485ef6bd5b987157c1f0",
+    "wide-real.csv": "0156de885b6b9e9693bea384e88a07b4d1402d3986e2b899753eb6e911d31c1d",
+    "wide-complex.csv": "b9ec475ee28288f0f2a83603136b74ea1f2010eaa8fc30e9fa3c9321e0e327ce",
+    "zero-im.csv": "0156de885b6b9e9693bea384e88a07b4d1402d3986e2b899753eb6e911d31c1d",
+    "signed-zero-im.csv": "259b567a4d23707dd0fb720e7124d6c9771e9d737f0ad657d8b1454ede1d5013",
+}
+
+
+def test_writer_bytes_are_pinned_past_one_row_block(tmp_path):
+    # digests recorded from the writers that formatted every node's u, v,
+    # re and im, and every patch coordinate once per file
+    assert wide_artifacts(str(tmp_path)) == WIDE_PINNED
+
+
+def test_signed_zero_imaginary_parts_keep_their_sign(tmp_path):
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 3, 3)
+    values = np.zeros(g.shape, dtype=complex)
+    values.imag[1, 2] = -0.0
+    path = os.path.join(str(tmp_path), "f.csv")
+    save_field_csv(ComplexField(g, values), path)
+    with open(path) as fh:
+        ims = [line.rsplit(",", 1)[1] for line in fh.read().splitlines()[1:]]
+    assert ims == ["0"] * 5 + ["-0"] + ["0"] * 3
+
+
+def test_cli_one_pass_patch_write_matches_the_separate_writers(tmp_path):
+    fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 0.0, -1.0, 1.3, 97, 45))
+    patch = represent_second(fx.data, anchor=fx.expected["anchor"])
+    one, apart = str(tmp_path / "one"), str(tmp_path / "apart")
+    os.mkdir(one)
+    os.mkdir(apart)
+    manifest = cli.RunManifest("generate", {}, {})
+    cli._mesh_artifacts(manifest, patch, one, "p")
+    files = save_obj(patch, os.path.join(apart, "p.obj"))
+    files += save_ply(patch, os.path.join(apart, "p.ply"))
+    files += save_patch_manifest(patch, os.path.join(apart, "p.json"))
+    names = [os.path.basename(f) for f in files]
+    assert [os.path.basename(f) for f in manifest.artifacts] == names
+    assert sorted(os.listdir(one)) == sorted(os.listdir(apart)) == sorted(names)
+    for name in names:
+        with open(os.path.join(one, name), "rb") as a, \
+                open(os.path.join(apart, name), "rb") as b:
+            assert a.read() == b.read(), name
 
 
 @pytest.mark.parametrize("n_u,n_v", [(3, 3), (5, 4), (4, 7), (9, 3)])
@@ -220,6 +300,56 @@ def test_field_payloads_round_trip_exactly(tmp_path_factory, fld):
         else:
             # a CSV field whose imaginary parts are all zero loads as real
             assert np.all(np.imag(fld.values) == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields())
+def test_field_csv_bytes_match_per_node_formatting(tmp_path_factory, fld):
+    path = os.path.join(str(tmp_path_factory.mktemp("csv")), "f.csv")
+    save_field_csv(fld, path)
+    U, V = fld.grid.mesh()
+    rows = zip(U.ravel().tolist(), V.ravel().tolist(),
+               np.real(fld.values).ravel().tolist(), np.imag(fld.values).ravel().tolist())
+    with open(path, "rb") as fh:
+        assert fh.read() == ("u,v,re,im\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)).encode("ascii")
+
+
+@settings(max_examples=30, deadline=None)
+@given(grids(), st.data())
+def test_patch_file_bytes_match_per_node_formatting(tmp_path_factory, g, data):
+    # the writers read only the grid, the coordinates, invariants and
+    # provenance of a patch, so any finite coordinates will do
+    n = g.n_u * g.n_v
+    x = np.array(data.draw(st.lists(finite, min_size=4 * n, max_size=4 * n))).reshape(4, n)
+    patch = SimpleNamespace(grid=g, x_stack=x.reshape((4,) + g.shape),
+                            invariants={}, provenance={})
+    d = str(tmp_path_factory.mktemp("mesh"))
+    save_obj(patch, os.path.join(d, "m.obj"))
+    save_ply(patch, os.path.join(d, "m.ply"))
+    save_patch_manifest(patch, os.path.join(d, "m.json"))
+    faces = _faces(*g.shape)
+    rows = list(zip(*x.tolist()))
+    U, V = g.mesh()
+    nodes = list(zip(U.ravel().tolist(), V.ravel().tolist()))
+    obj = ("# mtsurf patch mesh: vertices are (x1, x2, x3); the fourth\n"
+           "# coordinate is in the .x4.csv channel file\n"
+           + "".join("v %.17g %.17g %.17g\n" % r[:3] for r in rows)
+           + "".join("f %d %d %d\n" % tuple(f + 1) for f in faces))
+    channel = "vertex,x4\n" + "".join("%d,%.17g\n" % (k + 1, r[3]) for k, r in enumerate(rows))
+    ply = ("ply\nformat ascii 1.0\n"
+           "comment mtsurf patch mesh with all four ambient coordinates\n"
+           "element vertex %d\nproperty double x1\nproperty double x2\n"
+           "property double x3\nproperty double x4\nelement face %d\n"
+           "property list uchar int vertex_indices\nend_header\n" % (n, len(faces))
+           + "".join("%.17g %.17g %.17g %.17g\n" % r for r in rows)
+           + "".join("3 %d %d %d\n" % tuple(f) for f in faces))
+    payloads = [("m.x%d.csv" % (k + 1), "u,v,re,im\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g\n" % (u, v, r[k], 0.0) for (u, v), r in zip(nodes, rows)))
+        for k in range(4)]
+    for name, text in [("m.obj", obj), ("m.obj.x4.csv", channel), ("m.ply", ply)] + payloads:
+        with open(os.path.join(d, name), "rb") as fh:
+            assert fh.read() == text.encode("ascii"), name
 
 
 # an ascending pair of distinct finite floats (0.0 and -0.0 count as equal)
