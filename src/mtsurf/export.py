@@ -24,9 +24,9 @@ import os
 
 import numpy as np
 
-from .fields import (_CSV_HEADER, _ROW_BLOCK, Grid2D, _block_text, _csv_text,
-                     _node_blocks, _text, load_payload, payload_path, read_document,
-                     write_document)
+from .fields import (_CSV_HEADER, _ROW_BLOCK, _block_text, _csv_text, _node_blocks,
+                     _text, document_entry, document_grid, load_payload, payload_path,
+                     read_document, write_document)
 from .surfaces import patch_from_samples
 
 __all__ = [
@@ -167,8 +167,9 @@ def load_patch_manifest(path):
     the stored ones.
     """
     doc = read_document(path, "mtsurf-patch", "patch manifest")
-    grid = Grid2D.from_dict(doc.get("grid", {}))
-    coords = [np.real(load_payload(path, doc.get("fields", {}).get(name), name, grid).values)
+    grid = document_grid(path, doc)
+    refs = document_entry(path, doc, "fields", "the manifest", dict)
+    coords = [np.real(load_payload(path, refs.get(name), name, grid).values)
               for name in _COORDS]
     patch = patch_from_samples(grid, np.stack(coords),
                                provenance={"representation": "reloaded",

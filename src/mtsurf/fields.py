@@ -11,7 +11,8 @@ and ``j`` along v (axis 1).  The Wirtinger operators are
 so ``laplacian(f) == 4 * dz(dzbar(f))`` and a field is holomorphic exactly
 when ``dzbar(f) == 0``.
 
-Fields may carry an :class:`Analytic` bundle of closed-form callbacks.
+Fields may carry an :class:`Analytic` bundle of closed-form callbacks: it
+keeps value, dz, dzbar and lap, and takes du/dv and duu/dvv as input only.
 Operations use the callbacks when they are present (derivatives are then
 exact up to roundoff and path integrals switch to per-interval Gauss
 quadrature); otherwise they fall back to second-order finite differences
@@ -36,7 +37,9 @@ writes an imaginary part that is +0.0 everywhere as the literal ``0``,
 and the patch writer formats each coordinate once for all of its files.
 Memory stays at block scale.  Every JSON
 document (data triples, patch manifests, problem descriptors, run
-manifests) goes through ``write_document``/``read_document``; field
+manifests) goes through ``write_document``/``read_document``, and its
+entries are read through ``document_entry``, which names the document
+and the key of a missing or mistyped entry; field
 payloads are written by ``save_payload`` and resolved only by
 ``load_payload``, which accepts a plain file name next to the document
 and nothing else.
@@ -160,31 +163,44 @@ class Grid2D:
 
     @classmethod
     def from_dict(cls, d):
+        """The grid of a document's grid entry, coercing nothing: an object
+        whose node counts are integers and whose bounds are numbers."""
+        if not isinstance(d, dict):
+            raise ValueError("grid entry must be an object, got %r" % (d,))
         missing = [k for k in cls.__dataclass_fields__ if k not in d]
         if missing:
             raise ValueError("grid entry lacks %s" % ", ".join(missing))
+        for k in cls.__dataclass_fields__:
+            count = k.startswith("n_")
+            if isinstance(d[k], bool) or not isinstance(d[k], int if count else (int, float)):
+                raise ValueError("grid entry %r must be %s, got %r"
+                                 % (k, "an integer" if count else "a number", d[k]))
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 class Analytic:
     """Closed-form evaluation of a field and of its derivatives at arbitrary points.
 
-    Every callback takes broadcastable coordinate arrays ``(u, v)``.  Any
-    subset may be supplied: first derivatives either as the pair
-    ``(du, dv)`` or as the pair ``(dz, dzbar)``, the Laplacian either
-    directly (``lap``) or as ``duu + dvv``.  Missing quantities raise when
+    A bundle keeps four callbacks of broadcastable coordinate arrays
+    ``(u, v)``: value, dz, dzbar and lap.  A ``(du, dv)`` pair is stored as
+    dz, dzbar = (du -/+ i dv)/2 and a ``(duu, dvv)`` pair as lap = duu + dvv,
+    unless dz, dzbar or lap is given itself.  ``du`` and ``dv`` return the
+    complex dz + dzbar and i (dz - dzbar).  Missing quantities raise when
     requested; the ``has_*`` flags let callers pick a fallback.
     """
 
     def __init__(self, value=None, du=None, dv=None, dz=None, dzbar=None,
                  duu=None, dvv=None, lap=None):
+        if du is not None and dv is not None:
+            if dz is None:
+                dz = lambda u, v: (np.asarray(du(u, v)) - 1j * np.asarray(dv(u, v))) / 2.0
+            if dzbar is None:
+                dzbar = lambda u, v: (np.asarray(du(u, v)) + 1j * np.asarray(dv(u, v))) / 2.0
+        if lap is None and duu is not None and dvv is not None:
+            lap = lambda u, v: np.asarray(duu(u, v)) + np.asarray(dvv(u, v))
         self._value = value
-        self._du = du
-        self._dv = dv
         self._dz = dz
         self._dzbar = dzbar
-        self._duu = duu
-        self._dvv = dvv
         self._lap = lap
 
     # capability flags ----------------------------------------------------
@@ -194,56 +210,36 @@ class Analytic:
 
     @property
     def has_first(self):
-        return (self._du is not None and self._dv is not None) or (
-            self._dz is not None and self._dzbar is not None)
+        return self._dz is not None and self._dzbar is not None
 
     @property
     def has_lap(self):
-        return self._lap is not None or (self._duu is not None and self._dvv is not None)
+        return self._lap is not None
 
     # evaluation ----------------------------------------------------------
-    def _missing(self, name):
-        raise AttributeError("no %s callback available on this Analytic" % name)
+    @staticmethod
+    def _call(cb, name, u, v):
+        if cb is None:
+            raise AttributeError("no %s callback available on this Analytic" % name)
+        return np.asarray(cb(u, v))
 
     def value(self, u, v):
-        if self._value is None:
-            self._missing("value")
-        return np.asarray(self._value(u, v))
+        return self._call(self._value, "value", u, v)
 
     def du(self, u, v):
-        if self._du is not None:
-            return np.asarray(self._du(u, v))
-        if self._dz is not None and self._dzbar is not None:
-            return np.asarray(self._dz(u, v)) + np.asarray(self._dzbar(u, v))
-        self._missing("du")
+        return self.dz(u, v) + self.dzbar(u, v)
 
     def dv(self, u, v):
-        if self._dv is not None:
-            return np.asarray(self._dv(u, v))
-        if self._dz is not None and self._dzbar is not None:
-            return 1j * (np.asarray(self._dz(u, v)) - np.asarray(self._dzbar(u, v)))
-        self._missing("dv")
+        return 1j * (self.dz(u, v) - self.dzbar(u, v))
 
     def dz(self, u, v):
-        if self._dz is not None:
-            return np.asarray(self._dz(u, v))
-        if self._du is not None and self._dv is not None:
-            return (np.asarray(self._du(u, v)) - 1j * np.asarray(self._dv(u, v))) / 2.0
-        self._missing("dz")
+        return self._call(self._dz, "dz", u, v)
 
     def dzbar(self, u, v):
-        if self._dzbar is not None:
-            return np.asarray(self._dzbar(u, v))
-        if self._du is not None and self._dv is not None:
-            return (np.asarray(self._du(u, v)) + 1j * np.asarray(self._dv(u, v))) / 2.0
-        self._missing("dzbar")
+        return self._call(self._dzbar, "dzbar", u, v)
 
     def lap(self, u, v):
-        if self._lap is not None:
-            return np.asarray(self._lap(u, v))
-        if self._duu is not None and self._dvv is not None:
-            return np.asarray(self._duu(u, v)) + np.asarray(self._dvv(u, v))
-        self._missing("lap")
+        return self._call(self._lap, "lap", u, v)
 
 
 class _Field:
@@ -376,13 +372,10 @@ def min_abs_location(grid, arr):
 def lincomb_real(pairs):
     """Real linear combination sum of weight*field, keeping shared callbacks.
 
-    ``pairs`` is a sequence of (weight, RealField) on one grid.  Callback
-    slots (value, du, dv, duu, dvv, lap) survive only when every summand
-    provides them.  dz and dzbar become direct slots summing the
-    summands' own dz/dzbar when every summand has first derivatives, so a
-    primitive among them answers with one evaluation of its integrand,
-    not two through du and dv; halving is exact, so the values match
-    (du - i dv)/2 of the combined du and dv.
+    ``pairs`` is a sequence of (weight, RealField) on one grid.  Each
+    callback slot (value, dz, dzbar, lap) survives, as the weighted sum of
+    the summands' own callbacks, only when every summand provides it, so a
+    primitive among them answers dz with one evaluation of its integrand.
     """
     pairs = [(float(w), f) for w, f in pairs]
     if not pairs:
@@ -393,16 +386,10 @@ def lincomb_real(pairs):
             raise GridMismatchError("lincomb_real summands live on different grids")
     values = sum(w * f.values for w, f in pairs)
     slots = {}
-    for name in ("value", "du", "dv", "duu", "dvv", "lap"):
-        cbs = [(w, getattr(f.analytic, "_" + name, None) if f.analytic else None)
-               for w, f in pairs]
+    for name in ("value", "dz", "dzbar", "lap"):
+        cbs = [(w, getattr(f.analytic, "_" + name, None)) for w, f in pairs]
         if all(cb is not None for _, cb in cbs):
             def combined(u, v, _cbs=tuple(cbs)):
-                return sum(w * cb(u, v) for w, cb in _cbs)
-            slots[name] = combined
-    if all(f.analytic is not None and f.analytic.has_first for _, f in pairs):
-        for name in ("dz", "dzbar"):
-            def combined(u, v, _cbs=tuple((w, getattr(f.analytic, name)) for w, f in pairs)):
                 return sum(w * cb(u, v) for w, cb in _cbs)
             slots[name] = combined
     return RealField(grid, values, Analytic(**slots) if slots else None)
@@ -424,7 +411,6 @@ class PathIntegralResult:
 
     field: RealField
     loop_residual: float
-    order: str
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -482,52 +468,42 @@ def _edge_integrals_trapezoid(values, grid):
     return R, C
 
 
-def _accumulate(R, C, order):
-    """Primitive from the edge integrals, 0 at the origin node."""
-    if order == "rows":
-        along_row = np.concatenate([[0.0], np.cumsum(R[:, 0])])         # (n_u,)
-        up_columns = np.concatenate([np.zeros((C.shape[0], 1)), np.cumsum(C, axis=1)], axis=1)
-        return along_row[:, None] + up_columns
-    up_column = np.concatenate([[0.0], np.cumsum(C[0, :])])             # (n_v,)
-    along_rows = np.concatenate([np.zeros((1, R.shape[1])), np.cumsum(R, axis=0)], axis=0)
-    return up_column[None, :] + along_rows
+def _accumulate(R, C):
+    """Primitive from the edge integrals, 0 at the origin node: along the
+    first grid row, then up each column."""
+    along_row = np.concatenate([[0.0], np.cumsum(R[:, 0])])             # (n_u,)
+    up_columns = np.concatenate([np.zeros((C.shape[0], 1)), np.cumsum(C, axis=1)], axis=1)
+    return along_row[:, None] + up_columns
 
 
 def _primitive_analytic(a):
     """Callbacks of the primitive F of a field E with callbacks ``a``:
-    F_u = 2 Re E, F_v = -2 Im E, dz F = E and dzbar F = conj E, each one
-    evaluation of E, plus lap F = 4 Re dzbar E when E has a dzbar."""
+    dz F = E and dzbar F = conj E, each one evaluation of E, plus
+    lap F = 4 Re dzbar E when E has a dzbar."""
     if a is None or not a.has_value:
         return None
-
-    def f_du(u, v):
-        return 2.0 * np.real(a.value(u, v))
-
-    def f_dv(u, v):
-        return -2.0 * np.imag(a.value(u, v))
 
     def f_dzbar(u, v):
         return np.conj(a.value(u, v))
 
     lap_cb = None
-    if a.has_first or a._dzbar is not None:
+    if a._dzbar is not None:
         def lap_cb(u, v):
             return 4.0 * np.real(a.dzbar(u, v))
 
-    return Analytic(du=f_du, dv=f_dv, dz=a.value, dzbar=f_dzbar, lap=lap_cb)
+    return Analytic(dz=a.value, dzbar=f_dzbar, lap=lap_cb)
 
 
 def _coordinates(u, v):
     return u, v
 
 
-def _integrate_primitives(fields, inputs=None, integrands=None, order="rows"):
+def _integrate_primitives(fields, inputs=None, integrands=None):
     """Real primitives F_k with dz(F_k) = E_k of k complex fields on one grid,
     each anchored to F_k = 0 at the origin node, from one edge quadrature.
 
     Each F_k accumulates the edge integrals of 2 Re(E_k dz) first along the
-    grid rows then up the columns (``order="rows"``) or the other way
-    around (``order="columns"``).  Edge integrals use 5-point Gauss
+    first grid row, then up the columns.  Edge integrals use 5-point Gauss
     quadrature in blocks of ``_QUAD_ROWS`` grid rows when exact callbacks
     exist, trapezoid on the samples otherwise:
 
@@ -541,8 +517,6 @@ def _integrate_primitives(fields, inputs=None, integrands=None, order="rows"):
     exact first-derivative callbacks (see ``_primitive_analytic``) when its
     field has a value callback.
     """
-    if order not in ("rows", "columns"):
-        raise ValueError("order must be 'rows' or 'columns'")
     fields = tuple(fields)
     if not fields:
         raise ValueError("no field to integrate")
@@ -564,22 +538,22 @@ def _integrate_primitives(fields, inputs=None, integrands=None, order="rows"):
         circ = R_k[:, :-1] + C_k[1:, :] - R_k[:, 1:] - C_k[:-1, :]
         loop_residual = float(np.max(np.abs(circ))) if circ.size else 0.0
         results.append(PathIntegralResult(
-            RealField(grid, _accumulate(R_k, C_k, order), _primitive_analytic(f.analytic)),
-            loop_residual, order))
+            RealField(grid, _accumulate(R_k, C_k), _primitive_analytic(f.analytic)),
+            loop_residual))
     return results
 
 
-def integrate_primitive(field, order="rows"):
+def integrate_primitive(field):
     """Real primitive F with F_z = E, anchored to F = 0 at the origin node:
     the one-field case of :func:`_integrate_primitives`.
 
     Edge integrals use 5-point Gauss quadrature on the field's value
     callback, evaluated in row blocks, when it has one and trapezoid on the
-    samples otherwise.  The primitive keeps exact callbacks F_u = 2 Re E,
-    F_v = -2 Im E, dz F = E and dzbar F = conj E when the integrand had a
-    value callback, and lap F = 4 Re dzbar E when it also had a dzbar.
+    samples otherwise.  The primitive keeps exact callbacks dz F = E and
+    dzbar F = conj E when the integrand had a value callback, and
+    lap F = 4 Re dzbar E when it also had a dzbar.
     """
-    return _integrate_primitives([field], order=order)[0]
+    return _integrate_primitives([field])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +739,33 @@ def read_document(path, fmt, noun):
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValueError("not a %s: %r" % (noun, path))
     return doc
+
+
+_REQUIRED = object()
+
+
+def document_entry(path, spec, key, what, kind=object, default=_REQUIRED):
+    """``spec[key]`` of the document at ``path``, which must be a ``kind``;
+    ``default`` stands in for a missing key when given.  Otherwise a
+    ValueError names the document, ``what`` (the part of the document
+    ``spec`` is) and ``key``."""
+    if not isinstance(spec, dict) or (key not in spec and default is _REQUIRED):
+        raise ValueError("%r: %s has no %r entry" % (path, what, key))
+    value = spec.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError("%r: %s entry %r must be a JSON %s, got %r"
+                         % (path, what, key, "object" if kind is dict else kind.__name__,
+                            value))
+    return value
+
+
+def document_grid(path, doc):
+    """The :class:`Grid2D` of the ``"grid"`` entry of the document ``doc``
+    read from ``path``; a ValueError names the document."""
+    try:
+        return Grid2D.from_dict(doc.get("grid"))
+    except ValueError as exc:
+        raise ValueError("%r: %s" % (path, exc)) from None
 
 
 _PAYLOAD_EXT = {"csv": "csv", "binary": "fld"}

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .fields import (Analytic, Grid2D, RealField, load_payload, read_document,
-                     save_payload, write_document)
+from .fields import (Analytic, Grid2D, RealField, document_entry, document_grid,
+                     load_payload, read_document, save_payload, write_document)
 from .tolerances import EPS_IMMERSION, EPS_ZERO
 from .weierstrass import WeierstrassSecond, validate_second
 
@@ -370,14 +370,6 @@ def save_problem(problem, path, weight_name=None, source_name=None):
     })
 
 
-def _entry(path, spec, key, what):
-    """``spec[key]``, or a ValueError naming the descriptor, ``what`` and
-    the missing key."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ValueError("%r: %s has no %r entry" % (path, what, key))
-    return spec[key]
-
-
 def _load_field_entry(path, doc, tag, grid, named):
     entry = doc.get(tag)
     if not isinstance(entry, dict):
@@ -385,13 +377,14 @@ def _load_field_entry(path, doc, tag, grid, named):
     kind = entry.get("kind")
     what = "field %r" % tag
     if kind == "named":
-        name = _entry(path, entry, "name", what)
+        name = document_entry(path, entry, "name", what)
         try:
             return named(name, grid)
         except KeyError as exc:
             raise ValueError("%r: %s: %s" % (path, what, exc.args[0])) from None
     if kind == "constant":
-        return RealField(grid, np.full(grid.shape, float(_entry(path, entry, "value", what))))
+        value = float(document_entry(path, entry, "value", what))
+        return RealField(grid, np.full(grid.shape, value))
     if kind == "file":
         return RealField(grid, np.real(load_payload(path, entry, tag, grid).values))
     raise ValueError("unknown field spec kind %r" % kind)
@@ -402,30 +395,31 @@ def load_problem(path):
 
     An ``options.max_iter`` entry is accepted and ignored: existing
     descriptors carry one, and the direct solve has no iteration budget.
-    A missing entry or an unknown named field raises a ValueError naming
-    the descriptor and the key.
+    A missing entry, a grid or options entry that is not an object, a
+    non-integer node count or an unknown named field raises a ValueError
+    naming the descriptor and the key.
     """
     doc = read_document(path, "mtsurf-problem", "problem descriptor")
-    grid = Grid2D.from_dict(doc.get("grid", {}))
+    grid = document_grid(path, doc)
     weight = _load_field_entry(path, doc, "weight", grid, named_weight)
     source = _load_field_entry(path, doc, "source", grid, named_field)
-    bspec = _entry(path, doc, "boundary", "the descriptor")
-    kind = _entry(path, bspec, "kind", "boundary")
+    bspec = document_entry(path, doc, "boundary", "the descriptor")
+    kind = document_entry(path, bspec, "kind", "boundary")
     if kind == "edges":
-        edges = _entry(path, bspec, "edges", "boundary")
+        edges = document_entry(path, bspec, "edges", "boundary")
         for name in _EDGE_NAMES:
-            _entry(path, edges, name, "boundary edges")
+            document_entry(path, edges, name, "boundary edges")
         boundary = DirichletBoundary.from_dict(edges)
     elif kind == "constant":
-        boundary = _as_boundary(grid, float(_entry(path, bspec, "value", "boundary")))
+        boundary = _as_boundary(grid, float(document_entry(path, bspec, "value", "boundary")))
     elif kind == "named":
-        name = _entry(path, bspec, "name", "boundary")
+        name = document_entry(path, bspec, "name", "boundary")
         if name not in NAMED_FIELDS:
             raise ValueError("%r: unknown boundary %r; known: %s"
                              % (path, name, ", ".join(sorted(NAMED_FIELDS))))
         boundary = boundary_from_function(grid, NAMED_FIELDS[name]()[0])
     else:
         raise ValueError("unknown boundary spec kind %r" % kind)
-    opts = doc.get("options", {})
+    opts = document_entry(path, doc, "options", "the descriptor", dict, {})
     options = SolverOptions(target=float(opts.get("target", 1e-10)))
     return PoissonProblem(grid, weight, source, boundary, options)

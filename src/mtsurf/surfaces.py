@@ -44,7 +44,6 @@ from .fields import (
     sup_abs,
     sup_abs_interior,
     wirtinger_dz,
-    wirtinger_dzbar,
 )
 from .lorentz import complex_bilinear, minkowski_inner
 from .tolerances import PSI_CUTOFF, residual_cap
@@ -418,14 +417,14 @@ class LiuData:
     cutoff: float
 
 
-def liu_decompose(patch, cutoff=PSI_CUTOFF, use_fd=False):
+def liu_decompose(patch, cutoff=PSI_CUTOFF):
     """Factor a patch tangent field through the null-direction system.
 
-    With ``use_fd`` false the zbar-derivatives of the four tangent
-    combinations are read off the patch's assembled X_zzbar fields (exact
-    for represented patches); with ``use_fd`` true they are recomputed by
-    finite differences from the Xz samples, which turns the conditions
-    into a genuine O(h^2) cross-check of the construction.
+    The zbar-derivatives of the four tangent combinations are read off the
+    patch's real X_zzbar fields: lap(b)/4 times the null direction on a
+    represented patch; lap(X)/4 by finite differences, independent of the
+    Xz samples, on a chart patch (so on every reloaded one), which makes
+    condition4 an O(h^2) cross-check of the construction.
 
     Residual keys: condition1 = sup interior |Im dzbar(scale)|,
     condition2 = sup interior |Im dzbar(scale f1 f2)|, condition3 =
@@ -458,19 +457,11 @@ def liu_decompose(patch, cutoff=PSI_CUTOFF, use_fd=False):
     f1 = np.where(mask, psi_f1 / safe, 0.0)
     f2 = np.where(mask, psi_f2 / safe, 0.0)
 
-    if use_fd:
-        def dzbar_of(arr):
-            return wirtinger_dzbar(ComplexField(grid, arr)).values
-        psi_zb = dzbar_of(psi)
-        p1_zb = dzbar_of(psi_f1)
-        p2_zb = dzbar_of(psi_f2)
-        p12_zb = dzbar_of(psi_f1f2)
-    else:
-        xzzb = patch.xzzbar_stack
-        psi_zb = (xzzb[2] + xzzb[3]) / 2.0 + 0j
-        p1_zb = (xzzb[0] + 1j * xzzb[1]) / 2.0
-        p2_zb = (xzzb[0] - 1j * xzzb[1]) / 2.0
-        p12_zb = (-xzzb[2] + xzzb[3]) / 2.0 + 0j
+    xzzb = patch.xzzbar_stack
+    psi_zb = (xzzb[2] + xzzb[3]) / 2.0 + 0j
+    p1_zb = (xzzb[0] + 1j * xzzb[1]) / 2.0
+    p2_zb = (xzzb[0] - 1j * xzzb[1]) / 2.0
+    p12_zb = (-xzzb[2] + xzzb[3]) / 2.0 + 0j
 
     product = p1_zb * p2_zb - psi_zb * p12_zb
 

@@ -36,8 +36,9 @@ from .errors import GridMismatchError, InvalidDataError, PoleError
 from .fields import (
     Analytic,
     ComplexField,
-    Grid2D,
     RealField,
+    document_entry,
+    document_grid,
     integrate_primitive,
     laplacian,
     load_payload,
@@ -334,7 +335,7 @@ def _scaled_analytic(a, c):
     if a is None:
         return None
     kw = {}
-    for name in ("value", "du", "dv", "dz", "dzbar", "duu", "dvv", "lap"):
+    for name in ("value", "dz", "dzbar", "lap"):
         cb = getattr(a, "_" + name)
         if cb is not None:
             def scaled(u, v, _cb=cb, _c=c):
@@ -417,8 +418,7 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
                 return wt * _k.lap(u, v) if slot == 0 else _k.lap(u, v) / wt
             kw = {"lap": lap_cb}
             if out.analytic is not None:
-                kw.update((name, getattr(out.analytic, "_" + name))
-                          for name in ("du", "dv", "dz", "dzbar"))
+                kw.update(dz=out.analytic._dz, dzbar=out.analytic._dzbar)
             out = RealField(grid, out.values, Analytic(**kw))
         pots[slot] = out
         pots_z[slot] = wirtinger_dz(out).values
@@ -576,7 +576,7 @@ def load_data(path):
     kind = doc.get("kind")
     if kind not in _FIELD_NAMES:
         raise ValueError("unknown data kind %r" % (kind,))
-    grid = Grid2D.from_dict(doc.get("grid", {}))
-    holo, a, b = (load_payload(path, doc.get("fields", {}).get(name), name, grid)
-                  for name in _FIELD_NAMES[kind])
+    grid = document_grid(path, doc)
+    refs = document_entry(path, doc, "fields", "the document", dict)
+    holo, a, b = (load_payload(path, refs.get(name), name, grid) for name in _FIELD_NAMES[kind])
     return _CLASS[kind](ComplexField(grid, holo.values), a, b, doc.get("provenance", {}))

@@ -282,8 +282,13 @@ class TestSolve:
         (lambda d: d["source"].update(name="cosh"), ["'source'", "'cosh'"]),
         (lambda d: d.update(boundary={"kind": "named", "name": "cosh"}),
          ["boundary", "'cosh'"]),
+        (lambda d: d.update(options=[]), ["'options'"]),
+        (lambda d: d.update(grid=7), ["grid", "7"]),
+        # a document grid is not coerced: 9.7 and "9" are not node counts
+        (lambda d: d["grid"].update(n_u=9.7, n_v="9"), ["'n_u'", "9.7"]),
     ], ids=["no-boundary", "no-source-value", "empty-edges", "unknown-weight",
-            "unknown-source", "unknown-boundary"])
+            "unknown-source", "unknown-boundary", "list-options", "number-grid",
+            "non-integer-node-count"])
     def test_bad_descriptor_fails_with_manifest(self, tmp_path, edit, words):
         out = os.path.join(str(tmp_path), "out")
         path = self.descriptor(tmp_path, n=9)
@@ -454,6 +459,28 @@ class TestVerify:
         rc = run(["verify", "--input", path, "--out", out])
         assert rc == 1
         assert "n_v" in failed_run(out, "verify")["error"]
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("data", "grid", 5), ("data", "fields", []), ("patch", "fields", []),
+    ], ids=["data-grid", "data-fields", "patch-fields"])
+    def test_malformed_document_entry_fails_with_manifest(self, tmp_path, kind, key, value):
+        out = str(tmp_path)
+        if kind == "data":
+            fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 9))
+            path = os.path.join(out, "doc.json")
+            save_data(fx.data, path)
+        else:
+            assert run(["generate", "--fixture", "catenoid-r3", "--grid", "-1:1:-1:1:9x9",
+                        "--out", out, "--name", "doc"]) == 0
+            path = os.path.join(out, "doc.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert run(["verify", "--input", path, "--out", out]) == 1
+        error = failed_run(out, "verify")["error"]
+        assert "doc.json" in error and key in error
 
     def test_escaping_payload_fails_with_manifest(self, tmp_path):
         # the payloads of a valid document in a sibling directory, reached

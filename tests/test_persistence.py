@@ -244,6 +244,20 @@ def test_payload_grid_mismatch_is_typed(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_u", 9.7), ("n_v", "9"), ("n_u", True), ("n_v", 9.0),
+    ("u_min", "0"), ("v_max", False), ("u_max", None),
+])
+def test_grid_entry_is_not_coerced(key, value):
+    entry = {"u_min": -1, "u_max": 1.0, "v_min": 0, "v_max": 2.5, "n_u": 9, "n_v": 5}
+    assert Grid2D.from_dict(entry) == Grid2D(-1.0, 1.0, 0.0, 2.5, 9, 5)
+    entry[key] = value
+    with pytest.raises(ValueError, match="'%s'" % key):
+        Grid2D.from_dict(entry)
+    with pytest.raises(ValueError, match="object"):
+        Grid2D.from_dict([entry])
+
+
 def test_grid_entry_lacking_a_key_is_named():
     with pytest.raises(ValueError, match="lacks n_v"):
         Grid2D.from_dict({"u_min": 0.0, "u_max": 1.0, "v_min": 0.0, "v_max": 1.0,

@@ -398,9 +398,11 @@ def test_liu_exact_route_on_represented_patch():
 
 
 def test_liu_fd_route_is_second_order():
+    # the chart route takes X_zzbar as lap(X)/4 by finite differences of
+    # the coordinate samples, independently of the Xz samples
     fx = fixture_sigma_theta(0.0, grid=grid33())
     patch = represent_second(fx.data)
-    liu = liu_decompose(patch, use_fd=True)
+    liu = liu_decompose(patch_from_samples(fx.grid, patch.x_stack))
     cap = fd_cap(fx.grid, 50.0)
     res = liu.residuals
     for name in ("condition1", "condition2", "condition3"):
