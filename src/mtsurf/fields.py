@@ -48,6 +48,7 @@ and nothing else.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -744,17 +745,29 @@ def read_document(path, fmt, noun):
 _REQUIRED = object()
 
 
+def is_json_number(x):
+    """Whether ``x`` is a finite JSON number: an int or a float, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an integer beyond float range
+        return False
+
+
 def document_entry(path, spec, key, what, kind=object, default=_REQUIRED):
-    """``spec[key]`` of the document at ``path``, which must be a ``kind``;
+    """``spec[key]`` of the document at ``path``, which must be a ``kind``
+    (``float`` asks for a JSON number, see :func:`is_json_number`);
     ``default`` stands in for a missing key when given.  Otherwise a
     ValueError names the document, ``what`` (the part of the document
     ``spec`` is) and ``key``."""
     if not isinstance(spec, dict) or (key not in spec and default is _REQUIRED):
         raise ValueError("%r: %s has no %r entry" % (path, what, key))
     value = spec.get(key, default)
-    if not isinstance(value, kind):
+    if not (is_json_number(value) if kind is float else isinstance(value, kind)):
         raise ValueError("%r: %s entry %r must be a JSON %s, got %r"
-                         % (path, what, key, "object" if kind is dict else kind.__name__,
+                         % (path, what, key,
+                            {dict: "object", float: "number"}.get(kind, kind.__name__),
                             value))
     return value
 

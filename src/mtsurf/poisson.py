@@ -23,10 +23,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .fields import (Analytic, Grid2D, RealField, document_entry, document_grid,
-                     load_payload, read_document, save_payload, write_document)
+                     is_json_number, load_payload, read_document, save_payload,
+                     write_document)
 from .tolerances import EPS_IMMERSION, EPS_ZERO
 from .weierstrass import WeierstrassSecond, validate_second
 
@@ -73,11 +73,12 @@ class DirichletBoundary:
                                  % (name, got, want))
         scale = 1.0 + max(float(np.max(np.abs(getattr(self, n))))
                           for n in _EDGE_NAMES)
+        # Python floats: a gap beyond float range is inf, not an overflow warning
         corners = (
-            abs(self.u_min[0] - self.v_min[0]),
-            abs(self.u_min[-1] - self.v_max[0]),
-            abs(self.u_max[0] - self.v_min[-1]),
-            abs(self.u_max[-1] - self.v_max[-1]),
+            abs(float(self.u_min[0]) - float(self.v_min[0])),
+            abs(float(self.u_min[-1]) - float(self.v_max[0])),
+            abs(float(self.u_max[0]) - float(self.v_min[-1])),
+            abs(float(self.u_max[-1]) - float(self.v_max[-1])),
         )
         if max(corners) > 1e-10 * scale:
             raise ValueError("boundary edges disagree at a corner by %.3e"
@@ -98,8 +99,20 @@ class DirichletBoundary:
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(**{name: np.asarray(doc[name], dtype=float)
-                      for name in _EDGE_NAMES})
+        """The boundary of a descriptor's edges object, coercing nothing:
+        each edge must be a list of JSON numbers."""
+        edges = {}
+        for name in _EDGE_NAMES:
+            values = doc.get(name)
+            if not isinstance(values, list):
+                raise ValueError("boundary edge %r must be a list of JSON numbers, "
+                                 "got %r" % (name, values))
+            for i, x in enumerate(values):
+                if not is_json_number(x):
+                    raise ValueError("boundary edge %r entry %d must be a JSON "
+                                     "number, got %r" % (name, i, x))
+            edges[name] = np.array(values, dtype=float)
+        return cls(**edges)
 
 
 def boundary_from_function(grid, fn):
@@ -180,6 +193,10 @@ def solve_weighted_poisson(problem):
     larger, with a warning) and the floor itself.  Non-convergence is
     reported, not raised.
     """
+    # Only the solve needs scipy; importing it here keeps it out of every
+    # process that never solves (generate, deform, verify).
+    from scipy.fft import dstn, idstn
+
     grid = problem.grid
     h_u, h_v = grid.h_u, grid.h_v
 
@@ -377,17 +394,17 @@ def _load_field_entry(path, doc, tag, grid, named):
     kind = entry.get("kind")
     what = "field %r" % tag
     if kind == "named":
-        name = document_entry(path, entry, "name", what)
+        name = document_entry(path, entry, "name", what, str)
         try:
             return named(name, grid)
         except KeyError as exc:
             raise ValueError("%r: %s: %s" % (path, what, exc.args[0])) from None
     if kind == "constant":
-        value = float(document_entry(path, entry, "value", what))
+        value = float(document_entry(path, entry, "value", what, float))
         return RealField(grid, np.full(grid.shape, value))
     if kind == "file":
         return RealField(grid, np.real(load_payload(path, entry, tag, grid).values))
-    raise ValueError("unknown field spec kind %r" % kind)
+    raise ValueError("%r: %s has unknown kind %r" % (path, what, kind))
 
 
 def load_problem(path):
@@ -396,7 +413,8 @@ def load_problem(path):
     An ``options.max_iter`` entry is accepted and ignored: existing
     descriptors carry one, and the direct solve has no iteration budget.
     A missing entry, a grid or options entry that is not an object, a
-    non-integer node count or an unknown named field raises a ValueError
+    non-integer node count, a target, constant value or edge entry that
+    is not a JSON number, or an unknown named field raises a ValueError
     naming the descriptor and the key.
     """
     doc = read_document(path, "mtsurf-problem", "problem descriptor")
@@ -409,17 +427,22 @@ def load_problem(path):
         edges = document_entry(path, bspec, "edges", "boundary")
         for name in _EDGE_NAMES:
             document_entry(path, edges, name, "boundary edges")
-        boundary = DirichletBoundary.from_dict(edges)
+        try:
+            boundary = DirichletBoundary.from_dict(edges)
+        except ValueError as exc:
+            raise ValueError("%r: %s" % (path, exc)) from None
     elif kind == "constant":
-        boundary = _as_boundary(grid, float(document_entry(path, bspec, "value", "boundary")))
+        boundary = _as_boundary(
+            grid, float(document_entry(path, bspec, "value", "boundary", float)))
     elif kind == "named":
-        name = document_entry(path, bspec, "name", "boundary")
+        name = document_entry(path, bspec, "name", "boundary", str)
         if name not in NAMED_FIELDS:
             raise ValueError("%r: unknown boundary %r; known: %s"
                              % (path, name, ", ".join(sorted(NAMED_FIELDS))))
         boundary = boundary_from_function(grid, NAMED_FIELDS[name]()[0])
     else:
-        raise ValueError("unknown boundary spec kind %r" % kind)
+        raise ValueError("%r: boundary has unknown kind %r" % (path, kind))
     opts = document_entry(path, doc, "options", "the descriptor", dict, {})
-    options = SolverOptions(target=float(opts.get("target", 1e-10)))
+    options = SolverOptions(
+        target=float(document_entry(path, opts, "target", "options", float, 1e-10)))
     return PoissonProblem(grid, weight, source, boundary, options)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,13 +284,25 @@ class TestSolve:
         (lambda d: d["source"].update(name="cosh"), ["'source'", "'cosh'"]),
         (lambda d: d.update(boundary={"kind": "named", "name": "cosh"}),
          ["boundary", "'cosh'"]),
+        (lambda d: d.update(weight={"kind": "spline"}), ["'weight'", "'spline'"]),
         (lambda d: d.update(options=[]), ["'options'"]),
         (lambda d: d.update(grid=7), ["grid", "7"]),
         # a document grid is not coerced: 9.7 and "9" are not node counts
         (lambda d: d["grid"].update(n_u=9.7, n_v="9"), ["'n_u'", "9.7"]),
+        # nor is a scalar: a list or a bool is not a JSON number
+        (lambda d: d.update(options={"target": []}), ["options", "'target'"]),
+        (lambda d: d.update(options={"target": True}), ["options", "'target'"]),
+        (lambda d: d.update(source={"kind": "constant", "value": [1]}),
+         ["'source'", "'value'"]),
+        (lambda d: d.update(boundary={"kind": "constant", "value": [0]}),
+         ["boundary", "'value'"]),
+        # nor an edge value
+        (lambda d: d["boundary"].update(edges={name: ["0"] * 9 for name in (
+            "u_min", "u_max", "v_min", "v_max")}), ["boundary edge", "'u_min'"]),
     ], ids=["no-boundary", "no-source-value", "empty-edges", "unknown-weight",
-            "unknown-source", "unknown-boundary", "list-options", "number-grid",
-            "non-integer-node-count"])
+            "unknown-source", "unknown-boundary", "unknown-weight-kind", "list-options",
+            "number-grid", "non-integer-node-count", "list-target", "bool-target",
+            "list-constant-field", "list-constant-boundary", "string-edges"])
     def test_bad_descriptor_fails_with_manifest(self, tmp_path, edit, words):
         out = os.path.join(str(tmp_path), "out")
         path = self.descriptor(tmp_path, n=9)
@@ -543,6 +557,52 @@ def test_repeated_runs_are_deterministic(tmp_path):
             ha = hashlib.sha256(open(a, "rb").read()).hexdigest()
             hb = hashlib.sha256(open(b, "rb").read()).hexdigest()
             assert ha == hb, name
+
+
+_COLD_START = r"""
+import json, os, sys
+from mtsurf import cli
+
+out, problem = sys.argv[1:]
+grid = "--grid=-2:2:-2:2:17x17"
+codes = [cli.main(argv) for argv in (
+    ["generate", "--fixture", "sigma-theta", grid, "--out", out],
+    ["deform", "--fixture", "sigma-theta", grid, "--family", "elliptic",
+     "--parameter", "0.5", "--out", out],
+    ["verify", "--input", os.path.join(out, "patch.data.json"), "--out", out,
+     "--name", "data"],
+    ["verify", "--input", os.path.join(out, "patch.json"), "--out", out,
+     "--name", "patch-manifest"],
+)]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(cli.main(["solve", "--problem", problem, "--out", out]))
+print(json.dumps({"codes": codes, "scipy_before_solve": before,
+                  "fft_after_solve": "scipy.fft" in sys.modules}))
+"""
+
+
+def test_only_the_solve_imports_scipy(tmp_path):
+    """A fresh process that generates, deforms and verifies never loads
+    scipy; a solve loads its transform."""
+    problem = os.path.join(str(tmp_path), "problem.json")
+    with open(problem, "w") as fh:
+        json.dump({"format": "mtsurf-problem", "version": 1,
+                   "grid": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0,
+                            "v_max": 1.0, "n_u": 17, "n_v": 17},
+                   "weight": {"kind": "named", "name": "re-exp-iz"},
+                   "source": {"kind": "named", "name": "exp-v-cosh-u"},
+                   "boundary": {"kind": "named", "name": "sinh-u-sin-u"}}, fh)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, os.path.join(str(tmp_path), "out"), problem],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    assert result["scipy_before_solve"] == []
+    assert result["fft_after_solve"] is True
 
 
 class TestCertifiedOnce:

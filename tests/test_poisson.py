@@ -1,8 +1,11 @@
 import json
 import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.fields import Grid2D, RealField, sup_abs
@@ -21,6 +24,9 @@ from mtsurf.poisson import (
     save_problem,
     solve_weighted_poisson,
 )
+
+
+_EDGES = ("u_min", "u_max", "v_min", "v_max")
 
 
 def reference_problem(n, target=1e-10):
@@ -189,6 +195,17 @@ class TestBoundary:
         again = DirichletBoundary.from_dict(b.to_dict())
         np.testing.assert_array_equal(again.u_max, b.u_max)
 
+    def test_edge_values_are_not_coerced(self):
+        edges = {name: [0.0] * 9 for name in _EDGES}
+        assert DirichletBoundary.from_dict(edges).u_min.dtype == float
+        for bad in (["0"] * 9, [False] * 9, [[0.0]] * 9, "0", None):
+            with pytest.raises(ValueError, match="'v_min'"):
+                DirichletBoundary.from_dict(dict(edges, v_min=bad))
+        # arrays built in code are not descriptor entries and keep working
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
+        PoissonProblem(g, named_weight("one", g), named_field("zero", g),
+                       DirichletBoundary(*(np.zeros(9, dtype=np.float32),) * 4))
+
     def test_problem_grid_mismatch(self):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
         other = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
@@ -303,3 +320,63 @@ class TestDescriptors:
         U, _ = g.mesh()
         np.testing.assert_allclose(named_weight("tanh-u", g).values, np.tanh(U),
                                    rtol=1e-15)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _descriptor_with(slot, value, edge, index):
+    """A valid 9x9 descriptor with ``value`` put into one scalar slot."""
+    doc = {"format": "mtsurf-problem", "version": 1,
+           "grid": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0,
+                    "v_max": 1.0, "n_u": 9, "n_v": 9},
+           "weight": {"kind": "named", "name": "one"},
+           "source": {"kind": "named", "name": "zero"},
+           "boundary": {"kind": "edges", "edges": {name: [0.0] * 9 for name in _EDGES}},
+           "options": {"target": 1e-10}}
+    if slot == "target":
+        doc["options"]["target"] = value
+    elif slot == "field":
+        doc["source"] = {"kind": "constant", "value": value}
+    elif slot == "boundary":
+        doc["boundary"] = {"kind": "constant", "value": value}
+    else:
+        doc["boundary"]["edges"][edge][index] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["target", "field", "boundary", "edge"]), _json_values,
+       st.sampled_from(_EDGES), st.integers(0, 8))
+@example("target", True, "u_min", 0)
+@example("field", [1], "u_min", 0)
+@example("boundary", 10 ** 400, "u_min", 0)
+@example("edge", {}, "v_max", 4)
+@example("edge", -1.7e308, "u_min", 0)
+def test_descriptor_reader_refuses_mistyped_scalars(slot, value, edge, index):
+    """A mistyped scalar is a ValueError, never a TypeError or a silent
+    coercion; a number in a scalar slot is read as that number."""
+    number = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(_descriptor_with(slot, value, edge, index), fh)
+        if not number:
+            with pytest.raises(ValueError, match="problem.json"):
+                load_problem(path)
+            return
+        try:
+            problem = load_problem(path)
+        except ValueError:
+            # only an edge value can make a number inconsistent (a corner)
+            assert slot == "edge"
+            return
+    read = {"target": problem.options.target,
+            "field": problem.source.values[4, 4],
+            "boundary": problem.boundary.u_min[4],
+            "edge": getattr(problem.boundary, edge)[index]}[slot]
+    assert read == float(value)
