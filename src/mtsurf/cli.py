@@ -223,18 +223,19 @@ def _mesh_artifacts(manifest, patch, out_dir, name):
 
 
 _RUN_ERRORS = (DomainError, PoleError, InvalidDataError, GridMismatchError,
-               ValueError, OSError)
+               ValueError, OSError, MemoryError)
 
 
 def _run(args, command, inputs, body, table=False):
     """Run ``body(manifest)``, record an expected failure as the run's
-    error, save the manifest and return the exit status."""
+    error (an exception without a message by its class name, as a bare
+    MemoryError), save the manifest and return the exit status."""
     manifest = RunManifest(command, inputs, _tolerances(args))
     os.makedirs(args.out, exist_ok=True)
     try:
         body(manifest)
     except _RUN_ERRORS as exc:
-        manifest.error = str(exc)
+        manifest.error = str(exc) or type(exc).__name__
     path = manifest.save(os.path.join(args.out, args.name + ".manifest.json"))
     if table:
         _print_check_table(manifest)

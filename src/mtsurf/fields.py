@@ -22,10 +22,11 @@ accumulation, and tolerances downstream widen from 1e-8/1e-10 to C*h^2.
 Path integration has one core, ``_integrate_primitives``: k integrands
 that are functions of shared inputs are integrated from one evaluation of
 those inputs per Gauss node set (the u-edges and the v-edges), taken in
-blocks of ``_QUAD_ROWS`` grid rows so the scratch arrays stay small, and
-reduced one integrand at a time.  :func:`integrate_primitive` is its
-one-field case.  A primitive F of E answers dz(F) with E and dzbar(F) with
-conj(E), one evaluation each.
+blocks of ``_QUAD_ROWS`` = 48 grid rows, and reduced one integrand at a
+time, so each scratch array of a block holds at most 245 n_v samples
+whatever n_u is.  :func:`integrate_primitive` is its one-field case.  A
+primitive F of E answers dz(F) with E and dzbar(F) with conj(E), one
+evaluation each, and owns its accumulated samples without a copy.
 
 This module also owns persistence, and every ASCII table (field CSVs
 here, mesh vertices, faces and the x4 channel in :mod:`mtsurf.export`)
@@ -264,6 +265,23 @@ class _Field:
         self.analytic = analytic
 
     @classmethod
+    def _view(cls, grid, values, analytic=None):
+        """A field over ``values`` itself, not a copy of it: an array of the
+        field's dtype on the grid's shape that no one writes any more, such
+        as a fresh result or one row of a read-only stack.  It is made
+        read-only here."""
+        if values.dtype != cls._dtype or values.shape != grid.shape:
+            raise ValueError("a %s view needs a %s array of shape %r, got %s %r"
+                             % (cls.__name__, np.dtype(cls._dtype).name, grid.shape,
+                                values.dtype, values.shape))
+        values.setflags(write=False)
+        fld = cls.__new__(cls)
+        fld.grid = grid
+        fld.values = values
+        fld.analytic = analytic
+        return fld
+
+    @classmethod
     def sample(cls, grid, analytic):
         """Sample the closed form on the grid nodes and keep the callbacks."""
         U, V = grid.mesh()
@@ -417,9 +435,13 @@ class PathIntegralResult:
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 #: Grid rows per block of the Gauss edge quadrature.  A block evaluates the
-#: inputs on the 5 Gauss nodes of every edge in its rows, so each scratch
-#: array holds at most _QUAD_ROWS * 5 * n_v samples however large n_u is.
-_QUAD_ROWS = 96
+#: inputs on the 5 Gauss nodes of every edge in its rows (the last block
+#: also on the last row of v-edges), so each scratch array holds at most
+#: (_QUAD_ROWS + 1) * 5 * n_v = 245 n_v samples however large n_u is.  48
+#: rows give the same bits as 96 on every output; 32, 24 and 16 do not,
+#: since numpy's SIMD loops then split the elementwise work of a block
+#: differently.
+_QUAD_ROWS = 48
 
 
 def _row_blocks(grid):
@@ -539,7 +561,7 @@ def _integrate_primitives(fields, inputs=None, integrands=None):
         circ = R_k[:, :-1] + C_k[1:, :] - R_k[:, 1:] - C_k[:-1, :]
         loop_residual = float(np.max(np.abs(circ))) if circ.size else 0.0
         results.append(PathIntegralResult(
-            RealField(grid, _accumulate(R_k, C_k), _primitive_analytic(f.analytic)),
+            RealField._view(grid, _accumulate(R_k, C_k), _primitive_analytic(f.analytic)),
             loop_residual))
     return results
 

@@ -19,6 +19,12 @@ agreement and the coordinate identities are measured and recorded in
 ``SurfacePatch.invariants``.  The loop caps of the integration use the
 certificate's exact-callback cap.
 
+A patch stores each of its quantities once, as one read-only
+(4, n_u, n_v) stack that its route builds in place; the field tuples
+are views of the stacks' rows, and the invariants are formed one
+component at a time, so no stack is copied, conjugated or cast to
+complex as a whole.
+
 Patches can also be built directly from four coordinate fields
 (:func:`patch_from_chart`), with derivatives taken from callbacks when
 present and finite differences otherwise; that route is what reloaded or
@@ -29,7 +35,7 @@ assumptions beyond smoothness.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -68,46 +74,68 @@ __all__ = [
 class SurfacePatch:
     """A conformal patch with its derived geometry and residual summary.
 
-    ``X``, ``Xzzbar``, ``mean_curvature`` and ``gauss_map`` are 4-tuples
-    of RealFields, ``Xz`` a 4-tuple of ComplexFields; the ``*_stack``
-    properties expose them as (4, n_u, n_v) arrays for the Minkowski
-    algebra helpers.  ``invariants`` maps residual names to floats (see
-    ``_patch_invariants``); ``provenance`` records how the patch was made.
+    The patch stores x, Xz, X_zzbar, the mean curvature H and the Gauss map
+    once each, as read-only (4, n_u, n_v) stacks: ``x_stack``,
+    ``xz_stack`` (complex), ``xzzbar_stack``, ``h_stack`` and
+    ``gauss_stack``, the arrays the Minkowski algebra helpers take.  ``X``,
+    ``Xzzbar``, ``mean_curvature`` and ``gauss_map`` are 4-tuples of
+    RealFields and ``Xz`` a 4-tuple of ComplexFields, each a read-only view
+    of one row of its stack, not a copy; X and Xz keep the callbacks given
+    as ``x_callbacks`` and ``xz_callbacks``.  ``invariants`` maps residual
+    names to floats (see ``_patch_invariants``); ``provenance`` records how
+    the patch was made.  Comparing two patches compares no array.
     """
 
     grid: object
-    X: tuple
-    Xz: tuple
-    Xzzbar: tuple
+    x_stack: np.ndarray = field(compare=False, repr=False)
+    xz_stack: np.ndarray = field(compare=False, repr=False)
+    xzzbar_stack: np.ndarray = field(compare=False, repr=False)
     conformal_factor: RealField
-    mean_curvature: tuple
-    gauss_map: tuple
+    h_stack: np.ndarray = field(compare=False, repr=False)
+    gauss_stack: np.ndarray = field(compare=False, repr=False)
     provenance: dict = field(compare=False)
     invariants: dict = field(compare=False)
+    x_callbacks: InitVar[tuple] = None
+    xz_callbacks: InitVar[tuple] = None
+    X: tuple = field(init=False)
+    Xz: tuple = field(init=False)
+    Xzzbar: tuple = field(init=False)
+    mean_curvature: tuple = field(init=False)
+    gauss_map: tuple = field(init=False)
 
-    @property
-    def x_stack(self):
-        return np.stack([f.values for f in self.X])
-
-    @property
-    def xz_stack(self):
-        return np.stack([f.values for f in self.Xz])
-
-    @property
-    def xzzbar_stack(self):
-        return np.stack([f.values for f in self.Xzzbar])
-
-    @property
-    def h_stack(self):
-        return np.stack([f.values for f in self.mean_curvature])
-
-    @property
-    def gauss_stack(self):
-        return np.stack([f.values for f in self.gauss_map])
+    def __post_init__(self, x_callbacks, xz_callbacks):
+        for name, cls, stack, callbacks in (
+                ("X", RealField, self.x_stack, x_callbacks),
+                ("Xz", ComplexField, self.xz_stack, xz_callbacks),
+                ("Xzzbar", RealField, self.xzzbar_stack, None),
+                ("mean_curvature", RealField, self.h_stack, None),
+                ("gauss_map", RealField, self.gauss_stack, None)):
+            object.__setattr__(self, name, _views(cls, self.grid, stack, callbacks))
 
 
-def _patch_invariants(grid, x_stack, xz_stack, h_stack, gauss_stack,
-                      lam_values, closed_metric=None, extra=None):
+def _views(cls, grid, stack, callbacks=None):
+    """The rows of a (4, n_u, n_v) stack, made read-only, as ``cls`` fields
+    over the stack itself, with the given callbacks."""
+    stack.setflags(write=False)
+    return tuple(cls._view(grid, row, cb) for row, cb in zip(stack, callbacks or (None,) * 4))
+
+
+def _euclid_sq(h):
+    """Euclidean |h|^2 of a stack, one component at a time: the bits of
+    ``np.sum(h * h, axis=0)`` without its (4, n_u, n_v) product."""
+    return h[0] * h[0] + h[1] * h[1] + h[2] * h[2] + h[3] * h[3]
+
+
+def _measured_factor(xz):
+    """2 <Xz, conj Xz>, the conformal factor measured from Xz: the terms of
+    :func:`mtsurf.lorentz.complex_bilinear` in its order, each conjugating
+    one component rather than the whole stack."""
+    return 2.0 * np.real(xz[0] * np.conj(xz[0]) + xz[1] * np.conj(xz[1])
+                         + xz[2] * np.conj(xz[2]) - xz[3] * np.conj(xz[3]))
+
+
+def _patch_invariants(xz_stack, h_stack, gauss_stack, lam_values,
+                      closed_metric=None, extra=None):
     """Residual summary shared by every construction route.
 
     conformality   sup interior |<Xz, Xz>| (complex bilinear, no conj)
@@ -117,52 +145,61 @@ def _patch_invariants(grid, x_stack, xz_stack, h_stack, gauss_stack,
     gauss_null     sup interior |<gauss_map, gauss_map>|
     metric_agreement  sup |closed-form factor - 2 <Xz, conj Xz>| when a
                       closed form exists
+
+    Each product is formed one component at a time: the real Gauss map
+    meets Xz without a complex copy of its stack.
     """
     inv = {}
     inv["conformality"] = sup_abs_interior(complex_bilinear(xz_stack, xz_stack))
     inv["conformal_min"] = float(np.min(lam_values))
     hh = minkowski_inner(h_stack, h_stack)
-    h_norm_sq = np.sum(h_stack * h_stack, axis=0)
-    inv["mean_null"] = sup_abs_interior(hh / (1.0 + h_norm_sq))
-    inv["gauss_tangency"] = sup_abs_interior(complex_bilinear(xz_stack, gauss_stack))
+    inv["mean_null"] = sup_abs_interior(hh / (1.0 + _euclid_sq(h_stack)))
+    inv["gauss_tangency"] = sup_abs_interior(minkowski_inner(xz_stack, gauss_stack))
     inv["gauss_null"] = sup_abs_interior(minkowski_inner(gauss_stack, gauss_stack))
     if closed_metric is not None:
-        two_inner = 2.0 * np.real(complex_bilinear(xz_stack, np.conj(xz_stack)))
-        inv["metric_agreement"] = sup_abs(closed_metric - two_inner)
+        inv["metric_agreement"] = sup_abs(closed_metric - _measured_factor(xz_stack))
     if extra:
         inv.update(extra)
     return inv
 
 
-def _mean_curvature_fields(grid, xzzbar_fields, lam_values):
-    return tuple(RealField(grid, 4.0 * f.values / lam_values) for f in xzzbar_fields)
+def _mean_curvature_stack(xzzbar_stack, lam_values):
+    """H = (4 X_zzbar) / lam as one new stack, divided in place."""
+    h = 4.0 * xzzbar_stack
+    h /= lam_values
+    return h
 
 
 def _integrate_coords(xz_fields, anchor, loop_cap, what, inputs=None, integrands=None):
-    """Integrate the four tangent fields into coordinates, origin-anchored.
+    """Integrate the four tangent fields into one coordinate stack,
+    origin-anchored.
 
     ``anchor`` gives the value of each coordinate at the grid origin node
     (defaults to zero).  ``inputs`` and ``integrands``, when given, are the
-    shared quadrature of :func:`mtsurf.fields._integrate_primitives`.  Raises
-    when a loop certificate exceeds the cap, naming the coordinate.
+    shared quadrature of :func:`mtsurf.fields._integrate_primitives`.
+    Returns the (4, n_u, n_v) stack, the callbacks of each coordinate and
+    the worst loop residual.  Raises when a loop certificate exceeds the
+    cap, naming the coordinate.
     """
     if anchor is None:
         anchor = (0.0, 0.0, 0.0, 0.0)
     anchor = tuple(float(a) for a in anchor)
     if len(anchor) != 4:
         raise ValueError("anchor must supply four coordinate values")
-    coords = []
+    primitives = _integrate_primitives(xz_fields, inputs, integrands)
+    x = np.empty((4,) + xz_fields[0].grid.shape)
+    callbacks = []
     worst_loop = 0.0
-    for k, pr in enumerate(_integrate_primitives(xz_fields, inputs, integrands)):
+    for k, pr in enumerate(primitives):
         if pr.loop_residual > loop_cap:
             raise ValueError(
                 "%s: coordinate %d loop residual %.3e exceeds %.3e; tangent "
                 "field is not integrable on this grid"
                 % (what, k + 1, pr.loop_residual, loop_cap))
         worst_loop = max(worst_loop, pr.loop_residual)
-        coords.append(RealField(pr.field.grid, pr.field.values + anchor[k],
-                                pr.field.analytic))
-    return tuple(coords), worst_loop
+        np.add(pr.field.values, anchor[k], out=x[k])
+        callbacks.append(pr.field.analytic)
+    return x, tuple(callbacks), worst_loop
 
 
 def _shift_residual(actual, target):
@@ -243,40 +280,36 @@ def _represent(cert, anchor):
         def inputs(u, v, _w=holo.analytic, _a=a.analytic, _b=b.analytic):
             return _w.value(u, v), _a.dz(u, v), _b.dz(u, v)
 
-    xz_fields, integrands = [], []
-    for c1, c2 in zip(spec.frame1, spec.frame2):
-        def xz(w, a_z, b_z, _c1=c1, _c2=c2):
+    xz = np.empty((4,) + grid.shape, dtype=complex)
+    integrands, xz_callbacks = [], []
+    for k, (c1, c2) in enumerate(zip(spec.frame1, spec.frame2)):
+        def integrand(w, a_z, b_z, _c1=c1, _c2=c2):
             return a_z * _c1(w) + b_z * _c2(w)
-        analytic = None
-        if exact:
-            analytic = Analytic(value=lambda u, v, _xz=xz: _xz(*inputs(u, v)))
-        integrands.append(xz)
-        xz_fields.append(ComplexField(grid, xz(w, a_z, b_z), analytic))
-    X, worst_loop = _integrate_coords(xz_fields, anchor,
-                                      residual_cap(grid, exact, 50.0, tol_exact),
-                                      "represent_" + kind, inputs, integrands)
+        integrands.append(integrand)
+        xz_callbacks.append(Analytic(value=lambda u, v, _xz=integrand: _xz(*inputs(u, v)))
+                            if exact else None)
+        xz[k] = integrand(w, a_z, b_z)
+    x, x_callbacks, worst_loop = _integrate_coords(
+        _views(ComplexField, grid, xz, xz_callbacks), anchor,
+        residual_cap(grid, exact, 50.0, tol_exact), "represent_" + kind, inputs, integrands)
 
-    null_dir = spec.null_dir(w)
-    xzzbar_coeff = b_zzbar * spec.xzzbar_factor(w)
-    xzzbar = tuple(RealField(grid, xzzbar_coeff * n) for n in null_dir)
-    gauss_map = tuple(RealField(grid, n) for n in null_dir)
+    gauss = np.stack(spec.null_dir(w))
+    xzzbar = (b_zzbar * spec.xzzbar_factor(w)) * gauss
     lam_values = spec.scale(w) * np.abs(a_z - weight * b_z) ** 2
-    h_fields = _mean_curvature_fields(grid, xzzbar, lam_values)
+    h = _mean_curvature_stack(xzzbar, lam_values)
 
-    x_values = [f.values for f in X]
     coord_res = max(_shift_residual(actual, target) for actual, target
-                    in spec.identities(x_values, a.values, b.values))
+                    in spec.identities(x, a.values, b.values))
     provenance = {"representation": kind, "anchor": list(anchor or (0.0,) * 4)}
     if source is not None:
         provenance["source"] = dict(source)
     return SurfacePatch(
-        grid, X, tuple(xz_fields), xzzbar, RealField(grid, lam_values), h_fields,
-        gauss_map, provenance=provenance,
+        grid, x, xz, xzzbar, RealField._view(grid, lam_values), h, gauss,
+        provenance=provenance,
         invariants=_patch_invariants(
-            grid, np.stack(x_values), np.stack([f.values for f in xz_fields]),
-            np.stack([f.values for f in h_fields]), np.stack(null_dir),
-            lam_values, closed_metric=lam_values,
-            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
+            xz, h, gauss, lam_values, closed_metric=lam_values,
+            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}),
+        x_callbacks=x_callbacks, xz_callbacks=xz_callbacks)
 
 
 def represent_first(data, anchor=None):
@@ -339,29 +372,29 @@ def patch_from_chart(coords, provenance=None):
         if c.grid != grid:
             raise DomainError("chart coordinate fields live on different grids")
 
-    xz_fields = tuple(wirtinger_dz(c) for c in coords)
-    xzzbar = tuple(RealField(grid, laplacian(c).values / 4.0) for c in coords)
-    xz_stack = np.stack([f.values for f in xz_fields])
-    lam_values = 2.0 * np.real(complex_bilinear(xz_stack, np.conj(xz_stack)))
+    xz = np.empty((4,) + grid.shape, dtype=complex)
+    xzzbar = np.empty((4,) + grid.shape)
+    xz_callbacks = []
+    for k, c in enumerate(coords):
+        c_z = wirtinger_dz(c)
+        xz[k] = c_z.values
+        xz_callbacks.append(c_z.analytic)
+        np.divide(laplacian(c).values, 4.0, out=xzzbar[k])
+    lam_values = _measured_factor(xz)
     if np.min(lam_values) <= 0.0:
         u, v, mag = min_abs_location(grid, lam_values)
         raise DomainError(
             "chart is not spacelike on this grid: conformal factor %.3e "
             "near (u,v)=(%.6g, %.6g)" % (float(np.min(lam_values)), u, v))
-    lam = RealField(grid, lam_values)
-    h_fields = _mean_curvature_fields(grid, xzzbar, lam_values)
-    gauss_map = xzzbar
+    h = _mean_curvature_stack(xzzbar, lam_values)
 
-    patch = SurfacePatch(
-        grid, coords, xz_fields, xzzbar, lam, h_fields, gauss_map,
+    return SurfacePatch(
+        grid, np.stack([c.values for c in coords]), xz, xzzbar,
+        RealField._view(grid, lam_values), h, xzzbar,
         provenance=dict(provenance or {"representation": "chart"}),
-        invariants=_patch_invariants(
-            grid, np.stack([c.values for c in coords]), xz_stack,
-            np.stack([f.values for f in h_fields]),
-            np.stack([f.values for f in gauss_map]),
-            lam_values, closed_metric=None,
-            extra={"loop_residual": 0.0}))
-    return patch
+        invariants=_patch_invariants(xz, h, xzzbar, lam_values, closed_metric=None,
+                                     extra={"loop_residual": 0.0}),
+        x_callbacks=tuple(c.analytic for c in coords), xz_callbacks=tuple(xz_callbacks))
 
 
 def patch_from_samples(grid, coords_array, provenance=None):
@@ -386,7 +419,7 @@ def mean_curvature(patch):
         raise ValueError("degenerate conformal factor: min %.3e" % float(np.min(lam)))
     h_stack = patch.h_stack
     hh = minkowski_inner(h_stack, h_stack)
-    norm = np.sqrt(np.sum(h_stack * h_stack, axis=0))
+    norm = np.sqrt(_euclid_sq(h_stack))
     i, j = np.unravel_index(int(np.argmin(norm)), norm.shape)
     report = {
         "sup_null_residual": sup_abs_interior(hh / (1.0 + norm ** 2)),

@@ -687,6 +687,39 @@ class TestTolExact:
             assert checks[name]["threshold"] == 1e-8
 
 
+class TestMemoryError:
+    # the dependency raises at once: nothing large is ever allocated
+    @pytest.mark.parametrize("exc, text", [
+        (MemoryError(), "MemoryError"),
+        (MemoryError("Unable to allocate 7.63 TiB for an array"),
+         "Unable to allocate 7.63 TiB for an array"),
+    ])
+    def test_generate_ends_in_a_manifest(self, tmp_path, monkeypatch, exc, text):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "represent_second", exhausted)
+        out = str(tmp_path)
+        rc = run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+                  "--out", out, "--name", "oom"])
+        assert rc == 1
+        doc = failed_run(out, "oom")
+        assert doc["error"] == text
+        assert sorted(os.listdir(out)) == ["oom.manifest.json"]
+
+    def test_verify_ends_in_a_manifest(self, tmp_path, monkeypatch):
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_patch_manifest", exhausted)
+        out = str(tmp_path)
+        doc_path = os.path.join(out, "patch.json")
+        with open(doc_path, "w") as fh:
+            json.dump({"format": "mtsurf-patch"}, fh)
+        assert run(["verify", "--input", doc_path, "--out", out, "--name", "oom"]) == 1
+        assert failed_run(out, "oom")["error"] == "MemoryError"
+
+
 class TestStrictManifest:
     def test_non_finite_check_value_is_a_string_and_fails(self, tmp_path):
         manifest = cli.RunManifest("generate", {}, {"tol_exact": float("inf")})

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +348,74 @@ def test_patch_from_samples_round_trip():
     assert patch.invariants["conformal_min"] > 0.0
     with pytest.raises(ValueError):
         patch_from_samples(fx.grid, chart[:3])
+
+
+# ---------------------------------------------------------------------------
+# stored stacks and memory
+
+STACKS = {"X": "x_stack", "Xz": "xz_stack", "Xzzbar": "xzzbar_stack",
+          "mean_curvature": "h_stack", "gauss_map": "gauss_stack"}
+
+
+@pytest.mark.parametrize("route", ["represent", "chart"])
+def test_patch_fields_are_views_of_its_stored_stacks(route):
+    if route == "represent":
+        patch = represent_second(fixture_sigma_theta(0.3, grid=grid33()).data)
+    else:
+        chart = fixture_classical("catenoid-r3", grid=grid33()).chart
+        patch = patch_from_chart(chart)
+        assert all(f.analytic is c.analytic for f, c in zip(patch.X, chart))
+    for name, stack_name in STACKS.items():
+        stack = getattr(patch, stack_name)
+        assert getattr(patch, stack_name) is stack
+        assert stack.shape == (4,) + patch.grid.shape
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+        fields = getattr(patch, name)
+        assert len(fields) == 4
+        for k, f in enumerate(fields):
+            assert isinstance(f, ComplexField if name == "Xz" else RealField)
+            assert np.shares_memory(f.values, stack)
+            assert f.values.base is stack
+            np.testing.assert_array_equal(f.values, stack[k])
+            assert not f.values.flags.writeable
+            # exact callbacks survive on the coordinates and their dz
+            assert (f.analytic is not None) == (name in ("X", "Xz")), name
+    assert not patch.conformal_factor.values.flags.writeable
+
+
+def test_comparing_patches_compares_no_array():
+    assert {f.name for f in dataclasses.fields(SurfacePatch) if not f.compare} \
+        == set(STACKS.values()) | {"provenance", "invariants"}
+    data = fixture_sigma_theta(0.3, grid=grid33()).data
+    a, b = represent_second(data), represent_second(data)
+    assert a == a
+    assert a != b               # fields compare by identity, never elementwise
+
+
+def test_represent_second_traced_peak_is_bounded():
+    # a patch keeps 25 grid arrays (x, Xzzbar, H, the Gauss map, the
+    # conformal factor and the complex Xz); building it may hold at most 48
+    # at once above the call's start, where copying every quantity into a
+    # second stack peaked at 69
+    n = 257
+    fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, n, n))
+    represent_second(fx.data)                       # warm-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        patch = represent_second(fx.data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    arrays = (peak - start) / (8.0 * n * n)
+    assert arrays <= 48.0, "traced peak of %.1f grid arrays" % arrays
+    assert patch.invariants["conformality"] < 1e-8
 
 
 # ---------------------------------------------------------------------------
