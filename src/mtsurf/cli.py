@@ -24,7 +24,8 @@ import numpy as np
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError, GridMismatchError, InvalidDataError, PoleError
 from .export import _jsonable, _write_patch, load_patch_manifest
-from .fields import Grid2D, lincomb_real, read_document, save_field_csv, sup_abs, write_document
+from .fields import (Grid2D, document_entry, lincomb_real, read_document, save_field_csv,
+                     sup_abs, write_document)
 from .lorentz import rotation
 from .poisson import PoissonProblem, SolverOptions, load_problem, solve_weighted_poisson
 from .surfaces import (
@@ -375,11 +376,11 @@ def _anchor_for_data(data, args):
         if len(parts) != 4:
             raise ValueError("--anchor needs four comma-separated values")
         return tuple(parts)
-    prov = data.provenance or {}
+    prov = data.provenance
     name = prov.get("name")
     if name in FIXTURE_NAMES:
-        params = {k: float(prov[k]) for k in ("theta", "alpha", "beta")
-                  if k in prov}
+        params = {k: document_entry(args.input, prov, k, "the provenance", float)
+                  for k in ("theta", "alpha", "beta") if k in prov}
         fixture = fixture_by_name(name, grid=data.grid, params=params)
         return fixture.expected.get("anchor")
     return None

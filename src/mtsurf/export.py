@@ -10,9 +10,12 @@ patches produce byte-identical files.  The manifest's coordinate payloads
 are plain file names next to it.
 
 Every patch file comes from one streamed writer, ``_write_patch``: per
-block of nodes it formats x1..x4 once and appends that text to each file
-asked for, so a patch written as OBJ, PLY and manifest at once formats
-each coordinate once, not three times.  The public writers are its
+block of nodes it turns x1..x4 into text once, with the numpy kernel
+``fields._float_text``, and lays that text out as the rows of each file
+asked for, one ``write`` per file and block, so a patch written as OBJ,
+PLY and manifest at once formats each coordinate once, not three times.
+Face rows are slices of the text of the vertex ids of a block, each id
+formatted once by ``fields._int_text``.  The public writers are its
 one-format cases.
 """
 
@@ -24,9 +27,9 @@ import os
 
 import numpy as np
 
-from .fields import (_CSV_HEADER, _ROW_BLOCK, _block_text, _csv_text, _node_blocks,
-                     _text, document_entry, document_grid, load_payload, payload_path,
-                     read_document, write_document)
+from .fields import (_CSV_HEADER, _ROW_BLOCK, _csv_text, _float_text, _int_text,
+                     _node_blocks, _rows, document_entry, document_grid, load_payload,
+                     payload_path, read_document, write_document)
 from .surfaces import patch_from_samples
 
 __all__ = [
@@ -50,24 +53,27 @@ _PLY_HEADER = ("ply\nformat ascii 1.0\n"
                "property list uchar int vertex_indices\nend_header\n")
 
 
-def _faces(n_u, n_v):
-    """(m, 3) vertex ids i*n_v + j (0-based), two triangles per grid cell
-    (a, b, c) and (a, c, d), cells in row-major order."""
-    a = (np.arange(n_u - 1)[:, None] * n_v + np.arange(n_v - 1)).ravel()
-    b = a + n_v
-    return np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
-
-
 def _face_blocks(n_u, n_v):
     """The faces of an n_u x n_v grid a few cell rows at a time: per block,
-    the text of the vertex ids it touches, each formatted once, and its
-    faces as indices into that text (the 0-based id; +1 gives the 1-based
-    one)."""
+    the text of the ids i * n_v + j of the vertex rows it touches and of the
+    id after them, each formatted once.  Without the first row they are
+    the 1-based ids, without the last the 0-based ones."""
     rows = max(1, _ROW_BLOCK // (2 * (n_v - 1)))
     for i0 in range(0, n_u - 1, rows):
         touched = min(rows, n_u - 1 - i0) + 1        # vertex rows of the block
-        yield (_text(np.arange(i0 * n_v, (i0 + touched) * n_v + 1), "%d"),
-               _faces(touched, n_v))
+        yield _int_text(np.arange(i0 * n_v, (i0 + touched) * n_v + 1))
+
+
+def _face_text(lead, ids, n_v):
+    """Rows ``<lead>a b c`` of the faces of a block of cells, from the text
+    of the ids of its vertex rows: two triangles (a, b, b + 1) and
+    (a, b + 1, a + 1) per cell, a = (i, j) and b = (i + 1, j), cells in
+    row-major order.  The corners are slices of the id text, so no index
+    array is built."""
+    grid = ids.reshape(-1, n_v, ids.shape[-1])
+    a, b, b1, a1 = grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]
+    return _rows(lead, a[:, :, None], b" ", np.stack([b, b1], axis=2), b" ",
+                 np.stack([b1, a1], axis=2), b"\n")
 
 
 def _write_patch(patch, obj=None, ply=None, manifest=None):
@@ -77,10 +83,10 @@ def _write_patch(patch, obj=None, ply=None, manifest=None):
     ``ply`` the PLY mesh; ``manifest`` the JSON manifest, which gets its
     four coordinate payloads ``<stem>.x1.csv`` .. ``<stem>.x4.csv``.  Every
     file is ASCII with ``\\n`` line ends.  For each block of nodes x1..x4
-    are formatted once and that text is appended to every open file, so
-    memory stays at block scale; faces follow the vertices.  Returns the
-    files written in the order of :func:`save_obj`, :func:`save_ply` and
-    :func:`save_patch_manifest`.
+    are formatted once and their text is laid out as the rows of every open
+    file, one write per file, so memory stays at block scale; faces follow
+    the vertices.  Returns the files written in the order of
+    :func:`save_obj`, :func:`save_ply` and :func:`save_patch_manifest`.
     """
     grid = patch.grid
     n_u, n_v = grid.shape
@@ -88,8 +94,8 @@ def _write_patch(patch, obj=None, ply=None, manifest=None):
     written, refs, payloads = [], {}, []
     with contextlib.ExitStack() as stack:
         def start(path, header):
-            fh = stack.enter_context(open(path, "w", encoding="ascii", newline="\n"))
-            fh.write(header)
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write(header.encode("ascii"))
             written.append(path)
             return fh
 
@@ -105,22 +111,22 @@ def _write_patch(patch, obj=None, ply=None, manifest=None):
                 payloads.append(start(path, _CSV_HEADER))
 
         for nodes, u, v in _node_blocks(grid):
-            text = [_text(c[nodes]) for c in x]
+            x1, x2, x3, x4 = text = [_float_text(c[nodes]) for c in x]
             if obj is not None:
-                obj_fh.write(_block_text("v %s %s %s\n", text[:3]))
-                ids = np.arange(nodes.start + 1, nodes.start + len(text[3]) + 1)
-                channel_fh.write(_block_text("%d,%s\n", (ids, text[3])))
+                obj_fh.write(_rows(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
+                ids = _int_text(np.arange(nodes.start + 1, nodes.start + len(x4) + 1))
+                channel_fh.write(_rows(ids, b",", x4, b"\n"))
             if ply is not None:
-                ply_fh.write(_block_text("%s %s %s %s\n", text))
+                ply_fh.write(_rows(x1, b" ", x2, b" ", x3, b" ", x4, b"\n"))
             for fh, coord in zip(payloads, text):
                 fh.write(_csv_text(u, v, coord))
 
         if obj is not None or ply is not None:
-            for ids, faces in _face_blocks(n_u, n_v):
+            for ids in _face_blocks(n_u, n_v):
                 if obj is not None:
-                    obj_fh.write(_block_text("f %s %s %s\n", ids[faces + 1].T))
+                    obj_fh.write(_face_text(b"f ", ids[1:], n_v))
                 if ply is not None:
-                    ply_fh.write(_block_text("3 %s %s %s\n", ids[faces].T))
+                    ply_fh.write(_face_text(b"3 ", ids[:-1], n_v))
 
     if manifest is not None:
         write_document(manifest, {

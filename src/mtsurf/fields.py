@@ -30,13 +30,16 @@ evaluation each, and owns its accumulated samples without a copy.
 
 This module also owns persistence, and every ASCII table (field CSVs
 here, mesh vertices, faces and the x4 channel in :mod:`mtsurf.export`)
-formats each number once.  ``_text`` turns a block of numbers into text
-in one ``%``; ``_block_text`` lays text columns out as rows, a block of
-rows per ``%``; ``_node_blocks`` walks a grid's nodes a block at a time
-with the u and v columns formatted once per axis value.  A field CSV
-writes an imaginary part that is +0.0 everywhere as the literal ``0``,
-and the patch writer formats each coordinate once for all of its files.
-Memory stays at block scale.  Every JSON
+formats each number once, through one numpy text kernel:
+``_float_text`` and ``_int_text`` turn a block of numbers into the exact
+bytes of ``'%.17g'`` and ``'%d'`` as NUL-padded uint8 rows (the float
+kernel's docstring gives its exactness argument); ``_rows`` lays text
+columns side by side and drops the padding, one ``write`` per block;
+``_node_blocks`` walks a grid's nodes a block at a time with the u and v
+columns formatted once per axis value.  A field CSV writes an imaginary
+part that is +0.0 everywhere as the literal ``0``, and the patch writer
+formats each coordinate once for all of its files.  Memory stays at
+block scale.  Every JSON
 document (data triples, patch manifests, problem descriptors, run
 manifests) goes through ``write_document``/``read_document``, and its
 entries are read through ``document_entry``, which names the document
@@ -48,6 +51,7 @@ and nothing else.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -580,40 +584,250 @@ def integrate_primitive(field):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# number text: the bytes of '%.17g' and '%d', a block of numbers at a time
 
-#: Rows per ``%`` of :func:`_block_text`, as nodes per block of
-#: :func:`_node_blocks`: enough to amortise the call, few enough that the
-#: argument tuple and the text stay small.
+#: Nodes per block of :func:`_node_blocks`, and about the rows per ``write``
+#: of every ASCII writer: enough to amortise numpy's per-call cost, few
+#: enough that each scratch array of a block stays within a few hundred kB.
 _ROW_BLOCK = 4096
 
 #: First line of every field CSV.
 _CSV_HEADER = "u,v,re,im\n"
 
+_LD = np.longdouble
 
-def _block_text(fmt, columns):
-    """Text of ``fmt % row`` for the rows of one block of equal-length
-    columns, in one ``%``.  The columns become one object table, so
-    integer columns stay Python ints for ``%d`` and text columns strings
-    for ``%s``."""
-    block = np.column_stack([np.asarray(c, dtype=object) for c in columns])
-    return fmt * len(block) % tuple(block.ravel().tolist())
+#: Decimal exponents X of the scaled product, and for each the factor
+#: 10^(16 - X) rounded to the nearest longdouble.
+_X_LOW, _X_HIGH = -101, 100
 
 
-def _text(values, fmt="%.17g"):
-    """The ``fmt`` text of each number in ``values``, formatted in one
-    ``%``, as an object array of strings."""
-    values = np.ravel(values)
-    return np.array(((fmt + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1],
-                    dtype=object)
+def _powers_of_ten():
+    """10^(16 - X) for X in [_X_LOW, _X_HIGH], each rounded to the nearest
+    longdouble: its top bits m by integer division, then m 2^q assembled
+    from four exact 32-bit pieces (mantissas of up to 128 bits)."""
+    bits = np.finfo(_LD).nmant + 1
+    pieces, scales = [], []
+    for k in range(16 - _X_LOW, 16 - _X_HIGH - 1, -1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        q = num.bit_length() - den.bit_length() - bits
+        if (num << max(-q, 0)) // (den << max(q, 0)) >> bits:
+            q += 1
+        a, b = num << max(-q, 0), den << max(q, 0)
+        m = (2 * a + b) // (2 * b)
+        pieces.append([(m >> shift) & 0xFFFFFFFF for shift in range(96, -1, -32)])
+        scales.append(math.ldexp(1.0, q))
+    pieces = np.array(pieces, dtype=np.float64).astype(_LD)
+    value = pieces[:, 0]
+    for piece in pieces.T[1:]:
+        value = value * 2.0 ** 32 + piece
+    return value * np.array(scales).astype(_LD)
+
+
+#: Half-width, per unit of the scaled product, of the window around a
+#: half-integer inside which its fraction does not decide the rounding
+#: (see :func:`_decimal`).
+_TIE_WINDOW = 1.01 * float(np.finfo(_LD).eps)
+
+
+def _quad_tables():
+    """The four digits "dddd" of 0..9999 as little-endian uint32 words, and
+    the trailing zeros of each (4 for "0000")."""
+    digits, rest = np.empty((10000, 4), np.uint8), np.arange(10000, dtype=np.int16)
+    zeros, tail = np.zeros(10000, np.uint8), np.ones(10000, bool)
+    for k in (3, 2, 1, 0):
+        rest, digits[:, k] = np.divmod(rest, 10)
+        tail &= digits[:, k] == 0
+        zeros += tail
+    return (digits + np.uint8(48)).view("<u4").ravel(), zeros
+
+
+# One slot per character '%.17g' may print, at fixed columns: the sign; the
+# "0.000" of fixed notation below 1; the 17 digits, each of the first 16
+# followed by a dot slot; and "e+" or "e-" and two exponent digits.  A layout
+# keeps the slots that one notation, sign and number of digits use.
+_DIGIT_SLOTS = slice(6, 39, 2)
+_SLOTS = np.frombuffer(b"-0.000" + b"\0." * 16 + b"\0e+-\0\0", np.uint8)
+#: Notations (X + 4) * 17 + nz - 1, -4 <= X <= 16, are fixed, and
+#: _FIXED + nz - 1 (+ 17 for X < 0) scientific, nz the digits left after
+#: trailing zeros are stripped.
+_FIXED = 21 * 17
+
+
+def _layouts():
+    """Slot masks (255 keeps, 0 drops): layout 2 notation + (x < 0) for each
+    notation (see ``_FIXED``), and a last one that keeps nothing."""
+    x = np.repeat(np.arange(-4, 17), 17)[:, None]
+    nz = np.tile(np.arange(1, 18), 21)[:, None]
+    j = np.arange(17)
+    fixed = np.zeros((_FIXED, 44), bool)
+    fixed[:, 1:3] = x < 0                                   # "0."
+    fixed[:, 3:6] = (x < 0) & (j[:3] < -x - 1)              # its zeros
+    fixed[:, _DIGIT_SLOTS] = j < np.where(x < 0, nz, np.maximum(nz, x + 1))
+    fixed[:, 7:38:2] = (j[:16] == x) & (nz > x + 1)         # the dot after digit X
+    nz = np.tile(np.arange(1, 18), 2)[:, None]
+    sci = np.zeros((34, 44), bool)
+    sci[:, _DIGIT_SLOTS] = j < nz
+    sci[:, 7] = nz[:, 0] > 1
+    sci[:, 39] = sci[:, 42:] = True
+    sci[:17, 40] = sci[17:, 41] = True                      # "e+", "e-"
+    table = np.repeat(np.concatenate([fixed, sci]), 2, axis=0)
+    table[1::2, 0] = True                                   # "-"
+    return np.concatenate([table, np.zeros((1, 44), bool)]).astype(np.uint8) * np.uint8(255)
+
+
+@functools.cache
+def _text_tables():
+    """The kernel's tables, built on first use, so a process that writes
+    no text builds none: the scale factors, the digit words and trailing
+    zeros of 0..9999, and the layout masks."""
+    return (_powers_of_ten(),) + _quad_tables() + (_layouts(),)
+
+
+def _decimal(x):
+    """The 17-digit integer D and decimal exponent X of each |x| of the
+    float64 array ``x``, round(|x| 10^(16-X)) = D with 10^16 <= D < 10^17,
+    and the indices of the values this fast path leaves to '%.17g' %.
+
+    Exactness:
+
+    * X comes from log10 |x| and T = 10^(16-X) from a table rounded to
+      the nearest longdouble, so s = |x| T in longdouble carries at most
+      two roundings of eps/2 each: |s - |x| 10^(16-X)| < (eps + eps^2) s;
+    * D0 = trunc(s) and the fraction f = s - D0 are exact (s < 2^63, and
+      f is a multiple of ulp(s) >= 2^-10, which a float64 holds), and
+      D = D0 + (f > 1/2);
+    * so when f is farther than 1.01 eps D from 1/2 and 10^16 < D < 10^17,
+      no half-integer and no power of 10 lies between s and the exact
+      product: D and X are what '%.17g' rounds |x| to.
+
+    Left out: zeros, non-finite values, |x| outside (1e-98, 1e98), D =
+    10^16 or 10^17 (powers of ten and carries into the next decade), and
+    the window, which holds about 1% of other values.  Where longdouble is
+    a plain double the window covers every fraction and every value is
+    left out: slower, still exact.
+    """
+    pow10 = _text_tables()[0]
+    a = np.abs(x)
+    fast = (a > 1e-98) & (a < 1e98)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    wide = a.astype(_LD)
+    s = wide * pow10[e - _X_LOW]
+    d = s.astype(np.int64)
+    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))       # X was one off
+    if off.size:
+        e[off] += np.where(d[off] < 10 ** 16, -1, 1)
+        s[off] = wide[off] * pow10[e[off] - _X_LOW]
+        d[off] = s[off].astype(np.int64)
+    f = (s - d).astype(np.float64)
+    d += f > 0.5
+    return d, e, np.flatnonzero(~fast | (np.abs(f - 0.5) <= d * _TIE_WINDOW)
+                                | (d <= 10 ** 16) | (d >= 10 ** 17))
+
+
+def _digit_words(d):
+    """The 17 digits of each D of ``d`` as five little-endian uint32 words
+    (the first digit in the last byte of the first word), and how many of
+    them are trailing zeros."""
+    _, digits4, zeros4, _ = _text_tables()
+    hi, lo = np.divmod(d, 10 ** 8)
+    first, hi = np.divmod(hi, 10 ** 8)
+    quads = (first,) + np.divmod(hi, 10000) + np.divmod(lo, 10000)
+    words = np.empty((d.size, 5), "<u4")
+    for k, quad in enumerate(quads):
+        words[:, k] = digits4[quad]
+    zeros = zeros4[quads[4]]
+    deeper = np.flatnonzero(quads[4] == 0)
+    for quad in quads[3:0:-1]:
+        if not deeper.size:
+            break
+        zeros[deeper] += zeros4[quad[deeper]]
+        deeper = deeper[quad[deeper] == 0]
+    return words, zeros
+
+
+def _float_text(values):
+    """The text of ``'%.17g' % x`` for each float x of ``values``, as the rows
+    of an (n, w) uint8 array padded with NUL bytes anywhere in a row.
+
+    :func:`_decimal` gives the digits and exponent of most values exactly;
+    the rest take one batched '%.17g' %.  '%.17g' prints the 17 digits
+    without their trailing zeros, in fixed notation when -4 <= X < 17 and
+    in scientific notation otherwise.  The characters fill fixed slots
+    (``_SLOTS``); a table row per notation, sign and number of digits
+    masks them, and a block keeps only the columns that some row uses.
+    """
+    _, digits4, _, layouts = _text_tables()
+    x = np.ravel(np.asarray(values, dtype=np.float64))
+    n = x.size
+    d, e, fallback = _decimal(x)
+    words, zeros = _digit_words(d)
+    sci = (e < -4) | (e > 16)
+    layout = 2 * (np.where(sci, _FIXED + 17 * (e < 0), 17 * (e + 4)) + 16 - zeros) + (x < 0)
+    layout[fallback] = len(layouts) - 1
+    text = np.empty((n, _SLOTS.size), np.uint8)
+    text[:] = _SLOTS
+    text[:, _DIGIT_SLOTS] = words.view(np.uint8)[:, 3:]
+    if sci.any():
+        text[:, 42:] = digits4[np.abs(e)].view(np.uint8).reshape(n, 4)[:, 2:]
+    text &= layouts[layout]
+    used = np.zeros(len(layouts), bool)
+    used[layout] = True
+    text = text[:, layouts[used].any(axis=0)]
+
+    if fallback.size:
+        spelled = np.array(("%.17g\n" * fallback.size % tuple(x[fallback].tolist()))
+                           .encode("ascii").split(b"\n")[:-1])
+        width = spelled.dtype.itemsize
+        if text.shape[1] < width:
+            text = np.concatenate([text, np.zeros((n, width - text.shape[1]), np.uint8)],
+                                  axis=1)
+        text[fallback] = 0
+        text[fallback, :width] = spelled.view(np.uint8).reshape(-1, width)
+    return text
+
+
+def _int_text(values):
+    """The text of ``'%d' % k`` for each non-negative integer k of
+    ``values``, as the rows of an (n, w) uint8 array padded with leading
+    NUL bytes."""
+    digits4 = _text_tables()[1]
+    rest = np.ravel(values).astype(np.int64)
+    width = len(str(int(rest.max(initial=0))))
+    digits = np.ones(rest.size, np.int64)
+    for k in range(1, width):
+        digits += rest >= 10 ** k
+    words = np.empty((rest.size, -(-width // 4)), "<u4")
+    for k in range(words.shape[1] - 1, -1, -1):
+        rest, quad = np.divmod(rest, 10000)
+        words[:, k] = digits4[quad]
+    text = words.view(np.uint8)[:, words.shape[1] * 4 - width:]
+    text[np.arange(width) < width - digits[:, None]] = 0
+    return text
+
+
+def _rows(*columns):
+    """The bytes of the rows that put ``columns`` side by side, NUL padding
+    dropped: each column is a text array of shape (..., w), leading shapes
+    broadcasting, or bytes that every row repeats."""
+    arrays = [np.frombuffer(c, np.uint8) if isinstance(c, bytes) else c for c in columns]
+    widths = [c.shape[-1] for c in arrays]
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in arrays)) + (sum(widths),)
+    buf = bytearray(math.prod(shape))     # numpy fills it in place, no copy
+    block = np.frombuffer(buf, np.uint8).reshape(shape)
+    at = 0
+    for c, w in zip(arrays, widths):
+        block[..., at:at + w] = c
+        at += w
+    return buf.translate(None, b"\0")
 
 
 def _node_blocks(grid):
     """The nodes of ``grid`` in row-major order, ``_ROW_BLOCK`` at a time:
     per block, its slice of the flattened samples and the text of its u
     and v columns.  Each axis value is formatted once, not once per node."""
-    u_text = _text(grid.axis_u)
-    v_text = _text(grid.axis_v)
+    u_text = _float_text(grid.axis_u)
+    v_text = _float_text(grid.axis_v)
     size = grid.n_u * grid.n_v
     for start in range(0, size, _ROW_BLOCK):
         i, j = np.divmod(np.arange(start, min(start + _ROW_BLOCK, size)), grid.n_v)
@@ -625,8 +839,8 @@ def _csv_text(u, v, re, im=None):
     columns; ``im=None`` stands for an imaginary part of +0.0 at every
     node, written as the literal ``0`` that ``%.17g`` gives it."""
     if im is None:
-        return _block_text("%s,%s,%s,0\n", (u, v, re))
-    return _block_text("%s,%s,%s,%s\n", (u, v, re, im))
+        return _rows(u, b",", v, b",", re, b",0\n")
+    return _rows(u, b",", v, b",", re, b",", im, b"\n")
 
 
 def save_field_csv(field, path):
@@ -637,11 +851,11 @@ def save_field_csv(field, path):
     im = np.ascontiguousarray(np.imag(field.values)).ravel()
     if not im.view(np.uint64).any():      # bit patterns: -0.0 still prints -0
         im = None
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_CSV_HEADER)
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER.encode("ascii"))
         for nodes, u, v in _node_blocks(field.grid):
-            fh.write(_csv_text(u, v, _text(re[nodes]),
-                               None if im is None else _text(im[nodes])))
+            fh.write(_csv_text(u, v, _float_text(re[nodes]),
+                               None if im is None else _float_text(im[nodes])))
 
 
 def load_field_csv(path):
@@ -653,14 +867,19 @@ def load_field_csv(path):
     ValueError that names it, whatever its numeric rows hold.
     """
     with open(path, encoding="ascii", errors="replace") as fh:
-        header = fh.readline()
+        header, first = fh.readline(), fh.readline()
     if header != _CSV_HEADER:
         raise ValueError("field CSV %r starts with %r, not the header %r"
                          % (path, header[:80], _CSV_HEADER.rstrip("\n")))
+    if not first:
+        raise ValueError("field CSV %r holds no rows" % path)
     # numpy parses a named file faster than a Python file object
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:      # a ragged or non-numeric row
+        raise ValueError("field CSV %r: %s" % (path, exc)) from None
     if data.shape[1] != 4:
-        raise ValueError("field CSV must have columns u,v,re,im")
+        raise ValueError("field CSV %r must have columns u,v,re,im" % path)
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         k = int(bad[0])

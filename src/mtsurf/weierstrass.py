@@ -573,10 +573,11 @@ def save_data(data, path, payload="csv"):
 def load_data(path):
     """Inverse of :func:`save_data`."""
     doc = read_document(path, "mtsurf-data", "data document")
-    kind = doc.get("kind")
+    kind = document_entry(path, doc, "kind", "the document", str)
     if kind not in _FIELD_NAMES:
-        raise ValueError("unknown data kind %r" % (kind,))
+        raise ValueError("%r: unknown data kind %r" % (path, kind))
     grid = document_grid(path, doc)
     refs = document_entry(path, doc, "fields", "the document", dict)
+    provenance = document_entry(path, doc, "provenance", "the document", dict, default={})
     holo, a, b = (load_payload(path, refs.get(name), name, grid) for name in _FIELD_NAMES[kind])
-    return _CLASS[kind](ComplexField(grid, holo.values), a, b, doc.get("provenance", {}))
+    return _CLASS[kind](ComplexField(grid, holo.values), a, b, provenance)

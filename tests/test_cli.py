@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -476,7 +475,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind,key,value", [
         ("data", "grid", 5), ("data", "fields", []), ("patch", "fields", []),
-    ], ids=["data-grid", "data-fields", "patch-fields"])
+        ("data", "provenance", [1, 2]), ("data", "provenance", "x"),
+        ("data", "provenance", 3), ("data", "kind", ["second"]),
+    ], ids=["data-grid", "data-fields", "patch-fields", "data-provenance-list",
+            "data-provenance-string", "data-provenance-number", "data-kind-list"])
     def test_malformed_document_entry_fails_with_manifest(self, tmp_path, kind, key, value):
         out = str(tmp_path)
         if kind == "data":
@@ -495,6 +497,22 @@ class TestVerify:
         assert run(["verify", "--input", path, "--out", out]) == 1
         error = failed_run(out, "verify")["error"]
         assert "doc.json" in error and key in error
+
+    @pytest.mark.parametrize("theta", [[0.3], "0.3", None])
+    def test_mistyped_fixture_parameter_fails_with_manifest(self, tmp_path, theta):
+        # the anchor of fixture data is rebuilt from its provenance
+        out = str(tmp_path)
+        fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 9))
+        path = os.path.join(out, "doc.json")
+        save_data(fx.data, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["provenance"]["theta"] = theta
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert run(["verify", "--input", path, "--out", out]) == 1
+        error = failed_run(out, "verify")["error"]
+        assert "doc.json" in error and "'theta'" in error
 
     def test_escaping_payload_fails_with_manifest(self, tmp_path):
         # the payloads of a valid document in a sibling directory, reached
@@ -550,13 +568,12 @@ def test_repeated_runs_are_deterministic(tmp_path):
     for name in names:
         a, b = (os.path.join(o, name) for o in outs)
         if name.endswith(".manifest.json"):
-            da, db = json.load(open(a)), json.load(open(b))
+            da, db = (manifest_of(o, name[:-len(".manifest.json")]) for o in outs)
             da.pop("wall_time_s"), db.pop("wall_time_s")
             assert da == db
         else:
-            ha = hashlib.sha256(open(a, "rb").read()).hexdigest()
-            hb = hashlib.sha256(open(b, "rb").read()).hexdigest()
-            assert ha == hb, name
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read(), name
 
 
 _COLD_START = r"""

@@ -28,12 +28,22 @@ def digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def test_obj_layout(tmp_path):
     patch = small_patch()
     path = os.path.join(str(tmp_path), "patch.obj")
     written = save_obj(patch, path)
     assert written == [path, path + ".x4.csv"]
-    lines = open(path).read().splitlines()
+    lines = read_lines(path)
     verts = [l for l in lines if l.startswith("v ")]
     faces = [l for l in lines if l.startswith("f ")]
     assert len(verts) == 81
@@ -45,7 +55,7 @@ def test_obj_layout(tmp_path):
     assert len(first) == 4
     np.testing.assert_allclose(float(first[1]), patch.X[0].values[0, 0])
     # fourth coordinate rides in the side-channel table
-    rows = open(path + ".x4.csv").read().splitlines()
+    rows = read_lines(path + ".x4.csv")
     assert rows[0] == "vertex,x4"
     assert len(rows) == 1 + 81
 
@@ -55,7 +65,7 @@ def test_ply_layout(tmp_path):
     path = os.path.join(str(tmp_path), "patch.ply")
     written = save_ply(patch, path)
     assert written == [path]
-    lines = open(path).read().splitlines()
+    lines = read_lines(path)
     assert lines[0] == "ply"
     assert "element vertex 81" in lines
     assert "element face 128" in lines
@@ -85,7 +95,7 @@ def test_patch_manifest_round_trip(tmp_path):
     written = save_patch_manifest(patch, path)
     assert written[0] == path
     assert len(written) == 5
-    doc = json.load(open(path))
+    doc = read_json(path)
     assert doc["format"] == "mtsurf-patch"
     assert doc["invariants"]["conformality"] < 1e-10
 
@@ -122,7 +132,7 @@ def test_patch_manifest_keeps_provenance_booleans(tmp_path):
     assert vrep.ok
     path = os.path.join(str(tmp_path), "patch.json")
     save_patch_manifest(represent_second(data), path)
-    solver = json.load(open(path))["provenance"]["source"]["solver"]
+    solver = read_json(path)["provenance"]["source"]["solver"]
     assert solver["converged"] is True
     assert solver["floor_warning"] is False
     assert solver["iterations"] == srep["iterations"]

@@ -1,19 +1,25 @@
 """The persistence layer: exact writer bytes, payload references, round trips."""
 
+import decimal
 import hashlib
 import json
 import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtsurf import cli
+from mtsurf import fields as fields_module
 from mtsurf.catalog import fixture_classical, fixture_sigma_theta
 from mtsurf.errors import GridMismatchError
-from mtsurf.export import _faces, load_patch_manifest, save_obj, save_patch_manifest, save_ply
+from mtsurf.export import (_face_blocks, _face_text, load_patch_manifest, save_obj,
+                           save_patch_manifest, save_ply)
 from mtsurf.fields import (
+    _float_text,
+    _int_text,
     ComplexField,
     Grid2D,
     RealField,
@@ -130,6 +136,160 @@ def test_writer_bytes_are_pinned_past_one_row_block(tmp_path):
     assert wide_artifacts(str(tmp_path)) == WIDE_PINNED
 
 
+def near_ties(count):
+    """``count`` floats whose 17-digit scaled value lies within 0.01 of a
+    half-integer, so rounding them to 17 digits is close to a tie: found by
+    exact decimal arithmetic among quotients m / 8191 of every decade from
+    1e-7 to 1e20 (the quotients themselves are plain IEEE arithmetic)."""
+    found = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1000
+        for m in range(1, 10 ** 6):
+            x = (m / 8191.0) * float("1e%d" % (m % 28 - 7))
+            d = decimal.Decimal(x)
+            scaled = d.scaleb(16 - d.adjusted())
+            frac = scaled - scaled.to_integral_value(decimal.ROUND_FLOOR)
+            if abs(frac - decimal.Decimal("0.5")) < decimal.Decimal("0.01"):
+                found.append(x)
+                if len(found) == count:
+                    return found
+    raise AssertionError("too few near-ties")
+
+
+def extreme_artifacts(out):
+    """The mesh, manifest and field CSV writers on values PINNED and
+    WIDE_PINNED do not reach: axes below 1e-4 and at or above 1e17;
+    coordinates of every decade from subnormal to 1e308, both signed zeros,
+    exact 17-digit ties and near-ties, powers of ten and their neighbours.
+    A 67x67 grid spans two row blocks."""
+    g = Grid2D(-3e-5, 5e-5, 1e17, 3.5e17, 67, 67)
+    n = g.n_u * g.n_v
+    U, V = g.mesh()
+    powers = [float("1e%d" % p) for p in range(-20, 23)]
+    special = (powers + [np.nextafter(p, 0.0) for p in powers]
+               + [np.nextafter(p, np.inf) for p in powers]
+               + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1e-300, 1e200, 1234567890123456.75, 1234567890123456.25, 0.5, 9.5e-5,
+                  1e-4, 9.999999999999999e16, 1e17, 1.2345678901234567e17]
+               + near_ties(200))
+    pool = np.array(special + [-v for v in special])
+    x = np.stack([np.resize(pool, n).reshape(g.shape),
+                  U * V,                               # about 1e12 .. 2e13
+                  U * U / 3.0 - 1e-9,                  # below 1e-4
+                  np.resize(pool[::-1], n).reshape(g.shape) * (U / 5e-5)])
+    patch = SimpleNamespace(grid=g, x_stack=x, invariants={}, provenance={})
+    files = save_obj(patch, os.path.join(out, "extreme.obj"))
+    files += save_ply(patch, os.path.join(out, "extreme.ply"))
+    files += save_patch_manifest(patch, os.path.join(out, "extreme.json"))
+    values = np.empty(g.shape, np.complex128)
+    values.real, values.imag = x[3], x[0]
+    save_field_csv(ComplexField(g, values), os.path.join(out, "extreme-complex.csv"))
+    files.append(os.path.join(out, "extreme-complex.csv"))
+    return {os.path.basename(f): digest(f) for f in files}
+
+
+EXTREME_PINNED = {
+    "extreme.obj": "44af8c7debbf6850e2c8493da392a2bcb28dd4db967788801372507df0efcdb2",
+    "extreme.obj.x4.csv": "a0f22a32a41e9f88f171004b9a515881a908436d23dc84a596bf5593e0529df9",
+    "extreme.ply": "4e57c6b0a99a913742f88055ae6087c51c187e76cff49e1b0e7fa93ff28349fe",
+    "extreme.json": "b464bdcca409defd5ccbc70b7c06e4df3fc5745af08d1189eddfc651c0df9d49",
+    "extreme.x1.csv": "42dc9ff755ef2109d2286378801be156bd2c0bca197bb242d32893cf608582e1",
+    "extreme.x2.csv": "dd53952a78061badc1393b614cc77cf88fd6cf8e855c703cbffa38c7e4ceed12",
+    "extreme.x3.csv": "f5c7bfc50a3ae171221f06b0f8bea66011692109b746bcd02d473f60282c2eb6",
+    "extreme.x4.csv": "31fade9f15495abac4debdf07e05d632c6e7b8ad37c60fdf161a8bb4b2ef24f4",
+    "extreme-complex.csv": "b182f3ad5f47ea90fec10dcc099a5a45a4258b5b82ad5e535e9a05b66806b132",
+}
+
+
+def test_writer_bytes_are_pinned_at_extreme_values(tmp_path):
+    # digests recorded from the writers that formatted each number with
+    # one '%.17g' per value
+    assert extreme_artifacts(str(tmp_path)) == EXTREME_PINNED
+
+
+def spelled(text):
+    """The strings held by the rows of a NUL-padded text array."""
+    return [bytes(row[row != 0]).decode("ascii") for row in text]
+
+
+# any float64 bit pattern, so every exponent is as likely as any other
+_bit_floats = st.integers(0, 2 ** 64 - 1).map(
+    lambda k: float(np.array(k, np.uint64).view(np.float64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | _bit_floats, max_size=50))
+def test_float_text_is_percent_17g(values):
+    # st.floats() draws subnormals, signed zeros, infinities and nans
+    x = np.array(values, dtype=np.float64)
+    assert spelled(_float_text(x)) == ["%.17g" % v for v in x.tolist()]
+
+
+def edge_floats():
+    """Powers of ten and their neighbours one ulp away (the notation
+    switches at 1e-4 and 1e17 and the 1e16 boundary among them), exact
+    17-digit ties, and the smallest, smallest normal and largest double,
+    each with both signs."""
+    powers = [float("1e%d" % p) for p in range(-20, 23)]
+    values = (powers + [float(np.nextafter(p, 0.0)) for p in powers]
+              + [float(np.nextafter(p, np.inf)) for p in powers]
+              + [1234567890123456.75, 1234567890123456.25, 0.5, 9.5e-5, 1.5e17, 0.0,
+                 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    return values + [-v for v in values]
+
+
+def test_float_text_at_edges():
+    # ties round half to even, as '%.17g' does
+    assert "%.17g" % 1234567890123456.75 == "1234567890123456.8"
+    assert "%.17g" % 1234567890123456.25 == "1234567890123456.2"
+    x = np.array(edge_floats())
+    assert spelled(_float_text(x)) == ["%.17g" % v for v in x.tolist()]
+    # one value per block, so no block shares the layout of another
+    for v in x.tolist():
+        assert spelled(_float_text([v])) == ["%.17g" % v]
+
+
+def test_float_text_where_longdouble_is_a_plain_double(monkeypatch):
+    # the window then covers every fraction: every value takes the '%'
+    # path, and the text stays exact
+    monkeypatch.setattr(fields_module, "_LD", np.float64)
+    monkeypatch.setattr(fields_module, "_TIE_WINDOW", 1.01 * float(np.finfo(np.float64).eps))
+    fields_module._text_tables.cache_clear()
+    try:
+        x = np.array(edge_floats() + [k / 7.0 for k in range(1, 200)])
+        assert fields_module._decimal(x)[2].size == x.size
+        assert spelled(_float_text(x)) == ["%.17g" % v for v in x.tolist()]
+    finally:
+        fields_module._text_tables.cache_clear()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="longdouble is no wider than double here")
+def test_fast_path_decides_most_values():
+    x = np.random.default_rng(0).standard_normal(4096) * 3.0
+    assert fields_module._decimal(x)[2].size < 0.03 * x.size
+
+
+def test_int_text_at_digit_boundaries():
+    k = [0] + [m for p in range(1, 8) for m in (10 ** p - 1, 10 ** p)]
+    assert spelled(_int_text(np.array(k))) == ["%d" % m for m in k]
+    assert spelled(_int_text(np.array(k[::-1]))) == ["%d" % m for m in k[::-1]]
+
+
+@pytest.mark.parametrize("keep", [0.5, len("u,v,re,im\n")])
+def test_truncated_csv_payload_is_named(tmp_path, keep):
+    # cut in a row, or after the header
+    path = os.path.join(str(tmp_path), "f.csv")
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 3, 3)
+    save_field_csv(RealField(g, np.ones(g.shape) / 3.0), path)
+    with open(path, "rb") as fh:
+        body = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(body[:int(keep * len(body)) if keep < 1 else keep])
+    with pytest.raises(ValueError, match="f.csv"):
+        load_field_csv(path)
+
+
 def test_signed_zero_imaginary_parts_keep_their_sign(tmp_path):
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 3, 3)
     values = np.zeros(g.shape, dtype=complex)
@@ -161,14 +321,25 @@ def test_cli_one_pass_patch_write_matches_the_separate_writers(tmp_path):
             assert a.read() == b.read(), name
 
 
-@pytest.mark.parametrize("n_u,n_v", [(3, 3), (5, 4), (4, 7), (9, 3)])
-def test_faces_match_the_per_cell_loop(n_u, n_v):
-    loop = []
+def cell_faces(n_u, n_v):
+    """The 0-based faces of an n_u x n_v grid from a per-cell loop."""
+    faces = []
     for i in range(n_u - 1):
         for j in range(n_v - 1):
             a, b = i * n_v + j, (i + 1) * n_v + j
-            loop += [(a, b, b + 1), (a, b + 1, a + 1)]
-    np.testing.assert_array_equal(_faces(n_u, n_v), np.array(loop))
+            faces += [(a, b, b + 1), (a, b + 1, a + 1)]
+    return faces
+
+
+@pytest.mark.parametrize("n_u,n_v", [(3, 3), (5, 4), (4, 7), (9, 3), (40, 120)])
+def test_faces_match_the_per_cell_loop(n_u, n_v):
+    # 40x120 spans three face blocks
+    blocks = list(_face_blocks(n_u, n_v))
+    faces = cell_faces(n_u, n_v)
+    assert b"".join(_face_text(b"f ", ids[1:], n_v) for ids in blocks) == b"".join(
+        b"f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in faces)
+    assert b"".join(_face_text(b"3 ", ids[:-1], n_v) for ids in blocks) == b"".join(
+        b"3 %d %d %d\n" % f for f in faces)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +401,84 @@ def test_bad_payload_reference_names_document_and_field(tmp_path, kind, case):
         json.dump(doc, fh)
     with pytest.raises(ValueError, match=r"evil-doc.*'%s'" % where[1]):
         load(target)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+_tampering = st.one_of(
+    # a top-level entry replaced by any JSON value
+    st.tuples(st.just("entry"),
+              st.sampled_from(["format", "kind", "grid", "fields", "provenance", "invariants"]),
+              _json_values),
+    # a payload cut to a fraction of its bytes
+    st.tuples(st.just("truncate"), st.integers(0, 3), st.floats(0.0, 1.0)),
+    # two payloads swapped
+    st.tuples(st.just("swap"), st.integers(0, 3), st.integers(0, 3)))
+
+
+def _tamper_with(path, edit):
+    with open(path) as fh:
+        doc = json.load(fh)
+    payloads = [os.path.join(os.path.dirname(path), ref["file"])
+                for _, ref in sorted(doc["fields"].items())]
+    how, a, b = edit
+    if how == "entry":
+        doc[a] = b
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return
+    a = payloads[a % len(payloads)]
+    with open(a, "rb") as fh:
+        body = fh.read()
+    if how == "truncate":
+        with open(a, "wb") as fh:
+            fh.write(body[:int(b * len(body))])
+        return
+    b = payloads[b % len(payloads)]
+    with open(b, "rb") as fh:
+        other = fh.read()
+    for target, text in ((a, other), (b, body)):
+        with open(target, "wb") as fh:
+            fh.write(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["data", "patch"]), _tampering)
+@example("data", ("entry", "provenance", [1, 2]))
+@example("data", ("entry", "provenance", {"name": "sigma-theta", "theta": [0.3]}))
+@example("data", ("entry", "kind", {}))
+@example("patch", ("entry", "grid", {"u_min": 0}))
+@example("patch", ("truncate", 2, 0.5))
+@example("data", ("truncate", 0, 0.0))
+@example("data", ("swap", 0, 1))
+def test_tampered_documents_load_or_fail_typed(kind, edit):
+    """A data document or patch manifest with one entry replaced or a
+    payload cut or swapped loads, or fails with an expected error; verify
+    exits 0 or 1 with a strict JSON manifest, 1 with an error when the
+    reader failed."""
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        fname, load, _ = DOCUMENTS[kind](tmp)
+        path = os.path.join(tmp, fname)
+        _tamper_with(path, edit)
+        try:
+            load(path)
+            error = None
+        except cli._RUN_ERRORS as exc:
+            error = exc
+        out = os.path.join(tmp, "out")
+        rc = cli.main(["verify", "--input", path, "--out", out])
+        with open(os.path.join(out, "verify.manifest.json")) as fh:
+            manifest = json.load(fh, parse_constant=reject)
+    assert rc in (0, 1) and manifest["passed"] is (rc == 0)
+    if error is not None:
+        assert rc == 1 and manifest["error"]
 
 
 def test_payload_grid_mismatch_is_typed(tmp_path):
@@ -342,14 +591,14 @@ def test_patch_file_bytes_match_per_node_formatting(tmp_path_factory, g, data):
     save_obj(patch, os.path.join(d, "m.obj"))
     save_ply(patch, os.path.join(d, "m.ply"))
     save_patch_manifest(patch, os.path.join(d, "m.json"))
-    faces = _faces(*g.shape)
+    faces = cell_faces(*g.shape)
     rows = list(zip(*x.tolist()))
     U, V = g.mesh()
     nodes = list(zip(U.ravel().tolist(), V.ravel().tolist()))
     obj = ("# mtsurf patch mesh: vertices are (x1, x2, x3); the fourth\n"
            "# coordinate is in the .x4.csv channel file\n"
            + "".join("v %.17g %.17g %.17g\n" % r[:3] for r in rows)
-           + "".join("f %d %d %d\n" % tuple(f + 1) for f in faces))
+           + "".join("f %d %d %d\n" % tuple(k + 1 for k in f) for f in faces))
     channel = "vertex,x4\n" + "".join("%d,%.17g\n" % (k + 1, r[3]) for k, r in enumerate(rows))
     ply = ("ply\nformat ascii 1.0\n"
            "comment mtsurf patch mesh with all four ambient coordinates\n"
