@@ -75,7 +75,7 @@ def main():
 
     print("%-42s %-6s %-12s %s" % ("case", "slice", "slice spread", "sup |H|"))
     for label, slice_name, patch in cases:
-        vals = patch.X[INDEX[slice_name]].values
+        vals = patch.x_stack[INDEX[slice_name]]
         spread = sup_abs(vals - vals.flat[0])
         print("%-42s %-6s %-12.3e %.3e"
               % (label, slice_name, spread, sup_abs(patch.h_stack)))

@@ -175,7 +175,7 @@ def load_patch_manifest(path):
     doc = read_document(path, "mtsurf-patch", "patch manifest")
     grid = document_grid(path, doc)
     refs = document_entry(path, doc, "fields", "the manifest", dict)
-    coords = [np.real(load_payload(path, refs.get(name), name, grid).values)
+    coords = [load_payload(path, refs.get(name), name, grid, real=True).values
               for name in _COORDS]
     patch = patch_from_samples(grid, np.stack(coords),
                                provenance={"representation": "reloaded",

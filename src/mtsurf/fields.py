@@ -1044,10 +1044,12 @@ def save_payload(field, doc_path, tag, payload="csv"):
     return ref, path
 
 
-def load_payload(doc_path, ref, name, grid):
+def load_payload(doc_path, ref, name, grid, real=False):
     """Field ``name`` of the document at ``doc_path``, read through its
     reference ``ref``: a plain file name in the document's own directory
-    and a format, "csv" or "binary".  The payload must lie on ``grid``."""
+    and a format, "csv" or "binary".  The payload must lie on ``grid``,
+    and with ``real`` it must be a RealField: a CSV payload with a nonzero
+    imaginary part, or a complex binary one, is refused."""
     def refuse(why):
         return ValueError("%r: field %r %s" % (doc_path, name, why))
 
@@ -1063,4 +1065,6 @@ def load_payload(doc_path, ref, name, grid):
     if fld.grid != grid:
         raise GridMismatchError("%r: field %r payload grid disagrees with the "
                                 "document grid" % (doc_path, name))
+    if real and isinstance(fld, ComplexField):
+        raise refuse("holds complex values where a real field is expected")
     return fld

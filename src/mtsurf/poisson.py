@@ -403,7 +403,7 @@ def _load_field_entry(path, doc, tag, grid, named):
         value = float(document_entry(path, entry, "value", what, float))
         return RealField(grid, np.full(grid.shape, value))
     if kind == "file":
-        return RealField(grid, np.real(load_payload(path, entry, tag, grid).values))
+        return load_payload(path, entry, tag, grid, real=True)
     raise ValueError("%r: %s has unknown kind %r" % (path, what, kind))
 
 

@@ -20,10 +20,9 @@ agreement and the coordinate identities are measured and recorded in
 certificate's exact-callback cap.
 
 A patch stores each of its quantities once, as one read-only
-(4, n_u, n_v) stack that its route builds in place; the field tuples
-are views of the stacks' rows, and the invariants are formed one
-component at a time, so no stack is copied, conjugated or cast to
-complex as a whole.
+(4, n_u, n_v) stack that its route builds in place, and keeps no
+callback; the invariants are formed one component at a time, so no stack
+is copied, conjugated or cast to complex as a whole.
 
 Patches can also be built directly from four coordinate fields
 (:func:`patch_from_chart`), with derivatives taken from callbacks when
@@ -35,13 +34,12 @@ assumptions beyond smoothness.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .fields import (
-    Analytic,
     ComplexField,
     RealField,
     _integrate_primitives,
@@ -77,13 +75,10 @@ class SurfacePatch:
     The patch stores x, Xz, X_zzbar, the mean curvature H and the Gauss map
     once each, as read-only (4, n_u, n_v) stacks: ``x_stack``,
     ``xz_stack`` (complex), ``xzzbar_stack``, ``h_stack`` and
-    ``gauss_stack``, the arrays the Minkowski algebra helpers take.  ``X``,
-    ``Xzzbar``, ``mean_curvature`` and ``gauss_map`` are 4-tuples of
-    RealFields and ``Xz`` a 4-tuple of ComplexFields, each a read-only view
-    of one row of its stack, not a copy; X and Xz keep the callbacks given
-    as ``x_callbacks`` and ``xz_callbacks``.  ``invariants`` maps residual
-    names to floats (see ``_patch_invariants``); ``provenance`` records how
-    the patch was made.  Comparing two patches compares no array.
+    ``gauss_stack``, the arrays the Minkowski algebra helpers take; row k
+    of a stack is component k.  ``invariants`` maps residual names to
+    floats (see ``_patch_invariants``); ``provenance`` records how the
+    patch was made.  Comparing two patches compares no array.
     """
 
     grid: object
@@ -95,29 +90,11 @@ class SurfacePatch:
     gauss_stack: np.ndarray = field(compare=False, repr=False)
     provenance: dict = field(compare=False)
     invariants: dict = field(compare=False)
-    x_callbacks: InitVar[tuple] = None
-    xz_callbacks: InitVar[tuple] = None
-    X: tuple = field(init=False)
-    Xz: tuple = field(init=False)
-    Xzzbar: tuple = field(init=False)
-    mean_curvature: tuple = field(init=False)
-    gauss_map: tuple = field(init=False)
 
-    def __post_init__(self, x_callbacks, xz_callbacks):
-        for name, cls, stack, callbacks in (
-                ("X", RealField, self.x_stack, x_callbacks),
-                ("Xz", ComplexField, self.xz_stack, xz_callbacks),
-                ("Xzzbar", RealField, self.xzzbar_stack, None),
-                ("mean_curvature", RealField, self.h_stack, None),
-                ("gauss_map", RealField, self.gauss_stack, None)):
-            object.__setattr__(self, name, _views(cls, self.grid, stack, callbacks))
-
-
-def _views(cls, grid, stack, callbacks=None):
-    """The rows of a (4, n_u, n_v) stack, made read-only, as ``cls`` fields
-    over the stack itself, with the given callbacks."""
-    stack.setflags(write=False)
-    return tuple(cls._view(grid, row, cb) for row, cb in zip(stack, callbacks or (None,) * 4))
+    def __post_init__(self):
+        for stack in (self.x_stack, self.xz_stack, self.xzzbar_stack,
+                      self.h_stack, self.gauss_stack):
+            stack.setflags(write=False)
 
 
 def _euclid_sq(h):
@@ -170,25 +147,25 @@ def _mean_curvature_stack(xzzbar_stack, lam_values):
     return h
 
 
-def _integrate_coords(xz_fields, anchor, loop_cap, what, inputs=None, integrands=None):
-    """Integrate the four tangent fields into one coordinate stack,
-    origin-anchored.
+def _integrate_coords(grid, xz, anchor, loop_cap, what, inputs=None, integrands=None):
+    """Integrate the (4, n_u, n_v) tangent stack ``xz`` into one coordinate
+    stack, origin-anchored.
 
     ``anchor`` gives the value of each coordinate at the grid origin node
     (defaults to zero).  ``inputs`` and ``integrands``, when given, are the
-    shared quadrature of :func:`mtsurf.fields._integrate_primitives`.
-    Returns the (4, n_u, n_v) stack, the callbacks of each coordinate and
-    the worst loop residual.  Raises when a loop certificate exceeds the
-    cap, naming the coordinate.
+    shared quadrature of :func:`mtsurf.fields._integrate_primitives`;
+    without them the samples are integrated by the trapezoid rule.
+    Returns the stack and the worst loop residual.  Raises when a loop
+    certificate exceeds the cap, naming the coordinate.
     """
     if anchor is None:
         anchor = (0.0, 0.0, 0.0, 0.0)
     anchor = tuple(float(a) for a in anchor)
     if len(anchor) != 4:
         raise ValueError("anchor must supply four coordinate values")
-    primitives = _integrate_primitives(xz_fields, inputs, integrands)
-    x = np.empty((4,) + xz_fields[0].grid.shape)
-    callbacks = []
+    primitives = _integrate_primitives([ComplexField._view(grid, row) for row in xz],
+                                       inputs, integrands)
+    x = np.empty((4,) + grid.shape)
     worst_loop = 0.0
     for k, pr in enumerate(primitives):
         if pr.loop_residual > loop_cap:
@@ -198,8 +175,7 @@ def _integrate_coords(xz_fields, anchor, loop_cap, what, inputs=None, integrands
                 % (what, k + 1, pr.loop_residual, loop_cap))
         worst_loop = max(worst_loop, pr.loop_residual)
         np.add(pr.field.values, anchor[k], out=x[k])
-        callbacks.append(pr.field.analytic)
-    return x, tuple(callbacks), worst_loop
+    return x, worst_loop
 
 
 def _shift_residual(actual, target):
@@ -266,8 +242,9 @@ def _represent(cert, anchor):
     """The one representation pipeline, driven by ``_KINDS[cert.kind]``.
 
     A failed certificate raises first: the frames and the conformal scale
-    divide by ``holo``.  The tangent field carries exact callbacks when
-    ``holo`` has a value callback and both potentials first derivatives.
+    divide by ``holo``.  The coordinates come from the Gauss quadrature of
+    the exact callbacks when ``holo`` has a value callback and both
+    potentials first derivatives, and from the Xz samples otherwise.
     """
     kind, holo, a, b, source, report, weight, a_z, b_z, b_zzbar, tol_exact = cert
     report.raise_for_failure()
@@ -281,17 +258,15 @@ def _represent(cert, anchor):
             return _w.value(u, v), _a.dz(u, v), _b.dz(u, v)
 
     xz = np.empty((4,) + grid.shape, dtype=complex)
-    integrands, xz_callbacks = [], []
+    integrands = []
     for k, (c1, c2) in enumerate(zip(spec.frame1, spec.frame2)):
         def integrand(w, a_z, b_z, _c1=c1, _c2=c2):
             return a_z * _c1(w) + b_z * _c2(w)
         integrands.append(integrand)
-        xz_callbacks.append(Analytic(value=lambda u, v, _xz=integrand: _xz(*inputs(u, v)))
-                            if exact else None)
         xz[k] = integrand(w, a_z, b_z)
-    x, x_callbacks, worst_loop = _integrate_coords(
-        _views(ComplexField, grid, xz, xz_callbacks), anchor,
-        residual_cap(grid, exact, 50.0, tol_exact), "represent_" + kind, inputs, integrands)
+    x, worst_loop = _integrate_coords(
+        grid, xz, anchor, residual_cap(grid, exact, 50.0, tol_exact),
+        "represent_" + kind, inputs, integrands)
 
     gauss = np.stack(spec.null_dir(w))
     xzzbar = (b_zzbar * spec.xzzbar_factor(w)) * gauss
@@ -308,8 +283,7 @@ def _represent(cert, anchor):
         provenance=provenance,
         invariants=_patch_invariants(
             xz, h, gauss, lam_values, closed_metric=lam_values,
-            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}),
-        x_callbacks=x_callbacks, xz_callbacks=xz_callbacks)
+            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
 
 
 def represent_first(data, anchor=None):
@@ -374,11 +348,8 @@ def patch_from_chart(coords, provenance=None):
 
     xz = np.empty((4,) + grid.shape, dtype=complex)
     xzzbar = np.empty((4,) + grid.shape)
-    xz_callbacks = []
     for k, c in enumerate(coords):
-        c_z = wirtinger_dz(c)
-        xz[k] = c_z.values
-        xz_callbacks.append(c_z.analytic)
+        xz[k] = wirtinger_dz(c).values
         np.divide(laplacian(c).values, 4.0, out=xzzbar[k])
     lam_values = _measured_factor(xz)
     if np.min(lam_values) <= 0.0:
@@ -393,8 +364,7 @@ def patch_from_chart(coords, provenance=None):
         RealField._view(grid, lam_values), h, xzzbar,
         provenance=dict(provenance or {"representation": "chart"}),
         invariants=_patch_invariants(xz, h, xzzbar, lam_values, closed_metric=None,
-                                     extra={"loop_residual": 0.0}),
-        x_callbacks=tuple(c.analytic for c in coords), xz_callbacks=tuple(xz_callbacks))
+                                     extra={"loop_residual": 0.0}))
 
 
 def patch_from_samples(grid, coords_array, provenance=None):
@@ -407,7 +377,8 @@ def patch_from_samples(grid, coords_array, provenance=None):
 
 
 def mean_curvature(patch):
-    """The four mean-curvature component fields plus a nullness report.
+    """The (4, n_u, n_v) mean-curvature stack ``patch.h_stack`` plus a
+    nullness report.
 
     Report keys: sup_null_residual (sup interior of |<H,H>| / (1+|H|^2)),
     min_norm / max_norm of the Euclidean |H| over the grid, and
@@ -427,7 +398,7 @@ def mean_curvature(patch):
         "max_norm": float(np.max(norm)),
         "min_norm_location": (float(patch.grid.axis_u[i]), float(patch.grid.axis_v[j])),
     }
-    return patch.mean_curvature, report
+    return h_stack, report
 
 
 @dataclass(frozen=True)
@@ -437,9 +408,10 @@ class LiuData:
     scale is (dz(x3) + dz(x4))/2; f1 and f2 satisfy scale*f1 =
     (dz(x1) + i dz(x2))/2 and scale*f2 = (dz(x1) - i dz(x2))/2 wherever
     |scale| exceeds the cutoff (f1, f2 are set to zero elsewhere; ``mask``
-    tells which nodes are trusted).  ``residuals`` holds the four
-    integrability conditions and the reconstruction error of
-    Xz = scale (f1+f2, -i(f1-f2), 1-f1 f2, 1+f1 f2).
+    tells which nodes are trusted), so that Xz = scale (f1+f2, -i(f1-f2),
+    1-f1 f2, 1+f1 f2) there.  ``residuals`` holds the integrability
+    condition ``condition4`` and ``masked_fraction`` (see
+    :func:`liu_decompose`).
     """
 
     scale: ComplexField
@@ -454,16 +426,18 @@ def liu_decompose(patch, cutoff=PSI_CUTOFF):
     """Factor a patch tangent field through the null-direction system.
 
     The zbar-derivatives of the four tangent combinations are read off the
-    patch's real X_zzbar fields: lap(b)/4 times the null direction on a
+    patch's real X_zzbar stack: lap(b)/4 times the null direction on a
     represented patch; lap(X)/4 by finite differences, independent of the
     Xz samples, on a chart patch (so on every reloaded one), which makes
     condition4 an O(h^2) cross-check of the construction.
 
-    Residual keys: condition1 = sup interior |Im dzbar(scale)|,
-    condition2 = sup interior |Im dzbar(scale f1 f2)|, condition3 =
-    sup interior |dzbar(scale f1) - conj(dzbar(scale f2))|, condition4 =
-    sup interior |dzbar(f1) dzbar(f2)| on the mask, reconstruction as in
-    :class:`LiuData`, masked_fraction = share of nodes under the cutoff.
+    Residual keys: condition4 = sup interior |dzbar(f1) dzbar(f2)| on the
+    mask, masked_fraction = share of nodes under the cutoff.  The other
+    integrability conditions (dzbar(scale) and dzbar(scale f1 f2) real,
+    dzbar(scale f1) = conj dzbar(scale f2)) hold exactly for a real
+    X_zzbar, and Xz rebuilt from (scale, f1, f2) is off by <Xz, Xz> /
+    (4 scale), which the ``conformality`` invariant gates; neither is
+    measured here.
 
     condition4 is evaluated through the product identity
 
@@ -478,43 +452,29 @@ def liu_decompose(patch, cutoff=PSI_CUTOFF):
     grid = patch.grid
     xz = patch.xz_stack
     psi = (xz[2] + xz[3]) / 2.0
-    psi_f1 = (xz[0] + 1j * xz[1]) / 2.0
-    psi_f2 = (xz[0] - 1j * xz[1]) / 2.0
-    psi_f1f2 = (-xz[2] + xz[3]) / 2.0
-
     mask = np.abs(psi) > cutoff
     if not mask.any():
         raise ValueError("|scale| is below the cutoff %.1e on the whole grid"
                          % cutoff)
     safe = np.where(mask, psi, 1.0)
-    f1 = np.where(mask, psi_f1 / safe, 0.0)
-    f2 = np.where(mask, psi_f2 / safe, 0.0)
+    f1 = np.where(mask, (xz[0] + 1j * xz[1]) / 2.0 / safe, 0.0)
+    f2 = np.where(mask, (xz[0] - 1j * xz[1]) / 2.0 / safe, 0.0)
 
     xzzb = patch.xzzbar_stack
     psi_zb = (xzzb[2] + xzzb[3]) / 2.0 + 0j
     p1_zb = (xzzb[0] + 1j * xzzb[1]) / 2.0
     p2_zb = (xzzb[0] - 1j * xzzb[1]) / 2.0
     p12_zb = (-xzzb[2] + xzzb[3]) / 2.0 + 0j
-
     product = p1_zb * p2_zb - psi_zb * p12_zb
 
-    recon = np.stack([psi * (f1 + f2), -1j * psi * (f1 - f2),
-                      psi * (1.0 - f1 * f2), psi * (1.0 + f1 * f2)])
-    recon_res = sup_abs(np.where(mask[None, :, :], recon - xz, 0.0))
-
     residuals = {
-        "condition1": sup_abs_interior(np.imag(psi_zb)),
-        "condition2": sup_abs_interior(np.imag(p12_zb)),
-        "condition3": sup_abs_interior(p1_zb - np.conj(p2_zb)),
         "condition4": sup_abs_interior(
             np.where(mask, product / (safe * safe), 0.0)),
-        "reconstruction": recon_res,
         "masked_fraction": float(1.0 - mask.mean()),
     }
-    mask_copy = mask.copy()
-    mask_copy.setflags(write=False)
-    return LiuData(ComplexField(grid, psi), ComplexField(grid, f1),
-                   ComplexField(grid, f2), mask_copy, residuals, float(cutoff))
+    mask.setflags(write=False)
+    return LiuData(ComplexField._view(grid, psi), ComplexField._view(grid, f1),
+                   ComplexField._view(grid, f2), mask, residuals, float(cutoff))
 
 
 def verify_congruence(patch_a, patch_b, rot, tol=1e-6):

@@ -579,5 +579,7 @@ def load_data(path):
     grid = document_grid(path, doc)
     refs = document_entry(path, doc, "fields", "the document", dict)
     provenance = document_entry(path, doc, "provenance", "the document", dict, default={})
-    holo, a, b = (load_payload(path, refs.get(name), name, grid) for name in _FIELD_NAMES[kind])
+    # the holomorphic field is complex, the two potentials real
+    holo, a, b = (load_payload(path, refs.get(name), name, grid, real=k > 0)
+                  for k, name in enumerate(_FIELD_NAMES[kind]))
     return _CLASS[kind](ComplexField(grid, holo.values), a, b, provenance)

@@ -345,7 +345,8 @@ class TestVerify:
         doc = manifest_of(out, "verify")
         checks = check_map(doc)
         assert "data_immersion" in checks
-        assert "liu_condition4" in checks
+        assert [n for n in checks if n.startswith("liu_")] == ["liu_condition4"]
+        assert set(doc["reports"]["liu"]) == {"condition4", "masked_fraction"}
         assert checks["conformality"]["passed"]
         assert doc["inputs"]["resolved_checks"] == [
             "validation", "invariants", "liu", "mean-curvature"]
@@ -574,6 +575,33 @@ def test_repeated_runs_are_deterministic(tmp_path):
         else:
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+def test_run_manifest_is_the_same_wherever_the_inputs_live(tmp_path):
+    # one input tree under two roots of different path lengths, named by
+    # absolute paths: the manifests record input files relative to
+    # themselves, so they agree but for the wall time
+    src = str(tmp_path / "src")
+    assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+                "--out", src]) == 0
+    docs = []
+    for root in (tmp_path / "a", tmp_path / "a-much-longer-root"):
+        tree = str(root / "in")
+        os.makedirs(tree)
+        for name in os.listdir(src):
+            with open(os.path.join(src, name), "rb") as fi, \
+                    open(os.path.join(tree, name), "wb") as fo:
+                fo.write(fi.read())
+        out = str(root / "out")
+        patch = os.path.join(tree, "patch.json")
+        assert run(["verify", "--input", patch, "--against", patch, "--family",
+                    "elliptic", "--parameter", "0", "--out", out]) == 0
+        doc = manifest_of(out, "verify")
+        doc.pop("wall_time_s")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["inputs"]["input"] == os.path.join("..", "in", "patch.json")
+    assert docs[0]["inputs"]["against"] == docs[0]["inputs"]["input"]
 
 
 _COLD_START = r"""

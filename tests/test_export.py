@@ -53,7 +53,7 @@ def test_obj_layout(tmp_path):
     # each vertex line carries the three spatial coordinates
     first = verts[0].split()
     assert len(first) == 4
-    np.testing.assert_allclose(float(first[1]), patch.X[0].values[0, 0])
+    np.testing.assert_allclose(float(first[1]), patch.x_stack[0, 0, 0])
     # fourth coordinate rides in the side-channel table
     rows = read_lines(path + ".x4.csv")
     assert rows[0] == "vertex,x4"

@@ -403,6 +403,26 @@ def test_bad_payload_reference_names_document_and_field(tmp_path, kind, case):
         load(target)
 
 
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_complex_payload_of_a_real_field_is_refused(tmp_path, kind):
+    # a real field's payload replaced by a complex CSV on the same grid:
+    # its imaginary part must neither be dropped nor reach the geometry
+    fname, load, (table, name) = DOCUMENTS[kind](str(tmp_path))
+    path = os.path.join(str(tmp_path), fname)
+    with open(path) as fh:
+        doc = json.load(fh)
+    payload = os.path.join(str(tmp_path), (doc if table is None else doc[table])[name]["file"])
+    real = load_field_csv(payload)
+    save_field_csv(ComplexField(real.grid, real.values + 0.5j), payload)
+    with pytest.raises(ValueError, match=r"doc.*'%s' holds complex values" % name):
+        load(path)
+    command = ["solve", "--problem"] if kind == "problem" else ["verify", "--input"]
+    out = str(tmp_path / "out")
+    assert cli.main(command + [path, "--out", out, "--name", "run"]) == 1
+    with open(os.path.join(out, "run.manifest.json")) as fh:
+        assert "'%s' holds complex values" % name in json.load(fh)["error"]
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)

@@ -84,10 +84,10 @@ def test_plane_patch_frozen():
     g = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
     patch = represent_first(plane_first(g))
     U, V = g.mesh()
-    np.testing.assert_allclose(patch.X[0].values, U + 1.0, atol=1e-14)
-    np.testing.assert_allclose(patch.X[1].values, -(V + 1.0), atol=1e-14)
-    np.testing.assert_allclose(patch.X[2].values, U + 1.0, atol=1e-14)
-    np.testing.assert_allclose(patch.X[3].values, U + 1.0, atol=1e-14)
+    np.testing.assert_allclose(patch.x_stack[0], U + 1.0, atol=1e-14)
+    np.testing.assert_allclose(patch.x_stack[1], -(V + 1.0), atol=1e-14)
+    np.testing.assert_allclose(patch.x_stack[2], U + 1.0, atol=1e-14)
+    np.testing.assert_allclose(patch.x_stack[3], U + 1.0, atol=1e-14)
     assert sup_abs(patch.h_stack) == 0.0
     assert patch.invariants["conformality"] < 1e-15
     assert patch.invariants["conformal_min"] > 0.0
@@ -148,7 +148,7 @@ def test_third_route_minimal_reduction():
         dzbar=lambda u, v: z0(u, v) + 0j))
     patch = represent_third(gauss, real_u(g), real_zero(g))
     U, _ = g.mesh()
-    assert sup_abs(patch.X[3].values) == 0.0
+    assert sup_abs(patch.x_stack[3]) == 0.0
     assert sup_abs(patch.h_stack) == 0.0
     np.testing.assert_allclose(patch.conformal_factor.values, np.cosh(U) ** 2,
                                atol=1e-12)
@@ -166,7 +166,7 @@ def test_third_route_maximal_reduction():
     patch = represent_third(gauss, real_zero(g), real_u(g))
     U, _ = g.mesh()
     mag = 2.0 * np.exp(U)
-    assert sup_abs(patch.X[2].values) == 0.0
+    assert sup_abs(patch.x_stack[2]) == 0.0
     assert sup_abs(patch.h_stack) == 0.0
     np.testing.assert_allclose(patch.conformal_factor.values,
                                (mag - 1.0 / mag) ** 2 / 4.0, atol=1e-12)
@@ -176,10 +176,10 @@ def test_anchor_lands_on_requested_point():
     fx = fixture_sigma_theta(0.0, grid=grid33())
     anchor = (1.0, -2.0, 3.0, 0.5)
     patch = represent_second(fx.data, anchor=anchor)
-    got = tuple(float(c.values[0, 0]) for c in patch.X)
+    got = tuple(float(c) for c in patch.x_stack[:, 0, 0])
     assert got == anchor
     default = represent_second(fx.data)
-    assert tuple(float(c.values[0, 0]) for c in default.X) == (0.0,) * 4
+    assert tuple(float(c) for c in default.x_stack[:, 0, 0]) == (0.0,) * 4
 
 
 def test_loop_certificate_rejects_nonintegrable_input():
@@ -195,10 +195,9 @@ def test_loop_certificate_rejects_nonintegrable_input():
     p_z = wirtinger_dz(data.pot1).values
     q_z = wirtinger_dz(data.pot2).values
     spec = surfaces._KINDS["first"]
-    xz = [ComplexField(g, p_z * c1(w) + q_z * c2(w))
-          for c1, c2 in zip(spec.frame1, spec.frame2)]
+    xz = np.stack([p_z * c1(w) + q_z * c2(w) for c1, c2 in zip(spec.frame1, spec.frame2)])
     with pytest.raises(ValueError) as err:
-        surfaces._integrate_coords(xz, None, residual_cap(g, False, 50.0), "represent_first")
+        surfaces._integrate_coords(g, xz, None, residual_cap(g, False, 50.0), "represent_first")
     assert "loop residual" in str(err.value)
 
 
@@ -212,10 +211,9 @@ def test_nonintegrable_coordinate_is_named():
 
     integrands = [lambda z: z, lambda z: 2.0 * z, lambda z: 1j * np.conj(z), lambda z: -z]
     U, V = g.mesh()
-    xz = [ComplexField(g, f(U + 1j * V), Analytic(value=lambda u, v, _f=f: _f(*inputs(u, v))))
-          for f in integrands]
+    xz = np.stack([f(U + 1j * V) for f in integrands])
     with pytest.raises(ValueError, match=r"represent_first: coordinate 3 loop residual"):
-        surfaces._integrate_coords(xz, None, 1e-8, "represent_first", inputs, integrands)
+        surfaces._integrate_coords(g, xz, None, 1e-8, "represent_first", inputs, integrands)
 
 
 def _counted(fld, calls, name):
@@ -324,7 +322,7 @@ def test_patch_from_chart_zero_mean_curvature():
     assert "metric_agreement" not in patch.invariants
     _, report = mean_curvature(patch)
     assert report["max_norm"] == 0.0
-    assert sup_abs(patch.X[3].values) == 0.0
+    assert sup_abs(patch.x_stack[3]) == 0.0
     U, _ = patch.grid.mesh()
     np.testing.assert_allclose(patch.conformal_factor.values, np.cosh(U) ** 2,
                                rtol=1e-12)
@@ -353,41 +351,30 @@ def test_patch_from_samples_round_trip():
 # ---------------------------------------------------------------------------
 # stored stacks and memory
 
-STACKS = {"X": "x_stack", "Xz": "xz_stack", "Xzzbar": "xzzbar_stack",
-          "mean_curvature": "h_stack", "gauss_map": "gauss_stack"}
+STACKS = ("x_stack", "xz_stack", "xzzbar_stack", "h_stack", "gauss_stack")
 
 
 @pytest.mark.parametrize("route", ["represent", "chart"])
-def test_patch_fields_are_views_of_its_stored_stacks(route):
+def test_patch_stacks_are_read_only_and_stored_once(route):
     if route == "represent":
         patch = represent_second(fixture_sigma_theta(0.3, grid=grid33()).data)
     else:
-        chart = fixture_classical("catenoid-r3", grid=grid33()).chart
-        patch = patch_from_chart(chart)
-        assert all(f.analytic is c.analytic for f, c in zip(patch.X, chart))
-    for name, stack_name in STACKS.items():
+        patch = patch_from_chart(fixture_classical("catenoid-r3", grid=grid33()).chart)
+    for stack_name in STACKS:
         stack = getattr(patch, stack_name)
         assert getattr(patch, stack_name) is stack
         assert stack.shape == (4,) + patch.grid.shape
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1.0
-        fields = getattr(patch, name)
-        assert len(fields) == 4
-        for k, f in enumerate(fields):
-            assert isinstance(f, ComplexField if name == "Xz" else RealField)
-            assert np.shares_memory(f.values, stack)
-            assert f.values.base is stack
-            np.testing.assert_array_equal(f.values, stack[k])
-            assert not f.values.flags.writeable
-            # exact callbacks survive on the coordinates and their dz
-            assert (f.analytic is not None) == (name in ("X", "Xz")), name
     assert not patch.conformal_factor.values.flags.writeable
 
 
 def test_comparing_patches_compares_no_array():
+    assert {f.name for f in dataclasses.fields(SurfacePatch)} \
+        == set(STACKS) | {"grid", "conformal_factor", "provenance", "invariants"}
     assert {f.name for f in dataclasses.fields(SurfacePatch) if not f.compare} \
-        == set(STACKS.values()) | {"provenance", "invariants"}
+        == set(STACKS) | {"provenance", "invariants"}
     data = fixture_sigma_theta(0.3, grid=grid33()).data
     a, b = represent_second(data), represent_second(data)
     assert a == a
@@ -425,10 +412,11 @@ def test_represent_second_traced_peak_is_bounded():
 def test_mean_curvature_report_frozen():
     fx = fixture_sigma_theta(0.0, grid=grid33())
     patch = represent_second(fx.data, anchor=fx.expected["anchor"])
-    fields, report = mean_curvature(patch)
+    h, report = mean_curvature(patch)
+    assert h is patch.h_stack
     U, V = fx.grid.mesh()
     closed = 2.0 * math.sqrt(2.0) * np.cosh(V) / np.cosh(U)
-    norm = np.sqrt(sum(f.values ** 2 for f in fields))
+    norm = np.sqrt(np.sum(h ** 2, axis=0))
     assert sup_abs(norm - closed) < 1e-10
     np.testing.assert_allclose(report["min_norm"],
                                2.0 * math.sqrt(2.0) / math.cosh(2.0), rtol=1e-12)
@@ -456,11 +444,8 @@ def test_liu_exact_route_on_represented_patch():
     patch = represent_second(fx.data)
     liu = liu_decompose(patch)
     res = liu.residuals
-    assert res["condition1"] == 0.0
-    assert res["condition2"] == 0.0
-    assert res["condition3"] == 0.0
+    assert set(res) == {"condition4", "masked_fraction"}
     assert res["condition4"] < 1e-8
-    assert res["reconstruction"] < 1e-10
     assert res["masked_fraction"] == 0.0
     # the second factor recovers the generating holomorphic field
     assert sup_abs(liu.f2.values - fx.data.holo.values) < 1e-8
@@ -475,10 +460,23 @@ def test_liu_fd_route_is_second_order():
     liu = liu_decompose(patch_from_samples(fx.grid, patch.x_stack))
     cap = fd_cap(fx.grid, 50.0)
     res = liu.residuals
-    for name in ("condition1", "condition2", "condition3"):
-        assert res[name] < cap
     # the product condition is a genuine truncation-limited residual here
     assert 1e-4 < res["condition4"] < cap
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_liu_condition4_fails_on_a_sphere(n):
+    # the unit sphere in the x4 = 0 slice is conformal in stereographic
+    # coordinates but not marginally trapped: its mean curvature vector is
+    # spacelike, so the Liu product condition must fail far above its cap
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
+    U, V = g.mesh()
+    d = 1.0 + U ** 2 + V ** 2
+    sphere = np.stack([2.0 * U / d, 2.0 * V / d, (U ** 2 + V ** 2 - 1.0) / d, 0.0 * U])
+    patch = patch_from_samples(g, sphere)
+    cap = fd_cap(g, 100.0)
+    assert patch.invariants["conformality"] < cap
+    assert liu_decompose(patch).residuals["condition4"] > 50.0 * cap
 
 
 def test_liu_cutoff_guard():
@@ -500,4 +498,3 @@ def test_liu_plane_factors_are_constant():
     np.testing.assert_allclose(liu.scale.values, 0.5, atol=1e-15)
     np.testing.assert_allclose(liu.f1.values, 0.0, atol=1e-14)
     np.testing.assert_allclose(liu.f2.values, 1.0, atol=1e-14)
-    assert liu.residuals["reconstruction"] < 1e-14
