@@ -298,7 +298,7 @@ def fixture_two_parameter(alpha, beta, grid=None):
     """
     alpha = float(alpha)
     beta = float(beta)
-    if alpha * alpha + beta * beta >= 1.0:
+    if not alpha * alpha + beta * beta < 1.0:   # NaN fails it too
         raise ValueError(
             "need alpha^2 + beta^2 < 1 (got %g); otherwise the immersion "
             "expression vanishes somewhere" % (alpha * alpha + beta * beta))

@@ -7,6 +7,11 @@ force, one pass/fail entry per check and the list of produced files; the
 process exits 0 exactly when all checks pass.  Outputs are deterministic
 byte for byte except for the ``wall_time_s`` entry of the manifest.
 
+Every check is capped through :func:`mtsurf.tolerances.cap` on the route
+its patch records (``SurfacePatch.exact``); the command line sets only
+``--tol-exact`` and the two certification floors.  A non-finite numeric
+option ends the run with an error that names it.
+
 Grid specifications use the syntax ``umin:umax:vmin:vmax:NUxNV``, e.g.
 ``-2:2:-2:2:129x129``.
 """
@@ -28,7 +33,7 @@ from .export import _jsonable, _write_patch, load_patch_manifest
 from .fields import (Grid2D, document_entry, lincomb_real, read_document, save_field_csv,
                      sup_abs, write_document)
 from .lorentz import rotation
-from .poisson import PoissonProblem, SolverOptions, load_problem, solve_weighted_poisson
+from .poisson import load_problem, solve_weighted_poisson
 from .surfaces import (
     liu_decompose,
     mean_curvature,
@@ -39,7 +44,8 @@ from .surfaces import (
     represent_third,
     verify_congruence,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, TOL_EXACT, fd_cap, residual_cap
+from .tolerances import (CONGRUENCE_TOL, EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, QUADRIC_TOL,
+                         TOL_EXACT, cap, passes)
 from .weierstrass import (
     WeierstrassSecond,
     _certificate,
@@ -65,10 +71,8 @@ def _check(name, value, threshold, sense):
     """One manifest check; a non-finite value fails whatever its sense."""
     value = float(value)
     threshold = float(threshold)
-    passed = value < threshold if sense == "max_below" else value > threshold
-    passed = passed and math.isfinite(value)
     return {"name": name, "value": value, "threshold": threshold,
-            "sense": sense, "passed": bool(passed)}
+            "sense": sense, "passed": passes(value, threshold, sense)}
 
 
 #: Inputs that name files; a manifest records them relative to its directory.
@@ -145,62 +149,60 @@ def _as_kind(cert, kind, args):
 
 
 def _represent(cert, rep, anchor, args):
-    """The ``rep`` patch of a certified triple, and whether its integrands
-    carry exact callbacks (which picks the caps of its checks)."""
-    used = _as_kind(cert, rep, args)
+    """The ``rep`` patch of a certified triple."""
     represent = {"first": represent_first, "second": represent_second,
                  "third": represent_third}[rep]
-    return represent(used, anchor=anchor), _exact_callbacks(used.holo, used.a, used.b)
+    return represent(_as_kind(cert, rep, args), anchor=anchor)
 
 
-def _patch_checks(manifest, patch, exact, args):
-    grid = patch.grid
-    cap = residual_cap(grid, exact, 100.0, args.tol_exact)
-    loop_cap = residual_cap(grid, exact, 50.0, args.tol_exact)
+def _gate(manifest, name, value, patch, args, scale=1.0):
+    """Check ``value`` against the table's cap of ``name`` on the route of
+    ``patch``."""
+    manifest.add_check(name, value, cap(name, patch.grid, patch.exact, args.tol_exact, scale))
+
+
+def _patch_checks(manifest, patch, args):
     inv = patch.invariants
     for name in ("conformality", "mean_null", "gauss_tangency", "gauss_null"):
-        manifest.add_check(name, inv[name], cap)
+        _gate(manifest, name, inv[name], patch, args)
     manifest.add_check("conformal_min", inv["conformal_min"], 0.0, "min_above")
-    for name in ("metric_agreement", "coordinate_identity"):
+    for name in ("metric_agreement", "coordinate_identity", "loop_residual"):
         if name in inv:
-            manifest.add_check(name, inv[name], cap)
-    if "loop_residual" in inv:
-        manifest.add_check("loop_residual", inv["loop_residual"], loop_cap)
+            _gate(manifest, name, inv[name], patch, args)
     _, h_report = mean_curvature(patch)
     manifest.reports["mean_curvature"] = h_report
 
 
-def _fixture_checks(manifest, patch, fixture, exact, args):
+def _quadric_check(manifest, patch, constant, args):
+    """sup |<X,X> - constant|; off the exact route its cap scales by
+    1 + max|X|^2, since the residual grows with |X| times the error of X."""
+    scale = 1.0 if patch.exact else 1.0 + float(np.max(np.sum(patch.x_stack ** 2, axis=0)))
+    _gate(manifest, "quadric_residual", sup_abs(quadric_residual(patch, constant).values),
+          patch, args, scale)
+
+
+def _congruence_check(manifest, patch, other, args):
+    cong = verify_congruence(patch, other, rotation(args.family, args.parameter))
+    manifest.reports["congruence"] = cong
+    _gate(manifest, "congruence_residual", cong["residual"], patch, args)
+
+
+def _fixture_checks(manifest, patch, fixture, args):
     expected = fixture.expected
-    grid = patch.grid
     if expected.get("quadric_constant") is not None:
-        res = sup_abs(quadric_residual(patch, expected["quadric_constant"]).values)
-        manifest.add_check("quadric_residual", res,
-                           _quadric_cap(patch, exact, args))
+        _quadric_check(manifest, patch, expected["quadric_constant"], args)
     if "conformal_factor" in expected:
-        closed = expected["conformal_factor"](*grid.mesh())
-        res = sup_abs(patch.conformal_factor.values - closed)
-        manifest.add_check("conformal_factor_match", res,
-                           residual_cap(grid, exact, 100.0, args.tol_exact))
+        closed = expected["conformal_factor"](*patch.grid.mesh())
+        _gate(manifest, "conformal_factor_match",
+              sup_abs(patch.conformal_factor.values - closed), patch, args)
     if expected.get("h_nowhere_zero"):
         manifest.add_check("mean_curvature_min_norm",
                            manifest.reports["mean_curvature"]["min_norm"],
                            0.0, "min_above")
     if "slice" in expected:
         coord, const = expected["slice"]
-        idx = {"x1": 0, "x2": 1, "x3": 2, "x4": 3}[coord]
-        res = sup_abs(patch.x_stack[idx] - const)
-        manifest.add_check("slice_%s_constant" % coord, res, args.quadric_tol)
-
-
-def _quadric_cap(patch, exact, args):
-    """Absolute cap with exact providers; scaled by the coordinate size
-    otherwise, since the residual of <X,X> grows with |X| times the
-    finite-difference error of X."""
-    if exact:
-        return args.quadric_tol
-    scale = 1.0 + float(np.max(np.sum(patch.x_stack ** 2, axis=0)))
-    return fd_cap(patch.grid, 100.0) * scale
+        _gate(manifest, "slice_%s_constant" % coord,
+              sup_abs(patch.x_stack[int(coord[1:]) - 1] - const), patch, args)
 
 
 def _fixture_params(args):
@@ -217,13 +219,6 @@ def _resolve_fixture(args):
     return fixture_by_name(args.fixture, grid=grid, params=_fixture_params(args))
 
 
-def _tolerances(args):
-    return {"eps_zero": args.eps_zero, "eps_immersion": args.eps_immersion,
-            "tol_exact": args.tol_exact, "quadric_tol": args.quadric_tol,
-            "congruence_tol": getattr(args, "congruence_tol", None),
-            "psi_cutoff": getattr(args, "psi_cutoff", None)}
-
-
 def _mesh_artifacts(manifest, patch, out_dir, name):
     """OBJ, PLY and patch manifest of ``patch`` in one pass of the writer."""
     stem = os.path.join(out_dir, name)
@@ -236,12 +231,19 @@ _RUN_ERRORS = (DomainError, PoleError, InvalidDataError, GridMismatchError,
 
 
 def _run(args, command, inputs, body, table=False):
-    """Run ``body(manifest)``, record an expected failure as the run's
-    error (an exception without a message by its class name, as a bare
-    MemoryError), save the manifest and return the exit status."""
-    manifest = RunManifest(command, inputs, _tolerances(args))
+    """Run ``body(manifest)`` unless a numeric option is nan or inf, record
+    that or an expected failure as the run's error (an exception without a
+    message by its class name, as a bare MemoryError), save the manifest
+    and return the exit status."""
+    manifest = RunManifest(command, inputs, {
+        "eps_zero": args.eps_zero, "eps_immersion": args.eps_immersion,
+        "tol_exact": args.tol_exact, "quadric_tol": QUADRIC_TOL,
+        "congruence_tol": CONGRUENCE_TOL, "psi_cutoff": PSI_CUTOFF})
     os.makedirs(args.out, exist_ok=True)
     try:
+        for key, val in sorted(vars(args).items()):
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError("--%s must be finite, got %r" % (key.replace("_", "-"), val))
         body(manifest)
     except _RUN_ERRORS as exc:
         manifest.error = str(exc) or type(exc).__name__
@@ -264,16 +266,15 @@ def cmd_generate(args):
             patch = patch_from_chart(fixture.chart,
                                      provenance={"representation": "chart",
                                                  "fixture": fixture.name})
-            exact = True
         else:
             data = fixture.data if fixture is not None else load_data(args.data)
             cert = _certified(data, args)
             manifest.add_report_checks(cert.report, "data_")
             anchor = fixture.expected.get("anchor") if fixture is not None else None
-            patch, exact = _represent(cert, args.rep, anchor, args)
-        _patch_checks(manifest, patch, exact, args)
+            patch = _represent(cert, args.rep, anchor, args)
+        _patch_checks(manifest, patch, args)
         if fixture is not None:
-            _fixture_checks(manifest, patch, fixture, exact, args)
+            _fixture_checks(manifest, patch, fixture, args)
             if fixture.data is not None:
                 manifest.add_artifacts(save_data(
                     fixture.data, os.path.join(args.out, args.name + ".data.json")))
@@ -309,18 +310,11 @@ def cmd_deform(args):
         manifest.add_report_checks(cert.report, "deformed_")
         ident = deformed.provenance.get("identity_residual")
         if ident is not None:
-            exact = _exact_callbacks(base.holo, base.a, base.b)
-            manifest.add_check("deformation_identity", ident,
-                               residual_cap(deformed.grid, exact, 50.0, args.tol_exact))
-
-        patch0, _ = _represent(base, need, None, args)
-        patch1, _ = _represent(cert, need, None, args)
-        cong = verify_congruence(patch0, patch1,
-                                 rotation(args.family, args.parameter),
-                                 tol=args.congruence_tol)
-        manifest.reports["congruence"] = cong
-        manifest.add_check("congruence_residual", cong["residual"],
-                           args.congruence_tol)
+            manifest.add_check("deformation_identity", ident, cap(
+                "deformation_identity", deformed.grid,
+                _exact_callbacks(base.holo, base.a, base.b), args.tol_exact))
+        _congruence_check(manifest, _represent(base, need, None, args),
+                          _represent(cert, need, None, args), args)
         manifest.add_artifacts(
             save_data(deformed, os.path.join(args.out, args.name + ".data.json")))
 
@@ -336,10 +330,6 @@ def cmd_solve(args):
 
     def run(manifest):
         problem = load_problem(args.problem)
-        if args.target is not None:
-            problem = PoissonProblem(
-                problem.grid, problem.weight, problem.source, problem.boundary,
-                SolverOptions(args.target))
         solution, report = solve_weighted_poisson(problem)
         manifest.reports["solver"] = report
         manifest.add_check("solver_residual", report["residual_max"],
@@ -365,8 +355,8 @@ def cmd_solve(args):
             cert = _certified(data, args)
             manifest.add_report_checks(cert.report, "data_")
             if cert.report.ok:
-                patch, exact = _represent(cert, "second", None, args)
-                _patch_checks(manifest, patch, exact, args)
+                patch = _represent(cert, "second", None, args)
+                _patch_checks(manifest, patch, args)
                 _mesh_artifacts(manifest, patch, args.out, args.name)
 
     return _run(args, "solve", inputs, run)
@@ -381,8 +371,8 @@ def _anchor_for_data(data, args):
     """
     if args.anchor is not None:
         parts = [float(x) for x in args.anchor.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--anchor needs four comma-separated values")
+        if len(parts) != 4 or not all(map(math.isfinite, parts)):
+            raise ValueError("--anchor needs four finite comma-separated values")
         return tuple(parts)
     prov = data.provenance
     name = prov.get("name")
@@ -432,7 +422,6 @@ def cmd_verify(args):
         elif fmt == "mtsurf-patch":
             kind = "patch"
             patch, _ = load_patch_manifest(args.input)
-            exact = False
         else:
             raise ValueError("input %r is neither a data document nor a patch "
                              "manifest" % args.input)
@@ -444,13 +433,13 @@ def cmd_verify(args):
             cert = _certified(data, args)
             if "validation" in selected:
                 manifest.add_report_checks(cert.report, "data_")
-            patch, exact = _represent(cert, args.rep, _anchor_for_data(data, args), args)
+            patch = _represent(cert, args.rep, _anchor_for_data(data, args), args)
         elif "validation" in selected:
             raise ValueError("the validation check needs a data document, "
                              "not a patch manifest")
 
         if "invariants" in selected:
-            _patch_checks(manifest, patch, exact, args)
+            _patch_checks(manifest, patch, args)
         elif "mean-curvature" in selected:
             _, h_report = mean_curvature(patch)
             manifest.reports["mean_curvature"] = h_report
@@ -459,14 +448,11 @@ def cmd_verify(args):
             if args.quadric_constant is None:
                 raise ValueError("--quadric-constant is required for the "
                                  "quadric check")
-            res = sup_abs(quadric_residual(patch, args.quadric_constant).values)
-            manifest.add_check("quadric_residual", res,
-                               _quadric_cap(patch, exact, args))
+            _quadric_check(manifest, patch, args.quadric_constant, args)
 
         if "liu" in selected:
-            liu = liu_decompose(patch, cutoff=args.psi_cutoff)
-            cap = residual_cap(patch.grid, exact, 100.0, args.tol_exact)
-            manifest.add_check("liu_condition4", liu.residuals["condition4"], cap)
+            liu = liu_decompose(patch)
+            _gate(manifest, "liu_condition4", liu.residuals["condition4"], patch, args)
             manifest.reports["liu"] = liu.residuals
 
         if "congruence" in selected:
@@ -475,12 +461,7 @@ def cmd_verify(args):
                 raise ValueError("--against, --family and --parameter are "
                                  "required for the congruence check")
             other, _ = load_patch_manifest(args.against)
-            cong = verify_congruence(patch, other,
-                                     rotation(args.family, args.parameter),
-                                     tol=args.congruence_tol)
-            manifest.reports["congruence"] = cong
-            manifest.add_check("congruence_residual", cong["residual"],
-                               args.congruence_tol)
+            _congruence_check(manifest, patch, other, args)
 
     return _run(args, "verify", inputs, run, table=True)
 
@@ -506,10 +487,7 @@ def _add_tolerance_args(p):
     p.add_argument("--tol-exact", type=float, default=TOL_EXACT,
                    help="residual cap with closed-form derivative providers, "
                         "data certifications and loop caps included; "
-                        "finite-difference inputs use 50-100*h^2 instead "
-                        "(default %(default)s)")
-    p.add_argument("--quadric-tol", type=float, default=1e-10,
-                   help="cap for quadric / slice-constancy residuals "
+                        "finite-difference inputs use the table's C*h^2 instead "
                         "(default %(default)s)")
 
 
@@ -554,9 +532,6 @@ def main(argv=None):
     d.add_argument("--family", choices=("parabolic", "elliptic", "hyperbolic"),
                    required=True)
     d.add_argument("--parameter", type=float, required=True)
-    d.add_argument("--congruence-tol", type=float, default=1e-6,
-                   help="cap for the mean-subtracted congruence residual "
-                        "(default %(default)s)")
     d.add_argument("--out", required=True)
     d.add_argument("--name", default="deformed",
                    help="basename for artifacts (default %(default)s)")
@@ -566,9 +541,6 @@ def main(argv=None):
     s = sub.add_parser("solve", help="solve a weighted Poisson problem")
     s.add_argument("--problem", required=True,
                    help="problem descriptor JSON")
-    s.add_argument("--target", type=float, default=None,
-                   help="override the descriptor's residual target "
-                        "(default: descriptor value, 1e-10)")
     s.add_argument("--generate", action="store_true",
                    help="assemble a data triple from the solution and export "
                         "a patch (requires a weight with a known holomorphic "
@@ -602,11 +574,6 @@ def main(argv=None):
                    default=None, help="rotation family for congruence")
     v.add_argument("--parameter", type=float, default=None,
                    help="rotation parameter for congruence")
-    v.add_argument("--psi-cutoff", type=float, default=PSI_CUTOFF,
-                   help="|scale| cutoff for the Liu factorization "
-                        "(default %(default)s)")
-    v.add_argument("--congruence-tol", type=float, default=1e-6,
-                   help="cap for the congruence residual (default %(default)s)")
     v.add_argument("--out", required=True)
     v.add_argument("--name", default="verify",
                    help="basename for the manifest (default %(default)s)")

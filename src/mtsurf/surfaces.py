@@ -50,8 +50,9 @@ from .fields import (
     wirtinger_dz,
 )
 from .lorentz import complex_bilinear, minkowski_inner
-from .tolerances import PSI_CUTOFF, residual_cap
-from .weierstrass import _Certificate, _certificate, _certify, _exact_callbacks
+from .tolerances import CONGRUENCE_TOL, PSI_CUTOFF, cap, passes
+from .weierstrass import (_Certificate, _certificate, _certify, _exact_callbacks,
+                          _has_first, _has_lap)
 
 __all__ = [
     "SurfacePatch",
@@ -78,7 +79,9 @@ class SurfacePatch:
     ``gauss_stack``, the arrays the Minkowski algebra helpers take; row k
     of a stack is component k.  ``invariants`` maps residual names to
     floats (see ``_patch_invariants``); ``provenance`` records how the
-    patch was made.  Comparing two patches compares no array.
+    patch was made; ``exact`` tells whether exact callbacks produced it,
+    which picks the caps of its checks (:func:`mtsurf.tolerances.cap`).
+    Comparing two patches compares no array.
     """
 
     grid: object
@@ -90,6 +93,7 @@ class SurfacePatch:
     gauss_stack: np.ndarray = field(compare=False, repr=False)
     provenance: dict = field(compare=False)
     invariants: dict = field(compare=False)
+    exact: bool = field(compare=False)
 
     def __post_init__(self):
         for stack in (self.x_stack, self.xz_stack, self.xzzbar_stack,
@@ -168,7 +172,7 @@ def _integrate_coords(grid, xz, anchor, loop_cap, what, inputs=None, integrands=
     x = np.empty((4,) + grid.shape)
     worst_loop = 0.0
     for k, pr in enumerate(primitives):
-        if pr.loop_residual > loop_cap:
+        if not passes(pr.loop_residual, loop_cap, "max_below"):
             raise ValueError(
                 "%s: coordinate %d loop residual %.3e exceeds %.3e; tangent "
                 "field is not integrable on this grid"
@@ -265,7 +269,7 @@ def _represent(cert, anchor):
         integrands.append(integrand)
         xz[k] = integrand(w, a_z, b_z)
     x, worst_loop = _integrate_coords(
-        grid, xz, anchor, residual_cap(grid, exact, 50.0, tol_exact),
+        grid, xz, anchor, cap("loop_residual", grid, exact, tol_exact),
         "represent_" + kind, inputs, integrands)
 
     gauss = np.stack(spec.null_dir(w))
@@ -283,7 +287,8 @@ def _represent(cert, anchor):
         provenance=provenance,
         invariants=_patch_invariants(
             xz, h, gauss, lam_values, closed_metric=lam_values,
-            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}))
+            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}),
+        exact=exact)
 
 
 def represent_first(data, anchor=None):
@@ -336,7 +341,8 @@ def patch_from_chart(coords, provenance=None):
     differences otherwise.  The conformal factor is measured as
     2 <Xz, conj Xz> (no closed form is assumed) and the null curvature
     direction X_zzbar doubles as the recorded gauss_map; it vanishes for
-    minimal and maximal charts.
+    minimal and maximal charts.  The patch is ``exact`` when every
+    coordinate carries first-derivative and Laplacian callbacks.
     """
     coords = tuple(coords)
     if len(coords) != 4:
@@ -364,7 +370,8 @@ def patch_from_chart(coords, provenance=None):
         RealField._view(grid, lam_values), h, xzzbar,
         provenance=dict(provenance or {"representation": "chart"}),
         invariants=_patch_invariants(xz, h, xzzbar, lam_values, closed_metric=None,
-                                     extra={"loop_residual": 0.0}))
+                                     extra={"loop_residual": 0.0}),
+        exact=all(_has_first(c) and _has_lap(c) for c in coords))
 
 
 def patch_from_samples(grid, coords_array, provenance=None):
@@ -477,7 +484,7 @@ def liu_decompose(patch, cutoff=PSI_CUTOFF):
                    ComplexField._view(grid, f2), mask, residuals, float(cutoff))
 
 
-def verify_congruence(patch_a, patch_b, rot, tol=1e-6):
+def verify_congruence(patch_a, patch_b, rot, tol=CONGRUENCE_TOL):
     """Check rot . patch_a == patch_b up to a constant translation.
 
     Returns a report dict: the per-component mean of T = rot(X_a) - X_b is
@@ -492,7 +499,7 @@ def verify_congruence(patch_a, patch_b, rot, tol=1e-6):
     return {
         "residual": float(residual),
         "tol": float(tol),
-        "passed": bool(residual < tol),
+        "passed": passes(residual, tol, "max_below"),
         "translation": [float(t) for t in translation],
         "rotation_family": rot.family,
         "rotation_parameter": rot.parameter,

@@ -49,7 +49,7 @@ from .fields import (
     wirtinger_dzbar,
     write_document,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, TOL_EXACT, residual_cap
+from .tolerances import EPS_IMMERSION, EPS_ZERO, TOL_EXACT, cap, passes
 
 __all__ = [
     "WeierstrassFirst",
@@ -154,7 +154,8 @@ class CheckResult:
 
     ``sense`` is "max_below" for sup-norm residuals (pass when
     value < threshold) or "min_above" for nonvanishing certificates (pass
-    when value > threshold).  ``where`` locates the worst node.
+    when value > threshold); a non-finite value fails either way
+    (:func:`mtsurf.tolerances.passes`).  ``where`` locates the worst node.
     """
 
     name: str
@@ -239,13 +240,14 @@ def _sup_interior_check(name, grid, arr, threshold):
     i, j = np.unravel_index(int(np.argmax(inner)), inner.shape)
     value = float(inner[i, j])
     where = (float(grid.axis_u[i + 1]), float(grid.axis_v[j + 1]))
-    return CheckResult(name, value < threshold, value, threshold, "max_below", where)
+    return CheckResult(name, passes(value, threshold, "max_below"), value, threshold,
+                       "max_below", where)
 
 
 def _min_check(name, grid, arr, threshold):
     u, v, mag = min_abs_location(grid, arr)
-    return CheckResult(name, mag > threshold, mag, threshold, "min_above",
-                       (float(u), float(v)))
+    return CheckResult(name, passes(mag, threshold, "min_above"), mag, threshold,
+                       "min_above", (float(u), float(v)))
 
 
 #: Coupling weight of each kind as a function of its holomorphic samples:
@@ -282,10 +284,10 @@ def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
     checks = (
         _min_check("nonvanishing", grid, holo.values, eps_zero),
         _sup_interior_check("holomorphic", grid, wirtinger_dzbar(holo).values,
-                            residual_cap(grid, exact_holo, 50.0, tol_exact)),
+                            cap("holomorphic", grid, exact_holo, tol_exact)),
         _sup_interior_check("compatible", grid,
                             laplacian(a).values / 4.0 - weight * b_zzbar,
-                            residual_cap(grid, exact_pde, 50.0, tol_exact)),
+                            cap("compatible", grid, exact_pde, tol_exact)),
         _min_check("immersion", grid, a_z - weight * b_z, eps_immersion),
     )
     exact = exact_holo and exact_pde and _has_first(a) and _has_first(b)
@@ -311,7 +313,8 @@ def validate_first(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
     (sup |dzbar(gauss)| over the interior), ``compatible``
     (sup |lap(pot1)/4 - |gauss|^2 lap(pot2)/4| over the interior) and
     ``immersion`` (min |dz(pot1) - |gauss|^2 dz(pot2)|).  Residual caps
-    are 1e-8 when the needed callbacks exist and 50 h^2 otherwise.
+    come from :func:`mtsurf.tolerances.cap`, exact when the needed
+    callbacks exist.
     """
     return _certify("first", data.gauss, data.pot1, data.pot2,
                     eps_zero, eps_immersion).report
@@ -373,8 +376,8 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     ``holo_map`` turns w into the output holomorphic field w'.  ``keep``
     gives each output potential as ``(c, i)``, c times input potential i,
     or None for the one potential integrated from dz = ``integrand(w, dz a,
-    dz b)``, with the loop certificate enforced (cap the certificate's
-    ``tol_exact`` with exact callbacks, 50 h^2 without).  Its Laplacian
+    dz b)``, with the loop certificate enforced (the table's
+    ``loop_residual`` cap at the certificate's ``tol_exact``).  Its Laplacian
     callback follows from the output coupling lap a' = weight' lap b'.
     ``factor(w, w')`` is the immersion factor: provenance records
     sup |imm' - factor imm| with imm = dz a - weight dz b, next to
@@ -404,8 +407,8 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
             analytic = Analytic(value=value_cb)
         pr = integrate_primitive(
             ComplexField(grid, integrand(holo.values, a_z, b_z), analytic))
-        loop_cap = residual_cap(grid, exact, 50.0, tol_exact)
-        if pr.loop_residual > loop_cap:
+        loop_cap = cap("loop_residual", grid, exact, tol_exact)
+        if not passes(pr.loop_residual, loop_cap, "max_below"):
             what = head.get("transform") or "deform_" + head["family"]
             raise ValueError(
                 "%s: loop residual %.3e exceeds %.3e; the integrand is not "

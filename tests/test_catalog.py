@@ -122,6 +122,13 @@ def test_two_parameter_rejects_unit_disc_boundary():
         fixture_two_parameter(1.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha,beta", [(float("nan"), 0.0), (0.0, float("nan"))])
+def test_two_parameter_rejects_nan(alpha, beta):
+    # NaN fails every comparison, so it must not slip past the disc guard
+    with pytest.raises(ValueError, match=r"alpha\^2 \+ beta\^2"):
+        fixture_two_parameter(alpha, beta)
+
+
 @settings(max_examples=15, deadline=None)
 @given(theta=st.floats(min_value=0.0, max_value=0.7, allow_nan=False),
        alpha=st.floats(min_value=-0.6, max_value=0.6, allow_nan=False),

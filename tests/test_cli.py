@@ -10,6 +10,7 @@ import pytest
 from mtsurf import cli, surfaces, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.cli import main, parse_grid_spec
+from mtsurf.export import load_patch_manifest
 from mtsurf.fields import Grid2D, RealField
 from mtsurf.poisson import (
     PoissonProblem,
@@ -19,6 +20,7 @@ from mtsurf.poisson import (
     named_weight,
     save_problem,
 )
+from mtsurf.tolerances import CONGRUENCE_TOL, FD_FACTOR, FIXED_CAP, QUADRIC_TOL, cap
 from mtsurf.weierstrass import save_data
 
 
@@ -781,3 +783,135 @@ class TestStrictManifest:
         assert checks["finite"]["passed"]
         assert doc["tolerances"]["tol_exact"] == "inf"
         assert doc["reports"]["solver"]["residual_max"] == "nan"
+
+
+class TestNonFiniteInputs:
+    """A nan numeric input ends the run in a manifest whose error names its
+    flag."""
+
+    GRID = ["--grid", "-2:2:-2:2:9x9"]
+
+    def refused(self, out, argv, flag):
+        assert run(argv + ["--out", out, "--name", "run"]) == 1
+        doc = failed_run(out, "run")
+        assert flag in doc["error"] and "finite" in doc["error"]
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        out = str(tmp_path)
+        assert run(["generate", "--fixture", "sigma-theta"] + self.GRID
+                   + ["--out", out, "--name", "patch"]) == 0
+        return out
+
+    def test_anchor(self, saved):
+        self.refused(saved, ["verify", "--input", os.path.join(saved, "patch.data.json"),
+                             "--anchor", "nan,0,0,0"], "--anchor")
+
+    def test_quadric_constant(self, saved):
+        self.refused(saved, ["verify", "--input", os.path.join(saved, "patch.json"),
+                             "--quadric-constant", "nan"], "--quadric-constant")
+
+    def test_verify_parameter(self, saved):
+        patch = os.path.join(saved, "patch.json")
+        self.refused(saved, ["verify", "--input", patch, "--against", patch,
+                             "--family", "elliptic", "--parameter", "nan"], "--parameter")
+
+    def test_deform_parameter(self, tmp_path):
+        self.refused(str(tmp_path), ["deform", "--fixture", "sigma-theta"] + self.GRID
+                     + ["--family", "elliptic", "--parameter", "nan"], "--parameter")
+
+    def test_alpha(self, tmp_path):
+        self.refused(str(tmp_path), ["generate", "--fixture", "two-param", "--alpha", "nan"]
+                     + self.GRID, "--alpha")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # e^1e6 overflows on purpose
+def test_an_infinite_certificate_value_fails_in_the_report_too(tmp_path):
+    # at eta = 1e6 the deformed gauss field overflows to inf everywhere; the
+    # certificate's own report and the manifest agree that this fails
+    out = str(tmp_path)
+    rc = run(["deform", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+              "--family", "hyperbolic", "--parameter", "1e6", "--out", out, "--name", "d"])
+    assert rc == 1
+    doc = failed_run(out, "d")
+    assert not check_map(doc)["deformed_nonvanishing"]["passed"]
+    assert "nonvanishing FAIL" in doc["error"]
+
+
+class TestCapTable:
+    """Every capped check of a manifest carries the cap the table gives its
+    name on its route, and every table entry caps some check."""
+
+    GRID = "-2:2:-2:2:17x17"
+
+    def assert_caps(self, doc, grid, exact, scale=1.0):
+        """``exact``: the route of every check, or the set of the names that
+        exact callbacks produced.  Returns the capped names."""
+        names = set()
+        for c in doc["checks"]:
+            if c["sense"] != "max_below" or c["name"] == "solver_residual":
+                continue
+            name = c["name"]
+            if name.startswith(("data_", "deformed_")):
+                name = name.split("_", 1)[1]
+            assert name in FD_FACTOR or name in FIXED_CAP, name
+            route = exact if isinstance(exact, bool) else name in exact
+            expected = cap(name, grid, route, scale=scale if name == "quadric_residual" else 1.0)
+            assert c["threshold"] == expected, (c, expected)
+            names.add(name)
+        return names
+
+    def test_every_manifest_check_is_capped_from_the_table(self, tmp_path):
+        out = str(tmp_path)
+        grid = parse_grid_spec(self.GRID)
+        names = set()
+
+        assert run(["generate", "--fixture", "sigma-theta", "--theta", "0.3", "--grid",
+                    self.GRID, "--out", out, "--name", "exact"]) == 0
+        names |= self.assert_caps(manifest_of(out, "exact"), grid, True)
+
+        for fixture, bounds in (("catenoid-r3", "-2:2:-2:2"),
+                                ("hyperbolic-catenoid-l3", "-2:2:-1.4:1.4")):
+            spec = bounds + ":17x17"
+            assert run(["generate", "--fixture", fixture, "--grid", spec,
+                        "--out", out, "--name", fixture]) == 0
+            names |= self.assert_caps(manifest_of(out, fixture), parse_grid_spec(spec), True)
+
+        assert run(["deform", "--fixture", "sigma-theta", "--theta", "0.3", "--grid",
+                    self.GRID, "--family", "parabolic", "--parameter", "0.5",
+                    "--out", out, "--name", "deformed"]) == 0
+        names |= self.assert_caps(manifest_of(out, "deformed"), grid, True)
+
+        problem = TestSolve().descriptor(tmp_path)
+        assert run(["solve", "--problem", problem, "--generate", "--out", out,
+                    "--name", "solved"]) == 0
+        # exp(iz) keeps its callbacks; the solved potential is samples only
+        names |= self.assert_caps(manifest_of(out, "solved"), parse_grid_spec("-1:1:-1:1:17x17"),
+                                  {"holomorphic"})
+
+        patch = os.path.join(out, "exact.json")
+        assert run(["verify", "--input", patch, "--quadric-constant",
+                    repr(-math.cos(0.6)), "--against", patch, "--family", "elliptic",
+                    "--parameter", "0", "--out", out, "--name", "reloaded"]) == 0
+        x = load_patch_manifest(patch)[0].x_stack
+        names |= self.assert_caps(manifest_of(out, "reloaded"), grid, False,
+                                  scale=1.0 + float(np.max(np.sum(x ** 2, axis=0))))
+
+        assert run(["verify", "--input", os.path.join(out, "exact.data.json"), "--out", out,
+                    "--name", "reloaded-data"]) == 0
+        names |= self.assert_caps(manifest_of(out, "reloaded-data"), grid, False)
+
+        assert names == (set(FD_FACTOR) | set(FIXED_CAP)) - {"slice_x2_constant",
+                                                             "slice_x3_constant"}
+
+    def test_cap_rule(self):
+        g = Grid2D(0.0, 2.0, 0.0, 1.0, 5, 5)           # h = max(0.5, 0.25)
+        assert cap("holomorphic", g, False) == 50.0 * 0.25
+        assert cap("liu_condition4", g, False) == 100.0 * 0.25
+        assert cap("quadric_residual", g, False, scale=3.0) == 100.0 * 0.25 * 3.0
+        assert cap("liu_condition4", g, True, tol_exact=1e-20) == 1e-20
+        assert cap("quadric_residual", g, True) == QUADRIC_TOL
+        assert cap("slice_x1_constant", g, False) == QUADRIC_TOL
+        assert cap("congruence_residual", g, False) == CONGRUENCE_TOL
+        with pytest.raises(KeyError):
+            cap("conformal_min", g, False)          # a floor, not a cap

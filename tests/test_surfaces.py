@@ -31,7 +31,7 @@ from mtsurf.surfaces import (
     represent_third,
     verify_congruence,
 )
-from mtsurf.tolerances import fd_cap, residual_cap
+from mtsurf.tolerances import cap, fd_cap
 from mtsurf.weierstrass import (
     WeierstrassFirst,
     deform_elliptic,
@@ -197,7 +197,7 @@ def test_loop_certificate_rejects_nonintegrable_input():
     spec = surfaces._KINDS["first"]
     xz = np.stack([p_z * c1(w) + q_z * c2(w) for c1, c2 in zip(spec.frame1, spec.frame2)])
     with pytest.raises(ValueError) as err:
-        surfaces._integrate_coords(g, xz, None, residual_cap(g, False, 50.0), "represent_first")
+        surfaces._integrate_coords(g, xz, None, cap("loop_residual", g, False), "represent_first")
     assert "loop residual" in str(err.value)
 
 
@@ -372,9 +372,9 @@ def test_patch_stacks_are_read_only_and_stored_once(route):
 
 def test_comparing_patches_compares_no_array():
     assert {f.name for f in dataclasses.fields(SurfacePatch)} \
-        == set(STACKS) | {"grid", "conformal_factor", "provenance", "invariants"}
+        == set(STACKS) | {"grid", "conformal_factor", "provenance", "invariants", "exact"}
     assert {f.name for f in dataclasses.fields(SurfacePatch) if not f.compare} \
-        == set(STACKS) | {"provenance", "invariants"}
+        == set(STACKS) | {"provenance", "invariants", "exact"}
     data = fixture_sigma_theta(0.3, grid=grid33()).data
     a, b = represent_second(data), represent_second(data)
     assert a == a

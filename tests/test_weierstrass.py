@@ -490,3 +490,12 @@ def test_save_load_round_trip_first_kind(tmp_path):
     np.testing.assert_array_equal(loaded.gauss.values, data.gauss.values)
     np.testing.assert_array_equal(loaded.pot2.values, data.pot2.values)
     assert loaded.provenance["family"] == "parabolic"
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_certificate_value_fails_in_either_sense(value):
+    # the rule of the manifest checks: a nonvanishing floor of inf is no pass
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5)
+    arr = np.full(g.shape, value)
+    assert not weierstrass._min_check("nonvanishing", g, arr, 1e-6).passed
+    assert not weierstrass._sup_interior_check("holomorphic", g, arr, 1e-6).passed
