@@ -19,6 +19,7 @@ metric-isometry comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,8 +63,12 @@ class Fixture:
     params: dict
     grid: Grid2D
     data: object
-    chart: tuple
+    parts: tuple = field(repr=False)      # the chart's closed forms, sampled when read
     expected: dict = field(compare=False)
+
+    @functools.cached_property
+    def chart(self):
+        return _chart_fields(self.grid, self.parts)
 
 
 def _zeros(u, v):
@@ -86,6 +91,12 @@ def _chart_fields(grid, component_parts):
     return tuple(lincomb_real([(w, RealField.sample(grid, Analytic(**slots)))
                                for w, slots in parts])
                  for parts in component_parts)
+
+
+def _chart_anchor(grid, component_parts):
+    """Node (0, 0) of the chart, sampled on a 3x3 grid with the same bounds."""
+    corners = Grid2D(grid.u_min, grid.u_max, grid.v_min, grid.v_max, 3, 3)
+    return tuple(float(c.values[0, 0]) for c in _chart_fields(corners, component_parts))
 
 
 # Base chart for theta = 0 (lies in <X,X> = -1) and theta = pi/2 (in
@@ -268,9 +279,8 @@ def fixture_sigma_theta(theta, grid=None):
     data = WeierstrassSecond(_holo_exp_iz(grid), height, null_pot,
                              {"name": "sigma-theta", "theta": theta})
 
-    chart = _chart_fields(grid, tuple(
-        ((ct, _CHART_HYP[k]), (st, _CHART_DESITTER[k])) for k in range(4)))
-    anchor = tuple(float(c.values[0, 0]) for c in chart)
+    parts = tuple(((ct, _CHART_HYP[k]), (st, _CHART_DESITTER[k])) for k in range(4))
+    anchor = _chart_anchor(grid, parts)
 
     def conformal_factor(u, v):
         return (ct * np.cosh(u) + st * np.cos(v)) ** 2
@@ -286,7 +296,7 @@ def fixture_sigma_theta(theta, grid=None):
         "h_nowhere_zero": True,
     }
     return Fixture("sigma-theta", "second-kind", {"theta": theta},
-                   grid, data, chart, expected)
+                   grid, data, parts, expected)
 
 
 def fixture_two_parameter(alpha, beta, grid=None):
@@ -320,10 +330,9 @@ def fixture_two_parameter(alpha, beta, grid=None):
     data = WeierstrassSecond(_holo_exp_iz(grid), height, null_pot,
                              {"name": "two-param", "alpha": alpha, "beta": beta})
 
-    chart = _chart_fields(grid, tuple(
-        ((alpha, _CHART_LIN_A[k]), (beta, _CHART_LIN_B[k]), (1.0, _CHART_HYP[k]))
-        for k in range(4)))
-    anchor = tuple(float(c.values[0, 0]) for c in chart)
+    parts = tuple(((alpha, _CHART_LIN_A[k]), (beta, _CHART_LIN_B[k]), (1.0, _CHART_HYP[k]))
+                  for k in range(4))
+    anchor = _chart_anchor(grid, parts)
 
     def conformal_factor(u, v):
         return ((alpha + np.cosh(u) * np.sin(u)) ** 2
@@ -341,7 +350,7 @@ def fixture_two_parameter(alpha, beta, grid=None):
         "h_nowhere_zero": True,
     }
     return Fixture("two-param", "second-kind", {"alpha": alpha, "beta": beta},
-                   grid, data, chart, expected)
+                   grid, data, parts, expected)
 
 
 def fixture_classical(name, grid=None):
@@ -356,15 +365,15 @@ def fixture_classical(name, grid=None):
     if key == "catenoid-r3":
         if grid is None:
             grid = _default_grid((-2.0, 2.0, -2.0, 2.0))
-        chart = _chart_fields(grid, tuple(((1.0, c),) for c in _CHART_CATENOID))
+        parts = tuple(((1.0, c),) for c in _CHART_CATENOID)
         expected = {
             "quadric_constant": None,
             "conformal_factor": lambda u, v: np.cosh(u) ** 2 + _zeros(u, v),
-            "anchor": tuple(float(c.values[0, 0]) for c in chart),
+            "anchor": _chart_anchor(grid, parts),
             "h_nowhere_zero": False,
             "slice": ("x4", 0.0),
         }
-        return Fixture(key, "patch", {}, grid, None, chart, expected)
+        return Fixture(key, "patch", {}, grid, None, parts, expected)
     if key == "hyperbolic-catenoid-l3":
         if grid is None:
             grid = _default_grid((-2.0, 2.0, -1.4, 1.4))
@@ -372,15 +381,15 @@ def fixture_classical(name, grid=None):
             raise DomainError(
                 "hyperbolic catenoid chart needs v in (-pi/2, pi/2); grid "
                 "spans [%g, %g]" % (grid.v_min, grid.v_max))
-        chart = _chart_fields(grid, tuple(((1.0, c),) for c in _CHART_HYP_CATENOID))
+        parts = tuple(((1.0, c),) for c in _CHART_HYP_CATENOID)
         expected = {
             "quadric_constant": None,
             "conformal_factor": lambda u, v: np.cos(v) ** 2 + _zeros(u, v),
-            "anchor": tuple(float(c.values[0, 0]) for c in chart),
+            "anchor": _chart_anchor(grid, parts),
             "h_nowhere_zero": False,
             "slice": ("x1", 0.0),
         }
-        return Fixture(key, "patch", {}, grid, None, chart, expected)
+        return Fixture(key, "patch", {}, grid, None, parts, expected)
     raise KeyError("unknown classical chart %r; pick catenoid-r3 or "
                    "hyperbolic-catenoid-l3" % (name,))
 

@@ -148,11 +148,11 @@ def _as_kind(cert, kind, args):
                     args.eps_zero, args.eps_immersion, args.tol_exact)
 
 
-def _represent(cert, rep, anchor, args):
-    """The ``rep`` patch of a certified triple."""
+def _represent(certs, rep, anchor, args):
+    """The ``rep`` patches of certified triples, from one quadrature sweep."""
     represent = {"first": represent_first, "second": represent_second,
                  "third": represent_third}[rep]
-    return represent(_as_kind(cert, rep, args), anchor=anchor)
+    return represent([_as_kind(cert, rep, args) for cert in certs], anchor=anchor)
 
 
 def _gate(manifest, name, value, patch, args, scale=1.0):
@@ -271,7 +271,7 @@ def cmd_generate(args):
             cert = _certified(data, args)
             manifest.add_report_checks(cert.report, "data_")
             anchor = fixture.expected.get("anchor") if fixture is not None else None
-            patch = _represent(cert, args.rep, anchor, args)
+            patch, = _represent([cert], args.rep, anchor, args)
         _patch_checks(manifest, patch, args)
         if fixture is not None:
             _fixture_checks(manifest, patch, fixture, args)
@@ -313,8 +313,7 @@ def cmd_deform(args):
             manifest.add_check("deformation_identity", ident, cap(
                 "deformation_identity", deformed.grid,
                 _exact_callbacks(base.holo, base.a, base.b), args.tol_exact))
-        _congruence_check(manifest, _represent(base, need, None, args),
-                          _represent(cert, need, None, args), args)
+        _congruence_check(manifest, *_represent([base, cert], need, None, args), args)
         manifest.add_artifacts(
             save_data(deformed, os.path.join(args.out, args.name + ".data.json")))
 
@@ -355,7 +354,7 @@ def cmd_solve(args):
             cert = _certified(data, args)
             manifest.add_report_checks(cert.report, "data_")
             if cert.report.ok:
-                patch = _represent(cert, "second", None, args)
+                patch, = _represent([cert], "second", None, args)
                 _patch_checks(manifest, patch, args)
                 _mesh_artifacts(manifest, patch, args.out, args.name)
 
@@ -433,7 +432,7 @@ def cmd_verify(args):
             cert = _certified(data, args)
             if "validation" in selected:
                 manifest.add_report_checks(cert.report, "data_")
-            patch = _represent(cert, args.rep, _anchor_for_data(data, args), args)
+            patch, = _represent([cert], args.rep, _anchor_for_data(data, args), args)
         elif "validation" in selected:
             raise ValueError("the validation check needs a data document, "
                              "not a patch manifest")

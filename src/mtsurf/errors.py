@@ -13,7 +13,7 @@ class GridMismatchError(ValueError):
 
 
 class DomainError(ValueError):
-    """A grid violates the domain a construction is defined on."""
+    """A grid or parameter violates the domain a construction is defined on."""
 
 
 class PoleError(ValueError):

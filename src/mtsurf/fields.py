@@ -24,7 +24,8 @@ that are functions of shared inputs are integrated from one evaluation of
 those inputs per Gauss node set (the u-edges and the v-edges), taken in
 blocks of ``_QUAD_ROWS`` = 48 grid rows, and reduced one integrand at a
 time, so each scratch array of a block holds at most 245 n_v samples
-whatever n_u is.  :func:`integrate_primitive` is its one-field case.  A
+whatever n_u is, and every exact callback runs once per node set and
+(u, v).  :func:`integrate_primitive` is its one-field case.  A
 primitive F of E answers dz(F) with E and dzbar(F) with conj(E), one
 evaluation each, and owns its accumulated samples without a copy.
 
@@ -56,6 +57,7 @@ import json
 import math
 import os
 import struct
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -227,7 +229,14 @@ class Analytic:
     def _call(cb, name, u, v):
         if cb is None:
             raise AttributeError("no %s callback available on this Analytic" % name)
-        return np.asarray(cb(u, v))
+        scope = getattr(_EVAL, "scope", None)
+        if scope is None:
+            return np.asarray(cb(u, v))
+        key = (id(cb), id(u), id(v))
+        if key not in scope:                        # an entry pins what its key names
+            scope[key] = (np.asarray(cb(u, v)), cb, u, v)
+            scope[key][0].setflags(write=False)
+        return scope[key][0]
 
     def value(self, u, v):
         return self._call(self._value, "value", u, v)
@@ -410,9 +419,8 @@ def lincomb_real(pairs):
     values = sum(w * f.values for w, f in pairs)
     slots = {}
     for name in ("value", "dz", "dzbar", "lap"):
-        cbs = [(w, getattr(f.analytic, "_" + name, None)) for w, f in pairs]
-        if all(cb is not None for _, cb in cbs):
-            def combined(u, v, _cbs=tuple(cbs)):
+        if all(getattr(f.analytic, "_" + name, None) is not None for _, f in pairs):
+            def combined(u, v, _cbs=tuple((w, getattr(f.analytic, name)) for w, f in pairs)):
                 return sum(w * cb(u, v) for w, cb in _cbs)
             slots[name] = combined
     return RealField(grid, values, Analytic(**slots) if slots else None)
@@ -437,6 +445,7 @@ class PathIntegralResult:
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+_EVAL = threading.local()       # .scope: the callback memo of the node set being swept
 
 #: Grid rows per block of the Gauss edge quadrature.  A block evaluates the
 #: inputs on the 5 Gauss nodes of every edge in its rows (the last block
@@ -464,6 +473,8 @@ def _edge_integrals_gauss(inputs, integrands, grid):
     ``inputs(u, v)`` is evaluated once per node set of each row block and
     ``integrands[k]`` maps its arrays to E_k there; the integrands are
     reduced one at a time, so no (k, rows, 5, n_v) stack is ever built.
+    Within a node set an :class:`Analytic` call returns the read-only result
+    of an earlier call of its callback on the same u and v objects, if any.
     """
     au = grid.axis_u
     av = grid.axis_v
@@ -472,18 +483,22 @@ def _edge_integrals_gauss(inputs, integrands, grid):
     R = np.empty((len(integrands), grid.n_u - 1, grid.n_v))
     C = np.empty((len(integrands), grid.n_u, grid.n_v - 1))
     for u_rows, v_rows in _row_blocks(grid):
-        # u-edges: R[k, i, j] = integral of a_k over [u_i, u_{i+1}] at v_j
-        shared = inputs(uq[u_rows, :, None], av[None, None, :])          # (rows, 5, n_v)
-        for R_k, integrand in zip(R, integrands):
-            R_k[u_rows] = (grid.h_u / 2.0) * np.einsum(
-                "q,iqj->ij", _GAUSS_W, 2.0 * np.real(integrand(*shared)))
-        del shared                      # freed before the next evaluation allocates
+        # u-edges: R[k, i, j] = integral of a_k over [u_i, u_{i+1}] at v_j;
         # v-edges: C[k, i, j] = integral of b_k over [v_j, v_{j+1}] at u_i
-        shared = inputs(au[v_rows, None, None], vq[None, :, :])          # (rows, n_v-1, 5)
-        for C_k, integrand in zip(C, integrands):
-            C_k[v_rows] = (grid.h_v / 2.0) * np.einsum(
-                "q,ijq->ij", _GAUSS_W, -2.0 * np.imag(integrand(*shared)))
-        del shared
+        for out, rows, u, v, h, sign, part, sum_q in (
+                (R, u_rows, uq[u_rows, :, None], av[None, None, :],          # (rows, 5, n_v)
+                 grid.h_u, 2.0, np.real, "q,iqj->ij"),
+                (C, v_rows, au[v_rows, None, None], vq[None, :, :],          # (rows, n_v-1, 5)
+                 grid.h_v, -2.0, np.imag, "q,ijq->ij")):
+            _EVAL.scope = {}
+            try:
+                shared = inputs(u, v)
+                for out_k, integrand in zip(out, integrands):
+                    out_k[rows] = (h / 2.0) * np.einsum(
+                        sum_q, _GAUSS_W, sign * part(integrand(*shared)))
+                del shared              # freed before the next evaluation allocates
+            finally:
+                _EVAL.scope = None
     return R, C
 
 

@@ -8,16 +8,16 @@ triple.  They are one construction driven by a per-kind table: a triple
 is a holomorphic field w plus potentials (a, b) with lap(a) = weight
 lap(b), the tangent field is Xz = dz(a) frame1(w) + dz(b) frame2(w), and
 X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
-consumes the certificate of the triple (passed in place of the triple,
-else made at the default tolerances), reuses the arrays the certification
-computed, integrates the four coordinates of Xz in one shared quadrature
-(w, dz(a) and dz(b) are evaluated once per Gauss node set and row block,
-then each coordinate's integrand is formed and reduced in turn; see
+consumes the certificates of k triples (a list passed in place of the
+triple, else made at the default tolerances), reuses the arrays the
+certification computed, integrates their 4k coordinates of Xz in one
+shared quadrature (each exact callback runs once per Gauss node set and
+row block, so a deformed triple's nested callbacks reuse its base's
+evaluations, then each integrand is formed and reduced in turn; see
 :mod:`mtsurf.fields`), and assembles X_zzbar from the closed formula, so
 the nullness of H is carried by algebra while conformality, metric
 agreement and the coordinate identities are measured and recorded in
-``SurfacePatch.invariants``.  The loop caps of the integration use the
-certificate's exact-callback cap.
+``SurfacePatch.invariants``.  The loop caps use the exact-callback cap.
 
 A patch stores each of its quantities once, as one read-only
 (4, n_u, n_v) stack that its route builds in place, and keeps no
@@ -152,15 +152,15 @@ def _mean_curvature_stack(xzzbar_stack, lam_values):
 
 
 def _integrate_coords(grid, xz, anchor, loop_cap, what, inputs=None, integrands=None):
-    """Integrate the (4, n_u, n_v) tangent stack ``xz`` into one coordinate
-    stack, origin-anchored.
+    """Integrate the (4k, n_u, n_v) tangent stack ``xz``, k patches' four
+    coordinates in turn, into one coordinate stack, origin-anchored.
 
     ``anchor`` gives the value of each coordinate at the grid origin node
     (defaults to zero).  ``inputs`` and ``integrands``, when given, are the
     shared quadrature of :func:`mtsurf.fields._integrate_primitives`;
     without them the samples are integrated by the trapezoid rule.
-    Returns the stack and the worst loop residual.  Raises when a loop
-    certificate exceeds the cap, naming the coordinate.
+    Returns the stack and each patch's worst loop residual.  Raises when a
+    loop certificate exceeds the cap, naming the coordinate.
     """
     if anchor is None:
         anchor = (0.0, 0.0, 0.0, 0.0)
@@ -169,16 +169,16 @@ def _integrate_coords(grid, xz, anchor, loop_cap, what, inputs=None, integrands=
         raise ValueError("anchor must supply four coordinate values")
     primitives = _integrate_primitives([ComplexField._view(grid, row) for row in xz],
                                        inputs, integrands)
-    x = np.empty((4,) + grid.shape)
-    worst_loop = 0.0
-    for k, pr in enumerate(primitives):
+    x = np.empty(xz.shape)
+    worst_loop = [0.0] * (len(xz) // 4)
+    for n, pr in enumerate(primitives):
         if not passes(pr.loop_residual, loop_cap, "max_below"):
             raise ValueError(
                 "%s: coordinate %d loop residual %.3e exceeds %.3e; tangent "
                 "field is not integrable on this grid"
-                % (what, k + 1, pr.loop_residual, loop_cap))
-        worst_loop = max(worst_loop, pr.loop_residual)
-        np.add(pr.field.values, anchor[k], out=x[k])
+                % (what, n % 4 + 1, pr.loop_residual, loop_cap))
+        worst_loop[n // 4] = max(worst_loop[n // 4], pr.loop_residual)
+        np.add(pr.field.values, anchor[n % 4], out=x[n])
     return x, worst_loop
 
 
@@ -242,53 +242,64 @@ _KINDS = {
 }
 
 
-def _represent(cert, anchor):
-    """The one representation pipeline, driven by ``_KINDS[cert.kind]``.
-
-    A failed certificate raises first: the frames and the conformal scale
-    divide by ``holo``.  The coordinates come from the Gauss quadrature of
-    the exact callbacks when ``holo`` has a value callback and both
-    potentials first derivatives, and from the Xz samples otherwise.
+def _represent(data, kind, anchor=None):
+    """The one representation pipeline, driven by ``_KINDS[kind]``: the patch
+    of a triple or certificate, or the patches of a list of them from one
+    quadrature sweep (those on other grids, routes or caps one at a time).
+    Every failed certificate raises first: the frames and the conformal
+    scale divide by ``holo``.  The coordinates come from the Gauss
+    quadrature of the exact callbacks when ``holo`` has a value callback and
+    both potentials first derivatives, and from the Xz samples otherwise.
     """
-    kind, holo, a, b, source, report, weight, a_z, b_z, b_zzbar, tol_exact = cert
-    report.raise_for_failure()
+    if not isinstance(data, list):
+        return _represent([data], kind, anchor)[0]
+    certs = [_certificate(d, kind) for d in data]
+    for cert in certs:
+        cert.report.raise_for_failure()
+    routes = {(c.holo.grid, c.tol_exact, _exact_callbacks(c.holo, c.a, c.b)) for c in certs}
+    if len(routes) > 1:
+        return [_represent(cert, kind, anchor) for cert in certs]
+    (grid, tol_exact, exact), = routes
     spec = _KINDS[kind]
-    grid = holo.grid
-    w = holo.values
-    exact = _exact_callbacks(holo, a, b)
-    inputs = None
-    if exact:
-        def inputs(u, v, _w=holo.analytic, _a=a.analytic, _b=b.analytic):
-            return _w.value(u, v), _a.dz(u, v), _b.dz(u, v)
 
-    xz = np.empty((4,) + grid.shape, dtype=complex)
+    def inputs(u, v):
+        return tuple(out for c in certs for out in (
+            c.holo.analytic.value(u, v), c.a.analytic.dz(u, v), c.b.analytic.dz(u, v)))
+
+    xz = np.empty((4 * len(certs),) + grid.shape, dtype=complex)
     integrands = []
-    for k, (c1, c2) in enumerate(zip(spec.frame1, spec.frame2)):
-        def integrand(w, a_z, b_z, _c1=c1, _c2=c2):
-            return a_z * _c1(w) + b_z * _c2(w)
-        integrands.append(integrand)
-        xz[k] = integrand(w, a_z, b_z)
+    for p, cert in enumerate(certs):
+        for k, (c1, c2) in enumerate(zip(spec.frame1, spec.frame2)):
+            def integrand(*shared, _c1=c1, _c2=c2, _at=3 * p):
+                w, a_z, b_z = shared[_at:_at + 3]
+                return a_z * _c1(w) + b_z * _c2(w)
+            integrands.append(integrand)
+            xz[4 * p + k] = integrand(cert.holo.values, cert.a_z, cert.b_z, _at=0)
     x, worst_loop = _integrate_coords(
         grid, xz, anchor, cap("loop_residual", grid, exact, tol_exact),
-        "represent_" + kind, inputs, integrands)
+        "represent_" + kind, inputs if exact else None, integrands)
 
-    gauss = np.stack(spec.null_dir(w))
-    xzzbar = (b_zzbar * spec.xzzbar_factor(w)) * gauss
-    lam_values = spec.scale(w) * np.abs(a_z - weight * b_z) ** 2
-    h = _mean_curvature_stack(xzzbar, lam_values)
-
-    coord_res = max(_shift_residual(actual, target) for actual, target
-                    in spec.identities(x, a.values, b.values))
-    provenance = {"representation": kind, "anchor": list(anchor or (0.0,) * 4)}
-    if source is not None:
-        provenance["source"] = dict(source)
-    return SurfacePatch(
-        grid, x, xz, xzzbar, RealField._view(grid, lam_values), h, gauss,
-        provenance=provenance,
-        invariants=_patch_invariants(
-            xz, h, gauss, lam_values, closed_metric=lam_values,
-            extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}),
-        exact=exact)
+    patches = []
+    for p, (_, holo, a, b, source, _, weight, a_z, b_z, b_zzbar, _) in enumerate(certs):
+        rows = slice(4 * p, 4 * p + 4)
+        w = holo.values
+        gauss = np.stack(spec.null_dir(w))
+        xzzbar = (b_zzbar * spec.xzzbar_factor(w)) * gauss
+        lam_values = spec.scale(w) * np.abs(a_z - weight * b_z) ** 2
+        h = _mean_curvature_stack(xzzbar, lam_values)
+        coord_res = max(_shift_residual(actual, target) for actual, target
+                        in spec.identities(x[rows], a.values, b.values))
+        provenance = {"representation": kind, "anchor": list(anchor or (0.0,) * 4)}
+        if source is not None:
+            provenance["source"] = dict(source)
+        patches.append(SurfacePatch(
+            grid, x[rows], xz[rows], xzzbar, RealField._view(grid, lam_values), h, gauss,
+            provenance=provenance,
+            invariants=_patch_invariants(
+                xz[rows], h, gauss, lam_values, closed_metric=lam_values,
+                extra={"loop_residual": worst_loop[p], "coordinate_identity": coord_res}),
+            exact=exact))
+    return patches
 
 
 def represent_first(data, anchor=None):
@@ -300,7 +311,7 @@ def represent_first(data, anchor=None):
     - |g|^2 dz(pot2)|^2 and X_zzbar equals lap(pot2)/4 times the null
     direction (2 Re g, 2 Im g, -1+|g|^2, 1+|g|^2).
     """
-    return _represent(_certificate(data, "first"), anchor)
+    return _represent(data, "first", anchor)
 
 
 def represent_second(data, anchor=None):
@@ -312,7 +323,7 @@ def represent_second(data, anchor=None):
     4 |dz(height) - Re(h) dz(null_pot)|^2 and X_zzbar equals
     lap(null_pot)/4 times (Re h, -Im h, (1-|h|^2)/2, (1+|h|^2)/2).
     """
-    return _represent(_certificate(data, "second"), anchor)
+    return _represent(data, "second", anchor)
 
 
 def represent_third(gauss, coord3=None, coord4=None, anchor=None):
@@ -326,12 +337,12 @@ def represent_third(gauss, coord3=None, coord4=None, anchor=None):
     constants and the conformal factor is (|g|+1/|g|)^2 |dz(coord3)
     - w dz(coord4)|^2.  With coord4 = 0 the patch is a minimal surface in
     the x4 = 0 slice; with coord3 = 0 a maximal surface in x3 = 0.
-    ``gauss`` may instead be the certificate of such a triple, with
-    coord3 and coord4 left out.
+    ``gauss`` may instead be the certificate of such a triple, or a list
+    of them, with coord3 and coord4 left out.
     """
-    if not isinstance(gauss, _Certificate):
+    if not isinstance(gauss, (list, _Certificate)):
         gauss = _certify("third", gauss, coord3, coord4)
-    return _represent(_certificate(gauss, "third"), anchor)
+    return _represent(gauss, "third", anchor)
 
 
 def patch_from_chart(coords, provenance=None):

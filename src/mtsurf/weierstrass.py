@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidDataError, PoleError
+from .errors import DomainError, GridMismatchError, InvalidDataError, PoleError
 from .fields import (
     Analytic,
     ComplexField,
@@ -334,15 +334,14 @@ def validate_second(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
 # callback combinators
 
 def _scaled_analytic(a, c):
-    """Callbacks of c*f given those of f, for a constant c."""
+    """Callbacks of c*f given those of f (through its methods), for a constant c."""
     if a is None:
         return None
     kw = {}
     for name in ("value", "dz", "dzbar", "lap"):
-        cb = getattr(a, "_" + name)
-        if cb is not None:
-            def scaled(u, v, _cb=cb, _c=c):
-                return _c * np.asarray(_cb(u, v))
+        if getattr(a, "_" + name) is not None:
+            def scaled(u, v, _cb=getattr(a, name), _c=c):
+                return _c * _cb(u, v)
             kw[name] = scaled
     return Analytic(**kw) if kw else None
 
@@ -537,13 +536,20 @@ def deform_hyperbolic(data, eta):
     Pure scaling (e^eta gauss, e^eta pot1, e^{-eta} pot2); no integration
     is involved and the immersion expression scales by e^eta exactly.  The
     generated surfaces are congruent under the boost of the last two
-    coordinates by ``eta``.
+    coordinates by ``eta``.  Raises :class:`DomainError` when a scaled
+    field or the coupling weight |e^eta gauss|^2 leaves the float range.
     """
     eta = float(eta)
-    s = float(np.exp(eta))
-    return _transform(_certificate(data, "first"), "first", lambda g: _scaled_field(g, s),
-                      ((s, 0), (1.0 / s, 1)), None, lambda g, g_eta: s,
-                      {"family": "hyperbolic", "parameter": eta})
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.exp(eta)
+        out = _transform(_certificate(data, "first"), "first", lambda g: _scaled_field(g, s),
+                         ((s, 0), (1.0 / s, 1)), None, lambda g, g_eta: s,
+                         {"family": "hyperbolic", "parameter": eta})
+        finite = np.isfinite(np.abs(out.gauss.values) ** 2 + out.pot1.values + out.pot2.values)
+    if not finite.all():
+        raise DomainError("the hyperbolic rapidity %g (--parameter) scales the data "
+                          "out of the float range" % eta)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from mtsurf import cli, surfaces, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.cli import main, parse_grid_spec
 from mtsurf.export import load_patch_manifest
-from mtsurf.fields import Grid2D, RealField
+from mtsurf.fields import Analytic, Grid2D, RealField
 from mtsurf.poisson import (
     PoissonProblem,
     SolverOptions,
@@ -240,6 +241,48 @@ class TestDeform:
         assert checks["deformed_nonvanishing"]["threshold"] == 1e-12
         assert checks["deformed_nonvanishing"]["value"] < 1e-6
         assert checks["congruence_residual"]["passed"]
+
+    def test_one_sweep_evaluates_each_closed_form_once_per_node_set(self, tmp_path,
+                                                                    monkeypatch):
+        # the parabolic deform represents its base and deformed patches in
+        # one quadrature sweep over 129 rows, three row blocks of two node
+        # sets each; the deformed patch's nested callbacks reach the fixture's
+        # closed forms only through evaluations the base patch made
+        calls, counting = {}, [False]
+
+        def counted(fld, name):
+            def wrap(slot, cb):
+                def leaf(u, v):
+                    if counting[0] and np.ndim(u) == 3:
+                        calls[name + "." + slot] = calls.get(name + "." + slot, 0) + 1
+                    return cb(u, v)
+                return leaf
+            a = fld.analytic
+            return type(fld)(fld.grid, fld.values, Analytic(**{
+                slot: wrap(slot, getattr(a, slot)) for slot in ("value", "dz", "dzbar", "lap")
+                if getattr(a, "_" + slot) is not None}))
+
+        def fixture(args, _resolve=cli._resolve_fixture):
+            fx = _resolve(args)
+            d = fx.data
+            return dataclasses.replace(fx, data=type(d)(
+                counted(d.holo, "holo"), counted(d.height, "height"),
+                counted(d.null_pot, "null_pot"), d.provenance))
+
+        def sweep(*args, _represent=cli.represent_first, **kwargs):
+            counting[0] = True
+            try:
+                return _represent(*args, **kwargs)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(cli, "_resolve_fixture", fixture)
+        monkeypatch.setattr(cli, "represent_first", sweep)
+        rc = run(["deform", "--fixture", "sigma-theta", "--theta", "0.3",
+                  "--grid", "-2:2:-2:0:129x33", "--family", "parabolic",
+                  "--parameter", "0.5", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == {"holo.value": 6, "height.dz": 6, "null_pot.dz": 6}
 
 
 class TestSolve:
@@ -825,17 +868,30 @@ class TestNonFiniteInputs:
                      + self.GRID, "--alpha")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # e^1e6 overflows on purpose
 def test_an_infinite_certificate_value_fails_in_the_report_too(tmp_path):
-    # at eta = 1e6 the deformed gauss field overflows to inf everywhere; the
-    # certificate's own report and the manifest agree that this fails
+    # at eta = 1e6 e^eta overflows: the deform refuses the rapidity before it
+    # builds inf data, so no deformed certificate is made (that a certificate
+    # fails on an infinite value is tested on _certify in test_weierstrass)
     out = str(tmp_path)
     rc = run(["deform", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
               "--family", "hyperbolic", "--parameter", "1e6", "--out", out, "--name", "d"])
     assert rc == 1
     doc = failed_run(out, "d")
-    assert not check_map(doc)["deformed_nonvanishing"]["passed"]
-    assert "nonvanishing FAIL" in doc["error"]
+    assert "(--parameter) scales the data out of the float range" in doc["error"]
+    assert not any(c["name"].startswith("deformed_") for c in doc["checks"])
+
+
+@pytest.mark.parametrize("eta", ["400", "-1e6"])
+def test_an_overflowing_hyperbolic_rapidity_is_refused(tmp_path, eta):
+    # past e^eta overflowing (1e6, above): e^eta squares out of range in the
+    # coupling weight (400), or underflows to 0 so that e^-eta divides by
+    # zero (-1e6); each ends in a manifest that names the option, with
+    # numeric warnings as errors (the tests' warning policy)
+    out = str(tmp_path)
+    rc = run(["deform", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+              "--family", "hyperbolic", "--parameter=" + eta, "--out", out, "--name", "d"])
+    assert rc == 1
+    assert "--parameter" in failed_run(out, "d")["error"]
 
 
 class TestCapTable:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtsurf import surfaces
+from mtsurf import fields, surfaces
 from mtsurf.catalog import fixture_classical, fixture_sigma_theta
 from mtsurf.errors import DomainError, InvalidDataError
 from mtsurf.fields import (
@@ -34,6 +34,7 @@ from mtsurf.surfaces import (
 from mtsurf.tolerances import cap, fd_cap
 from mtsurf.weierstrass import (
     WeierstrassFirst,
+    _certificate,
     deform_elliptic,
     deform_hyperbolic,
     deform_parabolic,
@@ -309,6 +310,143 @@ def test_congruence_identity_and_grid_guard():
         -2.0, 2.0, -2.0, 2.0, 17, 17)).data)
     with pytest.raises(DomainError):
         verify_congruence(patch, other, rotation("elliptic", 0.0))
+
+
+# ---------------------------------------------------------------------------
+# one quadrature sweep for the two patches of a deformation
+
+_FAMILIES = {"parabolic": ("first", deform_parabolic, 0.5),
+             "elliptic": ("second", deform_elliptic, 0.8),
+             "hyperbolic": ("first", deform_hyperbolic, 0.6)}
+
+
+def _deform_pair(family, grid):
+    """(represent, base certificate, deformed certificate) of ``family``, as
+    the deform command builds them from the sigma-theta data."""
+    kind, deform, parameter = _FAMILIES[family]
+    data = fixture_sigma_theta(0.3, grid=grid).data
+    base = _certificate(data if kind == "second" else second_to_first(data))
+    represent = represent_first if kind == "first" else represent_second
+    return represent, base, _certificate(deform(base, parameter))
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("shape", [(33, 33), (65, 65), (129, 33)])
+def test_one_sweep_gives_the_patches_of_separate_calls_bit_for_bit(family, shape):
+    # 129 rows span three row blocks of the quadrature
+    grid = Grid2D(-2.0, 2.0, -2.0, 0.0, *shape)
+    represent, base, deformed = _deform_pair(family, grid)
+    together = represent([base, deformed])
+    assert len(together) == 2
+    for swept, alone in zip(together, (represent(base), represent(deformed))):
+        for name in ("x_stack", "xz_stack", "xzzbar_stack", "h_stack", "gauss_stack"):
+            assert getattr(swept, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert not getattr(swept, name).flags.writeable
+        assert swept.conformal_factor.values.tobytes() == alone.conformal_factor.values.tobytes()
+        assert swept.invariants == alone.invariants
+        assert swept.provenance == alone.provenance
+        assert swept.exact is alone.exact is True
+
+
+def test_triples_of_different_routes_or_grids_are_swept_one_at_a_time():
+    # the FD copy of a triple, or a triple on another grid, cannot share the
+    # exact triple's Gauss sweep
+    grid = Grid2D(-2.0, 2.0, -2.0, 0.0, 17, 17)
+    data = fixture_sigma_theta(0.3, grid=grid).data
+    plain = type(data)(*(type(f)(grid, f.values) for f in (data.holo, data.height,
+                                                           data.null_pot)))
+    other = fixture_sigma_theta(0.3, grid=grid33()).data
+    patches = represent_second([data, plain, other])
+    assert [p.exact for p in patches] == [True, False, True]
+    for patch, triple in zip(patches, (data, plain, other)):
+        assert patch.grid == triple.grid
+        assert patch.x_stack.tobytes() == represent_second(triple).x_stack.tobytes()
+
+
+def test_every_certificate_raises_before_the_sweep():
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
+    noise = RealField(grid, np.random.default_rng(3).standard_normal(grid.shape))
+    bad = WeierstrassFirst(ComplexField(grid, np.ones(grid.shape, complex)),
+                           RealField(grid, grid.mesh()[0]), noise)
+    good = second_to_first(fixture_sigma_theta(0.3, grid=grid).data)
+    calls = {}
+    counted = WeierstrassFirst(*(_counted(f, calls, name) for f, name
+                                 in zip((good.gauss, good.pot1, good.pot2), "wab")))
+    with pytest.raises(InvalidDataError, match=r"compatible\s+FAIL"):
+        represent_first([counted, bad])
+    assert calls == {}                              # no Gauss node was evaluated
+
+
+def test_the_evaluation_scope_is_empty_after_a_sweep_and_after_a_raise():
+    grid = Grid2D(-2.0, 2.0, -2.0, 0.0, _QUAD_ROWS + 2, 9)
+    represent, base, deformed = _deform_pair("parabolic", grid)
+    represent([base, deformed])
+    assert getattr(fields._EVAL, "scope", None) is None
+
+    seen = []
+
+    def value(u, v):
+        if np.ndim(u) == 3:
+            seen.append(dict(fields._EVAL.scope))
+            if len(seen) == 2:                      # the second node set
+                raise ZeroDivisionError("mid-sweep")
+        return np.exp(1j * (u + 1j * v))
+
+    field = ComplexField.sample(grid, Analytic(value=value))
+    with pytest.raises(ZeroDivisionError, match="mid-sweep"):
+        fields.integrate_primitive(field)
+    assert len(seen) == 2 and seen[1] == {}         # one fresh scope per node set
+    assert getattr(fields._EVAL, "scope", None) is None
+
+
+def test_a_memoised_result_is_read_only_and_keyed_by_identity():
+    # within a node set a nested callback answers a repeated call on the same
+    # arrays with its first, read-only result; other arrays and calls
+    # outside a sweep are evaluated afresh
+    inner = Analytic(value=lambda u, v: np.exp(1j * (u + 1j * v)))
+    seen = []
+
+    def outer(u, v):
+        first = inner.value(u, v)
+        if np.ndim(u) == 3:
+            seen.append((first, inner.value(u, v), inner.value(u.copy(), v)))
+        return first
+
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    fields.integrate_primitive(ComplexField.sample(grid, Analytic(value=outer)))
+    assert len(seen) == 2                           # one block, two node sets
+    for first, again, copied in seen:
+        assert again is first and copied is not first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 0.0
+    u, v = grid.mesh()
+    assert inner.value(u, v) is not inner.value(u, v)
+    assert inner.value(u, v).flags.writeable
+
+
+def test_a_deform_pair_sweep_peaks_within_58_grid_arrays():
+    # base and deformed patch of a parabolic deform at 257^2 from one sweep:
+    # 55.3 grid arrays traced above the call's start, where two separate
+    # calls peaked at 57.8
+    n = 257
+    represent, base, deformed = _deform_pair(
+        "parabolic", Grid2D(-2.0, 2.0, -2.0, 0.0, n, n))
+    represent([base, deformed])                     # warm-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        patches = represent([base, deformed])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    arrays = (peak - start) / (8.0 * n * n)
+    assert arrays <= 58.0, "traced peak of %.1f grid arrays" % arrays
+    assert verify_congruence(*patches, rotation("parabolic", 0.5))["passed"]
 
 
 # ---------------------------------------------------------------------------

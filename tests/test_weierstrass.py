@@ -492,6 +492,20 @@ def test_save_load_round_trip_first_kind(tmp_path):
     assert loaded.provenance["family"] == "parabolic"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf - inf in the differences
+def test_an_infinite_field_fails_its_certificate():
+    # a gauss field that is inf everywhere: the report fails nonvanishing
+    # and raising for it says so
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    U, V = g.mesh()
+    cert = weierstrass._certify("first", ComplexField(g, np.full(g.shape, np.inf + 0j)),
+                                RealField(g, U), RealField(g, V))
+    check = cert.report.check("nonvanishing")
+    assert check.value == np.inf and not check.passed and not cert.report.ok
+    with pytest.raises(InvalidDataError, match="nonvanishing FAIL"):
+        cert.report.raise_for_failure()
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_a_non_finite_certificate_value_fails_in_either_sense(value):
     # the rule of the manifest checks: a nonvanishing floor of inf is no pass
