@@ -84,8 +84,8 @@ def main():
     # limit: one factor carries the whole surface, the other is constant
     liu = liu_decompose(cases[0][2])
     print("\nminimal-surface factorization residuals:")
-    for key in sorted(liu.residuals):
-        print("  %-16s %.3e" % (key, liu.residuals[key]))
+    for key in sorted(liu):
+        print("  %-16s %.3e" % (key, liu[key]))
 
 
 if __name__ == "__main__":

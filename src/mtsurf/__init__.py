@@ -61,7 +61,6 @@ from .poisson import (
     solve_weighted_poisson,
 )
 from .surfaces import (
-    LiuData,
     SurfacePatch,
     liu_decompose,
     mean_curvature,
@@ -107,9 +106,9 @@ __all__ = [
     "deform_parabolic", "deform_elliptic", "deform_hyperbolic",
     "save_data", "load_data",
     # patches
-    "SurfacePatch", "LiuData", "represent_first", "represent_second",
-    "represent_third", "patch_from_chart", "patch_from_samples",
-    "mean_curvature", "liu_decompose", "verify_congruence", "quadric_residual",
+    "SurfacePatch", "represent_first", "represent_second", "represent_third",
+    "patch_from_chart", "patch_from_samples", "mean_curvature", "liu_decompose",
+    "verify_congruence", "quadric_residual",
     # PDE
     "PoissonProblem", "DirichletBoundary", "SolverOptions",
     "solve_weighted_poisson", "assemble_second_kind",

@@ -451,8 +451,8 @@ def cmd_verify(args):
 
         if "liu" in selected:
             liu = liu_decompose(patch)
-            _gate(manifest, "liu_condition4", liu.residuals["condition4"], patch, args)
-            manifest.reports["liu"] = liu.residuals
+            _gate(manifest, "liu_condition4", liu["condition4"], patch, args)
+            manifest.reports["liu"] = liu
 
         if "congruence" in selected:
             if args.against is None or args.family is None \

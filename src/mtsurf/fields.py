@@ -324,6 +324,9 @@ def _fd_first(values, h, axis):
 
 def _fd_second(values, h, axis):
     """Second derivative: central in the interior, one-sided second order at edges."""
+    if values.shape[axis] < 4:
+        raise ValueError("finite-difference second derivatives need at least 4 nodes "
+                         "along %s; the grid has %d" % ("uv"[axis], values.shape[axis]))
     values = np.moveaxis(values, axis, 0)
     out = np.empty_like(values)
     out[1:-1] = values[2:] - 2.0 * values[1:-1] + values[:-2]

@@ -28,7 +28,9 @@ Patches can also be built directly from four coordinate fields
 (:func:`patch_from_chart`), with derivatives taken from callbacks when
 present and finite differences otherwise; that route is what reloaded or
 externally produced charts go through, and it makes no structural
-assumptions beyond smoothness.
+assumptions beyond smoothness.  The Liu residual (:func:`liu_decompose`)
+is one inner product of the stored stacks, <X_zzbar, X_zzbar> / (4 psi^2)
+with psi = (X_z^3 + X_z^4)/2.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .weierstrass import (_Certificate, _certificate, _certify, _exact_callbacks
 
 __all__ = [
     "SurfacePatch",
-    "LiuData",
     "represent_first",
     "represent_second",
     "represent_third",
@@ -419,80 +420,31 @@ def mean_curvature(patch):
     return h_stack, report
 
 
-@dataclass(frozen=True)
-class LiuData:
-    """Null-direction factorization of a patch tangent field.
+def liu_decompose(patch):
+    """The integrability residual of the null-direction factorization.
 
-    scale is (dz(x3) + dz(x4))/2; f1 and f2 satisfy scale*f1 =
-    (dz(x1) + i dz(x2))/2 and scale*f2 = (dz(x1) - i dz(x2))/2 wherever
-    |scale| exceeds the cutoff (f1, f2 are set to zero elsewhere; ``mask``
-    tells which nodes are trusted), so that Xz = scale (f1+f2, -i(f1-f2),
-    1-f1 f2, 1+f1 f2) there.  ``residuals`` holds the integrability
-    condition ``condition4`` and ``masked_fraction`` (see
-    :func:`liu_decompose`).
+    Wherever psi = (X_z^3 + X_z^4)/2 is nonzero, Xz = psi (f1+f2,
+    -i(f1-f2), 1-f1 f2, 1+f1 f2) for f1 = (X_z^1 + i X_z^2)/(2 psi) and
+    f2 = (X_z^1 - i X_z^2)/(2 psi), and the product condition
+    dzbar(f1) dzbar(f2) = 0 reads <X_zzbar, X_zzbar> / (4 psi^2) = 0 for
+    the real X_zzbar stack every patch stores (lap(b)/4 times a null
+    direction on a represented patch; lap(X)/4 on a chart patch, by finite
+    differences on every reloaded one).
+
+    Returns the dict {condition4: sup interior |<X_zzbar, X_zzbar>| /
+    (4|psi|^2) over the nodes with |psi| > PSI_CUTOFF, masked_fraction:
+    share of nodes at or under the cutoff}.
     """
-
-    scale: ComplexField
-    f1: ComplexField
-    f2: ComplexField
-    mask: np.ndarray
-    residuals: dict
-    cutoff: float
-
-
-def liu_decompose(patch, cutoff=PSI_CUTOFF):
-    """Factor a patch tangent field through the null-direction system.
-
-    The zbar-derivatives of the four tangent combinations are read off the
-    patch's real X_zzbar stack: lap(b)/4 times the null direction on a
-    represented patch; lap(X)/4 by finite differences, independent of the
-    Xz samples, on a chart patch (so on every reloaded one), which makes
-    condition4 an O(h^2) cross-check of the construction.
-
-    Residual keys: condition4 = sup interior |dzbar(f1) dzbar(f2)| on the
-    mask, masked_fraction = share of nodes under the cutoff.  The other
-    integrability conditions (dzbar(scale) and dzbar(scale f1 f2) real,
-    dzbar(scale f1) = conj dzbar(scale f2)) hold exactly for a real
-    X_zzbar, and Xz rebuilt from (scale, f1, f2) is off by <Xz, Xz> /
-    (4 scale), which the ``conformality`` invariant gates; neither is
-    measured here.
-
-    condition4 is evaluated through the product identity
-
-        dzbar(f1) dzbar(f2)
-            = (dzbar(scale f1) dzbar(scale f2)
-               - dzbar(scale) dzbar(scale f1 f2)) / scale^2
-
-    rather than from dzbar(f1) and dzbar(f2) separately: the separate
-    factors divide twice by scale and lose all significance near a zero
-    of scale, while the combined form divides once at the end.
-    """
-    grid = patch.grid
     xz = patch.xz_stack
-    psi = (xz[2] + xz[3]) / 2.0
-    mask = np.abs(psi) > cutoff
+    psi = np.abs(xz[2] + xz[3]) / 2.0
+    mask = psi > PSI_CUTOFF
     if not mask.any():
-        raise ValueError("|scale| is below the cutoff %.1e on the whole grid"
-                         % cutoff)
-    safe = np.where(mask, psi, 1.0)
-    f1 = np.where(mask, (xz[0] + 1j * xz[1]) / 2.0 / safe, 0.0)
-    f2 = np.where(mask, (xz[0] - 1j * xz[1]) / 2.0 / safe, 0.0)
-
+        raise ValueError("|psi| is below the cutoff %.1e on the whole grid"
+                         % PSI_CUTOFF)
     xzzb = patch.xzzbar_stack
-    psi_zb = (xzzb[2] + xzzb[3]) / 2.0 + 0j
-    p1_zb = (xzzb[0] + 1j * xzzb[1]) / 2.0
-    p2_zb = (xzzb[0] - 1j * xzzb[1]) / 2.0
-    p12_zb = (-xzzb[2] + xzzb[3]) / 2.0 + 0j
-    product = p1_zb * p2_zb - psi_zb * p12_zb
-
-    residuals = {
-        "condition4": sup_abs_interior(
-            np.where(mask, product / (safe * safe), 0.0)),
-        "masked_fraction": float(1.0 - mask.mean()),
-    }
-    mask.setflags(write=False)
-    return LiuData(ComplexField._view(grid, psi), ComplexField._view(grid, f1),
-                   ComplexField._view(grid, f2), mask, residuals, float(cutoff))
+    ratio = np.abs(minkowski_inner(xzzb, xzzb)) / (4.0 * np.where(mask, psi, 1.0) ** 2)
+    return {"condition4": sup_abs_interior(np.where(mask, ratio, 0.0)),
+            "masked_fraction": float(1.0 - mask.mean())}
 
 
 def verify_congruence(patch_a, patch_b, rot, tol=CONGRUENCE_TOL):

@@ -8,8 +8,8 @@ exact-route cap and the caps of the slice constancies and the congruence
 residual on either route.  Names go without a ``data_``/``deformed_``
 prefix.  :func:`passes` decides a gate: a non-finite value fails it.
 EPS_ZERO and EPS_IMMERSION are the nonvanishing floors (``--eps-zero``,
-``--eps-immersion``); PSI_CUTOFF masks the nodes where the Liu
-factorization would divide by a vanishing scale.
+``--eps-immersion``); PSI_CUTOFF masks the nodes where the Liu residual
+<X_zzbar, X_zzbar> / (4|psi|^2) would divide by a vanishing psi.
 """
 
 import math

@@ -894,6 +894,25 @@ def test_an_overflowing_hyperbolic_rapidity_is_refused(tmp_path, eta):
     assert "--parameter" in failed_run(out, "d")["error"]
 
 
+@pytest.mark.parametrize("command,axis", [("verify", "u"), ("generate", "v")])
+def test_three_nodes_are_too_few_for_finite_differences(tmp_path, command, axis):
+    # the chart route of a 3x3 catalog patch and the certification of a
+    # 9x3 data document take second derivatives by finite differences, whose
+    # one-sided edge stencil reads four nodes: a manifest names the axis
+    out = str(tmp_path)
+    if command == "verify":
+        assert run(["generate", "--fixture", "catenoid-r3", "--grid", "-1:1:-1:1:3x3",
+                    "--out", out, "--name", "p"]) == 0
+        argv = ["verify", "--input", os.path.join(out, "p.json")]
+    else:
+        fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 3))
+        save_data(fx.data, os.path.join(out, "d.data.json"))
+        argv = ["generate", "--data", os.path.join(out, "d.data.json")]
+    assert run(argv + ["--out", out, "--name", "r"]) == 1
+    assert ("need at least 4 nodes along %s; the grid has 3" % axis
+            in failed_run(out, "r")["error"])
+
+
 class TestCapTable:
     """Every capped check of a manifest carries the cap the table gives its
     name on its route, and every table entry caps some check."""

@@ -31,7 +31,7 @@ from mtsurf.surfaces import (
     represent_third,
     verify_congruence,
 )
-from mtsurf.tolerances import cap, fd_cap
+from mtsurf.tolerances import PSI_CUTOFF, cap, fd_cap
 from mtsurf.weierstrass import (
     WeierstrassFirst,
     _certificate,
@@ -577,17 +577,66 @@ def test_quadric_residual_theta_zero():
 # null-direction factorization
 
 
+def _factors(patch):
+    """psi, f1 and f2 of Xz = psi (f1+f2, -i(f1-f2), 1-f1 f2, 1+f1 f2),
+    read from the stored Xz stack."""
+    xz = patch.xz_stack
+    psi = (xz[2] + xz[3]) / 2.0
+    return psi, (xz[0] + 1j * xz[1]) / 2.0 / psi, (xz[0] - 1j * xz[1]) / 2.0 / psi
+
+
 def test_liu_exact_route_on_represented_patch():
     fx = fixture_sigma_theta(0.0, grid=grid33())
     patch = represent_second(fx.data)
-    liu = liu_decompose(patch)
-    res = liu.residuals
+    res = liu_decompose(patch)
     assert set(res) == {"condition4", "masked_fraction"}
     assert res["condition4"] < 1e-8
     assert res["masked_fraction"] == 0.0
-    # the second factor recovers the generating holomorphic field
-    assert sup_abs(liu.f2.values - fx.data.holo.values) < 1e-8
-    assert liu.cutoff == 1e-6
+    # the second factor of the tangent field recovers the generating
+    # holomorphic field
+    _, _, f2 = _factors(patch)
+    assert sup_abs(f2 - fx.data.holo.values) < 1e-8
+
+
+def _product_condition(patch):
+    """condition4 by the four-product formula dzbar(psi f1) dzbar(psi f2)
+    - dzbar(psi) dzbar(psi f1 f2), divided by psi^2 on the mask."""
+    xz, xzzb = patch.xz_stack, patch.xzzbar_stack
+    psi = (xz[2] + xz[3]) / 2.0
+    mask = np.abs(psi) > PSI_CUTOFF
+    safe = np.where(mask, psi, 1.0)
+    psi_zb = (xzzb[2] + xzzb[3]) / 2.0 + 0j
+    p1_zb = (xzzb[0] + 1j * xzzb[1]) / 2.0
+    p2_zb = (xzzb[0] - 1j * xzzb[1]) / 2.0
+    p12_zb = (-xzzb[2] + xzzb[3]) / 2.0 + 0j
+    product = p1_zb * p2_zb - psi_zb * p12_zb
+    return fields.sup_abs_interior(np.where(mask, product / (safe * safe), 0.0))
+
+
+def _unit_sphere_patch(n):
+    # the unit sphere in the x4 = 0 slice, in stereographic coordinates
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
+    U, V = g.mesh()
+    d = 1.0 + U ** 2 + V ** 2
+    return patch_from_samples(
+        g, np.stack([2.0 * U / d, 2.0 * V / d, (U ** 2 + V ** 2 - 1.0) / d, 0.0 * U]))
+
+
+@pytest.mark.parametrize("case", ["theta=0.3", "theta=0.7", "sphere"])
+def test_liu_condition4_is_the_product_condition(case):
+    # condition4 = |<X_zzbar, X_zzbar>| / (4|psi|^2) is the product condition
+    # of the factorization, whose numerator is <X_zzbar, X_zzbar>/4 for a
+    # real X_zzbar; checked on reloaded sigma-theta patches (the chart route
+    # on the coordinate samples) and on the sphere negative control
+    if case == "sphere":
+        patch = _unit_sphere_patch(65)
+    else:
+        g = Grid2D(-2.0, 2.0, -2.0, 2.0, 65, 65)
+        fx = fixture_sigma_theta(float(case.split("=")[1]), grid=g)
+        patch = patch_from_samples(g, represent_second(fx.data).x_stack)
+    expected = _product_condition(patch)
+    assert expected > 1e-6
+    assert liu_decompose(patch)["condition4"] == pytest.approx(expected, rel=1e-10)
 
 
 def test_liu_fd_route_is_second_order():
@@ -595,9 +644,8 @@ def test_liu_fd_route_is_second_order():
     # the coordinate samples, independently of the Xz samples
     fx = fixture_sigma_theta(0.0, grid=grid33())
     patch = represent_second(fx.data)
-    liu = liu_decompose(patch_from_samples(fx.grid, patch.x_stack))
+    res = liu_decompose(patch_from_samples(fx.grid, patch.x_stack))
     cap = fd_cap(fx.grid, 50.0)
-    res = liu.residuals
     # the product condition is a genuine truncation-limited residual here
     assert 1e-4 < res["condition4"] < cap
 
@@ -607,14 +655,10 @@ def test_liu_condition4_fails_on_a_sphere(n):
     # the unit sphere in the x4 = 0 slice is conformal in stereographic
     # coordinates but not marginally trapped: its mean curvature vector is
     # spacelike, so the Liu product condition must fail far above its cap
-    g = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
-    U, V = g.mesh()
-    d = 1.0 + U ** 2 + V ** 2
-    sphere = np.stack([2.0 * U / d, 2.0 * V / d, (U ** 2 + V ** 2 - 1.0) / d, 0.0 * U])
-    patch = patch_from_samples(g, sphere)
-    cap = fd_cap(g, 100.0)
+    patch = _unit_sphere_patch(n)
+    cap = fd_cap(patch.grid, 100.0)
     assert patch.invariants["conformality"] < cap
-    assert liu_decompose(patch).residuals["condition4"] > 50.0 * cap
+    assert liu_decompose(patch)["condition4"] > 50.0 * cap
 
 
 def test_liu_cutoff_guard():
@@ -631,8 +675,8 @@ def test_liu_cutoff_guard():
 def test_liu_plane_factors_are_constant():
     g = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
     patch = represent_first(plane_first(g))
-    liu = liu_decompose(patch)
-    assert liu.mask.all()
-    np.testing.assert_allclose(liu.scale.values, 0.5, atol=1e-15)
-    np.testing.assert_allclose(liu.f1.values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(liu.f2.values, 1.0, atol=1e-14)
+    assert liu_decompose(patch)["masked_fraction"] == 0.0
+    psi, f1, f2 = _factors(patch)
+    np.testing.assert_allclose(psi, 0.5, atol=1e-15)
+    np.testing.assert_allclose(f1, 0.0, atol=1e-14)
+    np.testing.assert_allclose(f2, 1.0, atol=1e-14)
