@@ -99,105 +99,60 @@ def _chart_anchor(grid, component_parts):
     return tuple(float(c.values[0, 0]) for c in _chart_fields(corners, component_parts))
 
 
-# Base chart for theta = 0 (lies in <X,X> = -1) and theta = pi/2 (in
-# <X,X> = +1); each entry carries value, both first derivatives and the
-# Laplacian as closed forms.
-_CHART_HYP = (
-    dict(value=lambda u, v: np.sinh(u) * np.sin(u) + _zeros(u, v),
-         du=lambda u, v: np.cosh(u) * np.sin(u) + np.sinh(u) * np.cos(u) + _zeros(u, v),
-         dv=_zeros,
-         lap=lambda u, v: 2.0 * np.cosh(u) * np.cos(u) + _zeros(u, v)),
-    dict(value=lambda u, v: np.sinh(u) * np.cos(u) + _zeros(u, v),
-         du=lambda u, v: np.cosh(u) * np.cos(u) - np.sinh(u) * np.sin(u) + _zeros(u, v),
-         dv=_zeros,
-         lap=lambda u, v: -2.0 * np.cosh(u) * np.sin(u) + _zeros(u, v)),
-    dict(value=lambda u, v: np.cosh(u) * np.sinh(v),
-         du=lambda u, v: np.sinh(u) * np.sinh(v),
-         dv=lambda u, v: np.cosh(u) * np.cosh(v),
-         lap=lambda u, v: 2.0 * np.cosh(u) * np.sinh(v)),
-    dict(value=lambda u, v: np.cosh(u) * np.cosh(v),
-         du=lambda u, v: np.sinh(u) * np.cosh(v),
-         dv=lambda u, v: np.cosh(u) * np.sinh(v),
-         lap=lambda u, v: 2.0 * np.cosh(u) * np.cosh(v)),
-)
+# One-variable closed forms t -> (f, f', f''), the building blocks of every
+# chart coordinate here and of the named Poisson fields.
+_FORMS = {
+    "1": (np.ones_like, np.zeros_like, np.zeros_like),
+    "t": (lambda t: t, np.ones_like, np.zeros_like),
+    "sin": (np.sin, np.cos, lambda t: -np.sin(t)),
+    "cos": (np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)),
+    "sinh": (np.sinh, np.cosh, np.sinh),
+    "cosh": (np.cosh, np.sinh, np.cosh),
+    "exp": (np.exp, np.exp, np.exp),
+    "exp(-t)": (lambda t: np.exp(-t), lambda t: -np.exp(-t), lambda t: np.exp(-t)),
+    "tanh": (np.tanh, lambda t: 1.0 / np.cosh(t) ** 2,
+             lambda t: -2.0 * np.tanh(t) / np.cosh(t) ** 2),
+    "sinh*sin": (lambda t: np.sinh(t) * np.sin(t),
+                 lambda t: np.cosh(t) * np.sin(t) + np.sinh(t) * np.cos(t),
+                 lambda t: 2.0 * np.cosh(t) * np.cos(t)),
+    "sinh*cos": (lambda t: np.sinh(t) * np.cos(t),
+                 lambda t: np.cosh(t) * np.cos(t) - np.sinh(t) * np.sin(t),
+                 lambda t: -2.0 * np.cosh(t) * np.sin(t)),
+    "cosh*sin": (lambda t: np.cosh(t) * np.sin(t),
+                 lambda t: np.sinh(t) * np.sin(t) + np.cosh(t) * np.cos(t),
+                 lambda t: 2.0 * np.sinh(t) * np.cos(t)),
+}
 
-_CHART_DESITTER = (
-    dict(value=lambda u, v: -np.cos(u) * np.cos(v),
-         du=lambda u, v: np.sin(u) * np.cos(v),
-         dv=lambda u, v: np.cos(u) * np.sin(v),
-         lap=lambda u, v: 2.0 * np.cos(u) * np.cos(v)),
-    dict(value=lambda u, v: np.sin(u) * np.cos(v),
-         du=lambda u, v: np.cos(u) * np.cos(v),
-         dv=lambda u, v: -np.sin(u) * np.sin(v),
-         lap=lambda u, v: -2.0 * np.sin(u) * np.cos(v)),
-    dict(value=lambda u, v: np.cosh(v) * np.sin(v) + _zeros(u, v),
-         du=_zeros,
-         dv=lambda u, v: np.sinh(v) * np.sin(v) + np.cosh(v) * np.cos(v) + _zeros(u, v),
-         lap=lambda u, v: 2.0 * np.sinh(v) * np.cos(v) + _zeros(u, v)),
-    dict(value=lambda u, v: np.sinh(v) * np.sin(v) + _zeros(u, v),
-         du=_zeros,
-         dv=lambda u, v: np.cosh(v) * np.sin(v) + np.sinh(v) * np.cos(v) + _zeros(u, v),
-         lap=lambda u, v: 2.0 * np.cosh(v) * np.cos(v) + _zeros(u, v)),
-)
+
+def _product(f, g, c=1.0):
+    """Slots value/du/dv/lap of c f(u) g(v) for two forms of ``_FORMS``, by
+    the product rule; lap = c (f'' g + f g'')."""
+    (f0, f1, f2), (g0, g1, g2) = _FORMS[f], _FORMS[g]
+    return dict(value=lambda u, v: c * f0(u) * g0(v),
+                du=lambda u, v: c * f1(u) * g0(v),
+                dv=lambda u, v: c * f0(u) * g1(v),
+                lap=lambda u, v: c * (f2(u) * g0(v) + f0(u) * g2(v)))
+
+
+_ZERO = dict(value=_zeros, du=_zeros, dv=_zeros, lap=_zeros)
+
+# Base chart for theta = 0 (lies in <X,X> = -1) and theta = pi/2 (in
+# <X,X> = +1).
+_CHART_HYP = (_product("sinh*sin", "1"), _product("sinh*cos", "1"),
+              _product("cosh", "sinh"), _product("cosh", "cosh"))
+_CHART_DESITTER = (_product("cos", "cos", -1.0), _product("sin", "cos"),
+                   _product("1", "cosh*sin"), _product("1", "sinh*sin"))
 
 # Harmonic perturbation charts for the two-parameter family.
-_CHART_LIN_A = (
-    dict(value=lambda u, v: u + 0.0 * np.asarray(v, dtype=float), du=lambda u, v: 1.0 + _zeros(u, v),
-         dv=_zeros, lap=_zeros),
-    dict(value=lambda u, v: 0.0 * np.asarray(u, dtype=float) + v, du=_zeros,
-         dv=lambda u, v: 1.0 + _zeros(u, v), lap=_zeros),
-    dict(value=lambda u, v: -np.exp(-np.asarray(v, dtype=float)) * np.sin(u),
-         du=lambda u, v: -np.exp(-np.asarray(v, dtype=float)) * np.cos(u),
-         dv=lambda u, v: np.exp(-np.asarray(v, dtype=float)) * np.sin(u),
-         lap=_zeros),
-    dict(value=lambda u, v: np.exp(-np.asarray(v, dtype=float)) * np.sin(u),
-         du=lambda u, v: np.exp(-np.asarray(v, dtype=float)) * np.cos(u),
-         dv=lambda u, v: -np.exp(-np.asarray(v, dtype=float)) * np.sin(u),
-         lap=_zeros),
-)
+_CHART_LIN_A = (_product("t", "1"), _product("1", "t"),
+                _product("sin", "exp(-t)", -1.0), _product("sin", "exp(-t)"))
+_CHART_LIN_B = (_product("1", "t"), _product("t", "1", -1.0),
+                _product("cos", "exp(-t)"), _product("cos", "exp(-t)", -1.0))
 
-_CHART_LIN_B = (
-    dict(value=lambda u, v: 0.0 * np.asarray(u, dtype=float) + v, du=_zeros,
-         dv=lambda u, v: 1.0 + _zeros(u, v), lap=_zeros),
-    dict(value=lambda u, v: -u + 0.0 * np.asarray(v, dtype=float), du=lambda u, v: -1.0 + _zeros(u, v),
-         dv=_zeros, lap=_zeros),
-    dict(value=lambda u, v: np.exp(-np.asarray(v, dtype=float)) * np.cos(u),
-         du=lambda u, v: -np.exp(-np.asarray(v, dtype=float)) * np.sin(u),
-         dv=lambda u, v: -np.exp(-np.asarray(v, dtype=float)) * np.cos(u),
-         lap=_zeros),
-    dict(value=lambda u, v: -np.exp(-np.asarray(v, dtype=float)) * np.cos(u),
-         du=lambda u, v: np.exp(-np.asarray(v, dtype=float)) * np.sin(u),
-         dv=lambda u, v: np.exp(-np.asarray(v, dtype=float)) * np.cos(u),
-         lap=_zeros),
-)
-
-_CHART_CATENOID = (
-    dict(value=lambda u, v: np.cosh(u) * np.sin(v),
-         du=lambda u, v: np.sinh(u) * np.sin(v),
-         dv=lambda u, v: np.cosh(u) * np.cos(v),
-         lap=_zeros),
-    dict(value=lambda u, v: np.cosh(u) * np.cos(v),
-         du=lambda u, v: np.sinh(u) * np.cos(v),
-         dv=lambda u, v: -np.cosh(u) * np.sin(v),
-         lap=_zeros),
-    dict(value=lambda u, v: u + 0.0 * np.asarray(v, dtype=float), du=lambda u, v: 1.0 + _zeros(u, v),
-         dv=_zeros, lap=_zeros),
-    dict(value=_zeros, du=_zeros, dv=_zeros, lap=_zeros),
-)
-
-_CHART_HYP_CATENOID = (
-    dict(value=_zeros, du=_zeros, dv=_zeros, lap=_zeros),
-    dict(value=lambda u, v: 0.0 * np.asarray(u, dtype=float) + v, du=_zeros,
-         dv=lambda u, v: 1.0 + _zeros(u, v), lap=_zeros),
-    dict(value=lambda u, v: np.cos(v) * np.sinh(u),
-         du=lambda u, v: np.cos(v) * np.cosh(u),
-         dv=lambda u, v: -np.sin(v) * np.sinh(u),
-         lap=_zeros),
-    dict(value=lambda u, v: np.cos(v) * np.cosh(u),
-         du=lambda u, v: np.cos(v) * np.sinh(u),
-         dv=lambda u, v: -np.sin(v) * np.cosh(u),
-         lap=_zeros),
-)
+_CHART_CATENOID = (_product("cosh", "sin"), _product("cosh", "cos"),
+                   _product("t", "1"), _ZERO)
+_CHART_HYP_CATENOID = (_ZERO, _product("1", "t"),
+                       _product("sinh", "cos"), _product("cosh", "cos"))
 
 
 def recommended_bounds(theta):
@@ -394,18 +349,28 @@ def fixture_classical(name, grid=None):
                    "hyperbolic-catenoid-l3" % (name,))
 
 
-FIXTURE_NAMES = ("sigma-theta", "two-param", "catenoid-r3", "hyperbolic-catenoid-l3")
+# name -> (builder, the parameters it takes with their defaults)
+_FIXTURES = {
+    "sigma-theta": (fixture_sigma_theta, {"theta": 0.0}),
+    "two-param": (fixture_two_parameter, {"alpha": 0.0, "beta": 0.0}),
+    "catenoid-r3": (functools.partial(fixture_classical, "catenoid-r3"), {}),
+    "hyperbolic-catenoid-l3": (functools.partial(fixture_classical,
+                                                 "hyperbolic-catenoid-l3"), {}),
+}
+
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture_by_name(name, grid=None, params=None):
-    """Registry front end used by the command line tools."""
-    params = dict(params or {})
+    """Registry front end used by the command line tools.  A parameter the
+    fixture does not take raises a ValueError naming it."""
     key = str(name).strip().lower().replace("_", "-")
-    if key == "sigma-theta":
-        return fixture_sigma_theta(params.pop("theta", 0.0), grid)
-    if key == "two-param":
-        return fixture_two_parameter(params.pop("alpha", 0.0),
-                                     params.pop("beta", 0.0), grid)
-    if key in ("catenoid-r3", "hyperbolic-catenoid-l3"):
-        return fixture_classical(key, grid)
-    raise KeyError("unknown fixture %r; known: %s" % (name, ", ".join(FIXTURE_NAMES)))
+    if key not in _FIXTURES:
+        raise KeyError("unknown fixture %r; known: %s" % (name, ", ".join(FIXTURE_NAMES)))
+    build, defaults = _FIXTURES[key]
+    params = dict(defaults, **(params or {}))
+    extra = sorted(set(params) - set(defaults))
+    if extra:
+        raise ValueError("fixture %r does not take %s (it takes %s)"
+                         % (key, ", ".join(extra), ", ".join(defaults) or "no parameter"))
+    return build(grid=grid, **params)

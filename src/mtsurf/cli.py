@@ -206,12 +206,8 @@ def _fixture_checks(manifest, patch, fixture, args):
 
 
 def _fixture_params(args):
-    params = {}
-    for key in ("theta", "alpha", "beta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return params
+    return {key: getattr(args, key) for key in ("theta", "alpha", "beta")
+            if getattr(args, key, None) is not None}
 
 
 def _resolve_fixture(args):
@@ -589,6 +585,8 @@ def main(argv=None):
     if args.command in ("generate", "deform"):
         if (args.fixture is None) == (args.data is None):
             ap.error("exactly one of --fixture / --data is required")
+        if args.fixture is None and _fixture_params(args):
+            ap.error("--%s needs --fixture" % " / --".join(_fixture_params(args)))
     return args.func(args)
 
 

@@ -172,7 +172,8 @@ class Grid2D:
     @classmethod
     def from_dict(cls, d):
         """The grid of a document's grid entry, coercing nothing: an object
-        whose node counts are integers and whose bounds are numbers."""
+        whose node counts are integers and whose bounds are JSON numbers
+        (see :func:`is_json_number`; an integer beyond float range is not)."""
         if not isinstance(d, dict):
             raise ValueError("grid entry must be an object, got %r" % (d,))
         missing = [k for k in cls.__dataclass_fields__ if k not in d]
@@ -180,9 +181,10 @@ class Grid2D:
             raise ValueError("grid entry lacks %s" % ", ".join(missing))
         for k in cls.__dataclass_fields__:
             count = k.startswith("n_")
-            if isinstance(d[k], bool) or not isinstance(d[k], int if count else (int, float)):
+            if not (isinstance(d[k], int) and not isinstance(d[k], bool) if count
+                    else is_json_number(d[k])):
                 raise ValueError("grid entry %r must be %s, got %r"
-                                 % (k, "an integer" if count else "a number", d[k]))
+                                 % (k, "an integer" if count else "a finite number", d[k]))
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import _product
 from .fields import (Analytic, Grid2D, RealField, document_entry, document_grid,
                      is_json_number, load_payload, read_document, save_payload,
                      write_document)
@@ -285,84 +286,43 @@ def _as_boundary(grid, spec):
 
 # Named analytic fields for problem descriptors and the CLI: weights that
 # arise from the catalog's holomorphic fields, plus simple sources and
-# boundary generators.  Each entry is (value, du, dv, lap).
+# boundary generators.  Each entry is c f(u) g(v) of two one-variable forms
+# of the catalog's table, and calling it gives (value, du, dv, lap).
 
-def _w_re_exp_iz():
-    return (lambda u, v: np.exp(-v) * np.cos(u),
-            lambda u, v: -np.exp(-v) * np.sin(u),
-            lambda u, v: -np.exp(-v) * np.cos(u),
-            lambda u, v: 0.0 * u * v)
-
-
-def _w_tanh_u():
-    return (lambda u, v: np.tanh(u) + 0.0 * v,
-            lambda u, v: 1.0 / np.cosh(u) ** 2 + 0.0 * v,
-            lambda u, v: 0.0 * u * v,
-            lambda u, v: -2.0 * np.tanh(u) / np.cosh(u) ** 2 + 0.0 * v)
-
-
-def _f_exp_v_cosh_u():
-    return (lambda u, v: np.exp(v) * np.cosh(u),
-            lambda u, v: np.exp(v) * np.sinh(u),
-            lambda u, v: np.exp(v) * np.cosh(u),
-            lambda u, v: 2.0 * np.exp(v) * np.cosh(u))
-
-
-def _f_sinh_u_sin_u():
-    return (lambda u, v: np.sinh(u) * np.sin(u) + 0.0 * v,
-            lambda u, v: np.cosh(u) * np.sin(u) + np.sinh(u) * np.cos(u) + 0.0 * v,
-            lambda u, v: 0.0 * u * v,
-            lambda u, v: 2.0 * np.cosh(u) * np.cos(u) + 0.0 * v)
-
-
-def _f_coord_u():
-    return (lambda u, v: u + 0.0 * v, lambda u, v: 1.0 + 0.0 * u * v,
-            lambda u, v: 0.0 * u * v, lambda u, v: 0.0 * u * v)
-
-
-def _f_zero():
-    z = lambda u, v: 0.0 * u * v
-    return (z, z, z, z)
-
-
-def _f_one():
-    return (lambda u, v: 1.0 + 0.0 * u * v, lambda u, v: 0.0 * u * v,
-            lambda u, v: 0.0 * u * v, lambda u, v: 0.0 * u * v)
+def _named(f, g, c=1.0):
+    slots = _product(f, g, c)
+    return lambda: (slots["value"], slots["du"], slots["dv"], slots["lap"])
 
 
 NAMED_WEIGHTS = {
-    "zero": _f_zero,
-    "one": _f_one,
-    "re-exp-iz": _w_re_exp_iz,
-    "tanh-u": _w_tanh_u,
+    "zero": _named("t", "t", 0.0),      # 0 u v: each zero keeps the sign of u v
+    "one": _named("1", "1"),
+    "re-exp-iz": _named("cos", "exp(-t)"),
+    "tanh-u": _named("tanh", "1"),
 }
 
 NAMED_FIELDS = {
-    "zero": _f_zero,
-    "one": _f_one,
-    "coord-u": _f_coord_u,
-    "exp-v-cosh-u": _f_exp_v_cosh_u,
-    "sinh-u-sin-u": _f_sinh_u_sin_u,
+    "zero": NAMED_WEIGHTS["zero"],
+    "one": NAMED_WEIGHTS["one"],
+    "coord-u": _named("t", "1"),
+    "exp-v-cosh-u": _named("cosh", "exp"),
+    "sinh-u-sin-u": _named("sinh*sin", "1"),
 }
 
 
-def _field_from_providers(grid, providers):
-    value, du, dv, lap = providers
+def _sample_named(registry, what, name, grid):
+    if name not in registry:
+        raise KeyError("unknown %s %r; known: %s" % (what, name, ", ".join(sorted(registry))))
+    value, du, dv, lap = registry[name]()
     return RealField.sample(grid, Analytic(value=value, du=du, dv=dv, lap=lap))
 
 
 def named_weight(name, grid):
-    if name not in NAMED_WEIGHTS:
-        raise KeyError("unknown weight %r; known: %s"
-                       % (name, ", ".join(sorted(NAMED_WEIGHTS))))
-    return _field_from_providers(grid, NAMED_WEIGHTS[name]())
+    return _sample_named(NAMED_WEIGHTS, "weight", name, grid)
 
 
 def named_field(name, grid):
-    if name not in NAMED_FIELDS:
-        raise KeyError("unknown field %r; known: %s"
-                       % (name, ", ".join(sorted(NAMED_FIELDS))))
-    return _field_from_providers(grid, NAMED_FIELDS[name]())
+    return _sample_named(NAMED_FIELDS, "field", name, grid)
 
 
 def save_problem(problem, path, weight_name=None, source_name=None):

@@ -14,7 +14,9 @@ from mtsurf.catalog import (
     recommended_bounds,
 )
 from mtsurf.errors import DomainError
-from mtsurf.fields import Grid2D, RealField, laplacian, sup_abs_interior
+from mtsurf.fields import (Grid2D, RealField, laplacian, sup_abs, sup_abs_interior,
+                           wirtinger_dz)
+from mtsurf.poisson import NAMED_FIELDS, NAMED_WEIGHTS, named_field, named_weight
 from mtsurf.tolerances import fd_cap
 from mtsurf.weierstrass import validate_second
 
@@ -42,15 +44,30 @@ def test_sigma_theta_chart_lies_in_quadric(theta):
     np.testing.assert_allclose(inner, fx.expected["quadric_constant"], atol=1e-11)
 
 
-def test_sigma_theta_chart_callbacks_match_samples():
-    # closed-form Laplacians against finite differences of the chart values
-    fx = fixture_sigma_theta(math.pi / 8)
-    U, V = fx.grid.mesh()
-    cap = fd_cap(fx.grid, 50.0)
-    for coord in fx.chart:
-        stripped = RealField(fx.grid, coord.values)
-        closed = coord.analytic.lap(U, V)
-        assert sup_abs_interior(laplacian(stripped).values - closed) < cap
+_CLOSED_FORMS = ([("chart", name) for name in FIXTURE_NAMES]
+                 + [("weight", name) for name in sorted(NAMED_WEIGHTS)]
+                 + [("field", name) for name in sorted(NAMED_FIELDS)])
+
+
+@pytest.mark.parametrize("kind,name", _CLOSED_FORMS,
+                         ids=["%s-%s" % form for form in _CLOSED_FORMS])
+def test_closed_form_callbacks_match_samples(kind, name):
+    """The closed-form dz and Laplacian of every fixture chart coordinate and
+    every named Poisson weight and field agree with finite differences of
+    its own samples, on an off-centre grid, to O(h^2)."""
+    grid = Grid2D(-1.5, 1.0, -1.2, 1.3, 51, 51)
+    if kind == "chart":
+        params = {"sigma-theta": {"theta": math.pi / 8},
+                  "two-param": {"alpha": 0.3, "beta": -0.2}}
+        closed = fixture_by_name(name, grid=grid, params=params.get(name)).chart
+    else:
+        closed = [(named_weight if kind == "weight" else named_field)(name, grid)]
+    U, V = grid.mesh()
+    cap = fd_cap(grid, 5.0)     # the largest constant is 1.9, on exp-v-cosh-u's dz
+    for fld in closed:
+        stripped = RealField(grid, fld.values)
+        assert sup_abs(wirtinger_dz(stripped).values - fld.analytic.dz(U, V)) < cap
+        assert sup_abs_interior(laplacian(stripped).values - fld.analytic.lap(U, V)) < cap
 
 
 def test_sigma_theta_expected_fields():
@@ -183,6 +200,17 @@ def test_fixture_by_name_dispatch():
                                   "hyperbolic-catenoid-l3"}
     with pytest.raises(KeyError):
         fixture_by_name("nonsense")
+
+
+@pytest.mark.parametrize("name,params,extra", [
+    ("catenoid-r3", {"theta": 0.3, "alpha": 0.9}, "alpha, theta"),
+    ("hyperbolic-catenoid-l3", {"beta": 0.1}, "beta"),
+    ("sigma-theta", {"theta": 0.3, "alpha": 0.3, "beta": 0.1}, "alpha, beta"),
+    ("two-param", {"theta": 0.3}, "theta"),
+], ids=["catenoid-r3", "hyperbolic-catenoid-l3", "sigma-theta", "two-param"])
+def test_fixture_by_name_refuses_a_parameter_it_does_not_take(name, params, extra):
+    with pytest.raises(ValueError, match="%r does not take %s" % (name, extra)):
+        fixture_by_name(name, grid=Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9), params=params)
 
 
 @pytest.mark.parametrize("name,tables", [

@@ -120,6 +120,31 @@ class TestGenerate:
             run(["generate", "--fixture", "sigma-theta", "--data", "x.json",
                  "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("command,fixture,flags", [
+        ("generate", "catenoid-r3", ["--theta", "0.3", "--alpha", "0.9"]),
+        ("generate", "sigma-theta", ["--alpha", "0.3", "--beta", "0.1"]),
+        ("deform", "two-param", ["--theta", "0.3"]),
+    ], ids=["catenoid-theta-alpha", "sigma-theta-alpha-beta", "two-param-theta"])
+    def test_parameter_the_fixture_does_not_take_fails_with_manifest(
+            self, tmp_path, command, fixture, flags):
+        out = str(tmp_path)
+        family = ["--family", "elliptic", "--parameter", "0.5"] if command == "deform" else []
+        rc = run([command, "--fixture", fixture, "--grid", "-1:1:-1:1:9x9", *flags,
+                  *family, "--out", out, "--name", "refused"])
+        assert rc == 1
+        error = failed_run(out, "refused")["error"]
+        assert fixture in error
+        for flag in flags[::2]:
+            assert flag[2:] in error
+
+    def test_fixture_parameter_needs_fixture(self, tmp_path):
+        fx = fixture_sigma_theta(0.3, grid=Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9))
+        data_path = os.path.join(str(tmp_path), "input.data.json")
+        save_data(fx.data, data_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--data", data_path, "--theta", "0.3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_missing_data_document_fails_with_manifest(self, tmp_path):
         out = str(tmp_path)
         missing = os.path.join(out, "absent.data.json")

@@ -501,6 +501,27 @@ def test_tampered_documents_load_or_fail_typed(kind, edit):
         assert rc == 1 and manifest["error"]
 
 
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_huge_integer_grid_bound_fails_with_manifest(kind, tmp_path):
+    """A grid bound that is an integer beyond float range (401 digits) is
+    refused by name: the command exits 1 with a run manifest, not in an
+    OverflowError traceback."""
+    fname, _, _ = DOCUMENTS[kind](str(tmp_path))
+    path = os.path.join(str(tmp_path), fname)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["grid"]["u_min"] = -10 ** 400
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out = os.path.join(str(tmp_path), "out")
+    command = ["solve", "--problem"] if kind == "problem" else ["verify", "--input"]
+    rc = cli.main(command + [path, "--out", out, "--name", "run"])
+    with open(os.path.join(out, "run.manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert rc == 1 and manifest["passed"] is False
+    assert "'u_min'" in manifest["error"] and "finite number" in manifest["error"]
+
+
 def test_payload_grid_mismatch_is_typed(tmp_path):
     fname, load, _ = _patch_manifest(str(tmp_path))
     path = os.path.join(str(tmp_path), fname)
