@@ -100,16 +100,18 @@ def _chart_anchor(grid, component_parts):
 
 
 # One-variable closed forms t -> (f, f', f''), the building blocks of every
-# chart coordinate here and of the named Poisson fields.
+# chart coordinate here and of the named Poisson fields.  A derivative that is
+# a constant multiple k f of the form itself is given as the number k, so the
+# product rule reuses f for it and drops it when k is zero.
 _FORMS = {
-    "1": (np.ones_like, np.zeros_like, np.zeros_like),
-    "t": (lambda t: t, np.ones_like, np.zeros_like),
-    "sin": (np.sin, np.cos, lambda t: -np.sin(t)),
-    "cos": (np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)),
-    "sinh": (np.sinh, np.cosh, np.sinh),
-    "cosh": (np.cosh, np.sinh, np.cosh),
-    "exp": (np.exp, np.exp, np.exp),
-    "exp(-t)": (lambda t: np.exp(-t), lambda t: -np.exp(-t), lambda t: np.exp(-t)),
+    "1": (np.ones_like, 0.0, 0.0),
+    "t": (lambda t: t, np.ones_like, 0.0),
+    "sin": (np.sin, np.cos, -1.0),
+    "cos": (np.cos, lambda t: -np.sin(t), -1.0),
+    "sinh": (np.sinh, np.cosh, 1.0),
+    "cosh": (np.cosh, np.sinh, 1.0),
+    "exp": (np.exp, 1.0, 1.0),
+    "exp(-t)": (lambda t: np.exp(-t), -1.0, 1.0),
     "tanh": (np.tanh, lambda t: 1.0 / np.cosh(t) ** 2,
              lambda t: -2.0 * np.tanh(t) / np.cosh(t) ** 2),
     "sinh*sin": (lambda t: np.sinh(t) * np.sin(t),
@@ -124,14 +126,32 @@ _FORMS = {
 }
 
 
+def _terms(c, f0, g0, terms):
+    """Callback for c times the sum of a(u) b(v) over ``terms``, where a number
+    k in place of a (or b) stands for k f0 (or k g0).  Terms with the same two
+    factors share one evaluation; a slot whose terms all vanish is ``_zeros``."""
+    scale = {}
+    for a, b in terms:
+        k = c
+        if not callable(a):
+            k, a = k * a, f0
+        if not callable(b):
+            k, b = k * b, g0
+        scale[a, b] = scale.get((a, b), 0.0) + k
+    parts = [(k, a, b) for (a, b), k in scale.items() if k != 0.0]
+    if not parts:
+        return _zeros
+    return lambda u, v: functools.reduce(np.add, (k * a(u) * b(v) for k, a, b in parts))
+
+
 def _product(f, g, c=1.0):
     """Slots value/du/dv/lap of c f(u) g(v) for two forms of ``_FORMS``, by
     the product rule; lap = c (f'' g + f g'')."""
     (f0, f1, f2), (g0, g1, g2) = _FORMS[f], _FORMS[g]
     return dict(value=lambda u, v: c * f0(u) * g0(v),
-                du=lambda u, v: c * f1(u) * g0(v),
-                dv=lambda u, v: c * f0(u) * g1(v),
-                lap=lambda u, v: c * (f2(u) * g0(v) + f0(u) * g2(v)))
+                du=_terms(c, f0, g0, [(f1, 1.0)]),
+                dv=_terms(c, f0, g0, [(1.0, g1)]),
+                lap=_terms(c, f0, g0, [(f2, 1.0), (1.0, g2)]))
 
 
 _ZERO = dict(value=_zeros, du=_zeros, dv=_zeros, lap=_zeros)
