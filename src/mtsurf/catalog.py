@@ -126,32 +126,27 @@ _FORMS = {
 }
 
 
-def _terms(c, f0, g0, terms):
-    """Callback for c times the sum of a(u) b(v) over ``terms``, where a number
-    k in place of a (or b) stands for k f0 (or k g0).  Terms with the same two
-    factors share one evaluation; a slot whose terms all vanish is ``_zeros``."""
-    scale = {}
-    for a, b in terms:
-        k = c
-        if not callable(a):
-            k, a = k * a, f0
-        if not callable(b):
-            k, b = k * b, g0
-        scale[a, b] = scale.get((a, b), 0.0) + k
-    parts = [(k, a, b) for (a, b), k in scale.items() if k != 0.0]
-    if not parts:
-        return _zeros
-    return lambda u, v: functools.reduce(np.add, (k * a(u) * b(v) for k, a, b in parts))
-
-
 def _product(f, g, c=1.0):
     """Slots value/du/dv/lap of c f(u) g(v) for two forms of ``_FORMS``, by
-    the product rule; lap = c (f'' g + f g'')."""
+    the product rule; lap = c (f'' g + f g'').  Each slot sums c a(u) b(v)
+    over its terms, a number k in place of a (or b) standing for k f (or k g);
+    terms with the same factors are merged, and one whose coefficient is zero
+    is dropped, so a slot whose terms all cancel is ``_zeros``."""
     (f0, f1, f2), (g0, g1, g2) = _FORMS[f], _FORMS[g]
-    return dict(value=lambda u, v: c * f0(u) * g0(v),
-                du=_terms(c, f0, g0, [(f1, 1.0)]),
-                dv=_terms(c, f0, g0, [(1.0, g1)]),
-                lap=_terms(c, f0, g0, [(f2, 1.0), (1.0, g2)]))
+
+    def slot(*terms):
+        scale = {}
+        for a, b in terms:
+            key = (a if callable(a) else f0, b if callable(b) else g0)
+            k = c * (1.0 if callable(a) else a) * (1.0 if callable(b) else b)
+            scale[key] = scale.get(key, 0.0) + k
+        parts = [(k, a, b) for (a, b), k in scale.items() if k != 0.0]
+        if not parts:
+            return _zeros
+        return lambda u, v: functools.reduce(np.add, (k * a(u) * b(v) for k, a, b in parts))
+
+    return dict(value=lambda u, v: c * f0(u) * g0(v), du=slot((f1, 1.0)),
+                dv=slot((1.0, g1)), lap=slot((f2, 1.0), (1.0, g2)))
 
 
 _ZERO = dict(value=_zeros, du=_zeros, dv=_zeros, lap=_zeros)
@@ -221,6 +216,14 @@ def _guard_sigma_domain(theta, grid):
             "(u,v)=(%.6g, %.6g)" % (low, u_star, v_star))
 
 
+def _second_kind(name, params, grid, height, null_pot, parts, **expected):
+    """Fixture of the data (exp(iz), height, null_pot) and the chart ``parts``;
+    ``expected`` gains the chart's anchor and h_nowhere_zero."""
+    data = WeierstrassSecond(_holo_exp_iz(grid), height, null_pot, dict(name=name, **params))
+    expected.update(anchor=_chart_anchor(grid, parts), h_nowhere_zero=True)
+    return Fixture(name, "second-kind", params, grid, data, parts, expected)
+
+
 def fixture_sigma_theta(theta, grid=None):
     """One-parameter family member at the given theta in [0, pi/2].
 
@@ -251,11 +254,7 @@ def fixture_sigma_theta(theta, grid=None):
         dv=lambda u, v: np.exp(v) * (ct * np.cosh(u) + st * np.sin(v) + st * np.cos(v)),
         lap=lambda u, v: 2.0 * np.exp(v) * (ct * np.cosh(u) + st * np.cos(v)),
     ))
-    data = WeierstrassSecond(_holo_exp_iz(grid), height, null_pot,
-                             {"name": "sigma-theta", "theta": theta})
-
     parts = tuple(((ct, _CHART_HYP[k]), (st, _CHART_DESITTER[k])) for k in range(4))
-    anchor = _chart_anchor(grid, parts)
 
     def conformal_factor(u, v):
         return (ct * np.cosh(u) + st * np.cos(v)) ** 2
@@ -263,15 +262,10 @@ def fixture_sigma_theta(theta, grid=None):
     def mean_curvature_norm(u, v):
         return 2.0 * math.sqrt(2.0) * np.cosh(v) / (ct * np.cosh(u) + st * np.cos(v))
 
-    expected = {
-        "quadric_constant": -math.cos(2.0 * theta),
-        "conformal_factor": conformal_factor,
-        "mean_curvature_norm": mean_curvature_norm,
-        "anchor": anchor,
-        "h_nowhere_zero": True,
-    }
-    return Fixture("sigma-theta", "second-kind", {"theta": theta},
-                   grid, data, parts, expected)
+    return _second_kind("sigma-theta", {"theta": theta}, grid, height, null_pot, parts,
+                        quadric_constant=-math.cos(2.0 * theta),
+                        conformal_factor=conformal_factor,
+                        mean_curvature_norm=mean_curvature_norm)
 
 
 def fixture_two_parameter(alpha, beta, grid=None):
@@ -302,12 +296,8 @@ def fixture_two_parameter(alpha, beta, grid=None):
         dv=lambda u, v: np.exp(v) * np.cosh(u),
         lap=lambda u, v: 2.0 * np.exp(v) * np.cosh(u),
     ))
-    data = WeierstrassSecond(_holo_exp_iz(grid), height, null_pot,
-                             {"name": "two-param", "alpha": alpha, "beta": beta})
-
     parts = tuple(((alpha, _CHART_LIN_A[k]), (beta, _CHART_LIN_B[k]), (1.0, _CHART_HYP[k]))
                   for k in range(4))
-    anchor = _chart_anchor(grid, parts)
 
     def conformal_factor(u, v):
         return ((alpha + np.cosh(u) * np.sin(u)) ** 2
@@ -317,15 +307,18 @@ def fixture_two_parameter(alpha, beta, grid=None):
         return (2.0 * math.sqrt(2.0) * np.cosh(u) * np.cosh(v)
                 / conformal_factor(u, v))
 
-    expected = {
-        "quadric_constant": None,
-        "conformal_factor": conformal_factor,
-        "mean_curvature_norm": mean_curvature_norm,
-        "anchor": anchor,
-        "h_nowhere_zero": True,
-    }
-    return Fixture("two-param", "second-kind", {"alpha": alpha, "beta": beta},
-                   grid, data, parts, expected)
+    return _second_kind("two-param", {"alpha": alpha, "beta": beta}, grid, height, null_pot,
+                        parts, quadric_constant=None, conformal_factor=conformal_factor,
+                        mean_curvature_norm=mean_curvature_norm)
+
+
+# name -> (default bounds, chart, conformal factor, slice)
+_CLASSICAL = {
+    "catenoid-r3": ((-2.0, 2.0, -2.0, 2.0), _CHART_CATENOID,
+                    lambda u, v: np.cosh(u) ** 2 + _zeros(u, v), ("x4", 0.0)),
+    "hyperbolic-catenoid-l3": ((-2.0, 2.0, -1.4, 1.4), _CHART_HYP_CATENOID,
+                               lambda u, v: np.cos(v) ** 2 + _zeros(u, v), ("x1", 0.0)),
+}
 
 
 def fixture_classical(name, grid=None):
@@ -337,36 +330,22 @@ def fixture_classical(name, grid=None):
     |v| < pi/2 to stay spacelike.
     """
     key = str(name).strip().lower().replace("_", "-")
-    if key == "catenoid-r3":
-        if grid is None:
-            grid = _default_grid((-2.0, 2.0, -2.0, 2.0))
-        parts = tuple(((1.0, c),) for c in _CHART_CATENOID)
-        expected = {
-            "quadric_constant": None,
-            "conformal_factor": lambda u, v: np.cosh(u) ** 2 + _zeros(u, v),
-            "anchor": _chart_anchor(grid, parts),
-            "h_nowhere_zero": False,
-            "slice": ("x4", 0.0),
-        }
-        return Fixture(key, "patch", {}, grid, None, parts, expected)
-    if key == "hyperbolic-catenoid-l3":
-        if grid is None:
-            grid = _default_grid((-2.0, 2.0, -1.4, 1.4))
-        if grid.v_min <= -math.pi / 2.0 or grid.v_max >= math.pi / 2.0:
-            raise DomainError(
-                "hyperbolic catenoid chart needs v in (-pi/2, pi/2); grid "
-                "spans [%g, %g]" % (grid.v_min, grid.v_max))
-        parts = tuple(((1.0, c),) for c in _CHART_HYP_CATENOID)
-        expected = {
-            "quadric_constant": None,
-            "conformal_factor": lambda u, v: np.cos(v) ** 2 + _zeros(u, v),
-            "anchor": _chart_anchor(grid, parts),
-            "h_nowhere_zero": False,
-            "slice": ("x1", 0.0),
-        }
-        return Fixture(key, "patch", {}, grid, None, parts, expected)
-    raise KeyError("unknown classical chart %r; pick catenoid-r3 or "
-                   "hyperbolic-catenoid-l3" % (name,))
+    if key not in _CLASSICAL:
+        raise KeyError("unknown classical chart %r; pick catenoid-r3 or "
+                       "hyperbolic-catenoid-l3" % (name,))
+    bounds, chart, conformal_factor, slice_ = _CLASSICAL[key]
+    if grid is None:
+        grid = _default_grid(bounds)
+    if key == "hyperbolic-catenoid-l3" and (grid.v_min <= -math.pi / 2.0
+                                            or grid.v_max >= math.pi / 2.0):
+        raise DomainError(
+            "hyperbolic catenoid chart needs v in (-pi/2, pi/2); grid "
+            "spans [%g, %g]" % (grid.v_min, grid.v_max))
+    parts = tuple(((1.0, c),) for c in chart)
+    expected = {"quadric_constant": None, "conformal_factor": conformal_factor,
+                "anchor": _chart_anchor(grid, parts), "h_nowhere_zero": False,
+                "slice": slice_}
+    return Fixture(key, "patch", {}, grid, None, parts, expected)
 
 
 # name -> (builder, the parameters it takes with their defaults)
