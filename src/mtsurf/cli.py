@@ -308,7 +308,7 @@ def cmd_deform(args):
         if ident is not None:
             manifest.add_check("deformation_identity", ident, cap(
                 "deformation_identity", deformed.grid,
-                _exact_callbacks(base.holo, base.a, base.b), args.tol_exact))
+                _exact_callbacks(base), args.tol_exact))
         _congruence_check(manifest, *_represent([base, cert], need, None, args), args)
         manifest.add_artifacts(
             save_data(deformed, os.path.join(args.out, args.name + ".data.json")))

@@ -11,23 +11,27 @@ and ``j`` along v (axis 1).  The Wirtinger operators are
 so ``laplacian(f) == 4 * dz(dzbar(f))`` and a field is holomorphic exactly
 when ``dzbar(f) == 0``.
 
-Fields may carry an :class:`Analytic` bundle of closed-form callbacks: it
-keeps value, dz, dzbar and lap, and takes du/dv and duu/dvv as input only.
-Operations use the callbacks when they are present (derivatives are then
-exact up to roundoff and path integrals switch to per-interval Gauss
-quadrature); otherwise they fall back to second-order finite differences
-(central in the interior, one-sided at the edges) and to trapezoidal
-accumulation, and tolerances downstream widen from 1e-8/1e-10 to C*h^2.
+Every field carries an :class:`Analytic` bundle of closed-form callbacks,
+empty when it has none: it keeps value, dz, dzbar and lap, and takes a
+du/dv pair as input only.  Operations use the callbacks when they are
+present (derivatives are then exact up to roundoff and path integrals
+switch to per-interval Gauss quadrature); otherwise they fall back to
+second-order finite differences (central in the interior, one-sided at the
+edges) and to trapezoidal accumulation, and tolerances downstream widen
+from 1e-8/1e-10 to C*h^2.
 
-Path integration has one core, ``_integrate_primitives``: k integrands
-that are functions of shared inputs are integrated from one evaluation of
-those inputs per Gauss node set (the u-edges and the v-edges), taken in
-blocks of ``_QUAD_ROWS`` = 48 grid rows, and reduced one integrand at a
-time, so each scratch array of a block holds at most 245 n_v samples
-whatever n_u is, and every exact callback runs once per node set and
-(u, v).  :func:`integrate_primitive` is its one-field case.  A
-primitive F of E answers dz(F) with E and dzbar(F) with conj(E), one
-evaluation each, and owns its accumulated samples without a copy.
+Path integration has one core, ``_integrate_primitives``: k fields are
+integrated from their value callbacks on each Gauss node set (the u-edges
+and the v-edges), taken in blocks of ``_QUAD_ROWS`` = 48 grid rows, and
+reduced one field at a time, so each scratch array of a block holds at
+most 245 n_v samples whatever n_u is.  A node set is an evaluation scope:
+inside it every :class:`Analytic` call returns the result of an earlier
+call of the same callback on the same u and v, so the closed forms that
+the k value callbacks call run once per node set however many of them
+share it, while no field's own result outlives its reduction.
+:func:`integrate_primitive` is the one-field case.  A primitive F of E
+answers dz(F) with E and dzbar(F) with conj(E), one evaluation each, and
+owns its accumulated samples without a copy.
 
 This module also owns persistence, and every ASCII table (field CSVs
 here, mesh vertices, faces and the x4 channel in :mod:`mtsurf.export`)
@@ -104,12 +108,8 @@ class Grid2D:
     n_v: int
 
     def __post_init__(self):
-        object.__setattr__(self, "u_min", float(self.u_min))
-        object.__setattr__(self, "u_max", float(self.u_max))
-        object.__setattr__(self, "v_min", float(self.v_min))
-        object.__setattr__(self, "v_max", float(self.v_max))
-        object.__setattr__(self, "n_u", int(self.n_u))
-        object.__setattr__(self, "n_v", int(self.n_v))
+        for k in self.__dataclass_fields__:
+            object.__setattr__(self, k, (int if k.startswith("n_") else float)(getattr(self, k)))
         if not np.all(np.isfinite([self.u_min, self.u_max, self.v_min, self.v_max])):
             raise ValueError("grid bounds must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
@@ -193,21 +193,18 @@ class Analytic:
 
     A bundle keeps four callbacks of broadcastable coordinate arrays
     ``(u, v)``: value, dz, dzbar and lap.  A ``(du, dv)`` pair is stored as
-    dz, dzbar = (du -/+ i dv)/2 and a ``(duu, dvv)`` pair as lap = duu + dvv,
-    unless dz, dzbar or lap is given itself.  ``du`` and ``dv`` return the
-    complex dz + dzbar and i (dz - dzbar).  Missing quantities raise when
-    requested; the ``has_*`` flags let callers pick a fallback.
+    dz, dzbar = (du -/+ i dv)/2 unless dz or dzbar is given itself.  ``du``
+    and ``dv`` return the complex dz + dzbar and i (dz - dzbar).  Missing
+    quantities raise when requested; the ``has_*`` flags let callers pick a
+    fallback.  A bundle without callbacks is empty and false.
     """
 
-    def __init__(self, value=None, du=None, dv=None, dz=None, dzbar=None,
-                 duu=None, dvv=None, lap=None):
+    def __init__(self, value=None, du=None, dv=None, dz=None, dzbar=None, lap=None):
         if du is not None and dv is not None:
             if dz is None:
                 dz = lambda u, v: (np.asarray(du(u, v)) - 1j * np.asarray(dv(u, v))) / 2.0
             if dzbar is None:
                 dzbar = lambda u, v: (np.asarray(du(u, v)) + 1j * np.asarray(dv(u, v))) / 2.0
-        if lap is None and duu is not None and dvv is not None:
-            lap = lambda u, v: np.asarray(duu(u, v)) + np.asarray(dvv(u, v))
         self._value = value
         self._dz = dz
         self._dzbar = dzbar
@@ -225,6 +222,9 @@ class Analytic:
     @property
     def has_lap(self):
         return self._lap is not None
+
+    def __bool__(self):
+        return any(cb is not None for cb in (self._value, self._dz, self._dzbar, self._lap))
 
     # evaluation ----------------------------------------------------------
     @staticmethod
@@ -260,7 +260,7 @@ class Analytic:
 
 
 class _Field:
-    """Immutable samples on a grid plus an optional Analytic bundle."""
+    """Immutable samples on a grid plus an Analytic bundle, empty by default."""
 
     _dtype = None
 
@@ -277,7 +277,7 @@ class _Field:
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-        self.analytic = analytic
+        self.analytic = analytic or Analytic()
 
     @classmethod
     def _view(cls, grid, values, analytic=None):
@@ -293,7 +293,7 @@ class _Field:
         fld = cls.__new__(cls)
         fld.grid = grid
         fld.values = values
-        fld.analytic = analytic
+        fld.analytic = analytic or Analytic()
         return fld
 
     @classmethod
@@ -306,7 +306,7 @@ class _Field:
         return "%s(%dx%d on [%g,%g]x[%g,%g]%s)" % (
             type(self).__name__, self.grid.n_u, self.grid.n_v,
             self.grid.u_min, self.grid.u_max, self.grid.v_min, self.grid.v_max,
-            ", analytic" if self.analytic is not None else "")
+            ", analytic" if self.analytic else "")
 
 
 class RealField(_Field):
@@ -338,28 +338,28 @@ def _fd_second(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def wirtinger_dz(field):
-    """(f_u - i f_v)/2 as a ComplexField; exact when callbacks are available."""
+def _wirtinger(field, slot, combine):
+    """combine(f_u, i f_v)/2 as a ComplexField, or the field's ``slot``
+    callback (dz or dzbar) sampled on the nodes when it has first
+    derivatives."""
     grid = field.grid
-    a = field.analytic
-    if a is not None and a.has_first:
+    if field.analytic.has_first:
+        cb = getattr(field.analytic, slot)
         U, V = grid.mesh()
-        return ComplexField(grid, a.dz(U, V), Analytic(value=a.dz))
+        return ComplexField(grid, cb(U, V), Analytic(value=cb))
     fu = _fd_first(field.values, grid.h_u, 0)
     fv = _fd_first(field.values, grid.h_v, 1)
-    return ComplexField(grid, (fu - 1j * fv) / 2.0)
+    return ComplexField(grid, combine(fu, 1j * fv) / 2.0)
+
+
+def wirtinger_dz(field):
+    """(f_u - i f_v)/2 as a ComplexField; exact when callbacks are available."""
+    return _wirtinger(field, "dz", np.subtract)
 
 
 def wirtinger_dzbar(field):
     """(f_u + i f_v)/2 as a ComplexField; exact when callbacks are available."""
-    grid = field.grid
-    a = field.analytic
-    if a is not None and a.has_first:
-        U, V = grid.mesh()
-        return ComplexField(grid, a.dzbar(U, V), Analytic(value=a.dzbar))
-    fu = _fd_first(field.values, grid.h_u, 0)
-    fv = _fd_first(field.values, grid.h_v, 1)
-    return ComplexField(grid, (fu + 1j * fv) / 2.0)
+    return _wirtinger(field, "dzbar", np.add)
 
 
 def laplacian(field):
@@ -372,7 +372,7 @@ def laplacian(field):
     """
     grid = field.grid
     a = field.analytic
-    if a is not None and a.has_lap:
+    if a.has_lap:
         U, V = grid.mesh()
         return type(field)(grid, a.lap(U, V), Analytic(value=a.lap))
     vals = _fd_second(field.values, grid.h_u, 0) + _fd_second(field.values, grid.h_v, 1)
@@ -413,6 +413,7 @@ def lincomb_real(pairs):
     callback slot (value, dz, dzbar, lap) survives, as the weighted sum of
     the summands' own callbacks, only when every summand provides it, so a
     primitive among them answers dz with one evaluation of its integrand.
+    Sums start from the first term, so c f keeps the sign of f's zeros.
     """
     pairs = [(float(w), f) for w, f in pairs]
     if not pairs:
@@ -421,14 +422,14 @@ def lincomb_real(pairs):
     for _, f in pairs[1:]:
         if f.grid != grid:
             raise GridMismatchError("lincomb_real summands live on different grids")
-    values = sum(w * f.values for w, f in pairs)
+    values = functools.reduce(np.add, (w * f.values for w, f in pairs))
     slots = {}
     for name in ("value", "dz", "dzbar", "lap"):
-        if all(getattr(f.analytic, "_" + name, None) is not None for _, f in pairs):
+        if all(getattr(f.analytic, "_" + name) is not None for _, f in pairs):
             def combined(u, v, _cbs=tuple((w, getattr(f.analytic, name)) for w, f in pairs)):
-                return sum(w * cb(u, v) for w, cb in _cbs)
+                return functools.reduce(np.add, (w * cb(u, v) for w, cb in _cbs))
             slots[name] = combined
-    return RealField(grid, values, Analytic(**slots) if slots else None)
+    return RealField(grid, values, Analytic(**slots))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 _EVAL = threading.local()       # .scope: the callback memo of the node set being swept
 
 #: Grid rows per block of the Gauss edge quadrature.  A block evaluates the
-#: inputs on the 5 Gauss nodes of every edge in its rows (the last block
+#: integrands on the 5 Gauss nodes of every edge in its rows (the last block
 #: also on the last row of v-edges), so each scratch array holds at most
 #: (_QUAD_ROWS + 1) * 5 * n_v = 245 n_v samples however large n_u is.  48
 #: rows give the same bits as 96 on every output; 32, 24 and 16 do not,
@@ -471,22 +472,23 @@ def _row_blocks(grid):
         yield slice(start, stop), slice(start, stop if stop < last else grid.n_u)
 
 
-def _edge_integrals_gauss(inputs, integrands, grid):
+def _edge_integrals_gauss(values, grid):
     """Per-edge Gauss integrals of a_k = 2 Re E_k (along u) and b_k = -2 Im E_k
-    (along v) for k integrands, as (k, n_u-1, n_v) and (k, n_u, n_v-1) arrays.
+    (along v) for k fields, as (k, n_u-1, n_v) and (k, n_u, n_v-1) arrays.
 
-    ``inputs(u, v)`` is evaluated once per node set of each row block and
-    ``integrands[k]`` maps its arrays to E_k there; the integrands are
-    reduced one at a time, so no (k, rows, 5, n_v) stack is ever built.
-    Within a node set an :class:`Analytic` call returns the read-only result
-    of an earlier call of its callback on the same u and v objects, if any.
+    The raw value callback ``values[k](u, v)`` gives E_k on the node set of
+    each row block, and each E_k is reduced before the next is evaluated.
+    Within a node set an :class:`Analytic` call returns the read-only
+    result of an earlier call of its callback on the same u and v objects;
+    the raw callbacks bypass that memo, so it keeps only the closed forms
+    they call, never an E_k.
     """
     au = grid.axis_u
     av = grid.axis_v
     uq = au[:-1, None] + (_GAUSS_X[None, :] + 1.0) * (grid.h_u / 2.0)   # (n_u-1, 5)
     vq = av[:-1, None] + (_GAUSS_X[None, :] + 1.0) * (grid.h_v / 2.0)   # (n_v-1, 5)
-    R = np.empty((len(integrands), grid.n_u - 1, grid.n_v))
-    C = np.empty((len(integrands), grid.n_u, grid.n_v - 1))
+    R = np.empty((len(values), grid.n_u - 1, grid.n_v))
+    C = np.empty((len(values), grid.n_u, grid.n_v - 1))
     for u_rows, v_rows in _row_blocks(grid):
         # u-edges: R[k, i, j] = integral of a_k over [u_i, u_{i+1}] at v_j;
         # v-edges: C[k, i, j] = integral of b_k over [v_j, v_{j+1}] at u_i
@@ -497,11 +499,9 @@ def _edge_integrals_gauss(inputs, integrands, grid):
                  grid.h_v, -2.0, np.imag, "q,ijq->ij")):
             _EVAL.scope = {}
             try:
-                shared = inputs(u, v)
-                for out_k, integrand in zip(out, integrands):
+                for out_k, value in zip(out, values):
                     out_k[rows] = (h / 2.0) * np.einsum(
-                        sum_q, _GAUSS_W, sign * part(integrand(*shared)))
-                del shared              # freed before the next evaluation allocates
+                        sum_q, _GAUSS_W, sign * part(value(u, v)))
             finally:
                 _EVAL.scope = None
     return R, C
@@ -527,38 +527,23 @@ def _primitive_analytic(a):
     """Callbacks of the primitive F of a field E with callbacks ``a``:
     dz F = E and dzbar F = conj E, each one evaluation of E, plus
     lap F = 4 Re dzbar E when E has a dzbar."""
-    if a is None or not a.has_value:
-        return None
-
-    def f_dzbar(u, v):
-        return np.conj(a.value(u, v))
-
-    lap_cb = None
-    if a._dzbar is not None:
-        def lap_cb(u, v):
-            return 4.0 * np.real(a.dzbar(u, v))
-
-    return Analytic(dz=a.value, dzbar=f_dzbar, lap=lap_cb)
+    if not a.has_value:
+        return Analytic()
+    lap = (lambda u, v: 4.0 * np.real(a.dzbar(u, v))) if a._dzbar is not None else None
+    return Analytic(dz=a.value, dzbar=lambda u, v: np.conj(a.value(u, v)), lap=lap)
 
 
-def _coordinates(u, v):
-    return u, v
-
-
-def _integrate_primitives(fields, inputs=None, integrands=None):
+def _integrate_primitives(fields):
     """Real primitives F_k with dz(F_k) = E_k of k complex fields on one grid,
     each anchored to F_k = 0 at the origin node, from one edge quadrature.
 
     Each F_k accumulates the edge integrals of 2 Re(E_k dz) first along the
     first grid row, then up the columns.  Edge integrals use 5-point Gauss
-    quadrature in blocks of ``_QUAD_ROWS`` grid rows when exact callbacks
-    exist, trapezoid on the samples otherwise:
-
-    - with ``inputs``, E_k at the Gauss nodes is ``integrands[k](*inputs(u,
-      v))``; ``inputs`` is evaluated once per node set and block and its
-      arrays are shared by all k integrands;
-    - without, each field's own value callback gives E_k when every field
-      has one (this is :func:`integrate_primitive`, k = 1).
+    quadrature of each field's own value callback in blocks of
+    ``_QUAD_ROWS`` grid rows when every field has one, so the closed forms
+    the k callbacks share run once per node set (see
+    ``_edge_integrals_gauss``), and the trapezoid rule on the samples
+    otherwise.
 
     Returns one :class:`PathIntegralResult` per field.  A primitive keeps
     exact first-derivative callbacks (see ``_primitive_analytic``) when its
@@ -570,13 +555,8 @@ def _integrate_primitives(fields, inputs=None, integrands=None):
     grid = fields[0].grid
     if any(f.grid != grid for f in fields[1:]):
         raise GridMismatchError("fields to integrate live on different grids")
-    if inputs is None and all(f.analytic is not None and f.analytic.has_value
-                              for f in fields):
-        inputs, integrands = _coordinates, [f.analytic.value for f in fields]
-    if inputs is not None:
-        if integrands is None or len(integrands) != len(fields):
-            raise ValueError("need one integrand per field to integrate")
-        R, C = _edge_integrals_gauss(inputs, integrands, grid)
+    if all(f.analytic.has_value for f in fields):
+        R, C = _edge_integrals_gauss([f.analytic._value for f in fields], grid)
     else:
         R, C = zip(*(_edge_integrals_trapezoid(f.values, grid) for f in fields))
 
@@ -592,14 +572,9 @@ def _integrate_primitives(fields, inputs=None, integrands=None):
 
 def integrate_primitive(field):
     """Real primitive F with F_z = E, anchored to F = 0 at the origin node:
-    the one-field case of :func:`_integrate_primitives`.
-
-    Edge integrals use 5-point Gauss quadrature on the field's value
-    callback, evaluated in row blocks, when it has one and trapezoid on the
-    samples otherwise.  The primitive keeps exact callbacks dz F = E and
-    dzbar F = conj E when the integrand had a value callback, and
-    lap F = 4 Re dzbar E when it also had a dzbar.
-    """
+    the one-field case of :func:`_integrate_primitives`, Gauss quadrature
+    of E's value callback when it has one and the trapezoid rule on its
+    samples otherwise."""
     return _integrate_primitives([field])[0]
 
 

@@ -11,12 +11,13 @@ X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
 consumes the certificates of k triples (a list passed in place of the
 triple, else made at the default tolerances), reuses the arrays the
 certification computed, integrates their 4k coordinates of Xz in one
-shared quadrature (each exact callback runs once per Gauss node set and
-row block, so a deformed triple's nested callbacks reuse its base's
-evaluations, then each integrand is formed and reduced in turn; see
-:mod:`mtsurf.fields`), and assembles X_zzbar from the closed formula, so
-the nullness of H is carried by algebra while conformality, metric
-agreement and the coordinate identities are measured and recorded in
+quadrature sweep (each coordinate is a field of its certificate from
+``weierstrass._certificate_field``; a Gauss node set runs each closed form
+once, so coordinates share w, dz a and dz b and a deformed triple's nested
+callbacks reuse its base's evaluations; see :mod:`mtsurf.fields`), and
+assembles X_zzbar from the closed formula, so the nullness of H is
+carried by algebra while conformality, metric agreement and the
+coordinate identities are measured and recorded in
 ``SurfacePatch.invariants``.  The loop caps use the exact-callback cap.
 
 A patch stores each of its quantities once, as one read-only
@@ -42,7 +43,6 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import (
-    ComplexField,
     RealField,
     _integrate_primitives,
     laplacian,
@@ -53,8 +53,8 @@ from .fields import (
 )
 from .lorentz import complex_bilinear, minkowski_inner
 from .tolerances import CONGRUENCE_TOL, PSI_CUTOFF, cap, passes
-from .weierstrass import (_Certificate, _certificate, _certify, _exact_callbacks,
-                          _has_first, _has_lap)
+from .weierstrass import (_Certificate, _certificate, _certificate_field, _certify,
+                          _exact_callbacks)
 
 __all__ = [
     "SurfacePatch",
@@ -152,26 +152,26 @@ def _mean_curvature_stack(xzzbar_stack, lam_values):
     return h
 
 
-def _integrate_coords(grid, xz, anchor, loop_cap, what, inputs=None, integrands=None):
-    """Integrate the (4k, n_u, n_v) tangent stack ``xz``, k patches' four
-    coordinates in turn, into one coordinate stack, origin-anchored.
+def _integrate_coords(tangents, anchor, loop_cap, what):
+    """Integrate the 4k tangent fields ``tangents``, k patches' four
+    coordinates in turn, into one (4k, n_u, n_v) coordinate stack,
+    origin-anchored.
 
     ``anchor`` gives the value of each coordinate at the grid origin node
-    (defaults to zero).  ``inputs`` and ``integrands``, when given, are the
-    shared quadrature of :func:`mtsurf.fields._integrate_primitives`;
-    without them the samples are integrated by the trapezoid rule.
-    Returns the stack and each patch's worst loop residual.  Raises when a
-    loop certificate exceeds the cap, naming the coordinate.
+    (defaults to zero).  The fields go through one quadrature sweep of
+    :func:`mtsurf.fields._integrate_primitives`: Gauss quadrature of their
+    value callbacks, or the trapezoid rule on their samples.  Returns the
+    stack and each patch's worst loop residual.  Raises when a loop
+    certificate exceeds the cap, naming the coordinate.
     """
     if anchor is None:
         anchor = (0.0, 0.0, 0.0, 0.0)
     anchor = tuple(float(a) for a in anchor)
     if len(anchor) != 4:
         raise ValueError("anchor must supply four coordinate values")
-    primitives = _integrate_primitives([ComplexField._view(grid, row) for row in xz],
-                                       inputs, integrands)
-    x = np.empty(xz.shape)
-    worst_loop = [0.0] * (len(xz) // 4)
+    primitives = _integrate_primitives(tangents)
+    x = np.empty((len(tangents),) + tangents[0].grid.shape)
+    worst_loop = [0.0] * (len(tangents) // 4)
     for n, pr in enumerate(primitives):
         if not passes(pr.loop_residual, loop_cap, "max_below"):
             raise ValueError(
@@ -257,28 +257,20 @@ def _represent(data, kind, anchor=None):
     certs = [_certificate(d, kind) for d in data]
     for cert in certs:
         cert.report.raise_for_failure()
-    routes = {(c.holo.grid, c.tol_exact, _exact_callbacks(c.holo, c.a, c.b)) for c in certs}
+    routes = {(c.holo.grid, c.tol_exact, _exact_callbacks(c)) for c in certs}
     if len(routes) > 1:
         return [_represent(cert, kind, anchor) for cert in certs]
     (grid, tol_exact, exact), = routes
     spec = _KINDS[kind]
-
-    def inputs(u, v):
-        return tuple(out for c in certs for out in (
-            c.holo.analytic.value(u, v), c.a.analytic.dz(u, v), c.b.analytic.dz(u, v)))
-
     xz = np.empty((4 * len(certs),) + grid.shape, dtype=complex)
-    integrands = []
+    tangents = []
     for p, cert in enumerate(certs):
         for k, (c1, c2) in enumerate(zip(spec.frame1, spec.frame2)):
-            def integrand(*shared, _c1=c1, _c2=c2, _at=3 * p):
-                w, a_z, b_z = shared[_at:_at + 3]
+            def coordinate(w, a_z, b_z, _c1=c1, _c2=c2):
                 return a_z * _c1(w) + b_z * _c2(w)
-            integrands.append(integrand)
-            xz[4 * p + k] = integrand(cert.holo.values, cert.a_z, cert.b_z, _at=0)
+            tangents.append(_certificate_field(cert, coordinate, out=xz[4 * p + k]))
     x, worst_loop = _integrate_coords(
-        grid, xz, anchor, cap("loop_residual", grid, exact, tol_exact),
-        "represent_" + kind, inputs if exact else None, integrands)
+        tangents, anchor, cap("loop_residual", grid, exact, tol_exact), "represent_" + kind)
 
     patches = []
     for p, (_, holo, a, b, source, _, weight, a_z, b_z, b_zzbar, _) in enumerate(certs):
@@ -383,7 +375,7 @@ def patch_from_chart(coords, provenance=None):
         provenance=dict(provenance or {"representation": "chart"}),
         invariants=_patch_invariants(xz, h, xzzbar, lam_values, closed_metric=None,
                                      extra={"loop_residual": 0.0}),
-        exact=all(_has_first(c) and _has_lap(c) for c in coords))
+        exact=all(c.analytic.has_first and c.analytic.has_lap for c in coords))
 
 
 def patch_from_samples(grid, coords_array, provenance=None):

@@ -18,11 +18,14 @@ potentials, integrates at most one new potential from a 1-form linear in
 dz(a) and dz(b), and records the immersion identity the transform must
 satisfy.
 
-Where a derived field has a closed-form derivative implied by its
-construction (for example the Laplacian of an integrated potential, which
-is pinned by the coupling condition), that derivative is attached as a
-callback so that downstream checks stay at roundoff accuracy instead of
-finite-difference accuracy.
+Callbacks pass through every transform, so downstream checks stay at
+roundoff accuracy, and each derived callback has one builder: a new
+holomorphic field phi(w) goes through the chain-rule map ``_holo_map``; a
+rescaled potential is a one-term :func:`mtsurf.fields.lincomb_real`; a
+field formula(w, dz a, dz b) of a certified triple (a new potential's
+integrand here, a tangent coordinate in :mod:`mtsurf.surfaces`) comes from
+``_certificate_field``; and the Laplacian of an integrated potential is
+pinned by the coupling condition.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .fields import (
     document_grid,
     integrate_primitive,
     laplacian,
+    lincomb_real,
     load_payload,
     min_abs_location,
     read_document,
@@ -216,23 +220,13 @@ class ValidationReport:
             raise InvalidDataError(self)
 
 
-def _has_value(f):
-    return f.analytic is not None and f.analytic.has_value
-
-
-def _has_first(f):
-    return f.analytic is not None and f.analytic.has_first
-
-
-def _has_lap(f):
-    return f.analytic is not None and f.analytic.has_lap
-
-
-def _exact_callbacks(holo, a, b):
-    """Whether the integrands built from a triple carry exact callbacks:
-    ``holo`` has a value callback and both potentials first derivatives.
-    The representations, the transforms and the CLI's caps share it."""
-    return _has_value(holo) and _has_first(a) and _has_first(b)
+def _exact_callbacks(cert):
+    """Whether the integrands built from a certified triple carry exact
+    callbacks: ``holo`` has a value callback and both potentials first
+    derivatives.  The representations, the transforms and the CLI's caps
+    share it."""
+    return cert.holo.analytic.has_value and cert.a.analytic.has_first \
+        and cert.b.analytic.has_first
 
 
 def _sup_interior_check(name, grid, arr, threshold):
@@ -276,8 +270,8 @@ def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
     """
     grid = holo.grid
     weight = _WEIGHT[kind](holo.values)
-    exact_holo = _has_first(holo)
-    exact_pde = _has_lap(a) and _has_lap(b)
+    exact_holo = holo.analytic.has_first
+    exact_pde = a.analytic.has_lap and b.analytic.has_lap
     a_z = wirtinger_dz(a).values
     b_z = wirtinger_dz(b).values
     b_zzbar = laplacian(b).values / 4.0
@@ -290,7 +284,7 @@ def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
                             cap("compatible", grid, exact_pde, tol_exact)),
         _min_check("immersion", grid, a_z - weight * b_z, eps_immersion),
     )
-    exact = exact_holo and exact_pde and _has_first(a) and _has_first(b)
+    exact = exact_holo and exact_pde and a.analytic.has_first and b.analytic.has_first
     return _Certificate(kind, holo, a, b, source, ValidationReport(kind, checks, exact),
                         weight, a_z, b_z, b_zzbar, tol_exact)
 
@@ -331,38 +325,43 @@ def validate_second(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
 
 
 # ---------------------------------------------------------------------------
-# callback combinators
+# callback builders
 
-def _scaled_analytic(a, c):
-    """Callbacks of c*f given those of f (through its methods), for a constant c."""
-    if a is None:
-        return None
+def _holo_map(f, phi, dphi):
+    """phi(f) of a holomorphic field f as a ComplexField.  When f has a
+    value callback, so does the result; when f also has first derivatives,
+    the result's dz and dzbar follow the chain rule, dphi(g, dg) with
+    dphi(g, dg) = phi'(g) dg and dg = dz f or dzbar f."""
+    a = f.analytic
     kw = {}
-    for name in ("value", "dz", "dzbar", "lap"):
-        if getattr(a, "_" + name) is not None:
-            def scaled(u, v, _cb=getattr(a, name), _c=c):
-                return _c * _cb(u, v)
-            kw[name] = scaled
-    return Analytic(**kw) if kw else None
-
-
-def _scaled_field(f, c):
-    cls = ComplexField if (isinstance(f, ComplexField) or np.iscomplexobj(np.asarray(c))) \
-        else RealField
-    return cls(f.grid, c * f.values, _scaled_analytic(f.analytic, c))
+    if a.has_value:
+        kw["value"] = lambda u, v: phi(a.value(u, v))
+        if a.has_first:
+            kw["dz"] = lambda u, v: dphi(a.value(u, v), a.dz(u, v))
+            kw["dzbar"] = lambda u, v: dphi(a.value(u, v), a.dzbar(u, v))
+    return ComplexField(f.grid, phi(f.values), Analytic(**kw))
 
 
 def _reciprocal_field(f):
-    """1/f with first-derivative callbacks when f has them."""
-    a = f.analytic
-    new = None
-    if a is not None and a.has_value:
-        kw = {"value": lambda u, v, _a=a: 1.0 / np.asarray(_a.value(u, v))}
-        if a.has_first:
-            kw["dz"] = lambda u, v, _a=a: -_a.dz(u, v) / _a.value(u, v) ** 2
-            kw["dzbar"] = lambda u, v, _a=a: -_a.dzbar(u, v) / _a.value(u, v) ** 2
-        new = Analytic(**kw)
-    return ComplexField(f.grid, 1.0 / f.values, new)
+    """1/f of a holomorphic field f."""
+    return _holo_map(f, lambda g: 1.0 / g, lambda g, dg: -dg / g ** 2)
+
+
+def _certificate_field(cert, formula, out=None):
+    """formula(w, dz a, dz b) of the certified triple (w, a, b) as a
+    ComplexField: samples from the certificate's arrays (written into
+    ``out`` when given) and, on the exact route, a value callback on the
+    triple's callbacks, whose results a quadrature node set shares."""
+    values = formula(cert.holo.values, cert.a_z, cert.b_z)
+    if out is not None:
+        out[...] = values
+        values = out
+    w, a, b = cert.holo.analytic, cert.a.analytic, cert.b.analytic
+    value = None
+    if _exact_callbacks(cert):
+        def value(u, v):
+            return formula(w.value(u, v), a.dz(u, v), b.dz(u, v))
+    return ComplexField._view(cert.holo.grid, values, Analytic(value=value))
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +391,14 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     for slot, spec in enumerate(keep):
         if spec is not None:
             c, i = spec
-            pots[slot] = (a, b)[i] if c == 1.0 else _scaled_field((a, b)[i], c)
+            pots[slot] = (a, b)[i] if c == 1.0 else lincomb_real([(c, (a, b)[i])])
             pots_z[slot] = c * (a_z, b_z)[i]
 
     prov = dict(head)
     if integrand is not None:
         slot = keep.index(None)
-        exact = _exact_callbacks(holo, a, b)
-        analytic = None
-        if exact:
-            def value_cb(u, v, _w=holo.analytic, _a=a.analytic, _b=b.analytic):
-                return integrand(_w.value(u, v), _a.dz(u, v), _b.dz(u, v))
-            analytic = Analytic(value=value_cb)
-        pr = integrate_primitive(
-            ComplexField(grid, integrand(holo.values, a_z, b_z), analytic))
-        loop_cap = cap("loop_residual", grid, exact, tol_exact)
+        pr = integrate_primitive(_certificate_field(cert, integrand))
+        loop_cap = cap("loop_residual", grid, _exact_callbacks(cert), tol_exact)
         if not passes(pr.loop_residual, loop_cap, "max_below"):
             what = head.get("transform") or "deform_" + head["family"]
             raise ValueError(
@@ -414,14 +406,12 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
                 "integrable on this grid" % (what, pr.loop_residual, loop_cap))
         out = pr.field
         kept = pots[1 - slot]
-        if _has_value(holo_out) and _has_lap(kept):
+        if holo_out.analytic.has_value and kept.analytic.has_lap:
             def lap_cb(u, v, _w=holo_out.analytic, _k=kept.analytic):
                 wt = weight_out(_w.value(u, v))
                 return wt * _k.lap(u, v) if slot == 0 else _k.lap(u, v) / wt
-            kw = {"lap": lap_cb}
-            if out.analytic is not None:
-                kw.update(dz=out.analytic._dz, dzbar=out.analytic._dzbar)
-            out = RealField(grid, out.values, Analytic(**kw))
+            out = RealField(grid, out.values, Analytic(
+                dz=out.analytic._dz, dzbar=out.analytic._dzbar, lap=lap_cb))
         pots[slot] = out
         pots_z[slot] = wirtinger_dz(out).values
         prov["loop_residual"] = pr.loop_residual
@@ -487,24 +477,13 @@ def deform_parabolic(data, lam):
     lam = float(lam)
 
     def gauss_lam(g):
-        denom = 1.0 + 1j * lam * g.values
-        u, v, mag = min_abs_location(g.grid, denom)
+        u, v, mag = min_abs_location(g.grid, 1.0 + 1j * lam * g.values)
         if mag <= EPS_ZERO:
             raise PoleError(
                 "deformed gauss field has a pole near (u,v)=(%.6g, %.6g): "
                 "|1 + i*lambda*gauss| = %.3e" % (u, v, mag), location=(u, v))
-        ga = g.analytic
-        new_a = None
-        if ga is not None and ga.has_value:
-            def value(u, v):
-                g_uv = ga.value(u, v)
-                return g_uv / (1.0 + 1j * lam * g_uv)
-            kw = {"value": value}
-            if ga.has_first:
-                kw["dz"] = lambda u, v: ga.dz(u, v) / (1.0 + 1j * lam * ga.value(u, v)) ** 2
-                kw["dzbar"] = lambda u, v: ga.dzbar(u, v) / (1.0 + 1j * lam * ga.value(u, v)) ** 2
-            new_a = Analytic(**kw)
-        return ComplexField(g.grid, g.values / denom, new_a)
+        return _holo_map(g, lambda w: w / (1.0 + 1j * lam * w),
+                         lambda w, dw: dw / (1.0 + 1j * lam * w) ** 2)
 
     return _transform(_certificate(data, "first"), "first", gauss_lam, ((1.0, 0), None),
                       lambda g, p_z, q_z: (1.0 / g + 1j * lam) * (g * q_z - 1j * lam * p_z),
@@ -522,8 +501,10 @@ def deform_elliptic(data, tau):
     first two coordinates by ``tau``.
     """
     tau = float(tau)
+    c = np.exp(-1j * tau)
     return _transform(_certificate(data, "second"), "second",
-                      lambda h: _scaled_field(h, np.exp(-1j * tau)), (None, (1.0, 1)),
+                      lambda h: _holo_map(h, lambda w: c * w, lambda w, dw: c * dw),
+                      (None, (1.0, 1)),
                       lambda h, m_z, n_z: (np.exp(1j * tau) * m_z
                                            - 1j * np.sin(tau) * h * n_z),
                       lambda h, h_tau: np.exp(1j * tau),
@@ -542,7 +523,8 @@ def deform_hyperbolic(data, eta):
     eta = float(eta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = np.exp(eta)
-        out = _transform(_certificate(data, "first"), "first", lambda g: _scaled_field(g, s),
+        out = _transform(_certificate(data, "first"), "first",
+                         lambda g: _holo_map(g, lambda w: s * w, lambda w, dw: s * dw),
                          ((s, 0), (1.0 / s, 1)), None, lambda g, g_eta: s,
                          {"family": "hyperbolic", "parameter": eta})
         finite = np.isfinite(np.abs(out.gauss.values) ** 2 + out.pot1.values + out.pot2.values)

@@ -104,13 +104,17 @@ class TestAnalytic:
         assert abs(b.dzbar(u, v)) < 1e-15
 
     def test_lap_from_split_second_derivatives(self):
-        a = Analytic(duu=lambda u, v: 2.0 + 0 * u, dvv=lambda u, v: 4.0 + 0 * u)
+        # the bundle takes lap itself; split second derivatives are summed
+        # by the caller
+        with pytest.raises(TypeError):
+            Analytic(duu=lambda u, v: 2.0 + 0 * u, dvv=lambda u, v: 4.0 + 0 * u)
+        a = Analytic(lap=lambda u, v: (2.0 + 0 * u) + (4.0 + 0 * u))
         assert a.lap(0.0, 0.0) == 6.0
         assert a.has_lap
 
     def test_split_derivatives_are_stored_bit_for_bit(self):
-        # (du, dv) become dz, dzbar = (du -/+ i dv)/2 and (duu, dvv) become
-        # lap = duu + dvv, with the very arithmetic, signed zeros included
+        # (du, dv) become dz, dzbar = (du -/+ i dv)/2 with the very
+        # arithmetic, signed zeros included, and imply no lap
         def bits(x):
             return np.ascontiguousarray(x).view(np.uint64)
 
@@ -118,11 +122,10 @@ class TestAnalytic:
         v = np.array([-0.0, 0.5, -0.0, 0.4, 1e-300])
         du = lambda u, v: np.array([-0.0, 0.0, 1.25, -3.5, 5e-324]) * np.cosh(u + v)
         dv = lambda u, v: np.array([-0.0, -0.0, 0.0, 7.0 / 3.0, -2.0]) * np.exp(v)
-        a = Analytic(du=du, dv=dv, duu=du, dvv=dv)
+        a = Analytic(du=du, dv=dv)
         assert np.array_equal(bits(a.dz(u, v)), bits((du(u, v) - 1j * dv(u, v)) / 2.0))
         assert np.array_equal(bits(a.dzbar(u, v)), bits((du(u, v) + 1j * dv(u, v)) / 2.0))
-        assert np.array_equal(bits(a.lap(u, v)), bits(du(u, v) + dv(u, v)))
-        assert a.has_first and a.has_lap
+        assert a.has_first and not a.has_lap
 
     def test_missing_callback_raises(self):
         a = Analytic(value=lambda u, v: u)
@@ -220,8 +223,8 @@ def transposed(field):
     ``field``: along its first column, then along each row.
     """
     g = field.grid
-    a = None
-    if field.analytic is not None:
+    a = Analytic()
+    if field.analytic.has_value:
         a = Analytic(value=lambda s, t: -1j * np.conj(field.analytic.value(t, s)))
     return ComplexField(Grid2D(g.v_min, g.v_max, g.u_min, g.u_max, g.n_v, g.n_u),
                         -1j * np.conj(field.values.T), a)
@@ -295,33 +298,34 @@ class TestIntegratePrimitive:
 
 
 class TestSharedQuadrature:
-    """k integrands sharing one evaluation of their inputs per node set."""
+    """k fields whose value callbacks share closed forms, each of them
+    evaluated once per node set."""
 
     @staticmethod
-    def shared(calls=None):
-        def inputs(u, v):
+    def shared(g, calls=None):
+        def exp_iz(u, v):
             if calls is not None:
                 calls.append(np.shape(u))
-            z = u + 1j * v
-            return np.exp(1j * z), np.cos(u) * np.exp(v) + 0j
-        integrands = [
+            return np.exp(1j * (u + 1j * v))
+        e = Analytic(value=exp_iz)
+        c = Analytic(value=lambda u, v: np.cos(u) * np.exp(v) + 0j)
+        formulas = [
             lambda e, c: e,
             lambda e, c: 1j * e * c + 0.5 * e,
             lambda e, c: c * c - e,
             lambda e, c: e / (2.0 + c),
         ]
-        return inputs, integrands
+        U, V = g.mesh()
+        return [ComplexField(g, f(e.value(U, V), c.value(U, V)),
+                             Analytic(value=lambda u, v, _f=f: _f(e.value(u, v), c.value(u, v))))
+                for f in formulas]
 
     # 98 rows span several row blocks, the last one short
     @pytest.mark.parametrize("n_u,n_v", [(3, 3), (98, 7)])
     def test_matches_one_integrate_primitive_per_field(self, n_u, n_v):
         g = Grid2D(-1.0, 1.5, -0.5, 1.0, n_u, n_v)
-        inputs, integrands = self.shared()
-        U, V = g.mesh()
-        flds = [ComplexField(g, f(*inputs(U, V)),
-                             Analytic(value=lambda u, v, _f=f: _f(*inputs(u, v))))
-                for f in integrands]
-        together = fields._integrate_primitives(flds, inputs, integrands)
+        flds = self.shared(g)
+        together = fields._integrate_primitives(flds)
         for fld, res in zip(flds, together):
             alone = integrate_primitive(fld)
             scale = sup_abs(alone.field.values)
@@ -332,11 +336,10 @@ class TestSharedQuadrature:
     def test_inputs_evaluated_once_per_node_set_and_block(self):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, fields._QUAD_ROWS + 2, 5)
         calls = []
-        inputs, integrands = self.shared(calls)
-        flds = [ComplexField(g, np.zeros(g.shape, complex), Analytic(value=lambda u, v: u + 0j))
-                for _ in integrands]
-        fields._integrate_primitives(flds, inputs, integrands)
-        # two row blocks, each with a u-edge and a v-edge node set
+        flds = self.shared(g, calls)
+        del calls[:]                                # the samples on the nodes
+        fields._integrate_primitives(flds)
+        # four fields share exp(iz); two row blocks, each with a u-edge and a v-edge node set
         assert [len(s) for s in calls] == [3, 3, 3, 3]
         assert sum(s[0] for s in calls[0::2]) == g.n_u - 1
         assert sum(s[0] for s in calls[1::2]) == g.n_u
@@ -354,10 +357,9 @@ class TestSharedQuadrature:
 
     def test_needs_one_integrand_per_field_on_one_grid(self):
         g = grid(5)
-        inputs, integrands = self.shared()
         fld = ComplexField(g, np.zeros(g.shape, complex))
         with pytest.raises(ValueError):
-            fields._integrate_primitives([fld, fld], inputs, integrands)
+            fields._integrate_primitives([])
         with pytest.raises(GridMismatchError):
             fields._integrate_primitives([fld, ComplexField(grid(7), np.zeros((7, 7)))])
 

@@ -198,7 +198,8 @@ def test_loop_certificate_rejects_nonintegrable_input():
     spec = surfaces._KINDS["first"]
     xz = np.stack([p_z * c1(w) + q_z * c2(w) for c1, c2 in zip(spec.frame1, spec.frame2)])
     with pytest.raises(ValueError) as err:
-        surfaces._integrate_coords(g, xz, None, cap("loop_residual", g, False), "represent_first")
+        surfaces._integrate_coords([ComplexField(g, row) for row in xz], None,
+                                   cap("loop_residual", g, False), "represent_first")
     assert "loop residual" in str(err.value)
 
 
@@ -206,15 +207,12 @@ def test_nonintegrable_coordinate_is_named():
     # coordinates 1, 2 and 4 integrate z (dzbar z = 0); coordinate 3 is
     # i conj(z), whose dzbar = i is not real, so only it breaks the loop cap
     g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
-
-    def inputs(u, v):
-        return (u + 1j * v,)
-
-    integrands = [lambda z: z, lambda z: 2.0 * z, lambda z: 1j * np.conj(z), lambda z: -z]
+    formulas = [lambda z: z, lambda z: 2.0 * z, lambda z: 1j * np.conj(z), lambda z: -z]
     U, V = g.mesh()
-    xz = np.stack([f(U + 1j * V) for f in integrands])
+    tangents = [ComplexField(g, f(U + 1j * V), Analytic(value=lambda u, v, _f=f: _f(u + 1j * v)))
+                for f in formulas]
     with pytest.raises(ValueError, match=r"represent_first: coordinate 3 loop residual"):
-        surfaces._integrate_coords(g, xz, None, 1e-8, "represent_first", inputs, integrands)
+        surfaces._integrate_coords(tangents, None, 1e-8, "represent_first")
 
 
 def _counted(fld, calls, name):
