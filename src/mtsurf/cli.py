@@ -258,6 +258,7 @@ def cmd_generate(args):
 
     def run(manifest):
         fixture = _resolve_fixture(args) if args.fixture else None
+        manifest.inputs.update(fixture.params if fixture is not None else {})
         if fixture is not None and fixture.kind == "patch":
             patch = patch_from_chart(fixture.chart,
                                      provenance={"representation": "chart",
@@ -290,6 +291,7 @@ def cmd_deform(args):
     def run(manifest):
         if args.fixture:
             fixture = _resolve_fixture(args)
+            manifest.inputs.update(fixture.params)
             if fixture.kind == "patch":
                 raise DomainError("fixture %r is an explicit chart, not a "
                                   "data triple" % fixture.name)

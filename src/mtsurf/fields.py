@@ -12,9 +12,8 @@ so ``laplacian(f) == 4 * dz(dzbar(f))`` and a field is holomorphic exactly
 when ``dzbar(f) == 0``.
 
 Every field carries an :class:`Analytic` bundle of closed-form callbacks,
-empty when it has none: it keeps value, dz, dzbar and lap, and takes a
-du/dv pair as input only.  Operations use the callbacks when they are
-present (derivatives are then exact up to roundoff and path integrals
+empty when it has none: it keeps value, dz, dzbar and lap, and takes du/dv
+as input only.  Operations use the callbacks when they are present (derivatives are then exact up to roundoff and path integrals
 switch to per-interval Gauss quadrature); otherwise they fall back to
 second-order finite differences (central in the interior, one-sided at the
 edges) and to trapezoidal accumulation, and tolerances downstream widen
@@ -24,14 +23,11 @@ Path integration has one core, ``_integrate_primitives``: k fields are
 integrated from their value callbacks on each Gauss node set (the u-edges
 and the v-edges), taken in blocks of ``_QUAD_ROWS`` = 48 grid rows, and
 reduced one field at a time, so each scratch array of a block holds at
-most 245 n_v samples whatever n_u is.  A node set is an evaluation scope:
-inside it every :class:`Analytic` call returns the result of an earlier
-call of the same callback on the same u and v, so the closed forms that
-the k value callbacks call run once per node set however many of them
-share it, while no field's own result outlives its reduction.
-:func:`integrate_primitive` is the one-field case.  A primitive F of E
-answers dz(F) with E and dzbar(F) with conj(E), one evaluation each, and
-owns its accumulated samples without a copy.
+most 245 n_v samples whatever n_u is.  Each node set memoises the closed
+forms those callbacks call, so every exact callback runs once per node
+set and (u, v).  :func:`integrate_primitive` is its one-field case.  A
+primitive F of E answers dz(F) with E and dzbar(F) with conj(E), one
+evaluation each, and owns its accumulated samples without a copy.
 
 This module also owns persistence, and every ASCII table (field CSVs
 here, mesh vertices, faces and the x4 channel in :mod:`mtsurf.export`)
@@ -108,12 +104,20 @@ class Grid2D:
     n_v: int
 
     def __post_init__(self):
-        for k in self.__dataclass_fields__:
-            object.__setattr__(self, k, (int if k.startswith("n_") else float)(getattr(self, k)))
+        object.__setattr__(self, "u_min", float(self.u_min))
+        object.__setattr__(self, "u_max", float(self.u_max))
+        object.__setattr__(self, "v_min", float(self.v_min))
+        object.__setattr__(self, "v_max", float(self.v_max))
+        object.__setattr__(self, "n_u", int(self.n_u))
+        object.__setattr__(self, "n_v", int(self.n_v))
         if not np.all(np.isfinite([self.u_min, self.u_max, self.v_min, self.v_max])):
             raise ValueError("grid bounds must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy u_min < u_max and v_min < v_max")
+        for axis, low, high in (("u", self.u_min, self.u_max), ("v", self.v_min, self.v_max)):
+            if not math.isfinite(high - low):
+                raise ValueError("grid span %s_max - %s_min = %r - %r overflows the float range"
+                                 % (axis, axis, high, low))
         if self.n_u < 3 or self.n_v < 3:
             raise ValueError("grids need at least 3 nodes per direction")
 
@@ -477,11 +481,10 @@ def _edge_integrals_gauss(values, grid):
     (along v) for k fields, as (k, n_u-1, n_v) and (k, n_u, n_v-1) arrays.
 
     The raw value callback ``values[k](u, v)`` gives E_k on the node set of
-    each row block, and each E_k is reduced before the next is evaluated.
-    Within a node set an :class:`Analytic` call returns the read-only
-    result of an earlier call of its callback on the same u and v objects;
-    the raw callbacks bypass that memo, so it keeps only the closed forms
-    they call, never an E_k.
+    each row block, reduced before the next is evaluated.  Within a node set
+    an :class:`Analytic` call returns the read-only result of an earlier
+    call of its callback on the same u and v objects; the raw callbacks
+    bypass that memo, so it never keeps an E_k.
     """
     au = grid.axis_u
     av = grid.axis_v
@@ -529,7 +532,10 @@ def _primitive_analytic(a):
     lap F = 4 Re dzbar E when E has a dzbar."""
     if not a.has_value:
         return Analytic()
-    lap = (lambda u, v: 4.0 * np.real(a.dzbar(u, v))) if a._dzbar is not None else None
+    lap = None
+    if a._dzbar is not None:
+        def lap(u, v):
+            return 4.0 * np.real(a.dzbar(u, v))
     return Analytic(dz=a.value, dzbar=lambda u, v: np.conj(a.value(u, v)), lap=lap)
 
 
@@ -540,10 +546,8 @@ def _integrate_primitives(fields):
     Each F_k accumulates the edge integrals of 2 Re(E_k dz) first along the
     first grid row, then up the columns.  Edge integrals use 5-point Gauss
     quadrature of each field's own value callback in blocks of
-    ``_QUAD_ROWS`` grid rows when every field has one, so the closed forms
-    the k callbacks share run once per node set (see
-    ``_edge_integrals_gauss``), and the trapezoid rule on the samples
-    otherwise.
+    ``_QUAD_ROWS`` grid rows when every field has one (see
+    ``_edge_integrals_gauss``), the trapezoid rule on the samples otherwise.
 
     Returns one :class:`PathIntegralResult` per field.  A primitive keeps
     exact first-derivative callbacks (see ``_primitive_analytic``) when its

@@ -223,8 +223,7 @@ class ValidationReport:
 def _exact_callbacks(cert):
     """Whether the integrands built from a certified triple carry exact
     callbacks: ``holo`` has a value callback and both potentials first
-    derivatives.  The representations, the transforms and the CLI's caps
-    share it."""
+    derivatives.  Representations, transforms and the CLI's caps share it."""
     return cert.holo.analytic.has_value and cert.a.analytic.has_first \
         and cert.b.analytic.has_first
 

@@ -919,6 +919,55 @@ def test_an_overflowing_hyperbolic_rapidity_is_refused(tmp_path, eta):
     assert "--parameter" in failed_run(out, "d")["error"]
 
 
+@pytest.mark.parametrize("command", ["generate", "verify", "solve"])
+def test_an_overflowing_grid_span_is_refused(tmp_path, command):
+    # finite bounds whose span u_max - u_min overflows, from --grid, a data
+    # document or a problem descriptor: a manifest names the span and
+    # nothing else is written
+    out = str(tmp_path)
+    bounds = {"u_min": -1.7e308, "u_max": 1.7e308, "v_min": -1.0, "v_max": 1.0,
+              "n_u": 9, "n_v": 9}
+    if command == "generate":
+        argv = ["generate", "--fixture", "catenoid-r3", "--grid=-1.7e308:1.7e308:-1:1:9x9"]
+    elif command == "verify":
+        path = os.path.join(out, "in.data.json")
+        save_data(fixture_sigma_theta(0.3, grid=Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)).data, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["grid"] = bounds
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = ["verify", "--input", path]
+    else:
+        path = os.path.join(out, "problem.json")
+        with open(path, "w") as fh:
+            json.dump({"format": "mtsurf-problem", "version": 1, "grid": bounds,
+                       "weight": {"kind": "named", "name": "re-exp-iz"},
+                       "source": {"kind": "named", "name": "exp-v-cosh-u"},
+                       "boundary": {"kind": "named", "name": "sinh-u-sin-u"}}, fh)
+        argv = ["solve", "--problem", path]
+    run_dir = os.path.join(out, "run")
+    assert run(argv + ["--out", run_dir, "--name", "r"]) == 1
+    doc = failed_run(run_dir, "r")
+    assert "grid span u_max - u_min" in doc["error"] and "overflows" in doc["error"]
+    assert sorted(os.listdir(run_dir)) == ["r.manifest.json"] == doc["artifacts"]
+
+
+def test_fixture_parameters_are_recorded_in_the_manifest(tmp_path):
+    out = str(tmp_path)
+    grid = ["--grid", "-1:1:-1:1:9x9", "--out", out, "--name"]
+    assert run(["generate", "--fixture", "sigma-theta", "--theta", "0.3"] + grid + ["g"]) == 0
+    assert manifest_of(out, "g")["inputs"]["theta"] == 0.3
+    assert run(["generate", "--fixture", "sigma-theta"] + grid + ["default"]) == 0
+    assert manifest_of(out, "default")["inputs"]["theta"] == 0.0    # resolved, not absent
+    assert run(["deform", "--fixture", "two-param", "--alpha", "0.3", "--beta", "0.2",
+                "--family", "elliptic", "--parameter", "0.5"] + grid + ["d"]) == 0
+    inputs = manifest_of(out, "d")["inputs"]
+    assert (inputs["alpha"], inputs["beta"]) == (0.3, 0.2)
+    assert run(["generate", "--fixture", "catenoid-r3"] + grid + ["c"]) == 0
+    assert not {"theta", "alpha", "beta"} & set(manifest_of(out, "c")["inputs"])
+
+
 @pytest.mark.parametrize("command,axis", [("verify", "u"), ("generate", "v")])
 def test_three_nodes_are_too_few_for_finite_differences(tmp_path, command, axis):
     # the chart route of a 3x3 catalog patch and the certification of a

@@ -664,6 +664,10 @@ _ordered_bounds = st.lists(st.floats(allow_nan=False, allow_infinity=False),
 @given(_ordered_bounds, _ordered_bounds,
        st.integers(3, 10 ** 6), st.integers(3, 10 ** 6))
 def test_grid_spec_round_trip(u_bounds, v_bounds, n_u, n_v):
+    if not np.isfinite([u_bounds[1] - u_bounds[0], v_bounds[1] - v_bounds[0]]).all():
+        with pytest.raises(ValueError, match=r"grid span [uv]_max - [uv]_min = .* overflows"):
+            Grid2D(*u_bounds, *v_bounds, n_u, n_v)
+        return
     g = Grid2D(*u_bounds, *v_bounds, n_u, n_v)
     assert Grid2D.from_spec(g.spec()) == g
 

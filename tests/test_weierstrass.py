@@ -459,6 +459,75 @@ def test_integrated_potential_keeps_a_direct_dz():
     np.testing.assert_allclose(out.dz(0.3, -0.2), np.exp(-1j * (0.3 - 0.2j)) / 2.0, rtol=1e-15)
 
 
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def node_set():
+    """Off-grid (rows, 5, n_v) coordinates, shaped like a Gauss node set."""
+    return (np.linspace(-1.3, 1.7, 20).reshape(4, 5, 1),
+            np.linspace(-1.1, 0.9, 7)[None, None, :])
+
+
+# Each transform's new holomorphic field as its value, dz and dzbar used to
+# be written out by hand, from the callbacks a of the input field.
+_RECIPROCAL = (lambda a, u, v: 1.0 / a.value(u, v),
+               lambda a, u, v: -a.dz(u, v) / a.value(u, v) ** 2,
+               lambda a, u, v: -a.dzbar(u, v) / a.value(u, v) ** 2)
+_CHAIN_RULE = {
+    "first_to_second": ("first", "holo", first_to_second, _RECIPROCAL),
+    "second_to_first": ("second", "gauss", second_to_first, _RECIPROCAL),
+    "parabolic": ("first", "gauss", lambda d: deform_parabolic(d, 0.5), (
+        lambda a, u, v: a.value(u, v) / (1.0 + 1j * 0.5 * a.value(u, v)),
+        lambda a, u, v: a.dz(u, v) / (1.0 + 1j * 0.5 * a.value(u, v)) ** 2,
+        lambda a, u, v: a.dzbar(u, v) / (1.0 + 1j * 0.5 * a.value(u, v)) ** 2)),
+    "elliptic": ("second", "holo", lambda d: deform_elliptic(d, 0.8), (
+        lambda a, u, v: np.exp(-1j * 0.8) * a.value(u, v),
+        lambda a, u, v: np.exp(-1j * 0.8) * a.dz(u, v),
+        lambda a, u, v: np.exp(-1j * 0.8) * a.dzbar(u, v))),
+    "hyperbolic": ("first", "gauss", lambda d: deform_hyperbolic(d, 0.6), (
+        lambda a, u, v: np.exp(0.6) * a.value(u, v),
+        lambda a, u, v: np.exp(0.6) * a.dz(u, v),
+        lambda a, u, v: np.exp(0.6) * a.dzbar(u, v))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_RULE))
+def test_holomorphic_callbacks_follow_the_chain_rule_bit_for_bit(name):
+    kind, out_name, transform, closed_forms = _CHAIN_RULE[name]
+    second = fixture_sigma_theta(0.3, grid=grid(17, (-2.0, 2.0, -2.0, 2.0))).data
+    data = second if kind == "second" else second_to_first(second)
+    a = (data.holo if kind == "second" else data.gauss).analytic
+    out = getattr(transform(data), out_name).analytic
+    u, v = node_set()
+    for slot, closed in zip(("value", "dz", "dzbar"), closed_forms):
+        assert np.array_equal(bits(getattr(out, slot)(u, v)), bits(closed(a, u, v))), slot
+
+
+def test_a_scaled_potential_is_c_times_its_input_signed_zeros_included():
+    g = grid(9)
+
+    def negative_zero(u, v):
+        return -0.0 * (np.asarray(u) ** 2 + np.asarray(v) ** 2)
+
+    nz = RealField.sample(g, Analytic(value=negative_zero, du=negative_zero,
+                                      dv=negative_zero, lap=negative_zero))
+    gauss = exp_iz_plane(g).gauss
+    s = np.exp(0.6)
+    cases = [(first_to_second(WeierstrassFirst(gauss, nz, linear_u(g))).null_pot, 2.0, nz),
+             (deform_hyperbolic(WeierstrassFirst(gauss, linear_u(g), nz), 0.6).pot2, 1.0 / s, nz),
+             (deform_hyperbolic(WeierstrassFirst(gauss, linear_u(g), nz), 0.6).pot1, s,
+              linear_u(g))]
+    assert np.signbit(nz.values).all()
+    u, v = node_set()
+    for out, c, f in cases:
+        assert np.array_equal(bits(out.values), bits(c * f.values))
+        for slot in ("value", "dz", "dzbar", "lap"):
+            got = getattr(out.analytic, slot)(u, v)
+            assert np.array_equal(bits(got), bits(c * getattr(f.analytic, slot)(u, v))), slot
+    assert np.signbit(cases[0][0].values).all() and np.signbit(cases[1][0].values).all()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
