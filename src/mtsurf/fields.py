@@ -13,11 +13,12 @@ when ``dzbar(f) == 0``.
 
 Every field carries an :class:`Analytic` bundle of closed-form callbacks,
 empty when it has none: it keeps value, dz, dzbar and lap, and takes du/dv
-as input only.  Operations use the callbacks when they are present (derivatives are then exact up to roundoff and path integrals
-switch to per-interval Gauss quadrature); otherwise they fall back to
-second-order finite differences (central in the interior, one-sided at the
-edges) and to trapezoidal accumulation, and tolerances downstream widen
-from 1e-8/1e-10 to C*h^2.
+as input only.  Operations use the callbacks when they are present
+(derivatives are then exact up to roundoff and path integrals switch to
+per-interval Gauss quadrature); otherwise they fall back to second-order
+finite differences (central in the interior, one-sided at the edges) and
+to trapezoidal accumulation, and tolerances downstream widen from
+1e-8/1e-10 to C*h^2.
 
 Path integration has one core, ``_integrate_primitives``: k fields are
 integrated from their value callbacks on each Gauss node set (the u-edges
@@ -343,9 +344,8 @@ def _fd_second(values, h, axis):
 
 
 def _wirtinger(field, slot, combine):
-    """combine(f_u, i f_v)/2 as a ComplexField, or the field's ``slot``
-    callback (dz or dzbar) sampled on the nodes when it has first
-    derivatives."""
+    """combine(f_u, i f_v)/2 as a ComplexField, or the ``slot`` callback
+    (dz or dzbar) on the nodes when the field has first derivatives."""
     grid = field.grid
     if field.analytic.has_first:
         cb = getattr(field.analytic, slot)
@@ -576,9 +576,10 @@ def _integrate_primitives(fields):
 
 def integrate_primitive(field):
     """Real primitive F with F_z = E, anchored to F = 0 at the origin node:
-    the one-field case of :func:`_integrate_primitives`, Gauss quadrature
-    of E's value callback when it has one and the trapezoid rule on its
-    samples otherwise."""
+    the one-field case of :func:`_integrate_primitives`.  F keeps exact
+    callbacks dz F = E and dzbar F = conj E when E has a value callback,
+    and lap F = 4 Re dzbar E when it also has a dzbar.
+    """
     return _integrate_primitives([field])[0]
 
 
