@@ -19,7 +19,7 @@ dz(a) and dz(b), and records the immersion identity the transform must
 satisfy.
 
 Callbacks pass through every transform, so downstream checks stay at
-roundoff accuracy, and each derived callback has one builder: a new
+roundoff accuracy, and each derived callback is built one way: a new
 holomorphic field phi(w) goes through the chain-rule map ``_holo_map``; a
 rescaled potential is a one-term :func:`mtsurf.fields.lincomb_real`; a
 field formula(w, dz a, dz b) of a certified triple (a new potential's
@@ -324,7 +324,7 @@ def validate_second(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
 
 
 # ---------------------------------------------------------------------------
-# callback builders
+# derived callbacks
 
 def _holo_map(f, phi, dphi):
     """phi(f) of a holomorphic field f as a ComplexField.  When f has a
