@@ -76,10 +76,13 @@ def _zeros(u, v):
 
 
 def _holo_exp_iz(grid):
-    """exp(iz) = e^{-v}(cos u + i sin u): nowhere zero, holomorphic."""
+    """exp(iz) = e^{iu} e^{-v}: nowhere zero, holomorphic.  Written as that
+    product, it takes one complex exp per u value and one per v value.  The
+    factor exp(0j - v) has an imaginary part of +0, so the product adds only
+    exact zeros to e^{-v} cos u and e^{-v} sin u, the parts of exp(iu - v)."""
     return ComplexField.sample(grid, Analytic(
-        value=lambda u, v: np.exp(1j * u - np.asarray(v, dtype=float)),
-        dz=lambda u, v: 1j * np.exp(1j * u - np.asarray(v, dtype=float)),
+        value=lambda u, v: np.exp(1j * u) * np.exp(0j - v),
+        dz=lambda u, v: 1j * (np.exp(1j * u) * np.exp(0j - v)),
         dzbar=lambda u, v: _zeros(u, v) * 1j,
     ))
 

@@ -192,7 +192,7 @@ def _fixture_checks(manifest, patch, fixture, args):
     if expected.get("quadric_constant") is not None:
         _quadric_check(manifest, patch, expected["quadric_constant"], args)
     if "conformal_factor" in expected:
-        closed = expected["conformal_factor"](*patch.grid.mesh())
+        closed = patch.grid.on_nodes(expected["conformal_factor"])
         _gate(manifest, "conformal_factor_match",
               sup_abs(patch.conformal_factor.values - closed), patch, args)
     if expected.get("h_nowhere_zero"):

@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import DomainError, GridMismatchError
 
 __all__ = [
     "Grid2D",
@@ -134,13 +134,13 @@ class Grid2D:
     def shape(self):
         return (self.n_u, self.n_v)
 
-    @property
+    @functools.cached_property
     def axis_u(self):
-        return np.linspace(self.u_min, self.u_max, self.n_u)
+        return _axis(self.u_min, self.u_max, self.n_u)
 
-    @property
+    @functools.cached_property
     def axis_v(self):
-        return np.linspace(self.v_min, self.v_max, self.n_v)
+        return _axis(self.v_min, self.v_max, self.n_v)
 
     @property
     def origin(self):
@@ -149,6 +149,12 @@ class Grid2D:
     def mesh(self):
         """Node coordinate arrays (U, V), each of shape (n_u, n_v)."""
         return np.meshgrid(self.axis_u, self.axis_v, indexing="ij")
+
+    def on_nodes(self, cb):
+        """``cb`` at the nodes as a read-only array of ``shape``: one call on
+        an (n_u, 1) column of u and a (1, n_v) row of v, so a closed form
+        built from one-variable factors evaluates each once per axis value."""
+        return np.broadcast_to(cb(self.axis_u[:, None], self.axis_v[None, :]), self.shape)
 
     def spec(self):
         """Textual form ``umin:umax:vmin:vmax:NuxNv``."""
@@ -193,6 +199,14 @@ class Grid2D:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
+def _axis(low, high, n):
+    """The n node values of one grid axis, read-only: a grid computes each
+    axis once and shares it."""
+    axis = np.linspace(low, high, n)
+    axis.setflags(write=False)
+    return axis
+
+
 class Analytic:
     """Closed-form evaluation of a field and of its derivatives at arbitrary points.
 
@@ -202,6 +216,13 @@ class Analytic:
     and ``dv`` return the complex dz + dzbar and i (dz - dzbar).  Missing
     quantities raise when requested; the ``has_*`` flags let callers pick a
     fallback.  A bundle without callbacks is empty and false.
+
+    On grid nodes a callback receives an (n_u, 1) column of u and a (1, n_v)
+    row of v (see :meth:`Grid2D.on_nodes`); in a Gauss sweep it receives
+    that sweep's tensor-product node sets.  Its result must broadcast to the
+    grid shape.  Write a closed form as products of one-variable factors, as
+    e^{iz} = e^{iu} e^{-v} is written, so each factor runs once per axis
+    value rather than once per node.
     """
 
     def __init__(self, value=None, du=None, dv=None, dz=None, dzbar=None, lap=None):
@@ -303,9 +324,20 @@ class _Field:
 
     @classmethod
     def sample(cls, grid, analytic):
-        """Sample the closed form on the grid nodes and keep the callbacks."""
-        U, V = grid.mesh()
-        return cls(grid, analytic.value(U, V), analytic)
+        """Sample the closed form on the grid nodes and keep the callbacks.
+        A sample that is not finite, such as a cosh that overflows on a far
+        grid, raises DomainError naming the field's kind, the node and the
+        grid's bounds."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = grid.on_nodes(analytic.value)
+        if not np.isfinite(values).all():
+            i, j = np.argwhere(~np.isfinite(values))[0]
+            raise DomainError("%s closed form is %s at (u,v)=(%.17g, %.17g) on the grid "
+                              "[%r, %r] x [%r, %r]" % (cls.__name__, values[i, j],
+                                                       grid.axis_u[i], grid.axis_v[j],
+                                                       grid.u_min, grid.u_max,
+                                                       grid.v_min, grid.v_max))
+        return cls(grid, values, analytic)
 
     def __repr__(self):
         return "%s(%dx%d on [%g,%g]x[%g,%g]%s)" % (
@@ -349,8 +381,7 @@ def _wirtinger(field, slot, combine):
     grid = field.grid
     if field.analytic.has_first:
         cb = getattr(field.analytic, slot)
-        U, V = grid.mesh()
-        return ComplexField(grid, cb(U, V), Analytic(value=cb))
+        return ComplexField(grid, grid.on_nodes(cb), Analytic(value=cb))
     fu = _fd_first(field.values, grid.h_u, 0)
     fv = _fd_first(field.values, grid.h_v, 1)
     return ComplexField(grid, combine(fu, 1j * fv) / 2.0)
@@ -377,8 +408,7 @@ def laplacian(field):
     grid = field.grid
     a = field.analytic
     if a.has_lap:
-        U, V = grid.mesh()
-        return type(field)(grid, a.lap(U, V), Analytic(value=a.lap))
+        return type(field)(grid, grid.on_nodes(a.lap), Analytic(value=a.lap))
     vals = _fd_second(field.values, grid.h_u, 0) + _fd_second(field.values, grid.h_v, 1)
     return type(field)(grid, vals)
 
@@ -880,9 +910,8 @@ def load_field_csv(path):
         raise ValueError("field CSV %r: %s" % (path, exc)) from None
     if data.shape[1] != 4:
         raise ValueError("field CSV %r must have columns u,v,re,im" % path)
-    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
-    if bad.size:
-        k = int(bad[0])
+    if not np.isfinite(data).all():
+        k = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
         raise ValueError("field CSV %r holds a non-finite value on line %d, node %d "
                          "in row-major order: u,v,re,im = %s" % (
                              path, k + 2, k, ",".join("%.17g" % x for x in data[k])))
@@ -897,9 +926,9 @@ def load_field_csv(path):
     U = ucol.reshape(n_u, n_v)
     V = data[:, 1].reshape(n_u, n_v)
     grid = Grid2D(U[0, 0], U[-1, 0], V[0, 0], V[0, -1], n_u, n_v)
-    Ug, Vg = grid.mesh()
     scale = max(abs(grid.u_max - grid.u_min), abs(grid.v_max - grid.v_min))
-    if np.max(np.abs(U - Ug)) > 1e-12 * scale or np.max(np.abs(V - Vg)) > 1e-12 * scale:
+    if (np.max(np.abs(U - grid.axis_u[:, None])) > 1e-12 * scale
+            or np.max(np.abs(V - grid.axis_v)) > 1e-12 * scale):
         raise ValueError("field CSV nodes are not a uniform grid in row-major order")
     if np.all(data[:, 3] == 0.0):
         return RealField(grid, data[:, 2].reshape(n_u, n_v))

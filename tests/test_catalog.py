@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtsurf import catalog
+from mtsurf import catalog, fields
 from mtsurf.catalog import (
     FIXTURE_NAMES,
     fixture_by_name,
@@ -241,3 +241,69 @@ def test_chart_samples_are_the_weighted_sum_of_their_parts(name, tables):
         for slot in ("du", "dv", "lap"):
             want = sum(w * table[k][slot](u, v) for w, table in tables(*weights))
             assert getattr(coord.analytic, slot)(u, v) == want
+
+
+def _bits(arr, shape):
+    """dtype and bytes of ``arr`` broadcast to ``shape``."""
+    arr = np.asarray(arr)
+    return arr.dtype, np.ascontiguousarray(np.broadcast_to(arr, shape)).tobytes()
+
+
+def _fixture_closed_forms(fx):
+    """(label, callback) of every closed form a fixture carries: each slot of
+    its data fields and chart coordinates, and its expected closed forms."""
+    members = [("x%d" % (k + 1), c) for k, c in enumerate(fx.chart)]
+    if fx.data is not None:
+        members += [(name, getattr(fx.data, name)) for name in ("holo", "height", "null_pot")]
+    for label, fld in members:
+        for slot in ("value", "dz", "dzbar", "lap"):
+            cb = getattr(fld.analytic, "_" + slot)
+            if cb is not None:
+                yield "%s.%s" % (label, slot), cb
+    for key in ("conformal_factor", "mean_curvature_norm"):
+        if key in fx.expected:
+            yield key, fx.expected[key]
+
+
+_AXIS_FIXTURES = [("sigma-theta", {"theta": t}, recommended_bounds(t)) for t in THETAS] + [
+    ("two-param", {"alpha": 0.3, "beta": -0.2}, (-2.0, 2.0, -2.0, 2.0)),
+    ("catenoid-r3", None, (-2.0, 2.0, -2.0, 2.0)),
+    ("hyperbolic-catenoid-l3", None, (-2.0, 2.0, -1.4, 1.4))]
+
+
+@pytest.mark.parametrize("n_u,n_v", [(17, 17), (33, 65)])
+def test_closed_forms_on_the_axes_match_the_mesh_bit_for_bit(n_u, n_v):
+    """Every slot of every c f(u) g(v) of the forms table, and every closed
+    form of every fixture, gives the same bits at the nodes from an axis
+    column and row (Grid2D.on_nodes) as from the full mesh."""
+    grid = Grid2D(-2.0, 2.0, -1.4, 1.4, n_u, n_v)
+    U, V = grid.mesh()
+    for f in catalog._FORMS:
+        for g in catalog._FORMS:
+            for slot, cb in catalog._product(f, g, -0.7).items():
+                assert _bits(grid.on_nodes(cb), grid.shape) == _bits(cb(U, V), grid.shape), \
+                    (f, g, slot)
+    for name, params, bounds in _AXIS_FIXTURES:
+        grid = Grid2D(*bounds, n_u, n_v)
+        U, V = grid.mesh()
+        for label, cb in _fixture_closed_forms(fixture_by_name(name, grid=grid, params=params)):
+            assert _bits(grid.on_nodes(cb), grid.shape) == _bits(cb(U, V), grid.shape), \
+                (name, params, label)
+
+
+@pytest.mark.parametrize("n", [17, 97, 257])
+def test_separable_exp_iz_is_within_one_ulp_of_the_joint_exp(n):
+    """exp(iz) = e^{iu} e^{-v} against exp(iu - v), value and dz, on the grid
+    nodes and on the u-edge and v-edge Gauss node sets of the quadrature."""
+    grid = Grid2D(-2.0, 2.0, -2.0, 2.0, n, n)
+    a = catalog._holo_exp_iz(grid).analytic
+    au, av = grid.axis_u, grid.axis_v
+    uq = au[:-1, None] + (fields._GAUSS_X + 1.0) * (grid.h_u / 2.0)
+    vq = av[:-1, None] + (fields._GAUSS_X + 1.0) * (grid.h_v / 2.0)
+    for u, v in ((au[:, None], av[None, :]), (uq[:, :, None], av[None, None, :]),
+                 (au[:, None, None], vq[None, :, :])):
+        joint = np.exp(1j * u - v)
+        for got, want in ((a.value(u, v), joint), (a.dz(u, v), 1j * joint)):
+            assert got.shape == want.shape
+            np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+            np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)

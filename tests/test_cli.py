@@ -953,6 +953,32 @@ def test_an_overflowing_grid_span_is_refused(tmp_path, command):
     assert sorted(os.listdir(run_dir)) == ["r.manifest.json"] == doc["artifacts"]
 
 
+@pytest.mark.parametrize("command", ["generate", "solve"])
+def test_a_closed_form_that_overflows_on_the_grid_is_refused(tmp_path, command):
+    # a finite span far out, where cosh u overflows in a chart coordinate
+    # (generate) or a named Poisson field (solve): a manifest names the
+    # closed form's first non-finite node and nothing else is written
+    out = str(tmp_path)
+    if command == "generate":
+        argv = ["generate", "--fixture", "catenoid-r3", "--grid=1e300:1.1e300:-1:1:9x9"]
+    else:
+        path = os.path.join(out, "problem.json")
+        with open(path, "w") as fh:
+            json.dump({"format": "mtsurf-problem", "version": 1,
+                       "grid": {"u_min": 1e300, "u_max": 1.1e300, "v_min": -1.0,
+                                "v_max": 1.0, "n_u": 9, "n_v": 9},
+                       "weight": {"kind": "named", "name": "re-exp-iz"},
+                       "source": {"kind": "named", "name": "exp-v-cosh-u"},
+                       "boundary": {"kind": "named", "name": "sinh-u-sin-u"}}, fh)
+        argv = ["solve", "--generate", "--problem", path]
+    run_dir = os.path.join(out, "run")
+    assert run(argv + ["--out", run_dir, "--name", "r"]) == 1
+    doc = failed_run(run_dir, "r")
+    assert "RealField closed form is " in doc["error"]
+    assert "at (u,v)=(1.0000000000000001e+300, -1)" in doc["error"]
+    assert sorted(os.listdir(run_dir)) == ["r.manifest.json"] == doc["artifacts"]
+
+
 def test_fixture_parameters_are_recorded_in_the_manifest(tmp_path):
     out = str(tmp_path)
     grid = ["--grid", "-1:1:-1:1:9x9", "--out", out, "--name"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtsurf import fields
-from mtsurf.errors import GridMismatchError
+from mtsurf.errors import DomainError, GridMismatchError
 from mtsurf.fields import (
     Analytic,
     ComplexField,
@@ -68,6 +68,18 @@ class TestGrid2D:
         g = grid()
         assert Grid2D.from_dict(g.to_dict()) == g
 
+    def test_axes_are_computed_once_and_read_only(self):
+        g, twin = Grid2D(0.0, 1.0, -2.0, 2.0, 5, 9), Grid2D(0.0, 1.0, -2.0, 2.0, 5, 9)
+        assert g.axis_u is g.axis_u and g.axis_v is g.axis_v
+        for axis in (g.axis_u, g.axis_v):
+            with pytest.raises(ValueError):
+                axis[0] = 1.0
+        # the cached axes are not fields: equality, hashing and to_dict
+        # still see the six bounds and counts alone
+        assert g == twin and hash(g) == hash(twin)
+        assert g.to_dict() == {"u_min": 0.0, "u_max": 1.0, "v_min": -2.0, "v_max": 2.0,
+                               "n_u": 5, "n_v": 9}
+
 
 class TestFields:
     def test_shape_check(self):
@@ -89,6 +101,38 @@ class TestFields:
         assert f.analytic is a
         U, V = grid(5).mesh()
         np.testing.assert_array_equal(f.values, U * V)
+
+    def test_sample_evaluates_the_closed_form_once_per_axis(self):
+        # one call on a column of u and a row of v, so each one-variable
+        # factor of a closed form runs once per axis value
+        g = Grid2D(0.0, 1.0, -2.0, 2.0, 5, 9)
+        seen = []
+
+        def value(u, v):
+            seen.append((u.shape, v.shape))
+            return np.sin(u) * np.exp(v)
+
+        f = RealField.sample(g, Analytic(value=value))
+        assert seen == [((5, 1), (1, 9))]
+        U, V = g.mesh()
+        assert f.values.tobytes() == (np.sin(U) * np.exp(V)).tobytes()
+
+    @pytest.mark.parametrize("kind,value,bad", [
+        (RealField, lambda u, v: np.cosh(u) * np.sin(v), "-inf"),
+        (RealField, lambda u, v: np.cosh(u) * np.cos(v) - np.cosh(u), "nan"),
+        (ComplexField, lambda u, v: np.exp(1j * v) * np.exp(u), "inf"),
+    ])
+    def test_sample_refuses_a_closed_form_that_is_not_finite(self, kind, value, bad):
+        # cosh and exp overflow on a far grid; no numeric warning escapes
+        # (the tests turn them into errors), and the error names the field's
+        # kind, the first bad node and the grid's bounds
+        g = Grid2D(1e300, 1.1e300, -1.0, 1.0, 9, 9)
+        with pytest.raises(DomainError) as exc:
+            kind.sample(g, Analytic(value=value))
+        head, tail = str(exc.value).split(" at ")
+        assert head.startswith(kind.__name__ + " closed form is ") and bad in head
+        assert tail == ("(u,v)=(1.0000000000000001e+300, -1) "
+                        "on the grid [1e+300, 1.1e+300] x [-1.0, 1.0]")
 
 
 class TestAnalytic:
