@@ -211,7 +211,8 @@ def _guard_sigma_domain(theta, grid):
         if k % 2 != 0 and grid.v_min <= k * math.pi <= grid.v_max:
             candidates.append(k * math.pi)
     v_star = min(candidates, key=math.cos)
-    low = ct * math.cosh(u_star) + st * math.cos(v_star)
+    # past |u| = 710 cosh overflows; the clamped value is as far from zero
+    low = ct * math.cosh(min(abs(u_star), 710.0)) + st * math.cos(v_star)
     if low <= 1e-9:
         raise DomainError(
             "grid violates the admissible-domain condition "

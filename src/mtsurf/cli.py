@@ -3,9 +3,11 @@
 Every command writes a JSON run manifest recording the command line, the
 resolved inputs (input files by their path relative to the manifest's
 directory, so a moved input tree records the same), the tolerances in
-force, one pass/fail entry per check and the list of produced files; the
-process exits 0 exactly when all checks pass.  Outputs are deterministic
-byte for byte except for the ``wall_time_s`` entry of the manifest.
+force, the checks and the list of produced files; the process exits 0
+exactly when all checks pass.  A run keeps each check as a
+:class:`mtsurf.tolerances.CheckResult`, which the manifest writes as an
+object of exactly five keys: name, value, threshold, sense and passed.
+Outputs are byte-deterministic except for the manifest's ``wall_time_s``.
 
 Every check is capped through :func:`mtsurf.tolerances.cap` on the route
 its patch records (``SurfacePatch.exact``); the command line sets only
@@ -28,7 +30,7 @@ import time
 import numpy as np
 
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
-from .errors import DomainError, GridMismatchError, InvalidDataError, PoleError
+from .errors import DomainError
 from .export import _jsonable, _write_patch, load_patch_manifest
 from .fields import (Grid2D, document_entry, lincomb_real, read_document, save_field_csv,
                      sup_abs, write_document)
@@ -45,7 +47,7 @@ from .surfaces import (
     verify_congruence,
 )
 from .tolerances import (CONGRUENCE_TOL, EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, QUADRIC_TOL,
-                         TOL_EXACT, cap, passes)
+                         TOL_EXACT, CheckResult, cap)
 from .weierstrass import (
     WeierstrassSecond,
     _certificate,
@@ -67,14 +69,6 @@ __all__ = ["main", "parse_grid_spec"]
 parse_grid_spec = Grid2D.from_spec   # public name of the --grid parser
 
 
-def _check(name, value, threshold, sense):
-    """One manifest check; a non-finite value fails whatever its sense."""
-    value = float(value)
-    threshold = float(threshold)
-    return {"name": name, "value": value, "threshold": threshold,
-            "sense": sense, "passed": passes(value, threshold, sense)}
-
-
 #: Inputs that name files; a manifest records them relative to its directory.
 _PATH_INPUTS = ("data", "problem", "input", "against")
 
@@ -93,18 +87,17 @@ class RunManifest:
         self._t0 = time.perf_counter()
 
     def add_check(self, name, value, threshold, sense="max_below"):
-        self.checks.append(_check(name, value, threshold, sense))
+        self.checks.append(CheckResult(name, float(value), float(threshold), sense))
 
     def add_report_checks(self, report, prefix=""):
-        for c in report.checks:
-            self.add_check(prefix + c.name, c.value, c.threshold, c.sense)
+        self.checks.extend(c._replace(name=prefix + c.name) for c in report.checks)
 
     def add_artifacts(self, paths):
         self.artifacts.extend(paths)
 
     @property
     def passed(self):
-        return self.error is None and all(c["passed"] for c in self.checks)
+        return self.error is None and all(c.passed for c in self.checks)
 
     def save(self, path):
         here = os.path.dirname(os.path.abspath(path))
@@ -116,7 +109,9 @@ class RunManifest:
             "command": self.command,
             "inputs": _jsonable(inputs),
             "tolerances": _jsonable(self.tolerances),
-            "checks": _jsonable(self.checks),
+            "checks": [_jsonable({"name": c.name, "value": c.value, "threshold": c.threshold,
+                                  "sense": c.sense, "passed": c.passed})
+                       for c in self.checks],
             "reports": _jsonable(self.reports),
             "artifacts": sorted(set(os.path.basename(p)
                                     for p in self.artifacts))
@@ -222,8 +217,7 @@ def _mesh_artifacts(manifest, patch, out_dir, name):
                                         manifest=stem + ".json"))
 
 
-_RUN_ERRORS = (DomainError, PoleError, InvalidDataError, GridMismatchError,
-               ValueError, OSError, MemoryError)
+_RUN_ERRORS = (ValueError, OSError, MemoryError)   # every mtsurf.errors type is a ValueError
 
 
 def _run(args, command, inputs, body, table=False):
@@ -464,14 +458,11 @@ def cmd_verify(args):
 
 
 def _print_check_table(manifest):
-    if not manifest.checks:
-        return
-    width = max(len(c["name"]) for c in manifest.checks)
+    width = max((len(c.name) for c in manifest.checks), default=0)
     for c in manifest.checks:
-        rel = "<" if c["sense"] == "max_below" else ">"
+        rel = "<" if c.sense == "max_below" else ">"
         print("%-*s  %11.4e %s %11.4e  %s"
-              % (width, c["name"], c["value"], rel, c["threshold"],
-                 "pass" if c["passed"] else "FAIL"))
+              % (width, c.name, c.value, rel, c.threshold, "pass" if c.passed else "FAIL"))
 
 
 def _add_tolerance_args(p):

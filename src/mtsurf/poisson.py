@@ -28,7 +28,7 @@ from .catalog import _product
 from .fields import (Analytic, Grid2D, RealField, document_entry, document_grid,
                      is_json_number, load_payload, read_document, save_payload,
                      write_document)
-from .tolerances import EPS_IMMERSION, EPS_ZERO
+from .tolerances import EPS_IMMERSION, EPS_ZERO, passes
 from .weierstrass import WeierstrassSecond, validate_second
 
 __all__ = [
@@ -229,7 +229,7 @@ def solve_weighted_poisson(problem):
 
     report = {
         "method": "dst-I",
-        "converged": bool(res <= effective),
+        "converged": passes(res, effective, "max_below"),
         "iterations": solves,
         "residual_max": res,
         "target": target,

@@ -52,7 +52,7 @@ from .fields import (
     wirtinger_dz,
 )
 from .lorentz import complex_bilinear, minkowski_inner
-from .tolerances import CONGRUENCE_TOL, PSI_CUTOFF, cap, passes
+from .tolerances import PSI_CUTOFF, cap, passes
 from .weierstrass import (_Certificate, _certificate, _certificate_field, _certify,
                           _exact_callbacks)
 
@@ -439,18 +439,19 @@ def liu_decompose(patch):
             "masked_fraction": float(1.0 - mask.mean())}
 
 
-def verify_congruence(patch_a, patch_b, rot, tol=CONGRUENCE_TOL):
+def verify_congruence(patch_a, patch_b, rot):
     """Check rot . patch_a == patch_b up to a constant translation.
 
     Returns a report dict: the per-component mean of T = rot(X_a) - X_b is
     the claimed translation, ``residual`` is sup |T - mean|, ``passed``
-    compares it to ``tol``.
+    compares it to ``tol``, the table's ``congruence_residual`` cap.
     """
     if patch_a.grid != patch_b.grid:
         raise DomainError("congruence check needs both patches on one grid")
     T = rot.apply(patch_a.x_stack) - patch_b.x_stack
     translation = T.mean(axis=(1, 2))
     residual = sup_abs(T - translation[:, None, None])
+    tol = cap("congruence_residual", patch_a.grid, patch_a.exact)
     return {
         "residual": float(residual),
         "tol": float(tol),

@@ -7,15 +7,18 @@ grid step and C from ``FD_FACTOR``; ``FIXED_CAP`` holds the quadric's
 exact-route cap and the caps of the slice constancies and the congruence
 residual on either route.  Names go without a ``data_``/``deformed_``
 prefix.  :func:`passes` decides a gate: a non-finite value fails it.
+:class:`CheckResult` is the one record of a check, from data certificate
+to run manifest; its ``passed`` is computed by :func:`passes`, never stored.
 EPS_ZERO and EPS_IMMERSION are the nonvanishing floors (``--eps-zero``,
 ``--eps-immersion``); PSI_CUTOFF masks the nodes where the Liu residual
 <X_zzbar, X_zzbar> / (4|psi|^2) would divide by a vanishing psi.
 """
 
 import math
+from collections import namedtuple
 
 __all__ = ["EPS_ZERO", "EPS_IMMERSION", "TOL_EXACT", "PSI_CUTOFF", "QUADRIC_TOL",
-           "CONGRUENCE_TOL", "FD_FACTOR", "FIXED_CAP", "fd_cap", "cap", "passes"]
+           "CONGRUENCE_TOL", "FD_FACTOR", "FIXED_CAP", "fd_cap", "cap", "passes", "CheckResult"]
 
 EPS_ZERO = 1e-6
 EPS_IMMERSION = 1e-6
@@ -56,3 +59,15 @@ def passes(value, threshold, sense):
     """Whether a finite ``value`` meets a ``max_below`` cap or ``min_above`` floor."""
     met = value < threshold if sense == "max_below" else value > threshold
     return bool(met) and math.isfinite(value)
+
+
+class CheckResult(namedtuple("CheckResult", "name value threshold sense where",
+                             defaults=("max_below", None))):
+    """One check: ``value`` against a ``max_below`` cap or ``min_above``
+    floor ``threshold``; ``where`` is its worst node (u, v) when known."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self):
+        return passes(self.value, self.threshold, self.sense)

@@ -9,6 +9,8 @@ a real ``null_pot`` (which becomes the sum of the last two coordinates),
 coupled by ``lap(height) = Re(holo) lap(null_pot)``.  One validator
 certifies the defining conditions of either kind on a grid and returns a
 certificate: the triple, its report and the arrays the checks computed.
+The report's checks are :class:`mtsurf.tolerances.CheckResult` records
+(re-exported here), the record a run manifest keeps too.
 The two kind conversions and the three one-parameter deformation families
 (each the counterpart of a rotation family in :mod:`mtsurf.lorentz`) are
 thin wrappers over one transform core: it consumes the certificate of its
@@ -53,7 +55,7 @@ from .fields import (
     wirtinger_dzbar,
     write_document,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, TOL_EXACT, cap, passes
+from .tolerances import EPS_IMMERSION, EPS_ZERO, TOL_EXACT, CheckResult, cap, passes
 
 __all__ = [
     "WeierstrassFirst",
@@ -153,34 +155,6 @@ def _triple(data):
 # validation
 
 @dataclass(frozen=True)
-class CheckResult:
-    """One certified condition.
-
-    ``sense`` is "max_below" for sup-norm residuals (pass when
-    value < threshold) or "min_above" for nonvanishing certificates (pass
-    when value > threshold); a non-finite value fails either way
-    (:func:`mtsurf.tolerances.passes`).  ``where`` locates the worst node.
-    """
-
-    name: str
-    passed: bool
-    value: float
-    threshold: float
-    sense: str
-    where: tuple
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "threshold": self.threshold,
-            "sense": self.sense,
-            "where": [self.where[0], self.where[1]],
-        }
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     kind: str
     checks: tuple
@@ -201,7 +175,7 @@ class ValidationReport:
             "kind": self.kind,
             "exact": bool(self.exact),
             "ok": bool(self.ok),
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [dict(c._asdict(), passed=c.passed) for c in self.checks],
         }
 
     def __str__(self):
@@ -231,16 +205,13 @@ def _exact_callbacks(cert):
 def _sup_interior_check(name, grid, arr, threshold):
     inner = np.abs(arr[1:-1, 1:-1])
     i, j = np.unravel_index(int(np.argmax(inner)), inner.shape)
-    value = float(inner[i, j])
-    where = (float(grid.axis_u[i + 1]), float(grid.axis_v[j + 1]))
-    return CheckResult(name, passes(value, threshold, "max_below"), value, threshold,
-                       "max_below", where)
+    return CheckResult(name, float(inner[i, j]), threshold, "max_below",
+                       (float(grid.axis_u[i + 1]), float(grid.axis_v[j + 1])))
 
 
 def _min_check(name, grid, arr, threshold):
     u, v, mag = min_abs_location(grid, arr)
-    return CheckResult(name, passes(mag, threshold, "min_above"), mag, threshold,
-                       "min_above", (float(u), float(v)))
+    return CheckResult(name, mag, threshold, "min_above", (float(u), float(v)))
 
 
 #: Coupling weight of each kind as a function of its holomorphic samples:

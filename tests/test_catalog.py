@@ -17,6 +17,7 @@ from mtsurf.errors import DomainError
 from mtsurf.fields import (Grid2D, RealField, laplacian, sup_abs, sup_abs_interior,
                            wirtinger_dz)
 from mtsurf.poisson import NAMED_FIELDS, NAMED_WEIGHTS, named_field, named_weight
+from mtsurf.surfaces import represent_second
 from mtsurf.tolerances import fd_cap
 from mtsurf.weierstrass import validate_second
 
@@ -83,6 +84,19 @@ def test_sigma_theta_expected_fields():
                                rtol=1e-14)
     U, V = fx.grid.mesh()
     assert np.min(fx.expected["conformal_factor"](U, V)) > 0.0
+
+
+@pytest.mark.parametrize("make,params", [
+    *((fixture_sigma_theta, (theta,)) for theta in (0.0, 0.3, 0.7, math.pi / 4, 1.2)),
+    (fixture_two_parameter, (0.3, 0.2)), (fixture_two_parameter, (-0.5, 0.6))])
+def test_mean_curvature_norm_matches_the_represented_patch(make, params):
+    # the catalog's closed-form Euclidean |H| against the patch the second
+    # representation integrates on the default grid
+    fx = make(*params)
+    patch = represent_second(fx.data, anchor=fx.expected["anchor"])
+    norm = np.sqrt(np.sum(patch.h_stack ** 2, axis=0))
+    closed = fx.data.grid.on_nodes(fx.expected["mean_curvature_norm"])
+    np.testing.assert_allclose(norm, closed, rtol=1e-13, atol=0.0)
 
 
 def test_sigma_theta_rejects_bad_parameter():

@@ -979,6 +979,41 @@ def test_a_closed_form_that_overflows_on_the_grid_is_refused(tmp_path, command):
     assert sorted(os.listdir(run_dir)) == ["r.manifest.json"] == doc["artifacts"]
 
 
+@pytest.mark.parametrize("command", ["generate", "deform"])
+@pytest.mark.parametrize("bounds", ["800:900", "1e300:1.1e300"])
+def test_a_far_sigma_theta_grid_is_refused_with_a_manifest(tmp_path, command, bounds):
+    # the domain guard's cosh u overflows past |u| = 710, far from zero: the
+    # guard passes the grid and sampling names the first non-finite closed form
+    argv = [command, "--fixture", "sigma-theta", "--grid=%s:-1:1:9x9" % bounds]
+    if command == "deform":
+        argv += ["--family", "elliptic", "--parameter", "0.5"]
+    run_dir = os.path.join(str(tmp_path), "run")
+    assert run(argv + ["--out", run_dir, "--name", "r"]) == 1
+    doc = failed_run(run_dir, "r")
+    assert "RealField closed form is " in doc["error"]
+    assert sorted(os.listdir(run_dir)) == ["r.manifest.json"] == doc["artifacts"]
+
+
+def test_a_manifest_check_is_the_five_keys_of_its_record(tmp_path):
+    # each data_ check is the certificate's record under a prefixed name;
+    # the record stores no pass bool, the manifest writes the computed one
+    out = str(tmp_path)
+    assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:17x17",
+                "--out", out]) == 0
+    doc = manifest_of(out, "patch")
+    for c in doc["checks"]:
+        assert set(c) == {"name", "value", "threshold", "sense", "passed"}, c
+    fx = fixture_sigma_theta(0.0, grid=parse_grid_spec("-2:2:-2:2:17x17"))
+    report = weierstrass._certificate(fx.data).report
+    data = {c["name"]: c for c in doc["checks"] if c["name"].startswith("data_")}
+    assert sorted(data) == sorted("data_" + c.name for c in report.checks)
+    for c in report.checks:
+        entry = data["data_" + c.name]
+        assert (entry["value"], entry["threshold"], entry["sense"]) == c[1:4]
+        assert entry["passed"] is c.passed is True
+    assert "passed" not in weierstrass.CheckResult._fields
+
+
 def test_fixture_parameters_are_recorded_in_the_manifest(tmp_path):
     out = str(tmp_path)
     grid = ["--grid", "-1:1:-1:1:9x9", "--out", out, "--name"]
