@@ -14,6 +14,11 @@ its patch records (``SurfacePatch.exact``); the command line sets only
 ``--tol-exact`` and the two certification floors.  A non-finite numeric
 option ends the run with an error that names it.
 
+``verify`` runs every check its input allows, in one fixed order: the data
+certification (for a data document), the patch invariants, the quadric
+(with ``--quadric-constant``), the Liu factorization and the congruence
+(with ``--against``).
+
 Grid specifications use the syntax ``umin:umax:vmin:vmax:NUxNV``, e.g.
 ``-2:2:-2:2:129x129``.
 """
@@ -207,6 +212,11 @@ def _fixture_params(args):
 
 def _resolve_fixture(args):
     grid = Grid2D.from_spec(args.grid) if args.grid else None
+    # verify reads a patch back through finite differences, whose edge
+    # stencil reads four nodes
+    for axis, n in zip("uv", (grid.n_u, grid.n_v) if grid else ()):
+        if n < 4:
+            raise ValueError("need at least 4 nodes along %s; the grid has %d" % (axis, n))
     return fixture_by_name(args.fixture, grid=grid, params=_fixture_params(args))
 
 
@@ -312,7 +322,7 @@ def cmd_deform(args):
     return _run(args, "deform", inputs, run)
 
 
-_HOLO_FOR_WEIGHT = {"re-exp-iz": "exp-iz"}
+_HOLO_FOR_WEIGHT = {"re-exp-iz": _holo_exp_iz}
 
 
 def cmd_solve(args):
@@ -332,14 +342,13 @@ def cmd_solve(args):
         if args.generate:
             doc = read_document(args.problem, "mtsurf-problem", "problem descriptor")
             wspec = doc.get("weight", {})
-            holo_name = _HOLO_FOR_WEIGHT.get(wspec.get("name"))
-            if holo_name is None:
+            holo = _HOLO_FOR_WEIGHT.get(wspec.get("name"))
+            if holo is None:
                 raise ValueError(
                     "cannot generate a patch: the problem's weight %r does not "
                     "name a holomorphic field (known: %s)"
                     % (wspec.get("name"), ", ".join(sorted(_HOLO_FOR_WEIGHT))))
-            holo = _holo_exp_iz(problem.grid)
-            data = WeierstrassSecond(holo, solution, problem.source,
+            data = WeierstrassSecond(holo(problem.grid), solution, problem.source,
                                      provenance={"transform": "poisson-solve",
                                                  "problem": os.path.basename(
                                                      args.problem)})
@@ -361,7 +370,10 @@ def _anchor_for_data(data, args):
     the fixture on the data's grid.
     """
     if args.anchor is not None:
-        parts = [float(x) for x in args.anchor.split(",")]
+        try:
+            parts = [float(x) for x in args.anchor.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 4 or not all(map(math.isfinite, parts)):
             raise ValueError("--anchor needs four finite comma-separated values")
         return tuple(parts)
@@ -375,30 +387,8 @@ def _anchor_for_data(data, args):
     return None
 
 
-_CHECKS = ("validation", "invariants", "quadric", "liu", "mean-curvature", "congruence")
-
-
-def _applicable_checks(kind, args):
-    if args.checks != "auto":
-        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [c for c in selected if c not in _CHECKS]
-        if unknown:
-            raise ValueError("unknown check %s; known: %s"
-                             % (", ".join(map(repr, unknown)), ", ".join(_CHECKS)))
-        return selected
-    if kind == "data":
-        out = ["validation", "invariants", "liu", "mean-curvature"]
-    else:
-        out = ["invariants", "liu", "mean-curvature"]
-    if args.quadric_constant is not None:
-        out.append("quadric")
-    if args.against is not None:
-        out.append("congruence")
-    return out
-
-
 def cmd_verify(args):
-    inputs = {"input": args.input, "checks": args.checks, "rep": args.rep,
+    inputs = {"input": args.input, "rep": args.rep,
               "against": args.against, "family": args.family,
               "parameter": args.parameter,
               "quadric_constant": args.quadric_constant}
@@ -408,47 +398,24 @@ def cmd_verify(args):
             doc = json.load(fh)
         fmt = doc.get("format") if isinstance(doc, dict) else None
         if fmt == "mtsurf-data":
-            kind = "data"
             data = load_data(args.input)
+            cert = _certified(data, args)
+            manifest.add_report_checks(cert.report, "data_")
+            patch, = _represent([cert], args.rep, _anchor_for_data(data, args), args)
         elif fmt == "mtsurf-patch":
-            kind = "patch"
             patch, _ = load_patch_manifest(args.input)
         else:
             raise ValueError("input %r is neither a data document nor a patch "
                              "manifest" % args.input)
 
-        selected = _applicable_checks(kind, args)
-        manifest.inputs["resolved_checks"] = selected
-
-        if kind == "data":
-            cert = _certified(data, args)
-            if "validation" in selected:
-                manifest.add_report_checks(cert.report, "data_")
-            patch, = _represent([cert], args.rep, _anchor_for_data(data, args), args)
-        elif "validation" in selected:
-            raise ValueError("the validation check needs a data document, "
-                             "not a patch manifest")
-
-        if "invariants" in selected:
-            _patch_checks(manifest, patch, args)
-        elif "mean-curvature" in selected:
-            _, h_report = mean_curvature(patch)
-            manifest.reports["mean_curvature"] = h_report
-
-        if "quadric" in selected:
-            if args.quadric_constant is None:
-                raise ValueError("--quadric-constant is required for the "
-                                 "quadric check")
+        _patch_checks(manifest, patch, args)
+        if args.quadric_constant is not None:
             _quadric_check(manifest, patch, args.quadric_constant, args)
-
-        if "liu" in selected:
-            liu = liu_decompose(patch)
-            _gate(manifest, "liu_condition4", liu["condition4"], patch, args)
-            manifest.reports["liu"] = liu
-
-        if "congruence" in selected:
-            if args.against is None or args.family is None \
-                    or args.parameter is None:
+        liu = liu_decompose(patch)
+        _gate(manifest, "liu_condition4", liu["condition4"], patch, args)
+        manifest.reports["liu"] = liu
+        if args.against is not None:
+            if args.family is None or args.parameter is None:
                 raise ValueError("--against, --family and --parameter are "
                                  "required for the congruence check")
             other, _ = load_patch_manifest(args.against)
@@ -543,9 +510,6 @@ def main(argv=None):
                                       "data or patches")
     v.add_argument("--input", required=True,
                    help="data document or patch manifest")
-    v.add_argument("--checks", default="auto",
-                   help="comma list among %s (default: all applicable)"
-                        % ",".join(_CHECKS))
     v.add_argument("--rep", choices=("first", "second", "third"),
                    default="second",
                    help="representation used when the input is a data triple "

@@ -413,13 +413,13 @@ class TestVerify:
         rc = run(["verify", "--input", path, "--out", out])
         assert rc == 0
         doc = manifest_of(out, "verify")
-        checks = check_map(doc)
-        assert "data_immersion" in checks
-        assert [n for n in checks if n.startswith("liu_")] == ["liu_condition4"]
+        assert [c["name"] for c in doc["checks"]] == [
+            "data_nonvanishing", "data_holomorphic", "data_compatible", "data_immersion",
+            "conformality", "mean_null", "gauss_tangency", "gauss_null", "conformal_min",
+            "metric_agreement", "coordinate_identity", "loop_residual", "liu_condition4"]
+        assert set(doc["reports"]) == {"mean_curvature", "liu"}
         assert set(doc["reports"]["liu"]) == {"condition4", "masked_fraction"}
-        assert checks["conformality"]["passed"]
-        assert doc["inputs"]["resolved_checks"] == [
-            "validation", "invariants", "liu", "mean-curvature"]
+        assert "checks" not in doc["inputs"] and "resolved_checks" not in doc["inputs"]
 
     def test_non_finite_payload_fails_with_strict_manifest(self, tmp_path):
         out = str(tmp_path)
@@ -487,9 +487,10 @@ class TestVerify:
         rc = run(["verify", "--input", patch_json, "--out", out,
                   "--name", "vpatch"])
         assert rc == 0
-        doc = manifest_of(out, "vpatch")
-        assert doc["inputs"]["resolved_checks"] == [
-            "invariants", "liu", "mean-curvature"]
+        invariants = ["conformality", "mean_null", "gauss_tangency", "gauss_null",
+                      "conformal_min", "loop_residual"]
+        assert [c["name"] for c in manifest_of(out, "vpatch")["checks"]] == \
+            invariants + ["liu_condition4"]
 
         rc = run(["verify", "--input", patch_json, "--against", patch_json,
                   "--family", "elliptic", "--parameter", "0.0",
@@ -498,30 +499,20 @@ class TestVerify:
         checks = check_map(manifest_of(out, "vcong"))
         assert checks["congruence_residual"]["value"] == 0.0
 
-    def test_validation_check_rejected_for_patch(self, tmp_path):
-        out = str(tmp_path)
-        rc = run(["generate", "--fixture", "catenoid-r3",
-                  "--grid", "-1:1:-1:1:9x9", "--out", out, "--name", "cat"])
+        rc = run(["verify", "--input", patch_json, "--quadric-constant", "-1.0",
+                  "--against", patch_json, "--family", "elliptic", "--parameter", "0.0",
+                  "--out", out, "--name", "vboth"])
         assert rc == 0
-        rc = run(["verify", "--input", os.path.join(out, "cat.json"),
-                  "--checks", "validation", "--out", out, "--name", "bad"])
-        assert rc == 1
-        doc = manifest_of(out, "bad")
-        assert "needs a data document" in doc["error"]
+        doc = manifest_of(out, "vboth")
+        assert [c["name"] for c in doc["checks"]] == invariants + [
+            "quadric_residual", "liu_condition4", "congruence_residual"]
+        assert set(doc["reports"]) == {"mean_curvature", "liu", "congruence"}
 
-    def test_unknown_check_name_rejected(self, tmp_path):
-        out = str(tmp_path)
-        rc = run(["generate", "--fixture", "catenoid-r3",
-                  "--grid", "-1:1:-1:1:9x9", "--out", out, "--name", "cat"])
-        assert rc == 0
-        rc = run(["verify", "--input", os.path.join(out, "cat.json"),
-                  "--checks", "invariants,quadrc", "--out", out, "--name", "typo"])
-        assert rc == 1
-        doc = failed_run(out, "typo")
-        assert "'quadrc'" in doc["error"]
-        assert "validation, invariants, quadric, liu, mean-curvature, congruence" \
-            in doc["error"]
-        assert doc["checks"] == []
+    def test_checks_switch_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--input", "p.json", "--checks", "invariants",
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_missing_input_fails_with_manifest(self, tmp_path):
         out = str(tmp_path)
@@ -871,9 +862,10 @@ class TestNonFiniteInputs:
                    + ["--out", out, "--name", "patch"]) == 0
         return out
 
-    def test_anchor(self, saved):
+    @pytest.mark.parametrize("anchor", ["nan,0,0,0", "a,0,0,0", "1,2,3"])
+    def test_anchor(self, saved, anchor):
         self.refused(saved, ["verify", "--input", os.path.join(saved, "patch.data.json"),
-                             "--anchor", "nan,0,0,0"], "--anchor")
+                             "--anchor", anchor], "--anchor")
 
     def test_quadric_constant(self, saved):
         self.refused(saved, ["verify", "--input", os.path.join(saved, "patch.json"),
@@ -1031,14 +1023,14 @@ def test_fixture_parameters_are_recorded_in_the_manifest(tmp_path):
 
 @pytest.mark.parametrize("command,axis", [("verify", "u"), ("generate", "v")])
 def test_three_nodes_are_too_few_for_finite_differences(tmp_path, command, axis):
-    # the chart route of a 3x3 catalog patch and the certification of a
-    # 9x3 data document take second derivatives by finite differences, whose
-    # one-sided edge stencil reads four nodes: a manifest names the axis
+    # verify reads a catalog patch back through the chart route, and the
+    # certification of a 9x3 data document differentiates it: both take
+    # second derivatives by finite differences, whose one-sided edge stencil
+    # reads four nodes.  A manifest names the axis; generate refuses a 3x3
+    # fixture grid before it writes a patch that verify could not read.
     out = str(tmp_path)
     if command == "verify":
-        assert run(["generate", "--fixture", "catenoid-r3", "--grid", "-1:1:-1:1:3x3",
-                    "--out", out, "--name", "p"]) == 0
-        argv = ["verify", "--input", os.path.join(out, "p.json")]
+        argv = ["generate", "--fixture", "catenoid-r3", "--grid", "-1:1:-1:1:3x3"]
     else:
         fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 3))
         save_data(fx.data, os.path.join(out, "d.data.json"))
@@ -1046,6 +1038,7 @@ def test_three_nodes_are_too_few_for_finite_differences(tmp_path, command, axis)
     assert run(argv + ["--out", out, "--name", "r"]) == 1
     assert ("need at least 4 nodes along %s; the grid has 3" % axis
             in failed_run(out, "r")["error"])
+    assert not os.path.exists(os.path.join(out, "r.json"))
 
 
 class TestCapTable:
