@@ -48,7 +48,9 @@ entries are read through ``document_entry``, which names the document
 and the key of a missing or mistyped entry; field
 payloads are written by ``save_payload`` and resolved only by
 ``load_payload``, which accepts a plain file name next to the document
-and nothing else.
+and nothing else.  A field CSV on a known grid is read back by the
+inverse of the text kernel, ``_read_canonical``, when its bytes are the
+writer's layout (see :func:`load_field_csv`).
 """
 
 from __future__ import annotations
@@ -888,14 +890,220 @@ def save_field_csv(field, path):
                                None if im is None else _float_text(im[nodes])))
 
 
-def load_field_csv(path):
+# ---------------------------------------------------------------------------
+# number text read back: the field CSV layout above, a block of rows at a time
+
+#: Whether a longdouble division decides the rounding of a 17-digit decimal
+#: (x87 or quad longdouble).  Where it is a plain double the canonical
+#: reader is off and every field CSV takes the np.loadtxt route.
+_LD_EXACT = np.finfo(_LD).nmant >= 63
+
+#: Bytes of the window a number token is read through, three words of
+#: eight digits; '%.17g' in fixed notation writes at most 23.
+_TOKEN = 24
+#: Zero bytes kept before and after the file, so every window of a token
+#: or of an axis value ('%.17g,' is at most 25 bytes) lies inside.
+_PAD = 32
+#: ``_LEAD[g]`` keeps the bytes of a window after its first g, as words.
+_LEAD = (np.uint8(255) * (np.arange(_TOKEN) >= np.arange(_TOKEN + 1)[:, None])
+         .astype(np.uint8)).view("<u8")
+#: 10^p, the divisor that splits off the p digits after a dot; where 10^p
+#: passes 2^64, 2^64 - 1, which leaves a mantissa (below 10^18) whole.
+_DIV10 = np.array([10 ** p if p < 20 else 2 ** 64 - 1 for p in range(_TOKEN)], np.uint64)
+#: 10^p as doubles and as longdoubles, built by products that are exact up
+#: to 10^22 and 10^27: the double division takes p <= 22, and a token of
+#: ``_TOKEN`` bytes has p <= 23.
+_F10 = np.cumprod([1.0] + [10.0] * (_TOKEN - 1))
+_L10 = np.cumprod([_LD(1)] + [_LD(10)] * (_TOKEN - 1))
+#: The bytes of a token that is handed to float(), as np.loadtxt would parse
+#: it: digits, '.', an exponent and signs; anything else leaves the file to
+#: np.loadtxt.
+_FLOAT_BYTES = frozenset(b"0123456789.eE+-")
+
+
+def _read_numbers(buf, start, stop):
+    """The float64 values of the number tokens ``buf[start:stop]``, one per
+    pair of indices into the uint8 array ``buf``, or None when a token is
+    not a finite number that float() reads.
+
+    A token ``[-]digits[.digits]`` of at most ``_TOKEN`` bytes is m / 10^p,
+    m the integer of its digits and p the digits after the dot.  m comes
+    from integer digit arithmetic, eight digits per word (Lemire, "Number
+    parsing at a gigabyte per second", 2021), and the quotient is exact:
+
+    * for m < 2^53 and p <= 22, m and 10^p are doubles, and one IEEE
+      division rounds m / 10^p correctly (Clinger, "How to read floating
+      point numbers accurately", PLDI 1990);
+    * otherwise (m < 10^18) m and 10^p are exact longdoubles, so their
+      quotient q carries one rounding, at most eps/2 = 2^-64 of q (x87;
+      less for quad).  The double d nearest q is then the double nearest
+      m / 10^p unless a half-way point between doubles lies between them,
+      which needs q within 2^-64 q of the half-way point on its side of d.
+      q - d is exact (Sterbenz), and so is its conversion to double on x87
+      (on quad its error is below 2^-106 q), so a token whose q lies
+      within 2^-62 q of that half-way point is left out.
+
+    The rest (scientific notation, the tie window, more digits, any other
+    spelling) go to float(), the correctly rounded conversion np.loadtxt
+    also makes, when their bytes are ``_FLOAT_BYTES``.
+    """
+    size = start.size
+    width = stop - start
+    neg = buf[start] == 45                                    # '-'
+    text = _windows(buf, _TOKEN)[stop - _TOKEN]
+    text -= np.uint8(48)                                      # digits become 0..9
+    words = text.view("<u8")
+    words &= np.take(_LEAD, np.clip(_TOKEN - width + neg, 0, _TOKEN), axis=0)
+    dots = np.flatnonzero(text == np.uint8(ord(".") - 48 + 256))
+    row, col = np.divmod(dots, _TOKEN)
+    text.reshape(-1)[dots] = 0
+    p = np.zeros(size, np.intp)
+    p[row] = _TOKEN - 1 - col                 # digits after the dot
+    dotted = np.bincount(row, minlength=size)
+    slow = (dotted > 1) | (width > _TOKEN) | (width <= neg + dotted)
+    slow[np.flatnonzero(text > 9) // _TOKEN] = True
+
+    # eight digits per little-endian word, the first in the lowest byte
+    w = words * np.uint64(10) + (words >> np.uint64(8))
+    lanes = np.uint64(0x000000FF000000FF)
+    w = ((w & lanes) * np.uint64(100 + (1000000 << 32))
+         + ((w >> np.uint64(16)) & lanes) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+    slow |= w[:, 0] >= 100                  # the digits reach 10^18
+    m = w[:, 0] * np.uint64(10 ** 16) + w[:, 1] * np.uint64(10 ** 8) + w[:, 2]
+    # the dot, read as a 0, put the digits before it one place too high:
+    # m = (m' + 9 (m' mod 10^p)) / 10; a token without a dot is scaled by
+    # 10 first, which the same steps undo
+    m *= np.where(dotted, np.uint64(1), np.uint64(10))
+    m += np.uint64(9) * (m % np.take(_DIV10, p))
+    m //= np.uint64(10)
+
+    x = m.astype(np.float64) / np.take(_F10, p)
+    big = np.flatnonzero((m >= np.uint64(2 ** 53)) | (p > 22))
+    if big.size:
+        q = m[big].astype(_LD) / np.take(_L10, p[big])
+        near = q.astype(np.float64)
+        off = (q - near).astype(np.float64)
+        # half the gap to the next double on the side of q: ulp/2, or ulp/4
+        # below a power of two
+        bits = near.view(np.int64)
+        half = (bits & 0x7FF0000000000000).view(np.float64) * 2.0 ** -53
+        half[(off < 0) & ((bits & 0xFFFFFFFFFFFFF) == 0)] *= 0.5
+        x[big] = near
+        slow[big[half - np.abs(off) <= near * 2.0 ** -62]] = True
+    np.negative(x, out=x, where=neg)
+    for k in np.flatnonzero(slow).tolist():
+        token = buf[start[k]:stop[k]].tobytes()
+        if not _FLOAT_BYTES.issuperset(token):
+            return None
+        try:
+            x[k] = float(token)
+        except ValueError:
+            return None
+        if not math.isfinite(x[k]):
+            return None
+    return x
+
+
+def _windows(buf, width):
+    """The windows ``buf[k:k + width]`` of the uint8 array ``buf``, as the
+    rows of a view (sliding_window_view without its checks)."""
+    return np.ndarray((buf.size - width + 1, width), np.uint8, buf, 0, (1, 1))
+
+
+def _axis_text(axis):
+    """``'%.17g,'`` of each value of ``axis`` as rows of little-endian
+    words, NUL-padded at the end; the masks of their text bytes, as words;
+    and their lengths."""
+    text = np.array([b"%.17g," % x for x in axis.tolist()], "S32")
+    text = text.view(np.uint8).reshape(axis.size, -1)
+    length = np.count_nonzero(text, axis=1)
+    text = np.ascontiguousarray(text[:, :8 * -(-length.max() // 8)])
+    return text.view("<u8"), (np.uint8(255) * (text != 0)).view("<u8"), length
+
+
+def _read_canonical(path, grid):
+    """The field of the CSV at ``path`` when its bytes are those that
+    :func:`save_field_csv` writes on ``grid``, up to the spelling of the
+    numbers in its ``re`` and ``im`` columns; None otherwise.
+
+    The rows are found by their newlines, and their number must be
+    n_u n_v before anything sized by the grid is built.  Then, a block of
+    ``_ROW_BLOCK`` rows at a time, each row's ``u,v,`` prefix must equal
+    ``'%.17g,'`` of its grid values byte for byte, and the ``re`` column is
+    read by :func:`_read_numbers`, with ``im`` too unless every row of the
+    block ends in the literal ``,0``.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        raw = bytearray(size + 2 * _PAD)
+        if fh.readinto(memoryview(raw)[_PAD:_PAD + size]) != size:
+            return None
+    buf = np.frombuffer(raw, np.uint8)
+    n = grid.n_u * grid.n_v
+    ends = np.flatnonzero(buf == 10)        # of the header and of each row
+    if (raw[_PAD:_PAD + len(_CSV_HEADER)] != _CSV_HEADER.encode("ascii")
+            or ends.size != n + 1 or ends[-1] != _PAD + size - 1):
+        return None
+    u_text, u_mask, u_len = _axis_text(grid.axis_u)
+    v_text, v_mask, v_len = _axis_text(grid.axis_v)
+    u_windows, v_windows = _windows(buf, 8 * u_text.shape[1]), _windows(buf, 8 * v_text.shape[1])
+    re, im = np.empty(n), None
+    for begin in range(0, n, _ROW_BLOCK):
+        nodes = slice(begin, min(begin + _ROW_BLOCK, n))
+        i, j = np.divmod(np.arange(nodes.start, nodes.stop), grid.n_v)
+        start, end = ends[nodes] + 1, ends[nodes.start + 1:nodes.stop + 1]
+        v_start = start + np.take(u_len, i)
+        for text, mask, windows, at, k in ((u_text, u_mask, u_windows, start, i),
+                                           (v_text, v_mask, v_windows, v_start, j)):
+            found = windows[at].view("<u8") ^ np.take(text, k, axis=0)
+            if (found & np.take(mask, k, axis=0)).any():
+                return None
+        if (buf[end - 2] == 44).all() and (buf[end - 1] == 48).all():   # ",0"
+            comma = end - 2
+        else:
+            # three commas a row: the first of row k must be the 3k-th
+            commas = np.flatnonzero(buf[start[0]:end[-1]] == 44) + start[0]
+            if commas.size != 3 * start.size or (commas[::3] != v_start - 1).any():
+                return None
+            comma = commas[2::3]
+            values = _read_numbers(buf, comma + 1, end)
+            if values is None:
+                return None
+            if im is None:
+                im = np.zeros(n)
+            im[nodes] = values
+        values = _read_numbers(buf, v_start + np.take(v_len, j), comma)
+        if values is None:
+            return None
+        re[nodes] = values
+    if im is None or not im.any():
+        return RealField._view(grid, re.reshape(grid.shape))
+    values = np.empty(grid.shape, np.complex128)
+    values.real, values.imag = re.reshape(grid.shape), im.reshape(grid.shape)
+    return ComplexField._view(grid, values)
+
+
+def load_field_csv(path, grid=None):
     """Inverse of :func:`save_field_csv`.
 
     Returns a RealField when every imaginary part is exactly zero, else a
     ComplexField.  Loaded fields carry no Analytic callbacks.  A file whose
     first line is not the ``u,v,re,im`` header is refused with a
     ValueError that names it, whatever its numeric rows hold.
+
+    Given the ``grid`` the file should lie on, a file in the writer's
+    layout for that grid is read by :func:`_read_canonical`: the rows are
+    counted before anything grid-sized is built, the ``u,v,`` prefixes are
+    compared byte for byte, and only the ``re`` and ``im`` tokens are
+    converted, exactly (see :func:`_read_numbers`).  Every other file, and
+    every file where longdouble is a plain double, takes the np.loadtxt
+    route, which infers the grid from the u and v columns: same values,
+    same errors.
     """
+    if grid is not None and _LD_EXACT:
+        fld = _read_canonical(path, grid)
+        if fld is not None:
+            return fld
     with open(path, encoding="ascii", errors="replace") as fh:
         header, first = fh.readline(), fh.readline()
     if header != _CSV_HEADER:
@@ -1076,9 +1284,13 @@ def save_payload(field, doc_path, tag, payload="csv"):
 def load_payload(doc_path, ref, name, grid, real=False):
     """Field ``name`` of the document at ``doc_path``, read through its
     reference ``ref``: a plain file name in the document's own directory
-    and a format, "csv" or "binary".  The payload must lie on ``grid``,
-    and with ``real`` it must be a RealField: a CSV payload with a nonzero
-    imaginary part, or a complex binary one, is refused."""
+    and a format, "csv" or "binary".  The name must stay in that directory
+    once symlinks are resolved, so a link to a file elsewhere is refused.
+    The payload must lie on ``grid``, and with ``real`` it must be a
+    RealField: a CSV payload with a nonzero imaginary part, or a complex
+    binary one, is refused.  A CSV payload is read with ``grid`` known, so
+    the writer's layout takes the exact canonical reader and anything else
+    np.loadtxt (see :func:`load_field_csv`)."""
     def refuse(why):
         return ValueError("%r: field %r %s" % (doc_path, name, why))
 
@@ -1089,8 +1301,13 @@ def load_payload(doc_path, ref, name, grid, real=False):
         raise refuse("payload %r is not a plain file name next to the document" % fname)
     if fmt not in _PAYLOAD_EXT:
         raise refuse("payload format %r is not 'csv' or 'binary'" % (fmt,))
-    path = os.path.join(os.path.dirname(doc_path), fname)
-    fld = load_field_csv(path) if fmt == "csv" else load_field_binary(path)
+    folder = os.path.dirname(doc_path)
+    path = os.path.join(folder, fname)
+    resolved, home = os.path.realpath(path), os.path.realpath(folder)
+    if os.path.dirname(resolved) != home:
+        raise refuse("payload %r resolves to %r, outside the document's directory %r"
+                     % (fname, resolved, home))
+    fld = load_field_csv(path, grid) if fmt == "csv" else load_field_binary(path)
     if fld.grid != grid:
         raise GridMismatchError("%r: field %r payload grid disagrees with the "
                                 "document grid" % (doc_path, name))

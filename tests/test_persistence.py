@@ -678,3 +678,217 @@ def test_write_document_refuses_non_finite_floats(tmp_path, bad):
     with pytest.raises(ValueError):
         write_document(path, {"format": "x", "v": [1.0, {"w": bad}]})
     assert not os.path.exists(path)
+
+
+# ---------------------------------------------------------------------------
+# the canonical CSV reader: exact where it reads, np.loadtxt everywhere else
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_payload_linked_from_outside_the_document_directory_is_refused(tmp_path, kind):
+    # a payload linked from another directory under its plain name is as
+    # far outside as "../src/...", so it is refused by name; a link to a
+    # file in the document's own directory still loads
+    src, elsewhere = tmp_path / "src", tmp_path / "elsewhere"
+    src.mkdir()
+    elsewhere.mkdir()
+    fname, load, _ = DOCUMENTS[kind](str(src))
+    path = str(src / fname)
+    payloads = sorted(p for p in os.listdir(src) if p.endswith(".csv"))
+    os.rename(src / payloads[0], src / ("kept-" + payloads[0]))
+    os.symlink("kept-" + payloads[0], src / payloads[0])
+    load(path)
+    for name in payloads[1:]:
+        os.rename(src / name, elsewhere / name)
+        os.symlink(elsewhere / name, src / name)
+    with pytest.raises(ValueError, match=r"doc.*resolves to .*elsewhere.*outside the "
+                                         r"document's directory"):
+        load(path)
+    out = str(tmp_path / "out")
+    command = ["solve", "--problem"] if kind == "problem" else ["verify", "--input"]
+    assert cli.main(command + [path, "--out", out, "--name", "run"]) == 1
+    with open(os.path.join(out, "run.manifest.json")) as fh:
+        assert "outside the document's directory" in json.load(fh)["error"]
+
+
+_READ_GRIDS = {"dyadic-129": Grid2D(-2.0, 2.0, -2.0, 2.0, 129, 129),
+               "non-dyadic-97": Grid2D(-2.0, 2.0, -2.0, 0.0, 97, 97)}
+
+_payload_values = st.one_of(
+    finite,                                               # every magnitude, +-0, subnormals
+    _bit_floats.filter(np.isfinite),
+    st.integers(2 ** 53, 10 ** 17).map(float),            # past the double's integers
+    st.floats(1e-300, 1e-4) | st.floats(1e17, 1e300))     # scientific notation
+
+#: Tokens in the longdouble tie window, which the reader leaves to float():
+#: half-way points between neighbouring doubles spelled with at most 18
+#: digits, and 17-digit decimals within 2^-62 (relative) of one, whose
+#: longdouble quotient rounds to the other side of it.  '%.17g' writes
+#: neither; the window is there for other spellings.
+_TIE_TOKENS = [b"9007199254740993", b"-4503599627370496.5", b"2251799813685248.25",
+               b"18014398509481986", b"9007199254740993.0", b"103.67867085682132",
+               b"-0.67726909148632225", b"2.4012198315278519", b"114.97046953005934"]
+
+
+def _spy_canonical(mp):
+    """Record what each call of the canonical reader returns."""
+    taken, read = [], fields_module._read_canonical
+
+    def spy(path, grid):
+        taken.append(read(path, grid))
+        return taken[-1]
+    mp.setattr(fields_module, "_read_canonical", spy)
+    return taken
+
+
+@pytest.mark.parametrize("ld_exact", [True, False], ids=["longdouble", "plain-double"])
+@settings(max_examples=10, deadline=None)
+@given(grid=st.sampled_from(sorted(_READ_GRIDS)),
+       values=st.lists(_payload_values, min_size=1, max_size=300),
+       is_complex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_canonical_reader_matches_loadtxt_bit_for_bit(tmp_path_factory, ld_exact, grid,
+                                                      values, is_complex, seed):
+    """Doubles written by save_field_csv, with some re tokens spelled as
+    exact ties, read back as np.loadtxt reads them; where longdouble is a
+    plain double the canonical reader is not used at all."""
+    g = _READ_GRIDS[grid]
+    rng = np.random.default_rng(seed)
+    columns = rng.standard_normal((2, g.n_u * g.n_v)) * 10.0 ** rng.integers(-3, 4)
+    for col in columns[:1 + is_complex]:
+        at = rng.choice(col.size, min(len(values), col.size), replace=False)
+        col[at] = values[:at.size]
+    fld = (ComplexField(g, columns.T.copy().view(np.complex128).reshape(g.shape))
+           if is_complex else RealField(g, columns[0].reshape(g.shape)))
+    path = os.path.join(str(tmp_path_factory.mktemp("read")), "f.csv")
+    save_field_csv(fld, path)
+    with open(path, "rb") as fh:
+        rows = fh.read().split(b"\n")
+    for k, token in enumerate(_TIE_TOKENS):
+        cells = rows[1 + 37 * k].split(b",")
+        rows[1 + 37 * k] = b",".join(cells[:2] + [token] + cells[3:])
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(rows))
+    expected = np.loadtxt(path, delimiter=",", skiprows=1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields_module, "_LD_EXACT", ld_exact)
+        taken = _spy_canonical(mp)
+        back = load_field_csv(path, g)
+    assert len(taken) == ld_exact and all(f is not None for f in taken)
+    assert back.grid == g
+    np.testing.assert_array_equal(bits(np.real(back.values)).ravel(), bits(expected[:, 2]))
+    if isinstance(back, ComplexField):
+        np.testing.assert_array_equal(bits(np.imag(back.values)).ravel(), bits(expected[:, 3]))
+    else:
+        assert np.all(expected[:, 3] == 0.0)
+
+
+# v runs over 10..26, so another grid on 11..27 and rows swapped within a
+# u row keep every prefix's length: only the byte comparison tells them
+_FALLBACK_GRID = Grid2D(-2.0, 2.0, 10.0, 26.0, 17, 17)
+
+
+def _fallback_payload(path, grid=_FALLBACK_GRID):
+    """A 17^2 real payload whose first two values are 1.5 and 0.001."""
+    values = np.random.default_rng(5).standard_normal(grid.shape)
+    values[0, :2] = 1.5, 0.001
+    save_field_csv(RealField(grid, values), path)
+
+
+def _edit_rows(rows):
+    return lambda data: b"\n".join(rows(data.split(b"\n")[:-1])) + b"\n"
+
+
+def _swap_rows(rows):
+    rows[2], rows[4] = rows[4], rows[2]
+    return rows
+
+
+#: name: (edit of the payload bytes, whether the canonical reader reads it)
+_VARIANTS = {
+    "as-written": (None, True),
+    "u-spelled-2.0": (lambda d: d.replace(b"\n-2,", b"\n-2.0,"), False),
+    "crlf": (lambda d: d.replace(b"\n", b"\r\n"), False),
+    "trailing-space": (lambda d: d.replace(b",0\n", b",0 \n"), False),
+    "plus-sign": (lambda d: d.replace(b",1.5,0\n", b",+1.5,0\n", 1), True),
+    "capital-exponent": (lambda d: d.replace(b",0.001,0\n", b",1E-3,0\n", 1), True),
+    "no-final-newline": (lambda d: d[:-1], False),
+    "nan": (lambda d: d.replace(b",1.5,0\n", b",nan,0\n", 1), False),
+    "inf": (lambda d: d.replace(b",0.001,0\n", b",-inf,0\n", 1), False),
+    "truncated-last-row": (lambda d: d[:d.rindex(b",")] + b"\n", False),
+    "rows-out-of-order": (_edit_rows(_swap_rows), False),
+    "another-grid": ("grid", False),
+    "huge-document-grid": ("huge", False),
+}
+
+
+def _read_outcome(doc_path, grid, ld_exact):
+    """What load_payload makes of the payload f.csv next to ``doc_path``:
+    the field's type, grid and bits, or the error's type and message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields_module, "_LD_EXACT", ld_exact)
+        taken = _spy_canonical(mp)
+        try:
+            fld = fields_module.load_payload(doc_path, {"file": "f.csv", "format": "csv"},
+                                             "f", grid)
+        except ValueError as exc:
+            return (type(exc).__name__, str(exc)), taken
+    return (type(fld).__name__, fld.grid, bits(fld.values.view(np.float64)).tolist()), taken
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_non_canonical_payloads_read_as_before(tmp_path, monkeypatch, variant):
+    """Each edit gives the field or the exact error of the np.loadtxt route
+    (the reader's route before the canonical reader, kept as its fallback),
+    and only the canonical layout, numbers spelled any way float() reads
+    them, takes the canonical route; every writer's payloads do."""
+    edit, canonical = _VARIANTS[variant]
+    doc, path, grid = str(tmp_path / "doc.json"), str(tmp_path / "f.csv"), _FALLBACK_GRID
+    _fallback_payload(path, Grid2D(-2.0, 2.0, 11.0, 27.0, 17, 17) if edit == "grid" else grid)
+    if edit == "huge":
+        grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 10 ** 6, 10 ** 6)
+        for name in ("axis_u", "axis_v"):
+            cached = getattr(Grid2D, name)
+
+            def guarded(self, cached=cached):
+                assert self.n_u * self.n_v < 10 ** 12, "the document grid's axes were built"
+                return cached.__get__(self, Grid2D)
+            monkeypatch.setattr(Grid2D, name, property(guarded))
+    elif callable(edit):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert edit(data) != data
+        with open(path, "wb") as fh:
+            fh.write(edit(data))
+
+    before, _ = _read_outcome(doc, grid, ld_exact=False)
+    after, taken = _read_outcome(doc, grid, ld_exact=True)
+    assert after == before
+    assert [f is not None for f in taken] == [canonical]
+    if edit == "huge":
+        assert before[0] == "GridMismatchError"
+    if canonical or variant in ("u-spelled-2.0", "crlf", "trailing-space", "no-final-newline"):
+        fresh = str(tmp_path / "fresh.csv")
+        _fallback_payload(fresh)
+        assert after == ("RealField", grid, bits(load_field_csv(fresh).values).tolist())
+
+    if variant == "as-written":
+        # every writer's payloads
+        for kind, make in sorted(DOCUMENTS.items()):
+            src = tmp_path / kind
+            src.mkdir()
+            fname, _, _ = make(str(src))
+            with open(src / fname) as fh:
+                written = json.load(fh)
+            refs = [r for r in list(written.get("fields", {}).values()) + list(written.values())
+                    if isinstance(r, dict) and "file" in r]
+            assert refs
+            for ref in refs:
+                payload = str(src / ref["file"])
+                back = fields_module._read_canonical(payload, Grid2D.from_dict(written["grid"]))
+                assert back is not None, (kind, ref)
+                assert bits(back.values.view(np.float64)).tolist() == bits(
+                    load_field_csv(payload).values.view(np.float64)).tolist()
+        for fld in (RealField(grid, np.full(grid.shape, -0.0)),
+                    ComplexField(grid, np.full(grid.shape, 0.25 - 3e-300j))):
+            save_field_csv(fld, path)
+            assert fields_module._read_canonical(path, grid) is not None
