@@ -2,17 +2,17 @@
 
 Every command writes a JSON run manifest recording the command line, the
 resolved inputs (input files by their path relative to the manifest's
-directory, so a moved input tree records the same), the tolerances in
-force, the checks and the list of produced files; the process exits 0
+directory, so a moved input tree records the same), the cap table's
+tolerances, the checks and the list of produced files; the process exits 0
 exactly when all checks pass.  A run keeps each check as a
 :class:`mtsurf.tolerances.CheckResult`, which the manifest writes as an
 object of exactly five keys: name, value, threshold, sense and passed.
 Outputs are byte-deterministic except for the manifest's ``wall_time_s``.
 
 Every check is capped through :func:`mtsurf.tolerances.cap` on the route
-its patch records (``SurfacePatch.exact``); the command line sets only
-``--tol-exact`` and the two certification floors.  A non-finite numeric
-option ends the run with an error that names it.
+its patch records (``SurfacePatch.exact``); the command line sets no cap
+or floor.  A non-finite numeric option ends the run with an error that
+names it.
 
 ``verify`` runs every check its input allows, in one fixed order: the data
 certification (for a data document), the patch invariants, the quadric
@@ -127,74 +127,67 @@ class RunManifest:
         })
 
 
-def _certified(data, args):
-    """Certificate of a triple at the run's --eps-zero/--eps-immersion/--tol-exact."""
-    return _certificate(data, eps_zero=args.eps_zero, eps_immersion=args.eps_immersion,
-                        tol_exact=args.tol_exact)
-
-
-def _as_kind(cert, kind, args):
+def _as_kind(cert, kind):
     """Certificate of the triple as a ``kind`` triple (first, second or
     third): ``cert`` itself when it is one already, else its conversion,
-    certified once at the run's tolerances."""
+    certified once."""
     if kind == cert.kind:
         return cert
     if kind != "third":
         convert = first_to_second if kind == "second" else second_to_first
-        return _certified(convert(cert), args)
+        return _certificate(convert(cert))
     _, gauss, pot1, pot2 = _triple(cert if cert.kind == "first" else second_to_first(cert))
     return _certify("third", gauss, lincomb_real([(1.0, pot1), (-1.0, pot2)]),
-                    lincomb_real([(1.0, pot1), (1.0, pot2)]),
-                    args.eps_zero, args.eps_immersion, args.tol_exact)
+                    lincomb_real([(1.0, pot1), (1.0, pot2)]))
 
 
-def _represent(certs, rep, anchor, args):
+def _represent(certs, rep, anchor):
     """The ``rep`` patches of certified triples, from one quadrature sweep."""
     represent = {"first": represent_first, "second": represent_second,
                  "third": represent_third}[rep]
-    return represent([_as_kind(cert, rep, args) for cert in certs], anchor=anchor)
+    return represent([_as_kind(cert, rep) for cert in certs], anchor=anchor)
 
 
-def _gate(manifest, name, value, patch, args, scale=1.0):
+def _gate(manifest, name, value, patch, scale=1.0):
     """Check ``value`` against the table's cap of ``name`` on the route of
     ``patch``."""
-    manifest.add_check(name, value, cap(name, patch.grid, patch.exact, args.tol_exact, scale))
+    manifest.add_check(name, value, cap(name, patch.grid, patch.exact, scale))
 
 
-def _patch_checks(manifest, patch, args):
+def _patch_checks(manifest, patch):
     inv = patch.invariants
     for name in ("conformality", "mean_null", "gauss_tangency", "gauss_null"):
-        _gate(manifest, name, inv[name], patch, args)
+        _gate(manifest, name, inv[name], patch)
     manifest.add_check("conformal_min", inv["conformal_min"], 0.0, "min_above")
     for name in ("metric_agreement", "coordinate_identity", "loop_residual"):
         if name in inv:
-            _gate(manifest, name, inv[name], patch, args)
+            _gate(manifest, name, inv[name], patch)
     _, h_report = mean_curvature(patch)
     manifest.reports["mean_curvature"] = h_report
 
 
-def _quadric_check(manifest, patch, constant, args):
+def _quadric_check(manifest, patch, constant):
     """sup |<X,X> - constant|; off the exact route its cap scales by
     1 + max|X|^2, since the residual grows with |X| times the error of X."""
     scale = 1.0 if patch.exact else 1.0 + float(np.max(np.sum(patch.x_stack ** 2, axis=0)))
     _gate(manifest, "quadric_residual", sup_abs(quadric_residual(patch, constant).values),
-          patch, args, scale)
+          patch, scale)
 
 
 def _congruence_check(manifest, patch, other, args):
     cong = verify_congruence(patch, other, rotation(args.family, args.parameter))
     manifest.reports["congruence"] = cong
-    _gate(manifest, "congruence_residual", cong["residual"], patch, args)
+    _gate(manifest, "congruence_residual", cong["residual"], patch)
 
 
-def _fixture_checks(manifest, patch, fixture, args):
+def _fixture_checks(manifest, patch, fixture):
     expected = fixture.expected
     if expected.get("quadric_constant") is not None:
-        _quadric_check(manifest, patch, expected["quadric_constant"], args)
+        _quadric_check(manifest, patch, expected["quadric_constant"])
     if "conformal_factor" in expected:
         closed = patch.grid.on_nodes(expected["conformal_factor"])
         _gate(manifest, "conformal_factor_match",
-              sup_abs(patch.conformal_factor.values - closed), patch, args)
+              sup_abs(patch.conformal_factor.values - closed), patch)
     if expected.get("h_nowhere_zero"):
         manifest.add_check("mean_curvature_min_norm",
                            manifest.reports["mean_curvature"]["min_norm"],
@@ -202,7 +195,7 @@ def _fixture_checks(manifest, patch, fixture, args):
     if "slice" in expected:
         coord, const = expected["slice"]
         _gate(manifest, "slice_%s_constant" % coord,
-              sup_abs(patch.x_stack[int(coord[1:]) - 1] - const), patch, args)
+              sup_abs(patch.x_stack[int(coord[1:]) - 1] - const), patch)
 
 
 def _fixture_params(args):
@@ -229,16 +222,18 @@ def _mesh_artifacts(manifest, patch, out_dir, name):
 
 _RUN_ERRORS = (ValueError, OSError, MemoryError)   # every mtsurf.errors type is a ValueError
 
+#: The table's constants, which every run manifest records.
+_TOLERANCES = {"eps_zero": EPS_ZERO, "eps_immersion": EPS_IMMERSION, "tol_exact": TOL_EXACT,
+               "quadric_tol": QUADRIC_TOL, "congruence_tol": CONGRUENCE_TOL,
+               "psi_cutoff": PSI_CUTOFF}
+
 
 def _run(args, command, inputs, body, table=False):
     """Run ``body(manifest)`` unless a numeric option is nan or inf, record
     that or an expected failure as the run's error (an exception without a
     message by its class name, as a bare MemoryError), save the manifest
     and return the exit status."""
-    manifest = RunManifest(command, inputs, {
-        "eps_zero": args.eps_zero, "eps_immersion": args.eps_immersion,
-        "tol_exact": args.tol_exact, "quadric_tol": QUADRIC_TOL,
-        "congruence_tol": CONGRUENCE_TOL, "psi_cutoff": PSI_CUTOFF})
+    manifest = RunManifest(command, inputs, _TOLERANCES)
     os.makedirs(args.out, exist_ok=True)
     try:
         for key, val in sorted(vars(args).items()):
@@ -269,13 +264,13 @@ def cmd_generate(args):
                                                  "fixture": fixture.name})
         else:
             data = fixture.data if fixture is not None else load_data(args.data)
-            cert = _certified(data, args)
+            cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
             anchor = fixture.expected.get("anchor") if fixture is not None else None
-            patch, = _represent([cert], args.rep, anchor, args)
-        _patch_checks(manifest, patch, args)
+            patch, = _represent([cert], args.rep, anchor)
+        _patch_checks(manifest, patch)
         if fixture is not None:
-            _fixture_checks(manifest, patch, fixture, args)
+            _fixture_checks(manifest, patch, fixture)
             if fixture.data is not None:
                 manifest.add_artifacts(save_data(
                     fixture.data, os.path.join(args.out, args.name + ".data.json")))
@@ -304,18 +299,17 @@ def cmd_deform(args):
             base = load_data(args.data)
 
         need = _FAMILY_KIND[args.family]
-        base = _as_kind(_certified(base, args), need, args)
+        base = _as_kind(_certificate(base), need)
         deform = {"parabolic": deform_parabolic, "elliptic": deform_elliptic,
                   "hyperbolic": deform_hyperbolic}[args.family]
         deformed = deform(base, args.parameter)
-        cert = _certified(deformed, args)
+        cert = _certificate(deformed)
         manifest.add_report_checks(cert.report, "deformed_")
         ident = deformed.provenance.get("identity_residual")
         if ident is not None:
             manifest.add_check("deformation_identity", ident, cap(
-                "deformation_identity", deformed.grid,
-                _exact_callbacks(base), args.tol_exact))
-        _congruence_check(manifest, *_represent([base, cert], need, None, args), args)
+                "deformation_identity", deformed.grid, _exact_callbacks(base)))
+        _congruence_check(manifest, *_represent([base, cert], need, None), args)
         manifest.add_artifacts(
             save_data(deformed, os.path.join(args.out, args.name + ".data.json")))
 
@@ -352,11 +346,11 @@ def cmd_solve(args):
                                      provenance={"transform": "poisson-solve",
                                                  "problem": os.path.basename(
                                                      args.problem)})
-            cert = _certified(data, args)
+            cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
             if cert.report.ok:
-                patch, = _represent([cert], "second", None, args)
-                _patch_checks(manifest, patch, args)
+                patch, = _represent([cert], "second", None)
+                _patch_checks(manifest, patch)
                 _mesh_artifacts(manifest, patch, args.out, args.name)
 
     return _run(args, "solve", inputs, run)
@@ -399,20 +393,20 @@ def cmd_verify(args):
         fmt = doc.get("format") if isinstance(doc, dict) else None
         if fmt == "mtsurf-data":
             data = load_data(args.input)
-            cert = _certified(data, args)
+            cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
-            patch, = _represent([cert], args.rep, _anchor_for_data(data, args), args)
+            patch, = _represent([cert], args.rep, _anchor_for_data(data, args))
         elif fmt == "mtsurf-patch":
             patch, _ = load_patch_manifest(args.input)
         else:
             raise ValueError("input %r is neither a data document nor a patch "
                              "manifest" % args.input)
 
-        _patch_checks(manifest, patch, args)
+        _patch_checks(manifest, patch)
         if args.quadric_constant is not None:
-            _quadric_check(manifest, patch, args.quadric_constant, args)
+            _quadric_check(manifest, patch, args.quadric_constant)
         liu = liu_decompose(patch)
-        _gate(manifest, "liu_condition4", liu["condition4"], patch, args)
+        _gate(manifest, "liu_condition4", liu["condition4"], patch)
         manifest.reports["liu"] = liu
         if args.against is not None:
             if args.family is None or args.parameter is None:
@@ -430,20 +424,6 @@ def _print_check_table(manifest):
         rel = "<" if c.sense == "max_below" else ">"
         print("%-*s  %11.4e %s %11.4e  %s"
               % (width, c.name, c.value, rel, c.threshold, "pass" if c.passed else "FAIL"))
-
-
-def _add_tolerance_args(p):
-    p.add_argument("--eps-zero", type=float, default=EPS_ZERO,
-                   help="pointwise nonvanishing threshold of every data "
-                        "certification in the run (default %(default)s)")
-    p.add_argument("--eps-immersion", type=float, default=EPS_IMMERSION,
-                   help="immersion-condition threshold of every data "
-                        "certification in the run (default %(default)s)")
-    p.add_argument("--tol-exact", type=float, default=TOL_EXACT,
-                   help="residual cap with closed-form derivative providers, "
-                        "data certifications and loop caps included; "
-                        "finite-difference inputs use the table's C*h^2 instead "
-                        "(default %(default)s)")
 
 
 def _add_fixture_args(p):
@@ -478,7 +458,6 @@ def main(argv=None):
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--name", default="patch",
                    help="basename for artifacts (default %(default)s)")
-    _add_tolerance_args(g)
     g.set_defaults(func=cmd_generate)
 
     d = sub.add_parser("deform", help="apply a one-parameter deformation "
@@ -490,7 +469,6 @@ def main(argv=None):
     d.add_argument("--out", required=True)
     d.add_argument("--name", default="deformed",
                    help="basename for artifacts (default %(default)s)")
-    _add_tolerance_args(d)
     d.set_defaults(func=cmd_deform)
 
     s = sub.add_parser("solve", help="solve a weighted Poisson problem")
@@ -503,7 +481,6 @@ def main(argv=None):
     s.add_argument("--out", required=True)
     s.add_argument("--name", default="solution",
                    help="basename for artifacts (default %(default)s)")
-    _add_tolerance_args(s)
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="re-run invariant checks on saved "
@@ -529,7 +506,6 @@ def main(argv=None):
     v.add_argument("--out", required=True)
     v.add_argument("--name", default="verify",
                    help="basename for the manifest (default %(default)s)")
-    _add_tolerance_args(v)
     v.set_defaults(func=cmd_verify)
 
     argv = list(sys.argv[1:] if argv is None else argv)

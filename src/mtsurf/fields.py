@@ -117,12 +117,20 @@ class Grid2D:
             raise ValueError("grid bounds must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy u_min < u_max and v_min < v_max")
-        for axis, low, high in (("u", self.u_min, self.u_max), ("v", self.v_min, self.v_max)):
+        if self.n_u < 3 or self.n_v < 3:
+            raise ValueError("grids need at least 3 nodes per direction")
+        for axis, low, high, n in (("u", self.u_min, self.u_max, self.n_u),
+                                   ("v", self.v_min, self.v_max, self.n_v)):
             if not math.isfinite(high - low):
                 raise ValueError("grid span %s_max - %s_min = %r - %r overflows the float range"
                                  % (axis, axis, high, low))
-        if self.n_u < 3 or self.n_v < 3:
-            raise ValueError("grids need at least 3 nodes per direction")
+            # np.linspace rounds node i, low + i*h, to within a few ulps of
+            # the bounds' magnitude, so a step of 8 such ulps keeps every
+            # node distinct; decided before any axis is built
+            h, ulp = (high - low) / (n - 1), math.ulp(max(abs(low), abs(high)))
+            if h < 8.0 * ulp:
+                raise ValueError("grid nodes along %s would repeat: the step %r is under "
+                                 "8 ulps of its bounds (ulp %r)" % (axis, h, ulp))
 
     @property
     def h_u(self):

@@ -28,7 +28,7 @@ from .catalog import _product
 from .fields import (Analytic, Grid2D, RealField, document_entry, document_grid,
                      is_json_number, load_payload, read_document, save_payload,
                      write_document)
-from .tolerances import EPS_IMMERSION, EPS_ZERO, passes
+from .tolerances import passes
 from .weierstrass import WeierstrassSecond, validate_second
 
 __all__ = [
@@ -241,8 +241,7 @@ def solve_weighted_poisson(problem):
     return RealField(grid, m), report
 
 
-def assemble_second_kind(holo, null_pot, boundary_height, options=None,
-                         eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+def assemble_second_kind(holo, null_pot, boundary_height, options=None):
     """Solve for the height potential with weight Re(holo) and validate.
 
     ``boundary_height`` may be a DirichletBoundary, a callable fn(u, v),
@@ -264,7 +263,7 @@ def assemble_second_kind(holo, null_pot, boundary_height, options=None,
     data = WeierstrassSecond(holo, height, null_pot,
                              provenance={"transform": "poisson-solve",
                                          "solver": solve_report})
-    report = validate_second(data, eps_zero=eps_zero, eps_immersion=eps_immersion)
+    report = validate_second(data)
     return data, report, solve_report
 
 

@@ -9,9 +9,9 @@ is a holomorphic field w plus potentials (a, b) with lap(a) = weight
 lap(b), the tangent field is Xz = dz(a) frame1(w) + dz(b) frame2(w), and
 X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
 consumes the certificates of k triples (a list passed in place of the
-triple, else made at the default tolerances), reuses the arrays the
-certification computed, integrates their 4k coordinates of Xz in one
-quadrature sweep (each coordinate is a field of its certificate from
+triple, else made here), reuses the arrays the certification computed,
+integrates their 4k coordinates of Xz in one quadrature sweep (each
+coordinate is a field of its certificate from
 ``weierstrass._certificate_field``; a Gauss node set runs each closed form
 once, so coordinates share w, dz a and dz b and a deformed triple's nested
 callbacks reuse its base's evaluations; see :mod:`mtsurf.fields`), and
@@ -246,7 +246,7 @@ _KINDS = {
 def _represent(data, kind, anchor=None):
     """The one representation pipeline, driven by ``_KINDS[kind]``: the patch
     of a triple or certificate, or the patches of a list of them from one
-    quadrature sweep (those on other grids, routes or caps one at a time).
+    quadrature sweep (those on other grids or routes one at a time).
     Every failed certificate raises first: the frames and the conformal
     scale divide by ``holo``.  The coordinates come from the Gauss
     quadrature of the exact callbacks when ``holo`` has a value callback and
@@ -257,10 +257,10 @@ def _represent(data, kind, anchor=None):
     certs = [_certificate(d, kind) for d in data]
     for cert in certs:
         cert.report.raise_for_failure()
-    routes = {(c.holo.grid, c.tol_exact, _exact_callbacks(c)) for c in certs}
+    routes = {(c.holo.grid, _exact_callbacks(c)) for c in certs}
     if len(routes) > 1:
         return [_represent(cert, kind, anchor) for cert in certs]
-    (grid, tol_exact, exact), = routes
+    (grid, exact), = routes
     spec = _KINDS[kind]
     xz = np.empty((4 * len(certs),) + grid.shape, dtype=complex)
     tangents = []
@@ -270,10 +270,10 @@ def _represent(data, kind, anchor=None):
                 return a_z * _c1(w) + b_z * _c2(w)
             tangents.append(_certificate_field(cert, coordinate, out=xz[4 * p + k]))
     x, worst_loop = _integrate_coords(
-        tangents, anchor, cap("loop_residual", grid, exact, tol_exact), "represent_" + kind)
+        tangents, anchor, cap("loop_residual", grid, exact), "represent_" + kind)
 
     patches = []
-    for p, (_, holo, a, b, source, _, weight, a_z, b_z, b_zzbar, _) in enumerate(certs):
+    for p, (_, holo, a, b, source, _, weight, a_z, b_z, b_zzbar) in enumerate(certs):
         rows = slice(4 * p, 4 * p + 4)
         w = holo.values
         gauss = np.stack(spec.null_dir(w))

@@ -1,17 +1,18 @@
 """The cap table: the bound below which each measured residual holds.
 
-:func:`cap` is the one rule behind every gate.  A residual that exact
-callbacks produced is capped at ``tol_exact`` (TOL_EXACT unless a run sets
-``--tol-exact``), one that finite differences fed at C*h^2, h the larger
-grid step and C from ``FD_FACTOR``; ``FIXED_CAP`` holds the quadric's
-exact-route cap and the caps of the slice constancies and the congruence
-residual on either route.  Names go without a ``data_``/``deformed_``
-prefix.  :func:`passes` decides a gate: a non-finite value fails it.
-:class:`CheckResult` is the one record of a check, from data certificate
-to run manifest; its ``passed`` is computed by :func:`passes`, never stored.
-EPS_ZERO and EPS_IMMERSION are the nonvanishing floors (``--eps-zero``,
-``--eps-immersion``); PSI_CUTOFF masks the nodes where the Liu residual
-<X_zzbar, X_zzbar> / (4|psi|^2) would divide by a vanishing psi.
+:func:`cap` is the one rule behind every gate, and this module the one
+place any cap or floor is set.  A residual that exact callbacks produced
+is capped at TOL_EXACT, one that finite differences fed at C*h^2, h the
+larger grid step and C from ``FD_FACTOR``; ``FIXED_CAP`` holds the
+quadric's exact-route cap and the caps of the slice constancies and the
+congruence residual on either route.  Names go without a
+``data_``/``deformed_`` prefix.  :func:`passes` decides a gate: a
+non-finite value fails it.  :class:`CheckResult` is the one record of a
+check, from data certificate to run manifest; its ``passed`` is computed
+by :func:`passes`, never stored.  EPS_ZERO and EPS_IMMERSION are the
+certification's nonvanishing floors; PSI_CUTOFF masks the nodes where the
+Liu residual <X_zzbar, X_zzbar> / (4|psi|^2) would divide by a vanishing
+psi.
 """
 
 import math
@@ -45,13 +46,13 @@ def fd_cap(grid, factor):
     return factor * h * h
 
 
-def cap(check, grid, exact, tol_exact=TOL_EXACT, scale=1.0):
+def cap(check, grid, exact, scale=1.0):
     """The cap of ``check`` on ``grid`` and route; a KeyError if the table
     does not name it.  ``scale`` multiplies a finite-difference cap."""
     if check not in FD_FACTOR:
         return FIXED_CAP[check]
     if exact:
-        return FIXED_CAP.get(check, tol_exact)
+        return FIXED_CAP.get(check, TOL_EXACT)
     return fd_cap(grid, FD_FACTOR[check]) * scale
 
 

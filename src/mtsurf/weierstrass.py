@@ -14,11 +14,10 @@ The report's checks are :class:`mtsurf.tolerances.CheckResult` records
 The two kind conversions and the three one-parameter deformation families
 (each the counterpart of a rotation family in :mod:`mtsurf.lorentz`) are
 thin wrappers over one transform core: it consumes the certificate of its
-input (passed in place of the triple, else made at the default
-tolerances), builds the new holomorphic field, keeps or rescales
-potentials, integrates at most one new potential from a 1-form linear in
-dz(a) and dz(b), and records the immersion identity the transform must
-satisfy.
+input (passed in place of the triple, else made here), builds the new
+holomorphic field, keeps or rescales potentials, integrates at most one
+new potential from a 1-form linear in dz(a) and dz(b), and records the
+immersion identity the transform must satisfy.
 
 Callbacks pass through every transform, so downstream checks stay at
 roundoff accuracy, and each derived callback is built one way: a new
@@ -55,7 +54,7 @@ from .fields import (
     wirtinger_dzbar,
     write_document,
 )
-from .tolerances import EPS_IMMERSION, EPS_ZERO, TOL_EXACT, CheckResult, cap, passes
+from .tolerances import EPS_IMMERSION, EPS_ZERO, CheckResult, cap, passes
 
 __all__ = [
     "WeierstrassFirst",
@@ -224,19 +223,16 @@ _WEIGHT = {
 
 
 _Certificate = namedtuple("_Certificate",
-                          "kind holo a b source report weight a_z b_z b_zzbar tol_exact")
+                          "kind holo a b source report weight a_z b_z b_zzbar")
 
 
-def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
-             tol_exact=TOL_EXACT, source=None):
+def _certify(kind, holo, a, b, source=None):
     """The four checks of :func:`validate_first` for any kind's triple.
 
     ``holo`` is the kind's holomorphic field and (a, b) its potentials,
     coupled through the weight ``_WEIGHT[kind](holo)``.  Returns a
     ``_Certificate``: the triple, ``source`` (its provenance or None), the
-    report, weight, dz(a), dz(b) and lap(b)/4 for its consumers to reuse,
-    and ``tol_exact``, the exact-callback cap of its checks, which the
-    consumers' loop caps use too.
+    report, and weight, dz(a), dz(b) and lap(b)/4 for its consumers to reuse.
     """
     grid = holo.grid
     weight = _WEIGHT[kind](holo.values)
@@ -246,31 +242,30 @@ def _certify(kind, holo, a, b, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
     b_z = wirtinger_dz(b).values
     b_zzbar = laplacian(b).values / 4.0
     checks = (
-        _min_check("nonvanishing", grid, holo.values, eps_zero),
+        _min_check("nonvanishing", grid, holo.values, EPS_ZERO),
         _sup_interior_check("holomorphic", grid, wirtinger_dzbar(holo).values,
-                            cap("holomorphic", grid, exact_holo, tol_exact)),
+                            cap("holomorphic", grid, exact_holo)),
         _sup_interior_check("compatible", grid,
                             laplacian(a).values / 4.0 - weight * b_zzbar,
-                            cap("compatible", grid, exact_pde, tol_exact)),
-        _min_check("immersion", grid, a_z - weight * b_z, eps_immersion),
+                            cap("compatible", grid, exact_pde)),
+        _min_check("immersion", grid, a_z - weight * b_z, EPS_IMMERSION),
     )
     exact = exact_holo and exact_pde and a.analytic.has_first and b.analytic.has_first
     return _Certificate(kind, holo, a, b, source, ValidationReport(kind, checks, exact),
-                        weight, a_z, b_z, b_zzbar, tol_exact)
+                        weight, a_z, b_z, b_zzbar)
 
 
-def _certificate(data, kind=None, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION,
-                 tol_exact=TOL_EXACT):
-    """``data`` when it is a certificate, else the certificate of the triple
-    at the given tolerances; a TypeError unless it is of ``kind`` (if set)."""
+def _certificate(data, kind=None):
+    """``data`` when it is a certificate, else the certificate of the
+    triple; a TypeError unless it is of ``kind`` (if set)."""
     if not isinstance(data, _Certificate):
-        data = _certify(*_triple(data), eps_zero, eps_immersion, tol_exact, data.provenance)
+        data = _certify(*_triple(data), data.provenance)
     if kind not in (None, data.kind):
         raise TypeError("expected %s-kind data, got %s-kind" % (kind, data.kind))
     return data
 
 
-def validate_first(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+def validate_first(data):
     """Certify the first-kind conditions on the grid.
 
     Checks, in order: ``nonvanishing`` (min |gauss|), ``holomorphic``
@@ -280,18 +275,16 @@ def validate_first(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
     come from :func:`mtsurf.tolerances.cap`, exact when the needed
     callbacks exist.
     """
-    return _certify("first", data.gauss, data.pot1, data.pot2,
-                    eps_zero, eps_immersion).report
+    return _certify("first", data.gauss, data.pot1, data.pot2).report
 
 
-def validate_second(data, eps_zero=EPS_ZERO, eps_immersion=EPS_IMMERSION):
+def validate_second(data):
     """Certify the second-kind conditions; mirror of :func:`validate_first`.
 
     The coupling here is ``lap(height) = Re(holo) lap(null_pot)`` and the
     immersion certificate is ``min |dz(height) - Re(holo) dz(null_pot)|``.
     """
-    return _certify("second", data.holo, data.height, data.null_pot,
-                    eps_zero, eps_immersion).report
+    return _certify("second", data.holo, data.height, data.null_pot).report
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +338,13 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     gives each output potential as ``(c, i)``, c times input potential i,
     or None for the one potential integrated from dz = ``integrand(w, dz a,
     dz b)``, with the loop certificate enforced (the table's
-    ``loop_residual`` cap at the certificate's ``tol_exact``).  Its Laplacian
+    ``loop_residual`` cap).  Its Laplacian
     callback follows from the output coupling lap a' = weight' lap b'.
     ``factor(w, w')`` is the immersion factor: provenance records
     sup |imm' - factor imm| with imm = dz a - weight dz b, next to
     ``head``, the loop residual and the source's provenance.
     """
-    _, holo, a, b, source, report, weight, a_z, b_z, _, tol_exact = cert
+    _, holo, a, b, source, report, weight, a_z, b_z, _ = cert
     report.raise_for_failure()
     grid = holo.grid
     holo_out = holo_map(holo)
@@ -368,7 +361,7 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     if integrand is not None:
         slot = keep.index(None)
         pr = integrate_primitive(_certificate_field(cert, integrand))
-        loop_cap = cap("loop_residual", grid, _exact_callbacks(cert), tol_exact)
+        loop_cap = cap("loop_residual", grid, _exact_callbacks(cert))
         if not passes(pr.loop_residual, loop_cap, "max_below"):
             what = head.get("transform") or "deform_" + head["family"]
             raise ValueError(

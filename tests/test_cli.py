@@ -2,17 +2,18 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mtsurf import cli, surfaces, weierstrass
+from mtsurf import cli, surfaces, tolerances, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.cli import main, parse_grid_spec
 from mtsurf.export import load_patch_manifest
-from mtsurf.fields import Analytic, Grid2D, RealField
+from mtsurf.fields import Analytic, ComplexField, Grid2D, RealField
 from mtsurf.poisson import (
     PoissonProblem,
     SolverOptions,
@@ -21,8 +22,8 @@ from mtsurf.poisson import (
     named_weight,
     save_problem,
 )
-from mtsurf.tolerances import CONGRUENCE_TOL, FD_FACTOR, FIXED_CAP, QUADRIC_TOL, cap
-from mtsurf.weierstrass import save_data
+from mtsurf.tolerances import CONGRUENCE_TOL, FD_FACTOR, FIXED_CAP, QUADRIC_TOL, TOL_EXACT, cap
+from mtsurf.weierstrass import WeierstrassSecond, save_data
 
 
 def run(argv):
@@ -47,6 +48,15 @@ def failed_run(out_dir, name):
         doc = json.load(fh, parse_constant=reject)
     assert doc["passed"] is False
     return doc
+
+
+def boosted_document(out):
+    """The first-kind data document that ``deform --family hyperbolic``
+    writes for sigma-theta; its provenance names no fixture."""
+    assert run(["deform", "--fixture", "sigma-theta", "--theta", "0.3",
+                "--grid", "-2:2:-2:0:17x17", "--family", "hyperbolic",
+                "--parameter", "0.6", "--out", out, "--name", "boost"]) == 0
+    return os.path.join(out, "boost.data.json")
 
 
 class TestGridSpec:
@@ -182,17 +192,24 @@ class TestGenerate:
         assert checks["quadric_residual"]["threshold"] == 1e-10
 
     @pytest.mark.parametrize("rep", ["first", "second", "third"])
-    def test_eps_zero_governs_the_certification(self, tmp_path, rep):
-        # min |holo| = e^-2 = 0.135 on this grid, below --eps-zero 0.5: the
-        # run fails on its own threshold and exports nothing
+    def test_failed_certification_exports_nothing(self, tmp_path, rep):
+        # holo = z vanishes at the origin node; its other conditions hold
+        # (height u, null_pot 0), so only the nonvanishing floor fails, and
+        # every --rep stops before a conversion or a mesh
         out = str(tmp_path)
-        rc = run(["generate", "--fixture", "sigma-theta", "--theta", "0.3",
-                  "--grid", "-2:2:-2:2:17x17", "--rep", rep, "--eps-zero", "0.5",
-                  "--out", out, "--name", "eps"])
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
+        u, v = np.meshgrid(g.axis_u, g.axis_v, indexing="ij")
+        path = os.path.join(out, "zero.data.json")
+        save_data(WeierstrassSecond(ComplexField(g, u + 1j * v), RealField(g, u),
+                                    RealField(g, np.zeros(g.shape))), path)
+        rc = run(["generate", "--data", path, "--rep", rep, "--out", out, "--name", "zero"])
         assert rc == 1
-        doc = failed_run(out, "eps")
-        assert "nonvanishing FAIL  1.353e-01 > 5.000e-01" in doc["error"]
-        assert not check_map(doc)["data_nonvanishing"]["passed"]
+        doc = failed_run(out, "zero")
+        assert "nonvanishing FAIL  0.000e+00 > 1.000e-06" in doc["error"]
+        checks = check_map(doc)
+        assert not checks["data_nonvanishing"]["passed"]
+        assert all(checks["data_" + name]["passed"]
+                   for name in ("holomorphic", "compatible", "immersion"))
         assert not [f for f in os.listdir(out) if f.endswith((".obj", ".ply"))]
 
 
@@ -251,21 +268,24 @@ class TestDeform:
         assert check["threshold"] == 1e-8
         assert check["passed"]
 
-    def test_eps_flags_reach_every_certification(self, tmp_path):
-        # at eta = -14 the deformed gauss field drops to 1.1e-7, under the
-        # default 1e-6 floor but above the 1e-12 this run asks for
+    def test_boost_below_the_floors_is_refused(self, tmp_path):
+        # at eta = -14 the boost rescales the gauss field to min 1.1e-7 and
+        # the immersion term with it, under both absolute 1e-6 floors: the
+        # deformed data fail their certificate although the boost of valid
+        # data is valid, and nothing is written
         out = str(tmp_path)
         rc = run(["deform", "--fixture", "sigma-theta", "--theta", "0.3",
                   "--grid", "-2:2:-2:2:33x33", "--family", "hyperbolic",
-                  "--parameter", "-14", "--eps-zero", "1e-12",
-                  "--eps-immersion", "1e-12", "--out", out, "--name", "d"])
-        assert rc == 0
-        doc = manifest_of(out, "d")
-        assert doc["error"] is None
+                  "--parameter", "-14", "--out", out, "--name", "d"])
+        assert rc == 1
+        doc = failed_run(out, "d")
         checks = check_map(doc)
-        assert checks["deformed_nonvanishing"]["threshold"] == 1e-12
-        assert checks["deformed_nonvanishing"]["value"] < 1e-6
-        assert checks["congruence_residual"]["passed"]
+        for name in ("deformed_nonvanishing", "deformed_immersion"):
+            assert checks[name]["threshold"] == 1e-6 and not checks[name]["passed"], name
+            assert re.search(r"%s\s+FAIL" % name[len("deformed_"):], doc["error"])
+        assert checks["deformed_nonvanishing"]["value"] == pytest.approx(1.125e-7, rel=1e-3)
+        assert checks["deformed_holomorphic"]["passed"] and checks["deformed_compatible"]["passed"]
+        assert sorted(os.listdir(out)) == ["d.manifest.json"]
 
     def test_one_sweep_evaluates_each_closed_form_once_per_node_set(self, tmp_path,
                                                                     monkeypatch):
@@ -309,17 +329,35 @@ class TestDeform:
         assert rc == 0
         assert calls == {"holo.value": 6, "height.dz": 6, "null_pot.dz": 6}
 
+    def test_chart_fixture_is_refused(self, tmp_path):
+        out = str(tmp_path)
+        assert run(["deform", "--fixture", "catenoid-r3", "--family", "elliptic",
+                    "--parameter", "0.5", "--out", out, "--name", "chart"]) == 1
+        doc = failed_run(out, "chart")
+        assert "is an explicit chart, not a data triple" in doc["error"]
+        assert doc["artifacts"] == ["chart.manifest.json"]
+
+    def test_boosted_document_boosts_again(self, tmp_path):
+        # the hyperbolic family reads the first kind it writes, so a saved
+        # boost deforms again with no kind conversion
+        out = str(tmp_path)
+        assert run(["deform", "--data", boosted_document(out), "--family", "hyperbolic",
+                    "--parameter", "0.6", "--out", out, "--name", "again"]) == 0
+        checks = check_map(manifest_of(out, "again"))
+        assert checks["congruence_residual"]["passed"]
+        assert checks["deformed_nonvanishing"]["passed"]
+
 
 class TestSolve:
-    def descriptor(self, tmp_path, n=17, target=1e-10):
+    def descriptor(self, tmp_path, n=17, target=1e-10, weight="re-exp-iz"):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
         problem = PoissonProblem(
-            g, named_weight("re-exp-iz", g), named_field("exp-v-cosh-u", g),
+            g, named_weight(weight, g), named_field("exp-v-cosh-u", g),
             boundary_from_function(
                 g, lambda u, v: np.sinh(u) * np.sin(u) + 0.0 * np.asarray(v)),
             SolverOptions(target=target))
         path = os.path.join(str(tmp_path), "problem.json")
-        save_problem(problem, path, weight_name="re-exp-iz",
+        save_problem(problem, path, weight_name=weight,
                      source_name="exp-v-cosh-u")
         return path
 
@@ -344,6 +382,17 @@ class TestSolve:
         assert checks["conformality"]["passed"]
         assert "solution.obj" in doc["artifacts"]
         assert "solution.json" in doc["artifacts"]
+
+    def test_generate_needs_a_weight_with_a_holomorphic_field(self, tmp_path):
+        # the solve itself runs and writes its CSV; only the patch is refused
+        out = os.path.join(str(tmp_path), "out")
+        path = self.descriptor(tmp_path, weight="one")
+        assert run(["solve", "--problem", path, "--generate", "--out", out]) == 1
+        doc = failed_run(out, "solution")
+        assert ("the problem's weight 'one' does not name a holomorphic field "
+                "(known: re-exp-iz)") in doc["error"]
+        assert check_map(doc)["solver_residual"]["passed"]
+        assert doc["artifacts"] == ["solution.csv", "solution.manifest.json"]
 
     @pytest.mark.parametrize("edit,words", [
         (lambda d: d.pop("boundary"), ["'boundary'"]),
@@ -405,6 +454,25 @@ class TestSolve:
 
 
 class TestVerify:
+    def test_boosted_document_verifies_without_an_anchor(self, tmp_path):
+        # no fixture name, so no anchor is recovered and no quadric checked
+        out = str(tmp_path)
+        assert run(["verify", "--input", boosted_document(out), "--out", out]) == 0
+        checks = check_map(manifest_of(out, "verify"))
+        assert "quadric_residual" not in checks
+        assert checks["data_nonvanishing"]["passed"] and checks["liu_condition4"]["passed"]
+
+    @pytest.mark.parametrize("given", [[], ["--family", "elliptic"], ["--parameter", "0.5"]])
+    def test_against_needs_family_and_parameter(self, tmp_path, given):
+        out = str(tmp_path)
+        assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+                    "--out", out]) == 0
+        patch = os.path.join(out, "patch.json")
+        assert run(["verify", "--input", patch, "--against", patch] + given
+                   + ["--out", out, "--name", "v"]) == 1
+        assert ("--against, --family and --parameter are required for the congruence check"
+                in failed_run(out, "v")["error"])
+
     def test_data_document_auto_checks(self, tmp_path):
         out = str(tmp_path)
         fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17))
@@ -772,14 +840,15 @@ class TestCertifiedOnce:
 
 
 class TestTolExact:
-    """--tol-exact is the exact cap of every check in a run, the data
-    certifications and the cores' loop caps included."""
+    """The table's TOL_EXACT is the exact cap of every check in a run, the
+    data certifications and the cores' loop caps included; the command line
+    cannot set it."""
 
     GRID = ["--fixture", "sigma-theta", "--grid", "-2:2:-2:2:17x17"]
 
-    def test_reaches_the_data_certification(self, tmp_path):
-        assert run(["generate"] + self.GRID + ["--tol-exact", "1e-20",
-                                                "--out", tmp_path]) == 1
+    def test_reaches_the_data_certification(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tolerances, "TOL_EXACT", 1e-20)
+        assert run(["generate"] + self.GRID + ["--out", tmp_path]) == 1
         doc = failed_run(str(tmp_path), "patch")
         checks = check_map(doc)
         assert checks["data_holomorphic"]["threshold"] == 1e-20
@@ -791,6 +860,21 @@ class TestTolExact:
         checks = check_map(manifest_of(str(tmp_path), "patch"))
         for name in ("data_holomorphic", "data_compatible", "conformality", "loop_residual"):
             assert checks[name]["threshold"] == 1e-8
+
+    @pytest.mark.parametrize("flag", ["--tol-exact", "--eps-zero", "--eps-immersion"])
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--fixture", "sigma-theta"],
+        ["deform", "--fixture", "sigma-theta", "--family", "elliptic", "--parameter", "0.5"],
+        ["solve", "--problem", "problem.json"],
+        ["verify", "--input", "patch.json"],
+    ], ids=lambda argv: argv[0])
+    def test_no_flag_sets_a_cap_or_floor(self, tmp_path, capsys, argv, flag):
+        out = os.path.join(str(tmp_path), "out")
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, "1e-20", "--out", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestMemoryError:
@@ -943,6 +1027,17 @@ def test_an_overflowing_grid_span_is_refused(tmp_path, command):
     doc = failed_run(run_dir, "r")
     assert "grid span u_max - u_min" in doc["error"] and "overflows" in doc["error"]
     assert sorted(os.listdir(run_dir)) == ["r.manifest.json"] == doc["artifacts"]
+
+
+def test_a_grid_whose_nodes_repeat_is_refused(tmp_path):
+    # 9 nodes over 2 ulps of 1.0: np.linspace gives 3 distinct u values, on
+    # which a written patch reads back with gauss_null at 1.9e33
+    out = str(tmp_path)
+    assert run(["generate", "--fixture", "catenoid-r3",
+                "--grid=1:1.0000000000000004:-1:1:9x9", "--out", out, "--name", "r"]) == 1
+    doc = failed_run(out, "r")
+    assert "grid nodes along u would repeat" in doc["error"]
+    assert sorted(os.listdir(out)) == ["r.manifest.json"] == doc["artifacts"]
 
 
 @pytest.mark.parametrize("command", ["generate", "solve"])
@@ -1112,7 +1207,7 @@ class TestCapTable:
         assert cap("holomorphic", g, False) == 50.0 * 0.25
         assert cap("liu_condition4", g, False) == 100.0 * 0.25
         assert cap("quadric_residual", g, False, scale=3.0) == 100.0 * 0.25 * 3.0
-        assert cap("liu_condition4", g, True, tol_exact=1e-20) == 1e-20
+        assert cap("liu_condition4", g, True) == TOL_EXACT
         assert cap("quadric_residual", g, True) == QUADRIC_TOL
         assert cap("slice_x1_constant", g, False) == QUADRIC_TOL
         assert cap("congruence_residual", g, False) == CONGRUENCE_TOL

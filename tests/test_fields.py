@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mtsurf import fields
 from mtsurf.errors import DomainError, GridMismatchError
@@ -67,6 +70,27 @@ class TestGrid2D:
     def test_dict_round_trip(self):
         g = grid()
         assert Grid2D.from_dict(g.to_dict()) == g
+
+    @pytest.mark.parametrize("bounds, axis", [
+        ((1.0, 1.0 + 4.5e-16, 0.0, 1.0, 5, 3), "u"),   # linspace: 3 distinct values in 5
+        ((0.0, 1.0, 0.0, 5e-324, 3, 3), "v"),          # a step that rounds to 0
+    ])
+    def test_repeated_nodes_refused(self, bounds, axis):
+        with pytest.raises(ValueError, match="grid nodes along %s would repeat" % axis):
+            Grid2D(*bounds)
+
+    @given(st.floats(-1e300, 1e300), st.integers(1, 200), st.integers(3, 64))
+    @example(1.0, 16, 3)         # a step of exactly 8 ulps is accepted
+    def test_accepted_axes_strictly_increase(self, low, ulps, n):
+        high = low
+        for _ in range(ulps):
+            high = math.nextafter(high, math.inf)
+        try:
+            g = Grid2D(low, high, 0.0, 1.0, n, 3)
+        except ValueError as exc:
+            assert "grid nodes along u would repeat" in str(exc)
+            return
+        assert np.all(np.diff(g.axis_u) > 0) and np.all(np.diff(g.axis_v) > 0)
 
     def test_axes_are_computed_once_and_read_only(self):
         g, twin = Grid2D(0.0, 1.0, -2.0, 2.0, 5, 9), Grid2D(0.0, 1.0, -2.0, 2.0, 5, 9)

@@ -3,6 +3,7 @@
 import decimal
 import hashlib
 import json
+import math
 import os
 import tempfile
 from types import SimpleNamespace
@@ -663,9 +664,18 @@ _ordered_bounds = st.lists(st.floats(allow_nan=False, allow_infinity=False),
 
 @given(_ordered_bounds, _ordered_bounds,
        st.integers(3, 10 ** 6), st.integers(3, 10 ** 6))
+@example([0.0, 1.0], [1.0, 1.0000000000000004], 9, 9)
 def test_grid_spec_round_trip(u_bounds, v_bounds, n_u, n_v):
-    if not np.isfinite([u_bounds[1] - u_bounds[0], v_bounds[1] - v_bounds[0]]).all():
-        with pytest.raises(ValueError, match=r"grid span [uv]_max - [uv]_min = .* overflows"):
+    # the first axis whose span overflows, or whose step is under 8 ulps of
+    # its bounds so that nodes could repeat, is refused by name
+    for axis, (low, high), n in (("u", u_bounds, n_u), ("v", v_bounds, n_v)):
+        if not np.isfinite(high - low):
+            refusal = r"grid span %s_max - %s_min = .* overflows" % (axis, axis)
+        elif (high - low) / (n - 1) < 8.0 * math.ulp(max(abs(low), abs(high))):
+            refusal = "grid nodes along %s would repeat" % axis
+        else:
+            continue
+        with pytest.raises(ValueError, match=refusal):
             Grid2D(*u_bounds, *v_bounds, n_u, n_v)
         return
     g = Grid2D(*u_bounds, *v_bounds, n_u, n_v)

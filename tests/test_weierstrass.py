@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtsurf import weierstrass
+from mtsurf import tolerances, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.errors import GridMismatchError, InvalidDataError, PoleError
 from mtsurf.fields import (
@@ -417,17 +417,20 @@ def exp_iz_plane(g):
     return WeierstrassFirst(gauss, linear_u(g), zero_real(g))
 
 
-def test_tol_exact_reaches_certification_and_loop_caps():
+def test_tol_exact_reaches_certification_and_loop_caps(monkeypatch):
+    # the table's TOL_EXACT is read wherever an exact cap is set
     data = exp_iz_plane(grid(17))
-    cert = weierstrass._certificate(data, tol_exact=1e-300)
-    assert cert.report.ok and cert.tol_exact == 1e-300
+    monkeypatch.setattr(tolerances, "TOL_EXACT", 1e-300)
+    cert = weierstrass._certificate(data)
+    assert cert.report.ok
     assert cert.report.check("holomorphic").threshold == 1e-300
     assert cert.report.check("compatible").threshold == 1e-300
-    # the loop caps of the transform core follow the certificate's cap
+    # the loop caps of the transform core and the representation read it too
     with pytest.raises(ValueError, match=r"first_to_second: loop residual .* exceeds 1\.000e-300"):
         first_to_second(cert)
     with pytest.raises(ValueError, match=r"represent_first: coordinate 1 loop .* exceeds 1\.000e-300"):
         represent_first(cert)
+    monkeypatch.undo()
     assert first_to_second(weierstrass._certificate(data)).provenance["loop_residual"] > 0.0
 
 
