@@ -18,7 +18,6 @@ from mtsurf.export import save_patch_manifest
 from mtsurf.fields import Analytic, ComplexField, Grid2D, sup_abs
 from mtsurf.poisson import (
     PoissonProblem,
-    SolverOptions,
     assemble_second_kind,
     boundary_from_function,
     named_field,
@@ -46,7 +45,7 @@ def convergence_study():
             named_weight("re-exp-iz", grid),
             named_field("exp-v-cosh-u", grid),
             boundary_from_function(grid, height),
-            SolverOptions(target=1e-10),
+            target=1e-10,
         )
         solution, report = solve_weighted_poisson(problem)
         U, _ = grid.mesh()
@@ -69,7 +68,7 @@ def rebuild_member(out_dir):
     null_pot = named_field("exp-v-cosh-u", grid)
 
     data, report, solve_report = assemble_second_kind(
-        holo, null_pot, height, options=SolverOptions(target=1e-11))
+        holo, null_pot, height, target=1e-11)
     print("\nrebuilt the theta = 0 member from boundary heights alone:")
     print(report)
     print("  solver converged=%s, transform solves=%d, residual %.3e"

@@ -50,12 +50,9 @@ from .lorentz import (
     rotation_parabolic,
 )
 from .poisson import (
-    DirichletBoundary,
     PoissonProblem,
-    SolverOptions,
     assemble_second_kind,
     boundary_from_function,
-    boundary_from_samples,
     load_problem,
     save_problem,
     solve_weighted_poisson,
@@ -110,9 +107,8 @@ __all__ = [
     "patch_from_chart", "patch_from_samples", "mean_curvature", "liu_decompose",
     "verify_congruence", "quadric_residual",
     # PDE
-    "PoissonProblem", "DirichletBoundary", "SolverOptions",
-    "solve_weighted_poisson", "assemble_second_kind",
-    "boundary_from_function", "boundary_from_samples",
+    "PoissonProblem", "solve_weighted_poisson", "assemble_second_kind",
+    "boundary_from_function",
     "save_problem", "load_problem",
     # catalog
     "Fixture", "FIXTURE_NAMES", "fixture_by_name", "fixture_sigma_theta",

@@ -20,11 +20,12 @@ driven to roundoff rather than to discretization error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import _product
+from .errors import DomainError
 from .fields import (Analytic, Grid2D, RealField, document_entry, document_grid,
                      is_json_number, load_payload, read_document, save_payload,
                      write_document)
@@ -32,13 +33,10 @@ from .tolerances import passes
 from .weierstrass import WeierstrassSecond, validate_second
 
 __all__ = [
-    "DirichletBoundary",
-    "SolverOptions",
     "PoissonProblem",
     "solve_weighted_poisson",
     "assemble_second_kind",
     "boundary_from_function",
-    "boundary_from_samples",
     "named_weight",
     "named_field",
     "NAMED_WEIGHTS",
@@ -48,116 +46,45 @@ __all__ = [
 ]
 
 _EDGE_NAMES = ("u_min", "u_max", "v_min", "v_max")
+_TARGET = 1e-10
 
 
-@dataclass(frozen=True)
-class DirichletBoundary:
-    """Values of the unknown on the four grid edges.
-
-    u_min / u_max run along the v axis (length n_v), v_min / v_max along
-    the u axis (length n_u).  The four corner nodes are covered twice;
-    the duplicates must agree.
-    """
-
-    u_min: np.ndarray
-    u_max: np.ndarray
-    v_min: np.ndarray
-    v_max: np.ndarray
-
-    def validate(self, grid):
-        n_u, n_v = grid.shape
-        for name, want in (("u_min", n_v), ("u_max", n_v),
-                           ("v_min", n_u), ("v_max", n_u)):
-            got = len(getattr(self, name))
-            if got != want:
-                raise ValueError("boundary edge %s has length %d, grid needs %d"
-                                 % (name, got, want))
-        scale = 1.0 + max(float(np.max(np.abs(getattr(self, n))))
-                          for n in _EDGE_NAMES)
-        # Python floats: a gap beyond float range is inf, not an overflow warning
-        corners = (
-            abs(float(self.u_min[0]) - float(self.v_min[0])),
-            abs(float(self.u_min[-1]) - float(self.v_max[0])),
-            abs(float(self.u_max[0]) - float(self.v_min[-1])),
-            abs(float(self.u_max[-1]) - float(self.v_max[-1])),
-        )
-        if max(corners) > 1e-10 * scale:
-            raise ValueError("boundary edges disagree at a corner by %.3e"
-                             % max(corners))
-
-    def apply(self, grid):
-        """Full-grid array: edges set, interior zero (corners from u-edges)."""
-        m0 = np.zeros(grid.shape)
-        m0[:, 0] = self.v_min
-        m0[:, -1] = self.v_max
-        m0[0, :] = self.u_min
-        m0[-1, :] = self.u_max
-        return m0
-
-    def to_dict(self):
-        return {name: [float(x) for x in getattr(self, name)]
-                for name in _EDGE_NAMES}
-
-    @classmethod
-    def from_dict(cls, doc):
-        """The boundary of a descriptor's edges object, coercing nothing:
-        each edge must be a list of JSON numbers."""
-        edges = {}
-        for name in _EDGE_NAMES:
-            values = doc.get(name)
-            if not isinstance(values, list):
-                raise ValueError("boundary edge %r must be a list of JSON numbers, "
-                                 "got %r" % (name, values))
-            for i, x in enumerate(values):
-                if not is_json_number(x):
-                    raise ValueError("boundary edge %r entry %d must be a JSON "
-                                     "number, got %r" % (name, i, x))
-            edges[name] = np.array(values, dtype=float)
-        return cls(**edges)
+def _ring(grid, u_min, u_max, v_min, v_max):
+    """The field holding the four edges (u_min / u_max along v, v_min /
+    v_max along u) and zero inside; each corner takes its u-edge value."""
+    values = np.zeros(grid.shape)
+    values[:, 0] = v_min
+    values[:, -1] = v_max
+    values[0, :] = u_min
+    values[-1, :] = u_max
+    return RealField._view(grid, values)
 
 
 def boundary_from_function(grid, fn):
     """Dirichlet data by evaluating fn(u, v) along the four edges."""
     au, av = grid.axis_u, grid.axis_v
-    return DirichletBoundary(
-        u_min=np.asarray(fn(au[0], av), dtype=float),
-        u_max=np.asarray(fn(au[-1], av), dtype=float),
-        v_min=np.asarray(fn(au, av[0]), dtype=float),
-        v_max=np.asarray(fn(au, av[-1]), dtype=float),
-    )
-
-
-def boundary_from_samples(values):
-    """Dirichlet data read off the edge ring of a full-grid array or field."""
-    arr = values.values if isinstance(values, RealField) else np.asarray(values)
-    return DirichletBoundary(u_min=arr[0, :].copy(), u_max=arr[-1, :].copy(),
-                             v_min=arr[:, 0].copy(), v_max=arr[:, -1].copy())
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    target: float = 1e-10
+    return _ring(grid, fn(au[0], av), fn(au[-1], av), fn(au, av[0]), fn(au, av[-1]))
 
 
 @dataclass(frozen=True)
 class PoissonProblem:
-    """Grid, weight w, source N, Dirichlet data for the unknown M, options.
+    """Grid, weight w, source N, Dirichlet data and residual target for M.
 
     The continuous statement is lap(M) = w lap(N) with M prescribed on
     the rectangle edge; discretely, lap_h(M) = w lap_h(N) at interior
-    nodes with the 5-point stencil.
+    nodes with the 5-point stencil.  ``boundary`` is a field on the grid
+    of which only the edge ring is read.
     """
 
     grid: Grid2D
     weight: RealField
     source: RealField
-    boundary: DirichletBoundary
-    options: SolverOptions = field(default_factory=SolverOptions)
+    boundary: RealField
+    target: float = _TARGET
 
     def __post_init__(self):
-        if self.weight.grid != self.grid or self.source.grid != self.grid:
-            raise ValueError("weight and source must be sampled on the problem grid")
-        self.boundary.validate(self.grid)
+        if any(f.grid != self.grid for f in (self.weight, self.source, self.boundary)):
+            raise ValueError("weight, source and boundary must lie on the problem grid")
 
 
 def _laplacian_interior(arr, h_u, h_v):
@@ -181,18 +108,25 @@ def _laplacian_eigenvalues(grid):
     return -(lam_u[:, None] / grid.h_u ** 2 + lam_v[None, :] / grid.h_v ** 2)
 
 
+def _require_finite(values, what):
+    if not np.isfinite(values).all():
+        raise DomainError("the Poisson %s is not finite: float64 overflows" % what)
+
+
 def solve_weighted_poisson(problem):
     """Solve lap_h(M) = w lap_h(N) with Dirichlet data; (RealField, report).
 
-    A direct solve: starting from the boundary data, the measured interior
-    residual lap_h(M) - rhs is mapped through the inverse Laplacian by a
-    type-I sine transform and subtracted, until the measured max-norm
-    residual meets the target (at most three solves).  The report records
-    the method, convergence, the number of transform solves as
-    ``iterations``, the achieved max-norm residual, the effective target
-    (the requested one, or the roundoff floor of the stencil if that is
-    larger, with a warning) and the floor itself.  Non-convergence is
-    reported, not raised.
+    A direct solve: starting from the boundary ring with a zero interior,
+    the measured interior residual lap_h(M) - rhs is mapped through the
+    inverse Laplacian by a type-I sine transform and subtracted, until the
+    measured max-norm residual meets the target (at most three solves).
+    The report records the method, convergence, the number of transform
+    solves as ``iterations``, the achieved max-norm residual, the effective
+    target (the requested one, or the roundoff floor of the stencil if that
+    is larger, with a warning) and the floor itself.  Non-convergence is
+    reported, not raised; a boundary ring, right-hand side or solution
+    (seen through its residual) that is not finite raises DomainError
+    naming which.
     """
     # Only the solve needs scipy; importing it here keeps it out of every
     # process that never solves (generate, deform, verify).
@@ -201,31 +135,36 @@ def solve_weighted_poisson(problem):
     grid = problem.grid
     h_u, h_v = grid.h_u, grid.h_v
 
-    m = problem.boundary.apply(grid)
-    rhs = problem.weight.values[1:-1, 1:-1] * _laplacian_interior(
-        problem.source.values, h_u, h_v)
+    m = problem.boundary.values.copy()
+    m[1:-1, 1:-1] = 0.0
+    _require_finite(m, "boundary ring")
+    # an overflow in the stencil is refused below by name, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = problem.weight.values[1:-1, 1:-1] * _laplacian_interior(
+            problem.source.values, h_u, h_v)
+        _require_finite(rhs, "right-hand side")
 
-    # Evaluating the stencil on an O(scale) field already loses about
-    # eps * scale / h^2 per direction; targets below that are noise.
-    scale = max(1.0, float(np.max(np.abs(m))))
-    floor = 8.0 * np.finfo(float).eps * (1.0 / h_u ** 2 + 1.0 / h_v ** 2) * scale
-    target = float(problem.options.target)
-    warned = False
-    if target < floor:
+        # Evaluating the stencil on an O(scale) field already loses about
+        # eps * scale / h^2 per direction; targets below that are noise.
+        scale = max(1.0, float(np.max(np.abs(m))))
+        floor = 8.0 * np.finfo(float).eps * (1.0 / h_u ** 2 + 1.0 / h_v ** 2) * scale
+        target = float(problem.target)
+        warned = bool(target < floor)
+        effective = max(target, floor)
+
+        eigenvalues = _laplacian_eigenvalues(grid)
+        solves = 0
+        while True:
+            residual = _laplacian_interior(m, h_u, h_v) - rhs
+            res = float(np.max(np.abs(residual)))
+            _require_finite(res, "solution residual")
+            if res <= effective or solves == _MAX_SOLVES:
+                break
+            m[1:-1, 1:-1] -= idstn(dstn(residual, type=1) / eigenvalues, type=1)
+            solves += 1
+    if warned:
         warnings.warn("residual target %.3e is below the stencil roundoff "
                       "floor %.3e; using the floor" % (target, floor))
-        warned = True
-    effective = max(target, floor)
-
-    eigenvalues = _laplacian_eigenvalues(grid)
-    residual = _laplacian_interior(m, h_u, h_v) - rhs
-    res = float(np.max(np.abs(residual)))
-    solves = 0
-    while res > effective and solves < _MAX_SOLVES:
-        m[1:-1, 1:-1] -= idstn(dstn(residual, type=1) / eigenvalues, type=1)
-        solves += 1
-        residual = _laplacian_interior(m, h_u, h_v) - rhs
-        res = float(np.max(np.abs(residual)))
 
     report = {
         "method": "dst-I",
@@ -241,46 +180,39 @@ def solve_weighted_poisson(problem):
     return RealField(grid, m), report
 
 
-def assemble_second_kind(holo, null_pot, boundary_height, options=None):
+def assemble_second_kind(holo, null_pot, boundary_height, target=_TARGET):
     """Solve for the height potential with weight Re(holo) and validate.
 
-    ``boundary_height`` may be a DirichletBoundary, a callable fn(u, v),
-    a full-grid array or RealField (edge ring is used), or a scalar.
-    Returns (WeierstrassSecond, ValidationReport, solve report); the
-    validation report localizes any failure of the nonvanishing tangent
-    condition min |dz(height) - Re(holo) dz(null_pot)| rather than
-    raising, since boundary data outside the closed-form catalog can
-    legitimately violate it.
+    ``boundary_height`` may be a callable fn(u, v), evaluated along the
+    edges; a RealField or grid-shaped array, of which the edge ring is
+    read; or a scalar.  Anything else is a TypeError.  ``target`` is the
+    solve's max-norm residual target.  Returns (WeierstrassSecond,
+    ValidationReport, solve report); the validation report localizes any
+    failure of the nonvanishing tangent condition min |dz(height) -
+    Re(holo) dz(null_pot)| rather than raising, since boundary data outside
+    the closed-form catalog can legitimately violate it.
     """
     grid = holo.grid
     if null_pot.grid != grid:
         raise ValueError("holomorphic field and source live on different grids")
-    boundary = _as_boundary(grid, boundary_height)
+    if callable(boundary_height):
+        boundary = boundary_from_function(grid, boundary_height)
+    elif isinstance(boundary_height, RealField):
+        boundary = boundary_height
+    elif np.isscalar(boundary_height) or (isinstance(boundary_height, np.ndarray)
+                                          and boundary_height.shape == grid.shape):
+        boundary = RealField(grid, np.broadcast_to(boundary_height, grid.shape))
+    else:
+        raise TypeError("cannot interpret %r as Dirichlet boundary data"
+                        % (boundary_height,))
     weight = RealField(grid, np.real(holo.values))
-    problem = PoissonProblem(grid, weight, null_pot, boundary,
-                             options or SolverOptions())
-    height, solve_report = solve_weighted_poisson(problem)
+    height, solve_report = solve_weighted_poisson(
+        PoissonProblem(grid, weight, null_pot, boundary, target))
     data = WeierstrassSecond(holo, height, null_pot,
                              provenance={"transform": "poisson-solve",
                                          "solver": solve_report})
     report = validate_second(data)
     return data, report, solve_report
-
-
-def _as_boundary(grid, spec):
-    if isinstance(spec, DirichletBoundary):
-        return spec
-    if callable(spec):
-        return boundary_from_function(grid, spec)
-    if isinstance(spec, RealField) or (isinstance(spec, np.ndarray)
-                                       and spec.shape == grid.shape):
-        return boundary_from_samples(spec)
-    if np.isscalar(spec):
-        n_u, n_v = grid.shape
-        c = float(spec)
-        return DirichletBoundary(np.full(n_v, c), np.full(n_v, c),
-                                 np.full(n_u, c), np.full(n_u, c))
-    raise TypeError("cannot interpret %r as Dirichlet boundary data" % (spec,))
 
 
 # Named analytic fields for problem descriptors and the CLI: weights that
@@ -328,8 +260,11 @@ def save_problem(problem, path, weight_name=None, source_name=None):
     """Write a problem descriptor JSON next to any field payload files.
 
     Fields with a registry name are stored by name; others are written as
-    CSV payloads referenced from the descriptor.
+    CSV payloads referenced from the descriptor.  The boundary is written
+    as the four edges of its ring, so the edges agree at each corner.
     """
+    ring = problem.boundary.values
+
     def field_entry(fld, name, tag):
         if name is not None:
             return {"kind": "named", "name": name}
@@ -341,15 +276,15 @@ def save_problem(problem, path, weight_name=None, source_name=None):
         "grid": problem.grid.to_dict(),
         "weight": field_entry(problem.weight, weight_name, "weight"),
         "source": field_entry(problem.source, source_name, "source"),
-        "boundary": {"kind": "edges", "edges": problem.boundary.to_dict()},
-        "options": {"target": problem.options.target},
+        "boundary": {"kind": "edges", "edges": dict(zip(_EDGE_NAMES, (
+            ring[0, :].tolist(), ring[-1, :].tolist(),
+            ring[:, 0].tolist(), ring[:, -1].tolist())))},
+        "options": {"target": problem.target},
     })
 
 
 def _load_field_entry(path, doc, tag, grid, named):
-    entry = doc.get(tag)
-    if not isinstance(entry, dict):
-        raise ValueError("%r: field %r has no entry" % (path, tag))
+    entry = document_entry(path, doc, tag, "the descriptor", dict)
     kind = entry.get("kind")
     what = "field %r" % tag
     if kind == "named":
@@ -366,15 +301,44 @@ def _load_field_entry(path, doc, tag, grid, named):
     raise ValueError("%r: %s has unknown kind %r" % (path, what, kind))
 
 
+def _load_edges(path, bspec, grid):
+    """The ring field of a descriptor's four-edge boundary entry; two edges
+    that meet at a corner must agree there to 1e-10 of their scale."""
+    edges = document_entry(path, bspec, "edges", "boundary")
+    n_u, n_v = grid.shape
+    values = []
+    for name, want in zip(_EDGE_NAMES, (n_v, n_v, n_u, n_u)):
+        edge = document_entry(path, edges, name, "boundary edges", list)
+        for i, x in enumerate(edge):
+            if not is_json_number(x):
+                raise ValueError("%r: boundary edge %r entry %d must be a JSON "
+                                 "number, got %r" % (path, name, i, x))
+        if len(edge) != want:
+            raise ValueError("%r: boundary edge %r has length %d, grid needs %d"
+                             % (path, name, len(edge), want))
+        values.append(np.array(edge, dtype=float))
+    u_min, u_max, v_min, v_max = values
+    scale = 1.0 + max(float(np.max(np.abs(edge))) for edge in values)
+    # Python floats: a gap beyond float range is inf, not an overflow warning
+    gap = max(abs(float(a) - float(b)) for a, b in (
+        (u_min[0], v_min[0]), (u_min[-1], v_max[0]),
+        (u_max[0], v_min[-1]), (u_max[-1], v_max[-1])))
+    if gap > 1e-10 * scale:
+        raise ValueError("%r: boundary edges disagree at a corner by %.3e"
+                         % (path, gap))
+    return _ring(grid, *values)
+
+
 def load_problem(path):
     """Read a problem descriptor written by :func:`save_problem`.
 
-    An ``options.max_iter`` entry is accepted and ignored: existing
-    descriptors carry one, and the direct solve has no iteration budget.
-    A missing entry, a grid or options entry that is not an object, a
-    non-integer node count, a target, constant value or edge entry that
-    is not a JSON number, or an unknown named field raises a ValueError
-    naming the descriptor and the key.
+    The boundary is a constant, a named field evaluated along the edges, or
+    four ``edges`` lists of JSON numbers (u_min / u_max along v, v_min /
+    v_max along u) that fit the grid and agree at the corners.  ``options``
+    may hold ``target`` and ``max_iter``; the latter is accepted and ignored,
+    as existing descriptors carry one and the direct solve has no iteration
+    budget.  Any entry that is missing, mistyped or unknown raises a
+    ValueError naming the descriptor and the key.
     """
     doc = read_document(path, "mtsurf-problem", "problem descriptor")
     grid = document_grid(path, doc)
@@ -383,16 +347,9 @@ def load_problem(path):
     bspec = document_entry(path, doc, "boundary", "the descriptor")
     kind = document_entry(path, bspec, "kind", "boundary")
     if kind == "edges":
-        edges = document_entry(path, bspec, "edges", "boundary")
-        for name in _EDGE_NAMES:
-            document_entry(path, edges, name, "boundary edges")
-        try:
-            boundary = DirichletBoundary.from_dict(edges)
-        except ValueError as exc:
-            raise ValueError("%r: %s" % (path, exc)) from None
+        boundary = _load_edges(path, bspec, grid)
     elif kind == "constant":
-        boundary = _as_boundary(
-            grid, float(document_entry(path, bspec, "value", "boundary", float)))
+        boundary = _load_field_entry(path, doc, "boundary", grid, None)
     elif kind == "named":
         name = document_entry(path, bspec, "name", "boundary", str)
         if name not in NAMED_FIELDS:
@@ -402,6 +359,9 @@ def load_problem(path):
     else:
         raise ValueError("%r: boundary has unknown kind %r" % (path, kind))
     opts = document_entry(path, doc, "options", "the descriptor", dict, {})
-    options = SolverOptions(
-        target=float(document_entry(path, opts, "target", "options", float, 1e-10)))
-    return PoissonProblem(grid, weight, source, boundary, options)
+    for key in opts:
+        if key not in ("target", "max_iter"):
+            raise ValueError("%r: options has unknown key %r; known: max_iter, target"
+                             % (path, key))
+    target = float(document_entry(path, opts, "target", "options", float, _TARGET))
+    return PoissonProblem(grid, weight, source, boundary, target)

@@ -25,7 +25,6 @@ from mtsurf.tolerances import fd_cap
 from mtsurf.lorentz import rotation
 from mtsurf.poisson import (
     PoissonProblem,
-    SolverOptions,
     assemble_second_kind,
     boundary_from_function,
     named_field,
@@ -203,7 +202,7 @@ def test_solver_matches_closed_form_with_second_order_convergence():
             g, named_weight("re-exp-iz", g), named_field("exp-v-cosh-u", g),
             boundary_from_function(
                 g, lambda u, v: np.sinh(u) * np.sin(u) + z0(u, v)),
-            SolverOptions(target=1e-10))
+            target=1e-10)
         solution, report = solve_weighted_poisson(problem)
         assert report["converged"]
         U, _ = g.mesh()
@@ -333,7 +332,6 @@ def test_random_datasets_validate_or_reject_with_located_failure():
     grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 33, 33)
     U, V = grid.mesh()
     cap = fd_cap(grid, 100.0)
-    options = SolverOptions(target=1e-9)
     accepted = rejected = 0
 
     for k in range(200):
@@ -366,7 +364,7 @@ def test_random_datasets_validate_or_reject_with_located_failure():
         null_pot = RealField(grid, null_vals)
 
         data, report, _ = assemble_second_kind(
-            holo, null_pot, 0.0, options=options)
+            holo, null_pot, 0.0, target=1e-9)
         if report.ok:
             patch = represent_second(data)
             inv = patch.invariants

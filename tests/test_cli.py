@@ -16,7 +16,6 @@ from mtsurf.export import load_patch_manifest
 from mtsurf.fields import Analytic, ComplexField, Grid2D, RealField
 from mtsurf.poisson import (
     PoissonProblem,
-    SolverOptions,
     boundary_from_function,
     named_field,
     named_weight,
@@ -355,7 +354,7 @@ class TestSolve:
             g, named_weight(weight, g), named_field("exp-v-cosh-u", g),
             boundary_from_function(
                 g, lambda u, v: np.sinh(u) * np.sin(u) + 0.0 * np.asarray(v)),
-            SolverOptions(target=target))
+            target=target)
         path = os.path.join(str(tmp_path), "problem.json")
         save_problem(problem, path, weight_name=weight,
                      source_name="exp-v-cosh-u")
@@ -417,10 +416,15 @@ class TestSolve:
         # nor an edge value
         (lambda d: d["boundary"].update(edges={name: ["0"] * 9 for name in (
             "u_min", "u_max", "v_min", "v_max")}), ["boundary edge", "'u_min'"]),
+        # edges that do not fit the grid or each other, and unknown options
+        (lambda d: d["boundary"]["edges"]["u_max"].pop(), ["'u_max'", "length 8"]),
+        (lambda d: d["boundary"]["edges"]["v_max"].__setitem__(-1, 1.0), ["corner"]),
+        (lambda d: d["options"].update(targt=1e-3), ["options", "'targt'"]),
     ], ids=["no-boundary", "no-source-value", "empty-edges", "unknown-weight",
             "unknown-source", "unknown-boundary", "unknown-weight-kind", "list-options",
             "number-grid", "non-integer-node-count", "list-target", "bool-target",
-            "list-constant-field", "list-constant-boundary", "string-edges"])
+            "list-constant-field", "list-constant-boundary", "string-edges",
+            "short-edge", "corner", "unknown-option"])
     def test_bad_descriptor_fails_with_manifest(self, tmp_path, edit, words):
         out = os.path.join(str(tmp_path), "out")
         path = self.descriptor(tmp_path, n=9)
@@ -434,6 +438,23 @@ class TestSolve:
         error = failed_run(out, "solution")["error"]
         for word in ["problem.json"] + words:
             assert word in error, word
+        assert not os.path.exists(os.path.join(out, "solution.csv"))
+
+    def test_overflow_fails_with_manifest(self, tmp_path):
+        # a 1e308 boundary overflows the stencil: the run ends in an error
+        # naming the overflow, with no solver report and no nan solution
+        out = os.path.join(str(tmp_path), "out")
+        path = self.descriptor(tmp_path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["boundary"] = {"kind": "constant", "value": 1e308}
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert run(["solve", "--problem", path, "--out", out]) == 1
+        doc = failed_run(out, "solution")
+        assert "float64 overflows" in doc["error"]
+        assert "solver" not in doc["reports"]
+        assert doc["artifacts"] == ["solution.manifest.json"]
 
     def test_nonconvergence_fails_run(self, tmp_path):
         # a 1e10-scale source over a zero boundary puts the 1e-10 target

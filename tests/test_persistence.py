@@ -32,7 +32,6 @@ from mtsurf.fields import (
 )
 from mtsurf.poisson import (
     PoissonProblem,
-    SolverOptions,
     boundary_from_function,
     load_problem,
     named_field,
@@ -363,7 +362,7 @@ def _problem_descriptor(src):
     problem = PoissonProblem(
         g, RealField(g, named_weight("re-exp-iz", g).values),
         RealField(g, named_field("exp-v-cosh-u", g).values),
-        boundary_from_function(g, lambda u, v: 0.0 * u * v), SolverOptions())
+        boundary_from_function(g, lambda u, v: 0.0 * u * v))
     save_problem(problem, os.path.join(src, "doc.json"))
     return "doc.json", load_problem, (None, "source")
 

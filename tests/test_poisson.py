@@ -8,16 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mtsurf.catalog import fixture_sigma_theta
+from mtsurf.errors import DomainError
 from mtsurf.fields import Grid2D, RealField, sup_abs
 from mtsurf.poisson import (
-    DirichletBoundary,
     NAMED_FIELDS,
     NAMED_WEIGHTS,
     PoissonProblem,
-    SolverOptions,
     assemble_second_kind,
     boundary_from_function,
-    boundary_from_samples,
     load_problem,
     named_field,
     named_weight,
@@ -36,8 +34,7 @@ def reference_problem(n, target=1e-10):
     boundary = boundary_from_function(
         g, lambda u, v: np.sinh(u) * np.sin(u) + 0.0 * np.asarray(v))
     return PoissonProblem(g, named_weight("re-exp-iz", g),
-                          named_field("exp-v-cosh-u", g), boundary,
-                          SolverOptions(target=target))
+                          named_field("exp-v-cosh-u", g), boundary, target)
 
 
 def exact_solution(grid):
@@ -73,8 +70,7 @@ class TestSolver:
     def test_unit_weight_recovers_source(self):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, 33, 33)
         source = named_field("exp-v-cosh-u", g)
-        problem = PoissonProblem(g, named_weight("one", g), source,
-                                 boundary_from_samples(source.values))
+        problem = PoissonProblem(g, named_weight("one", g), source, source)
         sol, report = solve_weighted_poisson(problem)
         assert report["converged"]
         assert sup_abs(sol.values - source.values) < 1e-9
@@ -84,7 +80,7 @@ class TestSolver:
         # must sit on the boundary ring whatever the edge data
         g = Grid2D(0.0, 1.0, 0.0, 2.0, 21, 29)
         rng = np.random.default_rng(11)
-        edge = boundary_from_samples(rng.standard_normal(g.shape))
+        edge = RealField(g, rng.standard_normal(g.shape))
         problem = PoissonProblem(g, named_weight("zero", g),
                                  named_field("zero", g), edge)
         sol, report = solve_weighted_poisson(problem)
@@ -115,6 +111,22 @@ class TestSolver:
         assert report["residual_max"] > report["effective_target"]
         assert np.all(np.isfinite(sol.values))
 
+    @pytest.mark.parametrize("source,boundary,what", [
+        (1.0, np.nan, "boundary ring"),
+        (1.0, 1e308, "solution residual"),
+        (1e308, 0.0, "right-hand side"),
+    ], ids=["nan-ring", "huge-ring", "huge-source"])
+    def test_overflow_raises_domain_error(self, source, boundary, what):
+        # the stencil of a 1e308 ring overflows float64; no warning, no nan
+        # solution, but an error naming the part that is not finite
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
+        U, _ = g.mesh()
+        problem = PoissonProblem(g, named_weight("one", g),
+                                 RealField(g, source * U * U),
+                                 RealField(g, np.full(g.shape, boundary)))
+        with pytest.raises(DomainError, match="%s is not finite" % what):
+            solve_weighted_poisson(problem)
+
     def test_matches_dense_solve_on_anisotropic_grid(self):
         # h_u != h_v and n_u != n_v: a wrong eigenvalue or transform
         # normalisation shows here, not on the square reference grids
@@ -122,13 +134,13 @@ class TestSolver:
         rng = np.random.default_rng(5)
         problem = PoissonProblem(g, RealField(g, rng.standard_normal(g.shape)),
                                  RealField(g, rng.standard_normal(g.shape)),
-                                 boundary_from_samples(rng.standard_normal(g.shape)))
+                                 RealField(g, rng.standard_normal(g.shape)))
         sol, report = solve_weighted_poisson(problem)
         assert report["converged"]
         assert report["method"] == "dst-I"
 
         mu, mv = g.n_u - 2, g.n_v - 2
-        full = problem.boundary.apply(g)
+        full = problem.boundary.values
         src = problem.source.values
         a = np.zeros((mu * mv, mu * mv))
         b = np.zeros(mu * mv)
@@ -168,43 +180,63 @@ class TestSolver:
         assert report["unknowns"] == 15 * 15
 
 
+def load_edited(tmp_path, edit):
+    """load_problem of a valid 9x9 descriptor after ``edit(doc)``."""
+    doc = _descriptor_with("target", 1e-10, "u_min", 0)
+    edit(doc)
+    path = os.path.join(str(tmp_path), "problem.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return load_problem(path)
+
+
 class TestBoundary:
-    def test_edge_length_checked(self):
-        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 17)
-        bad = DirichletBoundary(np.zeros(5), np.zeros(17),
-                                np.zeros(9), np.zeros(9))
-        with pytest.raises(ValueError, match="length"):
-            bad.validate(g)
+    def test_edge_length_checked(self, tmp_path):
+        with pytest.raises(ValueError, match=r"problem\.json.*'u_min' has length 5, "
+                                             r"grid needs 9"):
+            load_edited(tmp_path, lambda d: d["boundary"]["edges"].update(u_min=[0.0] * 5))
 
-    def test_corner_agreement_checked(self):
-        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
-        v_min = np.zeros(9)
-        v_min[0] = 1.0
-        bad = DirichletBoundary(np.zeros(9), np.zeros(9), v_min, np.zeros(9))
-        with pytest.raises(ValueError, match="corner"):
-            bad.validate(g)
+    def test_corner_agreement_checked(self, tmp_path):
+        def edit(doc):
+            doc["boundary"]["edges"]["v_min"][0] = 1.0
 
-    def test_apply_and_samples_round_trip(self):
+        with pytest.raises(ValueError, match=r"problem\.json.*corner by 1\.000e\+00"):
+            load_edited(tmp_path, edit)
+
+    def test_descriptor_edges_round_trip(self, tmp_path):
+        # the ring of any field is saved as four edges that agree exactly at
+        # the corners, and loads back as that ring with a zero interior
         g = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 13)
         U, V = g.mesh()
-        b = boundary_from_samples(U + 2.0 * V)
-        full = b.apply(g)
+        problem = PoissonProblem(g, named_weight("one", g), named_field("zero", g),
+                                 RealField(g, U + 2.0 * V))
+        path = os.path.join(str(tmp_path), "problem.json")
+        save_problem(problem, path, weight_name="one", source_name="zero")
+        with open(path) as fh:
+            edges = json.load(fh)["boundary"]["edges"]
+        assert edges["v_min"][0] == edges["u_min"][0]
+        assert edges["v_max"][-1] == edges["u_max"][-1]
+        full = load_problem(path).boundary.values
         np.testing.assert_array_equal(full[0, :], (U + 2.0 * V)[0, :])
         np.testing.assert_array_equal(full[:, -1], (U + 2.0 * V)[:, -1])
         assert np.all(full[1:-1, 1:-1] == 0.0)
-        again = DirichletBoundary.from_dict(b.to_dict())
-        np.testing.assert_array_equal(again.u_max, b.u_max)
 
-    def test_edge_values_are_not_coerced(self):
-        edges = {name: [0.0] * 9 for name in _EDGES}
-        assert DirichletBoundary.from_dict(edges).u_min.dtype == float
+    def test_edge_values_are_not_coerced(self, tmp_path):
+        assert load_edited(tmp_path, lambda d: None).boundary.values.dtype == float
         for bad in (["0"] * 9, [False] * 9, [[0.0]] * 9, "0", None):
-            with pytest.raises(ValueError, match="'v_min'"):
-                DirichletBoundary.from_dict(dict(edges, v_min=bad))
-        # arrays built in code are not descriptor entries and keep working
-        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
-        PoissonProblem(g, named_weight("one", g), named_field("zero", g),
-                       DirichletBoundary(*(np.zeros(9, dtype=np.float32),) * 4))
+            with pytest.raises(ValueError, match=r"problem\.json.*'v_min'"):
+                load_edited(tmp_path, lambda d: d["boundary"]["edges"].update(v_min=bad))
+
+    def test_interior_is_never_read(self):
+        g = Grid2D(0.0, 1.0, 0.0, 2.0, 21, 29)
+        rng = np.random.default_rng(3)
+        ring = boundary_from_function(g, lambda u, v: np.cos(3.0 * u) * np.exp(v))
+        noisy = ring.values.copy()
+        noisy[1:-1, 1:-1] = rng.standard_normal((19, 27))
+        solutions = [solve_weighted_poisson(PoissonProblem(
+            g, named_weight("re-exp-iz", g), named_field("exp-v-cosh-u", g), b))[0]
+            for b in (ring, RealField(g, noisy))]
+        np.testing.assert_array_equal(solutions[0].values, solutions[1].values)
 
     def test_problem_grid_mismatch(self):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
@@ -212,6 +244,9 @@ class TestBoundary:
         with pytest.raises(ValueError):
             PoissonProblem(g, named_weight("one", other), named_field("zero", g),
                            boundary_from_function(g, lambda u, v: 0.0 * u * v))
+        with pytest.raises(ValueError):
+            PoissonProblem(g, named_weight("one", g), named_field("zero", g),
+                           boundary_from_function(other, lambda u, v: 0.0 * u * v))
 
 
 class TestAssembleSecondKind:
@@ -234,7 +269,7 @@ class TestAssembleSecondKind:
         g = fx.grid
         data, vrep, srep = assemble_second_kind(
             fx.data.holo, fx.data.null_pot,
-            boundary_from_samples(fx.data.height.values))
+            fx.data.height)
         assert srep["converged"]
         assert vrep.ok
         assert sup_abs(data.height.values - fx.data.height.values) < 1e-3
@@ -290,7 +325,7 @@ class TestDescriptors:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         loaded = load_problem(path)
-        assert loaded.options == SolverOptions(target=1e-10)
+        assert loaded.target == 1e-10
         _, report = solve_weighted_poisson(loaded)
         assert report["converged"]
         assert "max_iter" not in report and "cg_info" not in report
@@ -300,6 +335,11 @@ class TestDescriptors:
                      source_name="exp-v-cosh-u")
         with open(again) as fh:
             assert json.load(fh)["options"] == {"target": 1e-10}
+
+    def test_unknown_option_refused(self, tmp_path):
+        # a misspelt target must not leave the solve at the default target
+        with pytest.raises(ValueError, match=r"problem\.json.*options.*'targt'"):
+            load_edited(tmp_path, lambda d: d["options"].update(targt=1e-3))
 
     def test_format_guard(self, tmp_path):
         path = os.path.join(str(tmp_path), "other.json")
@@ -375,8 +415,15 @@ def test_descriptor_reader_refuses_mistyped_scalars(slot, value, edge, index):
             # only an edge value can make a number inconsistent (a corner)
             assert slot == "edge"
             return
-    read = {"target": problem.options.target,
+    ring = problem.boundary.values
+    edges = dict(zip(_EDGES, (ring[0, :], ring[-1, :], ring[:, 0], ring[:, -1])))
+    read = {"target": problem.target,
             "field": problem.source.values[4, 4],
-            "boundary": problem.boundary.u_min[4],
-            "edge": getattr(problem.boundary, edge)[index]}[slot]
-    assert read == float(value)
+            "boundary": ring[0, 4],
+            "edge": edges[edge][index]}[slot]
+    if slot == "edge" and edge.startswith("v") and index in (0, 8):
+        # a v-edge corner agrees with the u edge's 0.0 to 1e-10 (else the
+        # descriptor is refused), and the ring takes the u edge's value
+        assert read == 0.0
+    else:
+        assert read == float(value)
