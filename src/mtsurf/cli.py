@@ -37,8 +37,8 @@ import numpy as np
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError
 from .export import _jsonable, _write_patch, load_patch_manifest
-from .fields import (Grid2D, document_entry, lincomb_real, read_document, save_field_csv,
-                     sup_abs, write_document)
+from .fields import (Grid2D, document_entry, read_document, save_field_csv, sup_abs,
+                     write_document)
 from .lorentz import rotation
 from .poisson import load_problem, solve_weighted_poisson
 from .surfaces import (
@@ -55,17 +55,14 @@ from .tolerances import (CONGRUENCE_TOL, EPS_IMMERSION, EPS_ZERO, PSI_CUTOFF, QU
                          TOL_EXACT, CheckResult, cap)
 from .weierstrass import (
     WeierstrassSecond,
+    _as_kind,
     _certificate,
-    _certify,
     _exact_callbacks,
-    _triple,
     deform_elliptic,
     deform_hyperbolic,
     deform_parabolic,
-    first_to_second,
     load_data,
     save_data,
-    second_to_first,
 )
 
 __all__ = ["main", "parse_grid_spec"]
@@ -127,25 +124,11 @@ class RunManifest:
         })
 
 
-def _as_kind(cert, kind):
-    """Certificate of the triple as a ``kind`` triple (first, second or
-    third): ``cert`` itself when it is one already, else its conversion,
-    certified once."""
-    if kind == cert.kind:
-        return cert
-    if kind != "third":
-        convert = first_to_second if kind == "second" else second_to_first
-        return _certificate(convert(cert))
-    _, gauss, pot1, pot2 = _triple(cert if cert.kind == "first" else second_to_first(cert))
-    return _certify("third", gauss, lincomb_real([(1.0, pot1), (-1.0, pot2)]),
-                    lincomb_real([(1.0, pot1), (1.0, pot2)]))
-
-
 def _represent(certs, rep, anchor):
-    """The ``rep`` patches of certified triples, from one quadrature sweep."""
-    represent = {"first": represent_first, "second": represent_second,
-                 "third": represent_third}[rep]
-    return represent([_as_kind(cert, rep) for cert in certs], anchor=anchor)
+    """The ``rep`` patches of ``certs`` from one sweep, looked up per call
+    (as is each deform), so a wrapped function is seen."""
+    return {"first": represent_first, "second": represent_second,
+            "third": represent_third}[rep](certs, anchor=anchor)
 
 
 def _gate(manifest, name, value, patch, scale=1.0):
@@ -279,9 +262,6 @@ def cmd_generate(args):
     return _run(args, "generate", inputs, run)
 
 
-_FAMILY_KIND = {"parabolic": "first", "elliptic": "second", "hyperbolic": "first"}
-
-
 def cmd_deform(args):
     inputs = {"fixture": args.fixture, "data": args.data, "grid": args.grid,
               "family": args.family, "parameter": args.parameter,
@@ -298,10 +278,10 @@ def cmd_deform(args):
         else:
             base = load_data(args.data)
 
-        need = _FAMILY_KIND[args.family]
-        base = _as_kind(_certificate(base), need)
-        deform = {"parabolic": deform_parabolic, "elliptic": deform_elliptic,
-                  "hyperbolic": deform_hyperbolic}[args.family]
+        need, deform = {"parabolic": ("first", deform_parabolic),
+                        "elliptic": ("second", deform_elliptic),
+                        "hyperbolic": ("first", deform_hyperbolic)}[args.family]
+        base = _as_kind(base, need)     # once: the congruence check reuses it
         deformed = deform(base, args.parameter)
         cert = _certificate(deformed)
         manifest.add_report_checks(cert.report, "deformed_")

@@ -48,6 +48,12 @@ __all__ = [
 _EDGE_NAMES = ("u_min", "u_max", "v_min", "v_max")
 _TARGET = 1e-10
 
+#: The keys each part of a descriptor may hold; any other is refused.
+_KEYS = {"named": ("kind", "name"), "constant": ("kind", "value"), "edges": ("kind", "edges"),
+         "file": ("kind", "file", "format"), "options": ("max_iter", "target"),
+         "boundary edges": _EDGE_NAMES, "the descriptor": (
+             "format", "version", "grid", "weight", "source", "boundary", "options")}
+
 
 def _ring(grid, u_min, u_max, v_min, v_max):
     """The field holding the four edges (u_min / u_max along v, v_min /
@@ -119,7 +125,7 @@ def solve_weighted_poisson(problem):
     A direct solve: starting from the boundary ring with a zero interior,
     the measured interior residual lap_h(M) - rhs is mapped through the
     inverse Laplacian by a type-I sine transform and subtracted, until the
-    measured max-norm residual meets the target (at most three solves).
+    max-norm residual is strictly below the target (at most three solves).
     The report records the method, convergence, the number of transform
     solves as ``iterations``, the achieved max-norm residual, the effective
     target (the requested one, or the roundoff floor of the stencil if that
@@ -158,7 +164,7 @@ def solve_weighted_poisson(problem):
             residual = _laplacian_interior(m, h_u, h_v) - rhs
             res = float(np.max(np.abs(residual)))
             _require_finite(res, "solution residual")
-            if res <= effective or solves == _MAX_SOLVES:
+            if passes(res, effective, "max_below") or solves == _MAX_SOLVES:
                 break
             m[1:-1, 1:-1] -= idstn(dstn(residual, type=1) / eigenvalues, type=1)
             solves += 1
@@ -283,10 +289,31 @@ def save_problem(problem, path, weight_name=None, source_name=None):
     })
 
 
-def _load_field_entry(path, doc, tag, grid, named):
+def _strict(path, spec, what, part=None):
+    """``spec``, part ``what`` of a descriptor, once ``_KEYS[part or what]`` holds each key."""
+    known = _KEYS[part or what]
+    for key in spec:
+        if key not in known:
+            raise ValueError("%r: %s has unknown key %r; known: %s"
+                             % (path, what, key, ", ".join(known)))
+    return spec
+
+
+def _named_boundary(name, grid):
+    if name not in NAMED_FIELDS:
+        raise KeyError("unknown boundary %r; known: %s"
+                       % (name, ", ".join(sorted(NAMED_FIELDS))))
+    return boundary_from_function(grid, NAMED_FIELDS[name]()[0])
+
+
+def _load_field_entry(path, doc, tag, grid, named, kinds=("named", "constant", "file")):
+    """The field of the descriptor's ``tag`` entry, of one of ``kinds``."""
     entry = document_entry(path, doc, tag, "the descriptor", dict)
     kind = entry.get("kind")
     what = "field %r" % tag
+    if kind not in kinds:
+        raise ValueError("%r: %s has unknown kind %r" % (path, what, kind))
+    _strict(path, entry, what, kind)
     if kind == "named":
         name = document_entry(path, entry, "name", what, str)
         try:
@@ -296,15 +323,16 @@ def _load_field_entry(path, doc, tag, grid, named):
     if kind == "constant":
         value = float(document_entry(path, entry, "value", what, float))
         return RealField(grid, np.full(grid.shape, value))
-    if kind == "file":
-        return load_payload(path, entry, tag, grid, real=True)
-    raise ValueError("%r: %s has unknown kind %r" % (path, what, kind))
+    if kind == "edges":
+        return _load_edges(path, entry, grid)
+    return load_payload(path, entry, tag, grid, real=True)
 
 
 def _load_edges(path, bspec, grid):
     """The ring field of a descriptor's four-edge boundary entry; two edges
     that meet at a corner must agree there to 1e-10 of their scale."""
-    edges = document_entry(path, bspec, "edges", "boundary")
+    edges = _strict(path, document_entry(path, bspec, "edges", "boundary", dict),
+                    "boundary edges")
     n_u, n_v = grid.shape
     values = []
     for name, want in zip(_EDGE_NAMES, (n_v, n_v, n_u, n_u)):
@@ -335,33 +363,21 @@ def load_problem(path):
     The boundary is a constant, a named field evaluated along the edges, or
     four ``edges`` lists of JSON numbers (u_min / u_max along v, v_min /
     v_max along u) that fit the grid and agree at the corners.  ``options``
-    may hold ``target`` and ``max_iter``; the latter is accepted and ignored,
-    as existing descriptors carry one and the direct solve has no iteration
-    budget.  Any entry that is missing, mistyped or unknown raises a
+    may hold ``target`` and an integer ``max_iter``, which is ignored: older
+    descriptors carry one, and the direct solve has no iteration budget.
+    Any key or entry that is missing, mistyped or unknown raises a
     ValueError naming the descriptor and the key.
     """
-    doc = read_document(path, "mtsurf-problem", "problem descriptor")
+    doc = _strict(path, read_document(path, "mtsurf-problem", "problem descriptor"),
+                  "the descriptor")
     grid = document_grid(path, doc)
     weight = _load_field_entry(path, doc, "weight", grid, named_weight)
     source = _load_field_entry(path, doc, "source", grid, named_field)
-    bspec = document_entry(path, doc, "boundary", "the descriptor")
-    kind = document_entry(path, bspec, "kind", "boundary")
-    if kind == "edges":
-        boundary = _load_edges(path, bspec, grid)
-    elif kind == "constant":
-        boundary = _load_field_entry(path, doc, "boundary", grid, None)
-    elif kind == "named":
-        name = document_entry(path, bspec, "name", "boundary", str)
-        if name not in NAMED_FIELDS:
-            raise ValueError("%r: unknown boundary %r; known: %s"
-                             % (path, name, ", ".join(sorted(NAMED_FIELDS))))
-        boundary = boundary_from_function(grid, NAMED_FIELDS[name]()[0])
-    else:
-        raise ValueError("%r: boundary has unknown kind %r" % (path, kind))
-    opts = document_entry(path, doc, "options", "the descriptor", dict, {})
-    for key in opts:
-        if key not in ("target", "max_iter"):
-            raise ValueError("%r: options has unknown key %r; known: max_iter, target"
-                             % (path, key))
+    boundary = _load_field_entry(path, doc, "boundary", grid, _named_boundary,
+                                 ("edges", "constant", "named"))
+    opts = _strict(path, document_entry(path, doc, "options", "the descriptor", dict, {}),
+                   "options")
+    if type(opts.get("max_iter", 0)) is not int:
+        raise ValueError("%r: options entry 'max_iter' must be a JSON integer" % path)
     target = float(document_entry(path, opts, "target", "options", float, _TARGET))
     return PoissonProblem(grid, weight, source, boundary, target)

@@ -9,13 +9,13 @@ is a holomorphic field w plus potentials (a, b) with lap(a) = weight
 lap(b), the tangent field is Xz = dz(a) frame1(w) + dz(b) frame2(w), and
 X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
 consumes the certificates of k triples (a list passed in place of the
-triple, else made here), reuses the arrays the certification computed,
-integrates their 4k coordinates of Xz in one quadrature sweep (each
-coordinate is a field of its certificate from
-``weierstrass._certificate_field``; a Gauss node set runs each closed form
-once, so coordinates share w, dz a and dz b and a deformed triple's nested
-callbacks reuse its base's evaluations; see :mod:`mtsurf.fields`), and
-assembles X_zzbar from the closed formula, so the nullness of H is
+triple; either kind, by the kind rule ``weierstrass._as_kind``), reuses
+the arrays the certification computed, integrates their 4k coordinates of
+Xz in one quadrature sweep (each coordinate is a field of its certificate
+from ``weierstrass._certificate_field``; a Gauss node set runs each closed
+form once, so coordinates share w, dz a and dz b and a deformed triple's
+nested callbacks reuse its base's evaluations; see :mod:`mtsurf.fields`),
+and assembles X_zzbar from the closed formula, so the nullness of H is
 carried by algebra while conformality, metric agreement and the
 coordinate identities are measured and recorded in
 ``SurfacePatch.invariants``.  The loop caps use the exact-callback cap.
@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import (
+    ComplexField,
     RealField,
     _integrate_primitives,
     laplacian,
@@ -53,8 +54,7 @@ from .fields import (
 )
 from .lorentz import complex_bilinear, minkowski_inner
 from .tolerances import PSI_CUTOFF, cap, passes
-from .weierstrass import (_Certificate, _certificate, _certificate_field, _certify,
-                          _exact_callbacks)
+from .weierstrass import _as_kind, _certificate_field, _certify, _exact_callbacks
 
 __all__ = [
     "SurfacePatch",
@@ -254,7 +254,7 @@ def _represent(data, kind, anchor=None):
     """
     if not isinstance(data, list):
         return _represent([data], kind, anchor)[0]
-    certs = [_certificate(d, kind) for d in data]
+    certs = [_as_kind(d, kind) for d in data]
     for cert in certs:
         cert.report.raise_for_failure()
     routes = {(c.holo.grid, _exact_callbacks(c)) for c in certs}
@@ -296,7 +296,7 @@ def _represent(data, kind, anchor=None):
 
 
 def represent_first(data, anchor=None):
-    """Patch from a first-kind triple.
+    """Patch from a first-kind triple (or a second-kind one, converted).
 
     Tangent frame: Xz = dz(pot1) (1/g, i/g, 1, 1) + dz(pot2) (g, -i g,
     -1, 1) with g = gauss; then x3 = pot1 - pot2 and x4 = pot1 + pot2 up
@@ -308,7 +308,7 @@ def represent_first(data, anchor=None):
 
 
 def represent_second(data, anchor=None):
-    """Patch from a second-kind triple.
+    """Patch from a second-kind triple (or a first-kind one, converted).
 
     Tangent frame: Xz = dz(height) (1, -i, -h, h) + dz(null_pot)
     (0, i h, (1+h^2)/2, (1-h^2)/2) with h = holo; then x1 = height and
@@ -330,10 +330,10 @@ def represent_third(gauss, coord3=None, coord4=None, anchor=None):
     constants and the conformal factor is (|g|+1/|g|)^2 |dz(coord3)
     - w dz(coord4)|^2.  With coord4 = 0 the patch is a minimal surface in
     the x4 = 0 slice; with coord3 = 0 a maximal surface in x3 = 0.
-    ``gauss`` may instead be the certificate of such a triple, or a list
-    of them, with coord3 and coord4 left out.
+    ``gauss`` may instead be a triple of either kind or a certificate, or
+    a list of them, with coord3 and coord4 left out.
     """
-    if not isinstance(gauss, (list, _Certificate)):
+    if isinstance(gauss, ComplexField):
         gauss = _certify("third", gauss, coord3, coord4)
     return _represent(gauss, "third", anchor)
 

@@ -14,7 +14,7 @@ The report's checks are :class:`mtsurf.tolerances.CheckResult` records
 The two kind conversions and the three one-parameter deformation families
 (each the counterpart of a rotation family in :mod:`mtsurf.lorentz`) are
 thin wrappers over one transform core: it consumes the certificate of its
-input (passed in place of the triple, else made here), builds the new
+input (by ``_as_kind``, the one kind rule, from either kind), builds the new
 holomorphic field, keeps or rescales potentials, integrates at most one
 new potential from a 1-form linear in dz(a) and dz(b), and records the
 immersion identity the transform must satisfy.
@@ -134,20 +134,12 @@ _FIELD_NAMES = {
 _CLASS = {"first": WeierstrassFirst, "second": WeierstrassSecond}
 
 
-def _data_kind(data):
-    if isinstance(data, WeierstrassFirst):
-        return "first"
-    if isinstance(data, WeierstrassSecond):
-        return "second"
-    raise TypeError("expected a WeierstrassFirst or WeierstrassSecond")
-
-
 def _triple(data):
-    """(kind, holomorphic field, a, b) of a data triple or a certificate."""
-    if isinstance(data, _Certificate):
-        return tuple(data[:4])
-    kind = _data_kind(data)
-    return (kind,) + tuple(getattr(data, name) for name in _FIELD_NAMES[kind])
+    """(kind, holomorphic field, a, b) of a data triple."""
+    for kind, cls in _CLASS.items():
+        if isinstance(data, cls):
+            return (kind,) + tuple(getattr(data, name) for name in _FIELD_NAMES[kind])
+    raise TypeError("expected a WeierstrassFirst or WeierstrassSecond")
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +247,26 @@ def _certify(kind, holo, a, b, source=None):
                         weight, a_z, b_z, b_zzbar)
 
 
-def _certificate(data, kind=None):
-    """``data`` when it is a certificate, else the certificate of the
-    triple; a TypeError unless it is of ``kind`` (if set)."""
-    if not isinstance(data, _Certificate):
-        data = _certify(*_triple(data), data.provenance)
-    if kind not in (None, data.kind):
-        raise TypeError("expected %s-kind data, got %s-kind" % (kind, data.kind))
-    return data
+def _certificate(data):
+    """``data`` if it is a certificate, else the certificate of the triple."""
+    if isinstance(data, _Certificate):
+        return data
+    return _certify(*_triple(data), data.provenance)
+
+
+def _as_kind(data, kind):
+    """The one kind rule: the certificate of a triple or certificate as a
+    ``kind`` triple, its own or its conversion's, certified once.  The
+    third kind is (gauss, pot1 - pot2, pot1 + pot2) of the first."""
+    cert = _certificate(data)
+    if kind == cert.kind:
+        return cert
+    if kind != "third":
+        return _certificate({"first": first_to_second,
+                             "second": second_to_first}[cert.kind](cert))
+    _, gauss, pot1, pot2 = cert[:4] if cert.kind == "first" else _triple(second_to_first(cert))
+    return _certify("third", gauss, lincomb_real([(1.0, pot1), (-1.0, pot2)]),
+                    lincomb_real([(1.0, pot1), (1.0, pot2)]))
 
 
 def validate_first(data):
@@ -403,7 +407,7 @@ def first_to_second(data):
 
     whose sup residual is recorded under provenance["identity_residual"].
     """
-    return _transform(_certificate(data, "first"), "second", _reciprocal_field,
+    return _transform(_as_kind(data, "first"), "second", _reciprocal_field,
                       (None, (2.0, 0)), lambda g, p_z, q_z: p_z / g + g * q_z,
                       lambda g, h: -1.0 / np.conj(g),
                       {"transform": "first_to_second"})
@@ -417,7 +421,7 @@ def second_to_first(data):
     the identity of :func:`first_to_second` holds with the same residual
     bookkeeping.
     """
-    return _transform(_certificate(data, "second"), "first", _reciprocal_field,
+    return _transform(_as_kind(data, "second"), "first", _reciprocal_field,
                       ((0.5, 1), None), lambda h, m_z, n_z: h * m_z - 0.5 * h ** 2 * n_z,
                       lambda h, g: -1.0 / np.conj(h),
                       {"transform": "second_to_first"})
@@ -448,7 +452,7 @@ def deform_parabolic(data, lam):
         return _holo_map(g, lambda w: w / (1.0 + 1j * lam * w),
                          lambda w, dw: dw / (1.0 + 1j * lam * w) ** 2)
 
-    return _transform(_certificate(data, "first"), "first", gauss_lam, ((1.0, 0), None),
+    return _transform(_as_kind(data, "first"), "first", gauss_lam, ((1.0, 0), None),
                       lambda g, p_z, q_z: (1.0 / g + 1j * lam) * (g * q_z - 1j * lam * p_z),
                       lambda g, g_lam: np.conj(g_lam) / np.conj(g),
                       {"family": "parabolic", "parameter": lam})
@@ -465,7 +469,7 @@ def deform_elliptic(data, tau):
     """
     tau = float(tau)
     c = np.exp(-1j * tau)
-    return _transform(_certificate(data, "second"), "second",
+    return _transform(_as_kind(data, "second"), "second",
                       lambda h: _holo_map(h, lambda w: c * w, lambda w, dw: c * dw),
                       (None, (1.0, 1)),
                       lambda h, m_z, n_z: (np.exp(1j * tau) * m_z
@@ -486,7 +490,7 @@ def deform_hyperbolic(data, eta):
     eta = float(eta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = np.exp(eta)
-        out = _transform(_certificate(data, "first"), "first",
+        out = _transform(_as_kind(data, "first"), "first",
                          lambda g: _holo_map(g, lambda w: s * w, lambda w, dw: s * dw),
                          ((s, 0), (1.0 / s, 1)), None, lambda g, g_eta: s,
                          {"family": "hyperbolic", "parameter": eta})
@@ -508,7 +512,7 @@ def save_data(data, path, payload="csv"):
     ``payload`` ("csv" or "binary").  Callbacks do not survive a round
     trip; reloaded data validates at finite-difference tolerances.
     """
-    kind = _data_kind(data)
+    kind = _triple(data)[0]
     refs, written = {}, []
     for name in _FIELD_NAMES[kind]:
         refs[name], fpath = save_payload(getattr(data, name), path, name, payload)

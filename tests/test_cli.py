@@ -347,6 +347,15 @@ class TestDeform:
         assert checks["deformed_nonvanishing"]["passed"]
 
 
+def test_represent_third_of_second_kind_data_is_the_generate_patch(tmp_path):
+    fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17))
+    assert run(["generate", "--fixture", "sigma-theta", "--theta", "0.3", "--grid",
+                "-2:2:-2:2:17x17", "--rep", "third", "--out", tmp_path]) == 0
+    reloaded, _ = load_patch_manifest(os.path.join(str(tmp_path), "patch.json"))
+    patch = surfaces.represent_third(fx.data, anchor=fx.expected.get("anchor"))
+    assert patch.x_stack.tobytes() == reloaded.x_stack.tobytes()
+
+
 class TestSolve:
     def descriptor(self, tmp_path, n=17, target=1e-10, weight="re-exp-iz"):
         g = Grid2D(-1.0, 1.0, -1.0, 1.0, n, n)
@@ -381,6 +390,25 @@ class TestSolve:
         assert checks["conformality"]["passed"]
         assert "solution.obj" in doc["artifacts"]
         assert "solution.json" in doc["artifacts"]
+
+    def test_a_residual_on_its_gate_takes_another_solve(self, tmp_path):
+        # the first solve of this problem lands exactly on the roundoff floor,
+        # 2^-34; the gate is strict, so the solve must refine once more
+        path = os.path.join(str(tmp_path), "tie.json")
+        with open(path, "w") as fh:
+            json.dump({"format": "mtsurf-problem", "version": 1,
+                       "grid": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0,
+                                "n_u": 257, "n_v": 257},
+                       "weight": {"kind": "named", "name": "one"},
+                       "source": {"kind": "named", "name": "exp-v-cosh-u"},
+                       "boundary": {"kind": "named", "name": "coord-u"},
+                       "options": {"target": 1e-11}}, fh)
+        out = os.path.join(str(tmp_path), "out")
+        with pytest.warns(UserWarning, match="roundoff floor"):
+            assert run(["solve", "--problem", path, "--out", out]) == 0
+        solver = manifest_of(out, "solution")["reports"]["solver"]
+        assert solver["effective_target"] == 2.0 ** -34
+        assert solver["converged"] is True and solver["iterations"] == 2
 
     def test_generate_needs_a_weight_with_a_holomorphic_field(self, tmp_path):
         # the solve itself runs and writes its CSV; only the patch is refused
@@ -420,11 +448,29 @@ class TestSolve:
         (lambda d: d["boundary"]["edges"]["u_max"].pop(), ["'u_max'", "length 8"]),
         (lambda d: d["boundary"]["edges"]["v_max"].__setitem__(-1, 1.0), ["corner"]),
         (lambda d: d["options"].update(targt=1e-3), ["options", "'targt'"]),
+        # every part of a descriptor holds only its own keys
+        (lambda d: d.update(optoins={"target": 1e-3}), ["the descriptor", "'optoins'"]),
+        (lambda d: d["weight"].update(scale=2.0), ["'weight'", "'scale'"]),
+        (lambda d: d.update(boundary={"kind": "named", "name": "coord-u", "value": 1.0}),
+         ["boundary", "'value'"]),
+        (lambda d: d.update(source={"kind": "constant", "value": 1.0, "name": "one"}),
+         ["'source'", "'name'"]),
+        (lambda d: d.update(weight={"kind": "file", "file": "w.csv", "format": "csv",
+                                    "grid": {}}), ["'weight'", "'grid'"]),
+        (lambda d: d["boundary"].update(value=0.0), ["boundary", "'value'"]),
+        (lambda d: d["boundary"]["edges"].update(w_min=[0.0] * 9),
+         ["boundary edges", "'w_min'"]),
+        (lambda d: d["options"].update(max_iter="abc"), ["options", "'max_iter'"]),
+        (lambda d: d["options"].update(max_iter=True), ["options", "'max_iter'"]),
+        (lambda d: d["options"].update(max_iter=100.0), ["options", "'max_iter'"]),
     ], ids=["no-boundary", "no-source-value", "empty-edges", "unknown-weight",
             "unknown-source", "unknown-boundary", "unknown-weight-kind", "list-options",
             "number-grid", "non-integer-node-count", "list-target", "bool-target",
             "list-constant-field", "list-constant-boundary", "string-edges",
-            "short-edge", "corner", "unknown-option"])
+            "short-edge", "corner", "unknown-option", "stray-top-level-key",
+            "stray-named-key", "stray-named-boundary-key", "stray-constant-key",
+            "stray-file-key", "stray-edges-entry-key", "stray-edge", "string-max-iter",
+            "bool-max-iter", "float-max-iter"])
     def test_bad_descriptor_fails_with_manifest(self, tmp_path, edit, words):
         out = os.path.join(str(tmp_path), "out")
         path = self.descriptor(tmp_path, n=9)

@@ -38,6 +38,7 @@ from mtsurf.weierstrass import (
     deform_elliptic,
     deform_hyperbolic,
     deform_parabolic,
+    first_to_second,
     second_to_first,
 )
 
@@ -344,6 +345,19 @@ def test_one_sweep_gives_the_patches_of_separate_calls_bit_for_bit(family, shape
         assert swept.invariants == alone.invariants
         assert swept.provenance == alone.provenance
         assert swept.exact is alone.exact is True
+
+
+def test_representations_convert_data_of_the_other_kind_bit_for_bit():
+    second = fixture_sigma_theta(0.3, grid=grid33()).data
+    for represent, other, convert in ((represent_first, second, second_to_first),
+                                      (represent_second, second_to_first(second),
+                                       first_to_second)):
+        patch, explicit = represent(other), represent(convert(other))
+        for name in ("x_stack", "xz_stack", "xzzbar_stack", "h_stack", "gauss_stack"):
+            assert getattr(patch, name).tobytes() == getattr(explicit, name).tobytes(), name
+        assert patch.invariants == explicit.invariants
+        assert patch.provenance == explicit.provenance
+        assert patch.provenance["source"]["transform"] == convert.__name__
 
 
 def test_triples_of_different_routes_or_grids_are_swept_one_at_a_time():

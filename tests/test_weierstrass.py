@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtsurf import tolerances, weierstrass
+from mtsurf import surfaces, tolerances, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.errors import GridMismatchError, InvalidDataError, PoleError
 from mtsurf.fields import (
@@ -16,7 +16,7 @@ from mtsurf.fields import (
     sup_abs,
     wirtinger_dz,
 )
-from mtsurf.surfaces import represent_first
+from mtsurf.surfaces import represent_first, represent_second, represent_third
 from mtsurf.weierstrass import (
     WeierstrassFirst,
     WeierstrassSecond,
@@ -405,6 +405,45 @@ def test_one_invalid_triple_stops_every_transform():
     for _, kind, transform, _ in _TRANSFORMS:
         with pytest.raises(InvalidDataError, match=r"compatible\s+FAIL"):
             transform(triples[kind])
+
+
+_CONVERT = {"first": second_to_first, "second": first_to_second}
+
+
+@pytest.mark.parametrize("kind,transform", [t[1:3] for t in _TRANSFORMS],
+                         ids=[t[0] for t in _TRANSFORMS])
+def test_transforms_convert_data_of_the_other_kind(kind, transform):
+    # one kind rule: data of the other kind gets the conversion a caller
+    # would apply first, bit for bit
+    second = fixture_sigma_theta(0.3, grid=grid(33, (-2.0, 2.0, -2.0, 0.0))).data
+    other = second if kind == "first" else second_to_first(second)
+    out, explicit = transform(other), transform(_CONVERT[kind](other))
+    assert type(out) is type(explicit)
+    for f in fields(type(out))[:3]:
+        assert (getattr(out, f.name).values.tobytes()
+                == getattr(explicit, f.name).values.tobytes()), f.name
+    assert out.provenance == explicit.provenance
+
+
+def test_invalid_data_of_the_other_kind_raises_before_any_integration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an uncertified triple was integrated")
+
+    monkeypatch.setattr(weierstrass, "integrate_primitive", refuse)
+    monkeypatch.setattr(surfaces, "_integrate_primitives", refuse)
+    g = grid(17)
+    noise = RealField(g, 5.0 * np.random.default_rng(7).standard_normal(g.shape))
+    holo = ComplexField(g, np.ones(g.shape, complex))
+    pot = RealField(g, g.mesh()[0])
+    # the triple of the kind other than each transform's own
+    other = {"first": WeierstrassSecond(holo, pot, noise),
+             "second": WeierstrassFirst(holo, pot, noise)}
+    calls = [(transform, other[kind]) for _, kind, transform, _ in _TRANSFORMS]
+    calls += [(represent_first, other["first"]), (represent_second, other["second"]),
+              (represent_third, other["first"])]
+    for call, data in calls:
+        with pytest.raises(InvalidDataError, match=r"compatible\s+FAIL"):
+            call(data)
 
 
 def exp_iz_plane(g):
