@@ -26,7 +26,6 @@ Grid specifications use the syntax ``umin:umax:vmin:vmax:NUxNV``, e.g.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -40,7 +39,7 @@ from .export import _jsonable, _write_patch, load_patch_manifest
 from .fields import (Grid2D, document_entry, read_document, save_field_csv, sup_abs,
                      write_document)
 from .lorentz import rotation
-from .poisson import load_problem, solve_weighted_poisson
+from .poisson import _load_problem, solve_weighted_poisson
 from .surfaces import (
     liu_decompose,
     mean_curvature,
@@ -304,7 +303,7 @@ def cmd_solve(args):
               "generate": bool(args.generate)}
 
     def run(manifest):
-        problem = load_problem(args.problem)
+        problem, doc = _load_problem(args.problem)
         solution, report = solve_weighted_poisson(problem)
         manifest.reports["solver"] = report
         manifest.add_check("solver_residual", report["residual_max"],
@@ -314,18 +313,14 @@ def cmd_solve(args):
         manifest.add_artifacts([out_csv])
 
         if args.generate:
-            doc = read_document(args.problem, "mtsurf-problem", "problem descriptor")
-            wspec = doc.get("weight", {})
-            holo = _HOLO_FOR_WEIGHT.get(wspec.get("name"))
-            if holo is None:
-                raise ValueError(
-                    "cannot generate a patch: the problem's weight %r does not "
-                    "name a holomorphic field (known: %s)"
-                    % (wspec.get("name"), ", ".join(sorted(_HOLO_FOR_WEIGHT))))
-            data = WeierstrassSecond(holo(problem.grid), solution, problem.source,
-                                     provenance={"transform": "poisson-solve",
-                                                 "problem": os.path.basename(
-                                                     args.problem)})
+            weight = doc["weight"].get("name")
+            if weight not in _HOLO_FOR_WEIGHT:
+                raise ValueError("cannot generate a patch: the problem's weight %r does not "
+                                 "name a holomorphic field (known: %s)"
+                                 % (weight, ", ".join(sorted(_HOLO_FOR_WEIGHT))))
+            prov = {"transform": "poisson-solve", "problem": os.path.basename(args.problem)}
+            data = WeierstrassSecond(_HOLO_FOR_WEIGHT[weight](problem.grid), solution,
+                                     problem.source, prov)
             cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
             if cert.report.ok:
@@ -368,19 +363,13 @@ def cmd_verify(args):
               "quadric_constant": args.quadric_constant}
 
     def run(manifest):
-        with open(args.input) as fh:
-            doc = json.load(fh)
-        fmt = doc.get("format") if isinstance(doc, dict) else None
-        if fmt == "mtsurf-data":
+        if read_document(args.input, "mtsurf-data", "mtsurf-patch")["format"] == "mtsurf-data":
             data = load_data(args.input)
             cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
             patch, = _represent([cert], args.rep, _anchor_for_data(data, args))
-        elif fmt == "mtsurf-patch":
-            patch, _ = load_patch_manifest(args.input)
         else:
-            raise ValueError("input %r is neither a data document nor a patch "
-                             "manifest" % args.input)
+            patch, _ = load_patch_manifest(args.input)
 
         _patch_checks(manifest, patch)
         if args.quadric_constant is not None:

@@ -28,8 +28,8 @@ import os
 import numpy as np
 
 from .fields import (_CSV_HEADER, _ROW_BLOCK, _csv_text, _float_text, _int_text,
-                     _node_blocks, _rows, document_entry, document_grid, load_payload,
-                     payload_path, read_document, write_document)
+                     _node_blocks, _rows, document_fields, payload_path, read_document,
+                     write_document)
 from .surfaces import patch_from_samples
 
 __all__ = [
@@ -172,12 +172,9 @@ def load_patch_manifest(path):
     differences), so its invariants are fresh measurements, not copies of
     the stored ones.
     """
-    doc = read_document(path, "mtsurf-patch", "patch manifest")
-    grid = document_grid(path, doc)
-    refs = document_entry(path, doc, "fields", "the manifest", dict)
-    coords = [load_payload(path, refs.get(name), name, grid, real=True).values
-              for name in _COORDS]
-    patch = patch_from_samples(grid, np.stack(coords),
+    doc = read_document(path, "mtsurf-patch")
+    coords = document_fields(path, doc, _COORDS, real=_COORDS)
+    patch = patch_from_samples(coords[0].grid, np.stack([x.values for x in coords]),
                                provenance={"representation": "reloaded",
                                            "manifest": os.path.basename(path)})
     return patch, doc

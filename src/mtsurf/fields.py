@@ -40,17 +40,17 @@ columns side by side and drops the padding, one ``write`` per block;
 ``_node_blocks`` walks a grid's nodes a block at a time with the u and v
 columns formatted once per axis value.  A field CSV writes an imaginary
 part that is +0.0 everywhere as the literal ``0``, and the patch writer
-formats each coordinate once for all of its files.  Memory stays at
-block scale.  Every JSON
-document (data triples, patch manifests, problem descriptors, run
-manifests) goes through ``write_document``/``read_document``, and its
-entries are read through ``document_entry``, which names the document
-and the key of a missing or mistyped entry; field
-payloads are written by ``save_payload`` and resolved only by
-``load_payload``, which accepts a plain file name next to the document
-and nothing else.  A field CSV on a known grid is read back by the
-inverse of the text kernel, ``_read_canonical``, when its bytes are the
-writer's layout (see :func:`load_field_csv`).
+formats each coordinate once for all of its files.  Memory stays at block
+scale.  Every JSON document is written by ``write_document``.  Data
+triples, patch manifests and problem descriptors are read only through
+``read_document``, the one JSON parse; each of their parts holds only the
+keys of its row of ``DOCUMENT_KEYS``, the one key table, checked by
+``document_keys``, and ``document_entry`` names the document and key of a
+missing or mistyped entry.  Field payloads are written by ``save_payload``
+and resolved only by ``load_payload``, which accepts a plain file name next
+to the document and nothing else.  A field CSV on a known grid is read back
+by the inverse of the text kernel, ``_read_canonical``, when its bytes are
+the writer's layout (see :func:`load_field_csv`).
 """
 
 from __future__ import annotations
@@ -107,12 +107,8 @@ class Grid2D:
     n_v: int
 
     def __post_init__(self):
-        object.__setattr__(self, "u_min", float(self.u_min))
-        object.__setattr__(self, "u_max", float(self.u_max))
-        object.__setattr__(self, "v_min", float(self.v_min))
-        object.__setattr__(self, "v_max", float(self.v_max))
-        object.__setattr__(self, "n_u", int(self.n_u))
-        object.__setattr__(self, "n_v", int(self.n_v))
+        for k in DOCUMENT_KEYS["grid"]:
+            object.__setattr__(self, k, (int if k.startswith("n_") else float)(getattr(self, k)))
         if not np.all(np.isfinite([self.u_min, self.u_max, self.v_min, self.v_max])):
             raise ValueError("grid bounds must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
@@ -124,13 +120,14 @@ class Grid2D:
             if not math.isfinite(high - low):
                 raise ValueError("grid span %s_max - %s_min = %r - %r overflows the float range"
                                  % (axis, axis, high, low))
-            # np.linspace rounds node i, low + i*h, to within a few ulps of
-            # the bounds' magnitude, so a step of 8 such ulps keeps every
-            # node distinct; decided before any axis is built
-            h, ulp = (high - low) / (n - 1), math.ulp(max(abs(low), abs(high)))
-            if h < 8.0 * ulp:
-                raise ValueError("grid nodes along %s would repeat: the step %r is under "
-                                 "8 ulps of its bounds (ulp %r)" % (axis, h, ulp))
+            # np.linspace rounds node i, low + i*h, to within a few ulps of the
+            # bounds, so a step of 8 ulps keeps nodes distinct; past 2**63 nodes
+            # the step is under that whatever the bounds (past 2**1024, no float)
+            ulp = math.ulp(max(abs(low), abs(high)))
+            if n > 2 ** 63 or (high - low) / (n - 1) < 8.0 * ulp:
+                raise ValueError("grid nodes along %s would repeat: the step (%r - %r) / (n_%s"
+                                 " - 1) is under 8 ulps of its bounds (ulp %r)"
+                                 % (axis, high, low, axis, ulp))
 
     @property
     def h_u(self):
@@ -193,20 +190,21 @@ class Grid2D:
     @classmethod
     def from_dict(cls, d):
         """The grid of a document's grid entry, coercing nothing: an object
-        whose node counts are integers and whose bounds are JSON numbers
-        (see :func:`is_json_number`; an integer beyond float range is not)."""
+        of the keys ``DOCUMENT_KEYS["grid"]``, with integer node counts and
+        bounds that are JSON numbers (see :func:`is_json_number`)."""
         if not isinstance(d, dict):
             raise ValueError("grid entry must be an object, got %r" % (d,))
-        missing = [k for k in cls.__dataclass_fields__ if k not in d]
-        if missing:
-            raise ValueError("grid entry lacks %s" % ", ".join(missing))
-        for k in cls.__dataclass_fields__:
+        keys = DOCUMENT_KEYS["grid"]
+        missing, stray = [k for k in keys if k not in d], [k for k in d if k not in keys]
+        if missing or stray:
+            raise ValueError("grid entry lacks %s" % ", ".join(missing) if missing else "grid "
+                             "entry has unknown key %r; known: %s" % (stray[0], ", ".join(keys)))
+        for k in keys:
             count = k.startswith("n_")
-            if not (isinstance(d[k], int) and not isinstance(d[k], bool) if count
-                    else is_json_number(d[k])):
+            if not (type(d[k]) is int if count else is_json_number(d[k])):
                 raise ValueError("grid entry %r must be %s, got %r"
                                  % (k, "an integer" if count else "a finite number", d[k]))
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
+        return cls(**d)
 
 
 def _axis(low, high, n):
@@ -1219,12 +1217,48 @@ def write_document(path, doc):
     return path
 
 
-def read_document(path, fmt, noun):
-    """The JSON object at ``path``; it must declare ``"format": fmt``."""
+#: The keys each part of a document may hold (run manifests are never read).
+DOCUMENT_KEYS = {
+    "mtsurf-data": ("format", "version", "kind", "grid", "fields", "provenance"),
+    "mtsurf-patch": ("format", "version", "grid", "fields", "invariants", "provenance"),
+    "mtsurf-problem": ("format", "version", "grid", "weight", "source", "boundary", "options"),
+    "grid": ("u_min", "u_max", "v_min", "v_max", "n_u", "n_v"), "payload": ("file", "format"),
+    "named": ("kind", "name"), "constant": ("kind", "value"), "edges": ("kind", "edges"),
+    "file": ("kind", "file", "format"), "options": ("max_iter", "target"),
+    "boundary edges": ("u_min", "u_max", "v_min", "v_max"),
+}
+
+#: Each format's noun; errors about its entries call it "the <last word>".
+_FORMATS = {"mtsurf-data": "data document", "mtsurf-patch": "patch manifest",
+            "mtsurf-problem": "problem descriptor"}
+
+
+def document_keys(path, spec, what, known):
+    """``spec``, the part ``what`` of the document at ``path``, once each of
+    its keys is in ``known``, a row of ``DOCUMENT_KEYS`` or a list of field
+    names; otherwise a ValueError names the document, the part and the key."""
+    for key in spec:
+        if key not in known:
+            raise ValueError("%r: %s has unknown key %r; known: %s"
+                             % (path, what, key, ", ".join(known)))
+    return spec
+
+
+def read_document(path, *formats):
+    """The JSON object at ``path``, of one of ``formats`` (the one JSON parse):
+    its top-level keys must be in its format's row and its ``version``, if
+    any, the JSON integer 1, not true; else a ValueError names them."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise ValueError("not a %s: %r" % (noun, path))
+    if not isinstance(doc, dict) or doc.get("format") not in formats:
+        nouns = " nor of a ".join(_FORMATS[f] for f in formats)
+        raise ValueError("%r: its 'format' is %s that of a %s"
+                         % (path, "neither" if len(formats) > 1 else "not", nouns))
+    what = "the " + _FORMATS[doc["format"]].split()[1]
+    document_keys(path, doc, what, DOCUMENT_KEYS[doc["format"]])
+    if type(doc.get("version", 1)) is not int or doc.get("version", 1) != 1:
+        raise ValueError("%r: %s entry 'version' must be the JSON integer 1, got %r"
+                         % (path, what, doc["version"]))
     return doc
 
 
@@ -1267,6 +1301,16 @@ def document_grid(path, doc):
         raise ValueError("%r: %s" % (path, exc)) from None
 
 
+def document_fields(path, doc, names, real=()):
+    """The fields ``names`` of the document ``doc`` read from ``path``, on its
+    grid, through its ``fields`` object of these payload references (see
+    :func:`load_payload`) and no other; a name in ``real`` must be real."""
+    grid = document_grid(path, doc)
+    what = "the " + _FORMATS[doc["format"]].split()[1]
+    refs = document_keys(path, document_entry(path, doc, "fields", what, dict), "fields", names)
+    return [load_payload(path, refs.get(name), name, grid, name in real) for name in names]
+
+
 _PAYLOAD_EXT = {"csv": "csv", "binary": "fld"}
 
 
@@ -1291,9 +1335,9 @@ def save_payload(field, doc_path, tag, payload="csv"):
 
 def load_payload(doc_path, ref, name, grid, real=False):
     """Field ``name`` of the document at ``doc_path``, read through its
-    reference ``ref``: a plain file name in the document's own directory
-    and a format, "csv" or "binary".  The name must stay in that directory
-    once symlinks are resolved, so a link to a file elsewhere is refused.
+    reference ``ref``: a plain file name in the document's own directory,
+    a format, "csv" or "binary", and no other key.  The name must stay in
+    that directory once symlinks are resolved, so a link elsewhere is refused.
     The payload must lie on ``grid``, and with ``real`` it must be a
     RealField: a CSV payload with a nonzero imaginary part, or a complex
     binary one, is refused.  A CSV payload is read with ``grid`` known, so
@@ -1304,6 +1348,7 @@ def load_payload(doc_path, ref, name, grid, real=False):
 
     if not isinstance(ref, dict) or not isinstance(ref.get("file"), str):
         raise refuse("has a missing or malformed payload reference")
+    document_keys(doc_path, ref, "field %r reference" % name, DOCUMENT_KEYS["payload"])
     fname, fmt = ref["file"], ref.get("format")
     if fname in ("", ".", "..") or "\\" in fname or os.path.basename(fname) != fname:
         raise refuse("payload %r is not a plain file name next to the document" % fname)

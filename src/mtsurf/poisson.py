@@ -26,9 +26,9 @@ import numpy as np
 
 from .catalog import _product
 from .errors import DomainError
-from .fields import (Analytic, Grid2D, RealField, document_entry, document_grid,
-                     is_json_number, load_payload, read_document, save_payload,
-                     write_document)
+from .fields import (DOCUMENT_KEYS, Analytic, Grid2D, RealField, document_entry,
+                     document_grid, document_keys, is_json_number, load_payload,
+                     read_document, save_payload, write_document)
 from .tolerances import passes
 from .weierstrass import WeierstrassSecond, validate_second
 
@@ -45,14 +45,8 @@ __all__ = [
     "load_problem",
 ]
 
-_EDGE_NAMES = ("u_min", "u_max", "v_min", "v_max")
+_EDGE_NAMES = DOCUMENT_KEYS["boundary edges"]
 _TARGET = 1e-10
-
-#: The keys each part of a descriptor may hold; any other is refused.
-_KEYS = {"named": ("kind", "name"), "constant": ("kind", "value"), "edges": ("kind", "edges"),
-         "file": ("kind", "file", "format"), "options": ("max_iter", "target"),
-         "boundary edges": _EDGE_NAMES, "the descriptor": (
-             "format", "version", "grid", "weight", "source", "boundary", "options")}
 
 
 def _ring(grid, u_min, u_max, v_min, v_max):
@@ -289,16 +283,6 @@ def save_problem(problem, path, weight_name=None, source_name=None):
     })
 
 
-def _strict(path, spec, what, part=None):
-    """``spec``, part ``what`` of a descriptor, once ``_KEYS[part or what]`` holds each key."""
-    known = _KEYS[part or what]
-    for key in spec:
-        if key not in known:
-            raise ValueError("%r: %s has unknown key %r; known: %s"
-                             % (path, what, key, ", ".join(known)))
-    return spec
-
-
 def _named_boundary(name, grid):
     if name not in NAMED_FIELDS:
         raise KeyError("unknown boundary %r; known: %s"
@@ -313,7 +297,7 @@ def _load_field_entry(path, doc, tag, grid, named, kinds=("named", "constant", "
     what = "field %r" % tag
     if kind not in kinds:
         raise ValueError("%r: %s has unknown kind %r" % (path, what, kind))
-    _strict(path, entry, what, kind)
+    document_keys(path, entry, what, DOCUMENT_KEYS[kind])
     if kind == "named":
         name = document_entry(path, entry, "name", what, str)
         try:
@@ -325,14 +309,14 @@ def _load_field_entry(path, doc, tag, grid, named, kinds=("named", "constant", "
         return RealField(grid, np.full(grid.shape, value))
     if kind == "edges":
         return _load_edges(path, entry, grid)
-    return load_payload(path, entry, tag, grid, real=True)
+    return load_payload(path, {k: v for k, v in entry.items() if k != "kind"}, tag, grid, True)
 
 
 def _load_edges(path, bspec, grid):
     """The ring field of a descriptor's four-edge boundary entry; two edges
     that meet at a corner must agree there to 1e-10 of their scale."""
-    edges = _strict(path, document_entry(path, bspec, "edges", "boundary", dict),
-                    "boundary edges")
+    edges = document_keys(path, document_entry(path, bspec, "edges", "boundary", dict),
+                          "boundary edges", _EDGE_NAMES)
     n_u, n_v = grid.shape
     values = []
     for name, want in zip(_EDGE_NAMES, (n_v, n_v, n_u, n_u)):
@@ -357,6 +341,22 @@ def _load_edges(path, bspec, grid):
     return _ring(grid, *values)
 
 
+def _load_problem(path):
+    """(:func:`load_problem` of ``path``, the descriptor it read)."""
+    doc = read_document(path, "mtsurf-problem")
+    grid = document_grid(path, doc)
+    weight = _load_field_entry(path, doc, "weight", grid, named_weight)
+    source = _load_field_entry(path, doc, "source", grid, named_field)
+    boundary = _load_field_entry(path, doc, "boundary", grid, _named_boundary,
+                                 ("edges", "constant", "named"))
+    opts = document_keys(path, document_entry(path, doc, "options", "the descriptor", dict,
+                                              {}), "options", DOCUMENT_KEYS["options"])
+    if type(opts.get("max_iter", 0)) is not int:
+        raise ValueError("%r: options entry 'max_iter' must be a JSON integer" % path)
+    target = float(document_entry(path, opts, "target", "options", float, _TARGET))
+    return PoissonProblem(grid, weight, source, boundary, target), doc
+
+
 def load_problem(path):
     """Read a problem descriptor written by :func:`save_problem`.
 
@@ -368,16 +368,4 @@ def load_problem(path):
     Any key or entry that is missing, mistyped or unknown raises a
     ValueError naming the descriptor and the key.
     """
-    doc = _strict(path, read_document(path, "mtsurf-problem", "problem descriptor"),
-                  "the descriptor")
-    grid = document_grid(path, doc)
-    weight = _load_field_entry(path, doc, "weight", grid, named_weight)
-    source = _load_field_entry(path, doc, "source", grid, named_field)
-    boundary = _load_field_entry(path, doc, "boundary", grid, _named_boundary,
-                                 ("edges", "constant", "named"))
-    opts = _strict(path, document_entry(path, doc, "options", "the descriptor", dict, {}),
-                   "options")
-    if type(opts.get("max_iter", 0)) is not int:
-        raise ValueError("%r: options entry 'max_iter' must be a JSON integer" % path)
-    target = float(document_entry(path, opts, "target", "options", float, _TARGET))
-    return PoissonProblem(grid, weight, source, boundary, target)
+    return _load_problem(path)[0]

@@ -42,11 +42,10 @@ from .fields import (
     ComplexField,
     RealField,
     document_entry,
-    document_grid,
+    document_fields,
     integrate_primitive,
     laplacian,
     lincomb_real,
-    load_payload,
     min_abs_location,
     read_document,
     save_payload,
@@ -530,14 +529,11 @@ def save_data(data, path, payload="csv"):
 
 def load_data(path):
     """Inverse of :func:`save_data`."""
-    doc = read_document(path, "mtsurf-data", "data document")
+    doc = read_document(path, "mtsurf-data")
     kind = document_entry(path, doc, "kind", "the document", str)
     if kind not in _FIELD_NAMES:
         raise ValueError("%r: unknown data kind %r" % (path, kind))
-    grid = document_grid(path, doc)
-    refs = document_entry(path, doc, "fields", "the document", dict)
     provenance = document_entry(path, doc, "provenance", "the document", dict, default={})
     # the holomorphic field is complex, the two potentials real
-    holo, a, b = (load_payload(path, refs.get(name), name, grid, real=k > 0)
-                  for k, name in enumerate(_FIELD_NAMES[kind]))
-    return _CLASS[kind](ComplexField(grid, holo.values), a, b, provenance)
+    holo, a, b = document_fields(path, doc, _FIELD_NAMES[kind], _FIELD_NAMES[kind][1:])
+    return _CLASS[kind](ComplexField(holo.grid, holo.values), a, b, provenance)

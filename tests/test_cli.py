@@ -391,6 +391,20 @@ class TestSolve:
         assert "solution.obj" in doc["artifacts"]
         assert "solution.json" in doc["artifacts"]
 
+    def test_generate_reads_its_descriptor_once(self, tmp_path, monkeypatch):
+        # the weight's name comes from the one read that built the problem
+        path = self.descriptor(tmp_path)
+        reads, real_load = [], json.load
+
+        def counted(fh, *args, **kwargs):
+            reads.append(fh.name)
+            return real_load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counted)
+        out = os.path.join(str(tmp_path), "out")
+        assert run(["solve", "--generate", "--problem", path, "--out", out]) == 0
+        assert reads == [path]
+
     def test_a_residual_on_its_gate_takes_another_solve(self, tmp_path):
         # the first solve of this problem lands exactly on the roundoff floor,
         # 2^-34; the gate is strict, so the solve must refine once more
@@ -1102,6 +1116,17 @@ def test_a_grid_whose_nodes_repeat_is_refused(tmp_path):
     out = str(tmp_path)
     assert run(["generate", "--fixture", "catenoid-r3",
                 "--grid=1:1.0000000000000004:-1:1:9x9", "--out", out, "--name", "r"]) == 1
+    doc = failed_run(out, "r")
+    assert "grid nodes along u would repeat" in doc["error"]
+    assert sorted(os.listdir(out)) == ["r.manifest.json"] == doc["artifacts"]
+
+
+def test_a_node_count_beyond_float_range_is_refused(tmp_path):
+    # 400 digits: the step (u_max - u_min) / (n_u - 1) has no float, so the
+    # count is refused before the division
+    out = str(tmp_path)
+    assert run(["generate", "--fixture", "catenoid-r3",
+                "--grid=-1:1:-1:1:%sx9" % ("1" * 400), "--out", out, "--name", "r"]) == 1
     doc = failed_run(out, "r")
     assert "grid nodes along u would repeat" in doc["error"]
     assert sorted(os.listdir(out)) == ["r.manifest.json"] == doc["artifacts"]

@@ -503,23 +503,85 @@ def test_tampered_documents_load_or_fail_typed(kind, edit):
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
 def test_huge_integer_grid_bound_fails_with_manifest(kind, tmp_path):
-    """A grid bound that is an integer beyond float range (401 digits) is
-    refused by name: the command exits 1 with a run manifest, not in an
-    OverflowError traceback."""
-    fname, _, _ = DOCUMENTS[kind](str(tmp_path))
+    """A grid bound that is an integer beyond float range (401 digits), or a
+    node count as large, is refused by name: the command exits 1 with a run
+    manifest, not in an OverflowError traceback."""
+    for key, value, words in (("u_min", -10 ** 400, ["'u_min'", "finite number"]),
+                              ("n_u", 10 ** 400, ["grid nodes along u would repeat"])):
+        src = str(tmp_path / key)
+        os.mkdir(src)
+        fname, _, _ = DOCUMENTS[kind](src)
+        path = os.path.join(src, fname)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["grid"][key] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(src, "out")
+        command = ["solve", "--problem"] if kind == "problem" else ["verify", "--input"]
+        rc = cli.main(command + [path, "--out", out, "--name", "run"])
+        with open(os.path.join(out, "run.manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert rc == 1 and manifest["passed"] is False
+        for word in words:
+            assert word in manifest["error"], (key, word)
+        assert os.listdir(out) == ["run.manifest.json"]
+
+
+#: The parts of a document a test may add a key to, by the name of the
+#: field whose reference the test tampers with.
+_PARTS = {"top-level": lambda doc, name: doc, "grid": lambda doc, name: doc["grid"],
+          "fields": lambda doc, name: doc["fields"],
+          "reference": lambda doc, name: doc["fields"][name]}
+
+
+@pytest.mark.parametrize("kind,part,key,value", [
+    (kind, part, key, value) for part, key, value in [
+        ("top-level", "notes", ""), ("grid", "n_w", 17), ("reference", "sha256", "0"),
+        ("fields", "x5", {"file": "doc.x5.csv", "format": "csv"}),
+        ("top-level", "version", 2), ("top-level", "version", True)]
+    for kind in sorted(DOCUMENTS)
+    # a descriptor's fields are entries of their own kinds, not references
+    if kind != "problem" or part in ("top-level", "grid")])
+def test_a_key_outside_the_table_is_refused_by_name(tmp_path, kind, part, key, value):
+    """Every part of a document holds only its own keys, and a version is
+    the JSON integer 1: the loader and the command refuse anything else by
+    the document and the key."""
+    fname, load, (_, name) = DOCUMENTS[kind](str(tmp_path))
     path = os.path.join(str(tmp_path), fname)
     with open(path) as fh:
         doc = json.load(fh)
-    doc["grid"]["u_min"] = -10 ** 400
+    _PARTS[part](doc, name)[key] = value
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    out = os.path.join(str(tmp_path), "out")
+    with pytest.raises(ValueError, match=r"doc.*'%s'" % key):
+        load(path)
+    out = str(tmp_path / "out")
     command = ["solve", "--problem"] if kind == "problem" else ["verify", "--input"]
-    rc = cli.main(command + [path, "--out", out, "--name", "run"])
+    assert cli.main(command + [path, "--out", out, "--name", "run"]) == 1
     with open(os.path.join(out, "run.manifest.json")) as fh:
         manifest = json.load(fh)
-    assert rc == 1 and manifest["passed"] is False
-    assert "'u_min'" in manifest["error"] and "finite number" in manifest["error"]
+    assert manifest["passed"] is False
+    assert fname in manifest["error"] and "'%s'" % key in manifest["error"]
+
+
+def test_a_misspelt_provenance_is_refused_not_dropped(tmp_path):
+    # the sigma-theta provenance names the fixture verify rebuilds the
+    # quadric anchor from, so a misspelt key must not load as {}
+    fname, _, _ = _data_document(str(tmp_path))
+    path = os.path.join(str(tmp_path), fname)
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert doc["provenance"]["name"] == "sigma-theta"
+    doc["provenace"] = doc.pop("provenance")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="unknown key 'provenace'"):
+        load_data(path)
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--input", path, "--out", out, "--name", "run"]) == 1
+    with open(os.path.join(out, "run.manifest.json")) as fh:
+        assert "unknown key 'provenace'" in json.load(fh)["error"]
 
 
 def test_payload_grid_mismatch_is_typed(tmp_path):
