@@ -35,7 +35,7 @@ import numpy as np
 
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError
-from .export import _jsonable, _write_patch, load_patch_manifest
+from .export import _jsonable, _patch_from_document, _write_patch, load_patch_manifest
 from .fields import (Grid2D, document_entry, read_document, save_field_csv, sup_abs,
                      write_document)
 from .lorentz import rotation
@@ -56,6 +56,7 @@ from .weierstrass import (
     WeierstrassSecond,
     _as_kind,
     _certificate,
+    _data_from_document,
     _exact_callbacks,
     deform_elliptic,
     deform_hyperbolic,
@@ -363,13 +364,14 @@ def cmd_verify(args):
               "quadric_constant": args.quadric_constant}
 
     def run(manifest):
-        if read_document(args.input, "mtsurf-data", "mtsurf-patch")["format"] == "mtsurf-data":
-            data = load_data(args.input)
+        doc = read_document(args.input, "mtsurf-data", "mtsurf-patch")
+        if doc["format"] == "mtsurf-data":
+            data = _data_from_document(args.input, doc)
             cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
             patch, = _represent([cert], args.rep, _anchor_for_data(data, args))
         else:
-            patch, _ = load_patch_manifest(args.input)
+            patch = _patch_from_document(args.input, doc)
 
         _patch_checks(manifest, patch)
         if args.quadric_constant is not None:

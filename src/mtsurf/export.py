@@ -173,11 +173,15 @@ def load_patch_manifest(path):
     the stored ones.
     """
     doc = read_document(path, "mtsurf-patch")
+    return _patch_from_document(path, doc), doc
+
+
+def _patch_from_document(path, doc):
+    """The patch of the manifest ``doc``, already read from ``path``."""
     coords = document_fields(path, doc, _COORDS, real=_COORDS)
-    patch = patch_from_samples(coords[0].grid, np.stack([x.values for x in coords]),
-                               provenance={"representation": "reloaded",
-                                           "manifest": os.path.basename(path)})
-    return patch, doc
+    return patch_from_samples(coords[0].grid, np.stack([x.values for x in coords]),
+                              provenance={"representation": "reloaded",
+                                          "manifest": os.path.basename(path)})
 
 
 def _jsonable(obj):

@@ -108,7 +108,11 @@ class Grid2D:
 
     def __post_init__(self):
         for k in DOCUMENT_KEYS["grid"]:
-            object.__setattr__(self, k, (int if k.startswith("n_") else float)(getattr(self, k)))
+            try:
+                value = (int if k.startswith("n_") else float)(getattr(self, k))
+            except OverflowError:       # an integer bound too large for a float, or n = inf
+                raise ValueError("grid %s lies beyond the float range" % k) from None
+            object.__setattr__(self, k, value)
         if not np.all(np.isfinite([self.u_min, self.u_max, self.v_min, self.v_max])):
             raise ValueError("grid bounds must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
@@ -808,7 +812,7 @@ def _float_text(values):
     text[:, _DIGIT_SLOTS] = words.view(np.uint8)[:, 3:]
     if sci.any():
         text[:, 42:] = digits4[np.abs(e)].view(np.uint8).reshape(n, 4)[:, 2:]
-    text &= layouts[layout]
+    text &= np.take(layouts, layout, axis=0)
     used = np.zeros(len(layouts), bool)
     used[layout] = True
     text = text[:, layouts[used].any(axis=0)]
@@ -869,7 +873,8 @@ def _node_blocks(grid):
     size = grid.n_u * grid.n_v
     for start in range(0, size, _ROW_BLOCK):
         i, j = np.divmod(np.arange(start, min(start + _ROW_BLOCK, size)), grid.n_v)
-        yield slice(start, start + _ROW_BLOCK), u_text[i], v_text[j]
+        yield (slice(start, start + _ROW_BLOCK), np.take(u_text, i, axis=0),
+               np.take(v_text, j, axis=0))
 
 
 def _csv_text(u, v, re, im=None):
@@ -916,10 +921,8 @@ _LEAD = (np.uint8(255) * (np.arange(_TOKEN) >= np.arange(_TOKEN + 1)[:, None])
 #: 10^p, the divisor that splits off the p digits after a dot; where 10^p
 #: passes 2^64, 2^64 - 1, which leaves a mantissa (below 10^18) whole.
 _DIV10 = np.array([10 ** p if p < 20 else 2 ** 64 - 1 for p in range(_TOKEN)], np.uint64)
-#: 10^p as doubles and as longdoubles, built by products that are exact up
-#: to 10^22 and 10^27: the double division takes p <= 22, and a token of
-#: ``_TOKEN`` bytes has p <= 23.
-_F10 = np.cumprod([1.0] + [10.0] * (_TOKEN - 1))
+#: 10^p as longdoubles, built by products that are exact up to 10^27; a
+#: token of ``_TOKEN`` bytes has p <= 23.
 _L10 = np.cumprod([_LD(1)] + [_LD(10)] * (_TOKEN - 1))
 #: The bytes of a token that is handed to float(), as np.loadtxt would parse
 #: it: digits, '.', an exponent and signs; anything else leaves the file to
@@ -935,19 +938,17 @@ def _read_numbers(buf, start, stop):
     A token ``[-]digits[.digits]`` of at most ``_TOKEN`` bytes is m / 10^p,
     m the integer of its digits and p the digits after the dot.  m comes
     from integer digit arithmetic, eight digits per word (Lemire, "Number
-    parsing at a gigabyte per second", 2021), and the quotient is exact:
-
-    * for m < 2^53 and p <= 22, m and 10^p are doubles, and one IEEE
-      division rounds m / 10^p correctly (Clinger, "How to read floating
-      point numbers accurately", PLDI 1990);
-    * otherwise (m < 10^18) m and 10^p are exact longdoubles, so their
-      quotient q carries one rounding, at most eps/2 = 2^-64 of q (x87;
-      less for quad).  The double d nearest q is then the double nearest
-      m / 10^p unless a half-way point between doubles lies between them,
-      which needs q within 2^-64 q of the half-way point on its side of d.
-      q - d is exact (Sterbenz), and so is its conversion to double on x87
-      (on quad its error is below 2^-106 q), so a token whose q lies
-      within 2^-62 q of that half-way point is left out.
+    parsing at a gigabyte per second", 2021), and one longdouble division
+    gives the quotient exactly (after Clinger, "How to read floating point
+    numbers accurately", PLDI 1990): for every m < 10^18 and p <= 23, m and
+    10^p are exact longdoubles, so their quotient q carries one rounding,
+    at most eps/2 = 2^-64 of q (x87; less for quad).  The double d nearest
+    q is then the double nearest m / 10^p unless a half-way point between
+    doubles lies between them, which needs q within 2^-64 q of the half-way
+    point on its side of d.  q - d is exact (Sterbenz), and so is its
+    conversion to double on x87 (on quad its error is below 2^-106 q), so a
+    token whose q lies within 2^-62 q of that half-way point is left out
+    (a zero token, q = 0, is exact and kept).
 
     The rest (scientific notation, the tie window, more digits, any other
     spelling) go to float(), the correctly rounded conversion np.loadtxt
@@ -956,7 +957,7 @@ def _read_numbers(buf, start, stop):
     size = start.size
     width = stop - start
     neg = buf[start] == 45                                    # '-'
-    text = _windows(buf, _TOKEN)[stop - _TOKEN]
+    text = _gather(buf, stop - _TOKEN, _TOKEN)
     text -= np.uint8(48)                                      # digits become 0..9
     words = text.view("<u8")
     words &= np.take(_LEAD, np.clip(_TOKEN - width + neg, 0, _TOKEN), axis=0)
@@ -983,19 +984,15 @@ def _read_numbers(buf, start, stop):
     m += np.uint64(9) * (m % np.take(_DIV10, p))
     m //= np.uint64(10)
 
-    x = m.astype(np.float64) / np.take(_F10, p)
-    big = np.flatnonzero((m >= np.uint64(2 ** 53)) | (p > 22))
-    if big.size:
-        q = m[big].astype(_LD) / np.take(_L10, p[big])
-        near = q.astype(np.float64)
-        off = (q - near).astype(np.float64)
-        # half the gap to the next double on the side of q: ulp/2, or ulp/4
-        # below a power of two
-        bits = near.view(np.int64)
-        half = (bits & 0x7FF0000000000000).view(np.float64) * 2.0 ** -53
-        half[(off < 0) & ((bits & 0xFFFFFFFFFFFFF) == 0)] *= 0.5
-        x[big] = near
-        slow[big[half - np.abs(off) <= near * 2.0 ** -62]] = True
+    q = m.astype(_LD) / np.take(_L10, p)
+    x = q.astype(np.float64)
+    off = (q - x).astype(np.float64)
+    # half the gap to the next double on the side of q: ulp/2, or ulp/4
+    # below a power of two
+    bits = x.view(np.int64)
+    half = (bits & 0x7FF0000000000000).view(np.float64) * 2.0 ** -53
+    half[(off < 0) & ((bits & 0xFFFFFFFFFFFFF) == 0)] *= 0.5
+    slow |= half - np.abs(off) < x * 2.0 ** -62
     np.negative(x, out=x, where=neg)
     for k in np.flatnonzero(slow).tolist():
         token = buf[start[k]:stop[k]].tobytes()
@@ -1010,10 +1007,12 @@ def _read_numbers(buf, start, stop):
     return x
 
 
-def _windows(buf, width):
-    """The windows ``buf[k:k + width]`` of the uint8 array ``buf``, as the
-    rows of a view (sliding_window_view without its checks)."""
-    return np.ndarray((buf.size - width + 1, width), np.uint8, buf, 0, (1, 1))
+def _gather(buf, at, width):
+    """The windows ``buf[k:k + width]`` of the uint8 array ``buf`` for each
+    k of ``at``, as the rows of a new array: each window moves as one item
+    of a ``width``-byte view, not as ``width`` bytes."""
+    items = np.ndarray((buf.size - width + 1,), "V%d" % width, buf, 0, (1,))
+    return items[at].view(np.uint8).reshape(-1, width)
 
 
 def _axis_text(axis):
@@ -1025,6 +1024,16 @@ def _axis_text(axis):
     length = np.count_nonzero(text, axis=1)
     text = np.ascontiguousarray(text[:, :8 * -(-length.max() // 8)])
     return text.view("<u8"), (np.uint8(255) * (text != 0)).view("<u8"), length
+
+
+@functools.lru_cache(maxsize=8)
+def _prefix_tables(grid):
+    """:func:`_axis_text` of both axes of ``grid``, built once for all the
+    payloads of a document on it, and read-only, as every read shares them."""
+    tables = _axis_text(grid.axis_u) + _axis_text(grid.axis_v)
+    for table in tables:
+        table.setflags(write=False)
+    return tables[:3], tables[3:]
 
 
 def _read_canonical(path, grid):
@@ -1041,27 +1050,24 @@ def _read_canonical(path, grid):
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        raw = bytearray(size + 2 * _PAD)
-        if fh.readinto(memoryview(raw)[_PAD:_PAD + size]) != size:
+        buf = np.empty(size + 2 * _PAD, np.uint8)
+        buf[:_PAD] = buf[-_PAD:] = 0
+        if fh.readinto(buf[_PAD:_PAD + size]) != size:
             return None
-    buf = np.frombuffer(raw, np.uint8)
     n = grid.n_u * grid.n_v
     ends = np.flatnonzero(buf == 10)        # of the header and of each row
-    if (raw[_PAD:_PAD + len(_CSV_HEADER)] != _CSV_HEADER.encode("ascii")
+    if (buf[_PAD:_PAD + len(_CSV_HEADER)].tobytes() != _CSV_HEADER.encode("ascii")
             or ends.size != n + 1 or ends[-1] != _PAD + size - 1):
         return None
-    u_text, u_mask, u_len = _axis_text(grid.axis_u)
-    v_text, v_mask, v_len = _axis_text(grid.axis_v)
-    u_windows, v_windows = _windows(buf, 8 * u_text.shape[1]), _windows(buf, 8 * v_text.shape[1])
+    (u_text, u_mask, u_len), (v_text, v_mask, v_len) = _prefix_tables(grid)
     re, im = np.empty(n), None
     for begin in range(0, n, _ROW_BLOCK):
         nodes = slice(begin, min(begin + _ROW_BLOCK, n))
         i, j = np.divmod(np.arange(nodes.start, nodes.stop), grid.n_v)
         start, end = ends[nodes] + 1, ends[nodes.start + 1:nodes.stop + 1]
         v_start = start + np.take(u_len, i)
-        for text, mask, windows, at, k in ((u_text, u_mask, u_windows, start, i),
-                                           (v_text, v_mask, v_windows, v_start, j)):
-            found = windows[at].view("<u8") ^ np.take(text, k, axis=0)
+        for text, mask, at, k in ((u_text, u_mask, start, i), (v_text, v_mask, v_start, j)):
+            found = _gather(buf, at, 8 * text.shape[1]).view("<u8") ^ np.take(text, k, axis=0)
             if (found & np.take(mask, k, axis=0)).any():
                 return None
         if (buf[end - 2] == 44).all() and (buf[end - 1] == 48).all():   # ",0"
@@ -1179,7 +1185,7 @@ def load_field_binary(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _BIN_HEADER.size or raw[:5] != _BIN_MAGIC:
-        raise ValueError("not a field binary file (bad magic)")
+        raise ValueError("%r is not a field binary file (bad magic)" % (path,))
     magic, kind, n_u, n_v, u_min, u_max, v_min, v_max = _BIN_HEADER.unpack_from(raw)
     if kind not in (0, 1):
         raise ValueError("field binary %r has kind byte %d; expected 0 (real) "
@@ -1340,9 +1346,10 @@ def load_payload(doc_path, ref, name, grid, real=False):
     that directory once symlinks are resolved, so a link elsewhere is refused.
     The payload must lie on ``grid``, and with ``real`` it must be a
     RealField: a CSV payload with a nonzero imaginary part, or a complex
-    binary one, is refused.  A CSV payload is read with ``grid`` known, so
-    the writer's layout takes the exact canonical reader and anything else
-    np.loadtxt (see :func:`load_field_csv`)."""
+    binary one, is refused, and so is a payload its reader refuses, by the
+    document, the field and the reader's message.  A CSV payload is read
+    with ``grid`` known, so the writer's layout takes the exact canonical
+    reader and anything else np.loadtxt (see :func:`load_field_csv`)."""
     def refuse(why):
         return ValueError("%r: field %r %s" % (doc_path, name, why))
 
@@ -1360,7 +1367,10 @@ def load_payload(doc_path, ref, name, grid, real=False):
     if os.path.dirname(resolved) != home:
         raise refuse("payload %r resolves to %r, outside the document's directory %r"
                      % (fname, resolved, home))
-    fld = load_field_csv(path, grid) if fmt == "csv" else load_field_binary(path)
+    try:
+        fld = load_field_csv(path, grid) if fmt == "csv" else load_field_binary(path)
+    except ValueError as exc:
+        raise refuse("payload: %s" % exc) from None
     if fld.grid != grid:
         raise GridMismatchError("%r: field %r payload grid disagrees with the "
                                 "document grid" % (doc_path, name))

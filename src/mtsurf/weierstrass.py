@@ -529,7 +529,11 @@ def save_data(data, path, payload="csv"):
 
 def load_data(path):
     """Inverse of :func:`save_data`."""
-    doc = read_document(path, "mtsurf-data")
+    return _data_from_document(path, read_document(path, "mtsurf-data"))
+
+
+def _data_from_document(path, doc):
+    """The triple of the data document ``doc``, already read from ``path``."""
     kind = document_entry(path, doc, "kind", "the document", str)
     if kind not in _FIELD_NAMES:
         raise ValueError("%r: unknown data kind %r" % (path, kind))

@@ -979,10 +979,10 @@ class TestMemoryError:
         assert sorted(os.listdir(out)) == ["oom.manifest.json"]
 
     def test_verify_ends_in_a_manifest(self, tmp_path, monkeypatch):
-        def exhausted(path):
+        def exhausted(path, doc):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "load_patch_manifest", exhausted)
+        monkeypatch.setattr(cli, "_patch_from_document", exhausted)
         out = str(tmp_path)
         doc_path = os.path.join(out, "patch.json")
         with open(doc_path, "w") as fh:

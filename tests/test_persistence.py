@@ -616,6 +616,44 @@ def test_grid_entry_lacking_a_key_is_named():
                           "n_u": 3})
 
 
+@pytest.mark.parametrize("key,value", [("u_min", -10 ** 400), ("v_max", 10 ** 400),
+                                       ("n_u", float("inf"))], ids=["u_min", "v_max", "n_u"])
+def test_grid_bound_beyond_float_range_is_a_value_error(key, value):
+    # a library caller's bound, not a document's: the cast itself refuses it
+    bounds = {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "n_u": 9, "n_v": 9}
+    bounds[key] = value
+    with pytest.raises(ValueError, match="grid %s lies beyond the float range" % key):
+        Grid2D(**bounds)
+
+
+@pytest.mark.parametrize("kind,against,reads", [("data", False, 1), ("patch", False, 1),
+                                                ("patch", True, 2)])
+def test_verify_reads_each_document_once(tmp_path, monkeypatch, kind, against, reads):
+    # the document that picks the loader is the one loaded
+    fname, _, _ = DOCUMENTS[kind](str(tmp_path))
+    path = str(tmp_path / fname)
+    opened, load = [], json.load
+    monkeypatch.setattr(json, "load", lambda fh, **kw: opened.append(fh.name) or load(fh, **kw))
+    argv = ["verify", "--input", path, "--out", str(tmp_path / "out"), "--name", "run"]
+    if against:
+        argv += ["--against", path, "--family", "parabolic", "--parameter", "0"]
+    cli.main(argv)
+    assert opened == [path] * reads
+
+
+def test_bad_binary_payload_names_its_file(tmp_path):
+    fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 2.0, -1.0, 1.0, 7, 5))
+    path = str(tmp_path / "d.data.json")
+    save_data(fx.data, path, payload="binary")
+    (tmp_path / "d.data.holo.fld").write_bytes(b"garbage")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--input", path, "--out", out, "--name", "run"]) == 1
+    with open(os.path.join(out, "run.manifest.json")) as fh:
+        error = json.load(fh)["error"]
+    for word in ("d.data.json", "field 'holo'", "d.data.holo.fld", "bad magic"):
+        assert word in error, word
+
+
 # ---------------------------------------------------------------------------
 # round trips of the field formats and the grid spec
 
@@ -799,6 +837,12 @@ _TIE_TOKENS = [b"9007199254740993", b"-4503599627370496.5", b"2251799813685248.2
                b"18014398509481986", b"9007199254740993.0", b"103.67867085682132",
                b"-0.67726909148632225", b"2.4012198315278519", b"114.97046953005934"]
 
+#: 16-digit tokens (m < 2^53) near a half-way point between doubles: the
+#: first three within 2^-68 of it (relative), inside the tie window, the
+#: rest about 2^-62.2 from it, just outside.
+_SHORT_TOKENS = [b"623779.2158591763", b"-6366.848592593587", b"71.32842256918196",
+                 b"-0.3362039072856500", b"280682.5921926593", b"7.187027059072014"]
+
 
 def _spy_canonical(mp):
     """Record what each call of the canonical reader returns."""
@@ -819,8 +863,9 @@ def _spy_canonical(mp):
 def test_canonical_reader_matches_loadtxt_bit_for_bit(tmp_path_factory, ld_exact, grid,
                                                       values, is_complex, seed):
     """Doubles written by save_field_csv, with some re tokens spelled as
-    exact ties, read back as np.loadtxt reads them; where longdouble is a
-    plain double the canonical reader is not used at all."""
+    exact ties, as 16-digit decimals near a tie or with '%.15g', read back
+    as np.loadtxt reads them; where longdouble is a plain double the
+    canonical reader is not used at all."""
     g = _READ_GRIDS[grid]
     rng = np.random.default_rng(seed)
     columns = rng.standard_normal((2, g.n_u * g.n_v)) * 10.0 ** rng.integers(-3, 4)
@@ -833,7 +878,10 @@ def test_canonical_reader_matches_loadtxt_bit_for_bit(tmp_path_factory, ld_exact
     save_field_csv(fld, path)
     with open(path, "rb") as fh:
         rows = fh.read().split(b"\n")
-    for k, token in enumerate(_TIE_TOKENS):
+    for k in range(2, len(rows) - 1, 5):
+        cells = rows[k].split(b",")
+        rows[k] = b",".join(cells[:2] + [b"%.15g" % float(cells[2])] + cells[3:])
+    for k, token in enumerate(_TIE_TOKENS + _SHORT_TOKENS):
         cells = rows[1 + 37 * k].split(b",")
         rows[1 + 37 * k] = b",".join(cells[:2] + [token] + cells[3:])
     with open(path, "wb") as fh:
@@ -851,6 +899,30 @@ def test_canonical_reader_matches_loadtxt_bit_for_bit(tmp_path_factory, ld_exact
         np.testing.assert_array_equal(bits(np.imag(back.values)).ravel(), bits(expected[:, 3]))
     else:
         assert np.all(expected[:, 3] == 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(8, 32).flatmap(lambda w: st.tuples(st.just(w), st.binary(min_size=w))),
+       st.lists(st.integers(0, 2 ** 16)))
+def test_gather_moves_the_windows_sliding_window_view_holds(window, picks):
+    # the last window, which ends on the last byte, is always gathered
+    width, data = window
+    buf = np.frombuffer(data, np.uint8)
+    at = np.array([k % (buf.size - width + 1) for k in picks] + [buf.size - width], np.intp)
+    got = fields_module._gather(buf, at, width)
+    np.testing.assert_array_equal(got, np.lib.stride_tricks.sliding_window_view(buf, width)[at])
+    assert got.dtype == np.uint8 and got.flags.writeable
+
+
+def test_a_patch_manifest_builds_each_axis_table_once(tmp_path, monkeypatch):
+    # its four payloads lie on one grid: one table per axis, not one per payload
+    fname, load, _ = _patch_manifest(str(tmp_path))
+    built, build = [], fields_module._axis_text
+    monkeypatch.setattr(fields_module, "_axis_text", lambda axis: built.append(axis.size)
+                        or build(axis))
+    fields_module._prefix_tables.cache_clear()
+    load(str(tmp_path / fname))
+    assert built == [5, 4]
 
 
 # v runs over 10..26, so another grid on 11..27 and rows swapped within a
