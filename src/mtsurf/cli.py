@@ -17,7 +17,9 @@ names it.
 ``verify`` runs every check its input allows, in one fixed order: the data
 certification (for a data document), the patch invariants, the quadric
 (with ``--quadric-constant``), the Liu factorization and the congruence
-(with ``--against``).
+(with ``--against``, of which only the four coordinates are read).  A flag
+the run cannot use (``--family`` or ``--parameter`` without ``--against``,
+``--anchor`` with a patch manifest) ends it with an error that names it.
 
 Grid specifications use the syntax ``umin:umax:vmin:vmax:NUxNV``, e.g.
 ``-2:2:-2:2:129x129``.
@@ -30,12 +32,13 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError
-from .export import _jsonable, _patch_from_document, _write_patch, load_patch_manifest
+from .export import _coordinates_from_document, _jsonable, _patch_from_document, _write_patch
 from .fields import (Grid2D, document_entry, read_document, save_field_csv, sup_abs,
                      write_document)
 from .lorentz import rotation
@@ -337,7 +340,7 @@ def _anchor_for_data(data, args):
 
     The quadric check is meaningless without the right additive constants,
     so data saved from a catalog fixture recovers its anchor by rebuilding
-    the fixture on the data's grid.
+    the fixture on a 3x3 grid of the data's bounds, all its anchor reads.
     """
     if args.anchor is not None:
         try:
@@ -352,7 +355,8 @@ def _anchor_for_data(data, args):
     if name in FIXTURE_NAMES:
         params = {k: document_entry(args.input, prov, k, "the provenance", float)
                   for k in ("theta", "alpha", "beta") if k in prov}
-        fixture = fixture_by_name(name, grid=data.grid, params=params)
+        g = data.grid
+        fixture = fixture_by_name(name, Grid2D(g.u_min, g.u_max, g.v_min, g.v_max, 3, 3), params)
         return fixture.expected.get("anchor")
     return None
 
@@ -364,12 +368,22 @@ def cmd_verify(args):
               "quadric_constant": args.quadric_constant}
 
     def run(manifest):
+        congruence = [flag for flag in ("family", "parameter") if getattr(args, flag) is not None]
+        if args.against is None and congruence:
+            raise ValueError("--%s needs --against: only the congruence check reads it"
+                             % " / --".join(congruence))
+        if args.against is not None and len(congruence) < 2:
+            raise ValueError("--against, --family and --parameter are "
+                             "required for the congruence check")
         doc = read_document(args.input, "mtsurf-data", "mtsurf-patch")
         if doc["format"] == "mtsurf-data":
             data = _data_from_document(args.input, doc)
             cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
             patch, = _represent([cert], args.rep, _anchor_for_data(data, args))
+        elif args.anchor is not None:
+            raise ValueError("--anchor needs a data document; %r is a patch manifest"
+                             % args.input)
         else:
             patch = _patch_from_document(args.input, doc)
 
@@ -380,11 +394,9 @@ def cmd_verify(args):
         _gate(manifest, "liu_condition4", liu["condition4"], patch)
         manifest.reports["liu"] = liu
         if args.against is not None:
-            if args.family is None or args.parameter is None:
-                raise ValueError("--against, --family and --parameter are "
-                                 "required for the congruence check")
-            other, _ = load_patch_manifest(args.against)
-            _congruence_check(manifest, patch, other, args)
+            grid, x = _coordinates_from_document(args.against,
+                                                 read_document(args.against, "mtsurf-patch"))
+            _congruence_check(manifest, patch, SimpleNamespace(grid=grid, x_stack=x), args)
 
     return _run(args, "verify", inputs, run, table=True)
 

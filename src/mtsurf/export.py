@@ -176,10 +176,16 @@ def load_patch_manifest(path):
     return _patch_from_document(path, doc), doc
 
 
+def _coordinates_from_document(path, doc):
+    """The grid and (4, n_u, n_v) coordinate stack of the manifest ``doc``,
+    already read from ``path``."""
+    coords = document_fields(path, doc, _COORDS, real=_COORDS)
+    return coords[0].grid, np.stack([x.values for x in coords])
+
+
 def _patch_from_document(path, doc):
     """The patch of the manifest ``doc``, already read from ``path``."""
-    coords = document_fields(path, doc, _COORDS, real=_COORDS)
-    return patch_from_samples(coords[0].grid, np.stack([x.values for x in coords]),
+    return patch_from_samples(*_coordinates_from_document(path, doc),
                               provenance={"representation": "reloaded",
                                           "manifest": os.path.basename(path)})
 

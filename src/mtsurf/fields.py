@@ -396,7 +396,13 @@ def _wirtinger(field, slot, combine):
         return ComplexField(grid, grid.on_nodes(cb), Analytic(value=cb))
     fu = _fd_first(field.values, grid.h_u, 0)
     fv = _fd_first(field.values, grid.h_v, 1)
-    return ComplexField(grid, combine(fu, 1j * fv) / 2.0)
+    if isinstance(field, ComplexField):
+        return ComplexField._view(grid, combine(fu, 1j * fv) / 2.0)
+    out = np.empty(grid.shape, dtype=complex)     # the same bits, in place
+    out.real = fu
+    combine(0.0, fv, out=out.imag)
+    out /= 2.0
+    return ComplexField._view(grid, out)
 
 
 def wirtinger_dz(field):

@@ -383,7 +383,7 @@ def patch_from_samples(grid, coords_array, provenance=None):
     arr = np.asarray(coords_array, dtype=float)
     if arr.shape != (4,) + grid.shape:
         raise ValueError("expected coordinate samples of shape (4, n_u, n_v)")
-    return patch_from_chart(tuple(RealField(grid, arr[k]) for k in range(4)),
+    return patch_from_chart(tuple(RealField._view(grid, row) for row in arr),
                             provenance=provenance)
 
 
@@ -444,7 +444,8 @@ def verify_congruence(patch_a, patch_b, rot):
 
     Returns a report dict: the per-component mean of T = rot(X_a) - X_b is
     the claimed translation, ``residual`` is sup |T - mean|, ``passed``
-    compares it to ``tol``, the table's ``congruence_residual`` cap.
+    compares it to ``tol``, the table's ``congruence_residual`` cap.  Of
+    ``patch_b`` only ``grid`` and ``x_stack`` are read.
     """
     if patch_a.grid != patch_b.grid:
         raise DomainError("congruence check needs both patches on one grid")

@@ -12,8 +12,9 @@ import pytest
 from mtsurf import cli, surfaces, tolerances, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.cli import main, parse_grid_spec
-from mtsurf.export import load_patch_manifest
+from mtsurf.export import load_patch_manifest, save_patch_manifest
 from mtsurf.fields import Analytic, ComplexField, Grid2D, RealField
+from mtsurf.lorentz import rotation
 from mtsurf.poisson import (
     PoissonProblem,
     boundary_from_function,
@@ -554,6 +555,39 @@ class TestVerify:
         assert ("--against, --family and --parameter are required for the congruence check"
                 in failed_run(out, "v")["error"])
 
+    @pytest.mark.parametrize("given,named", [
+        (["--family", "elliptic"], "--family needs --against"),
+        (["--parameter", "0.5"], "--parameter needs --against"),
+        (["--family", "elliptic", "--parameter", "0.5"], "--family / --parameter needs --against"),
+    ])
+    @pytest.mark.parametrize("kind", ["data", "patch"])
+    def test_congruence_flags_without_against_are_refused(self, tmp_path, given, named, kind):
+        # refused before any payload is read: the input's payloads are gone
+        out = str(tmp_path)
+        assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+                    "--out", out]) == 0
+        for name in os.listdir(out):
+            if name.endswith(".csv"):
+                os.remove(os.path.join(out, name))
+        path = os.path.join(out, "patch.data.json" if kind == "data" else "patch.json")
+        assert run(["verify", "--input", path] + given + ["--out", out, "--name", "v"]) == 1
+        doc = failed_run(out, "v")
+        assert named in doc["error"] and doc["checks"] == []
+
+    @pytest.mark.parametrize("anchor", ["0,0,0,0", "nan"])
+    def test_anchor_with_a_patch_manifest_is_refused(self, tmp_path, anchor):
+        out = str(tmp_path)
+        assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+                    "--out", out]) == 0
+        patch = os.path.join(out, "patch.json")
+        assert run(["verify", "--input", patch, "--anchor", anchor,
+                    "--out", out, "--name", "v"]) == 1
+        doc = failed_run(out, "v")
+        assert "--anchor needs a data document" in doc["error"] and doc["checks"] == []
+        # a data document still takes it
+        assert run(["verify", "--input", os.path.join(out, "patch.data.json"),
+                    "--anchor", "0,0,0,0", "--out", out, "--name", "d"]) == 0
+
     def test_data_document_auto_checks(self, tmp_path):
         out = str(tmp_path)
         fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17))
@@ -763,6 +797,129 @@ class TestVerify:
         rc = run(["verify", "--input", path, "--out", out])
         assert rc == 1
         assert "neither" in failed_run(out, "verify")["error"]
+
+
+#: family -> (the kind it deforms, its parameter)
+_DEFORMS = {"parabolic": ("first", 0.5), "elliptic": ("second", 0.8),
+            "hyperbolic": ("first", 0.6)}
+
+
+@pytest.fixture(scope="module")
+def against_inputs(tmp_path_factory):
+    """(base patch manifest, deformed patch manifest) of sigma-theta at
+    theta 0.3 on an n x n grid, per (n, family), written once."""
+    made = {}
+
+    def inputs(n, family):
+        if (n, family) not in made:
+            out = str(tmp_path_factory.mktemp("against%d-%s" % (n, family)))
+            fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 2.0, -2.0, 0.0, n, n))
+            kind, param = _DEFORMS[family]
+            base = weierstrass._as_kind(fx.data, kind)
+            deformed = getattr(weierstrass, "deform_" + family)(base, param)
+            represent = getattr(surfaces, "represent_" + kind)
+            paths = (os.path.join(out, "base.json"), os.path.join(out, "deformed.json"))
+            save_patch_manifest(represent(base, anchor=fx.expected["anchor"]), paths[0])
+            save_patch_manifest(represent(deformed), paths[1])
+            made[n, family] = paths
+        return made[n, family]
+
+    return inputs
+
+
+class TestAgainstCoordinates:
+    """``verify --against`` reads the four coordinates of the second
+    manifest, not a patch, and reports what the library's congruence check
+    of the two reloaded patches reports."""
+
+    @pytest.mark.parametrize("n", [33, 129])
+    @pytest.mark.parametrize("family", sorted(_DEFORMS))
+    def test_report_is_the_library_check_bit_for_bit(self, tmp_path, against_inputs, n,
+                                                     family):
+        base, deformed = against_inputs(n, family)
+        param = _DEFORMS[family][1]
+        out = str(tmp_path)
+        run(["verify", "--input", base, "--against", deformed, "--family", family,
+             "--parameter", repr(param), "--out", out])
+        doc = manifest_of(out, "verify")
+        want = surfaces.verify_congruence(load_patch_manifest(base)[0],
+                                          load_patch_manifest(deformed)[0],
+                                          rotation(family, param))
+        got = doc["reports"]["congruence"]
+        for key in ("residual", "tol", "passed", "translation"):
+            assert got[key] == want[key], key
+        assert check_map(doc)["congruence_residual"]["value"] == want["residual"]
+        assert want["passed"]
+
+    def test_the_congruence_gate_fails_on_a_patch_not_so_rotated(self, tmp_path):
+        # the gate's negative control: a patch against itself under a
+        # nontrivial rotation
+        out = str(tmp_path)
+        assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:17x17",
+                    "--out", out]) == 0
+        patch = os.path.join(out, "patch.json")
+        assert run(["verify", "--input", patch, "--against", patch, "--family", "elliptic",
+                    "--parameter", "0.5", "--out", out, "--name", "v"]) == 1
+        doc = failed_run(out, "v")
+        checks = check_map(doc)
+        assert doc["error"] is None and not checks["congruence_residual"]["passed"]
+        assert all(c["passed"] for name, c in checks.items() if name != "congruence_residual")
+
+    @staticmethod
+    def broken(out, case):
+        """A copy of the 9x9 patch manifest in ``out`` broken as ``case``
+        says, in a directory of its own; returns its path and a word the
+        refusal must hold."""
+        src, tree = os.path.join(out, "patch.json"), os.path.join(out, case)
+        os.makedirs(tree)
+        with open(src) as fh:
+            doc = json.load(fh)
+        for k in range(1, 5):
+            name = "patch.x%d.csv" % k
+            with open(os.path.join(out, name)) as fi, open(os.path.join(tree, name), "w") as fo:
+                fo.write(fi.read())
+        word = "patch.json"
+        if case == "format":
+            doc["format"] = "mtsurf-data"
+            word = "patch manifest"
+        elif case == "stray":
+            doc["grid"]["n_w"] = 9
+            word = "unknown key 'n_w'"
+        elif case == "escape":
+            doc["fields"]["x1"]["file"] = "../patch.x1.csv"
+            word = "not a plain file name"
+        elif case == "nan":
+            with open(os.path.join(tree, "patch.x2.csv")) as fh:
+                lines = fh.read().splitlines()
+            u, v, _, im = lines[5].split(",")
+            lines[5] = ",".join((u, v, "nan", im))
+            with open(os.path.join(tree, "patch.x2.csv"), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            word = "non-finite"
+        path = os.path.join(tree, "patch.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return path, word
+
+    @pytest.mark.parametrize("case", ["format", "stray", "escape", "nan", "grid"])
+    def test_a_broken_against_document_is_refused(self, tmp_path, case):
+        out = str(tmp_path)
+        assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+                    "--out", out]) == 0
+        if case == "grid":
+            other = os.path.join(out, "other")
+            assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:11x9",
+                        "--out", other]) == 0
+            against, word = os.path.join(other, "patch.json"), "both patches on one grid"
+        else:
+            against, word = self.broken(out, case)
+        assert run(["verify", "--input", os.path.join(out, "patch.json"), "--against",
+                    against, "--family", "elliptic", "--parameter", "0",
+                    "--out", out, "--name", "v"]) == 1
+        doc = failed_run(out, "v")
+        assert word in doc["error"]
+        assert case == "grid" or against in doc["error"]
+        assert "congruence_residual" not in check_map(doc)
 
 
 def test_repeated_runs_are_deterministic(tmp_path):

@@ -211,6 +211,21 @@ class TestWirtinger:
         total = wirtinger_dz(f).values + wirtinger_dzbar(f).values
         assert sup_abs(total - fu) < 1e-14
 
+    @pytest.mark.parametrize("kind", [RealField, ComplexField])
+    def test_fd_is_the_complex_form_bit_for_bit(self, kind):
+        # samples of +-0 and +-1 give derivatives of both signs and both zeros
+        g = grid(9)
+        values = np.random.default_rng(5).choice([0.0, -0.0, 1.0, -1.0], size=(2,) + g.shape)
+        f = kind(g, values[0] if kind is RealField else values[0] + 1j * values[1])
+        fu = np.gradient(f.values, g.h_u, axis=0, edge_order=2)
+        fv = np.gradient(f.values, g.h_v, axis=1, edge_order=2)
+        for d in (fu, fv):
+            parts = np.ravel(d).view(np.float64)
+            assert (np.signbit(parts) & (parts == 0)).any()
+        for op, combine in ((wirtinger_dz, np.subtract), (wirtinger_dzbar, np.add)):
+            want = combine(fu, 1j * fv) / 2.0
+            assert np.array_equal(op(f).values.view(np.int64), want.view(np.int64))
+
     def test_quadratic_is_differentiated_exactly(self):
         # f = u^2 + v^2 has f_z = conj(z); second-order stencils are exact on it
         g = grid(21)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from types import SimpleNamespace
 
@@ -880,7 +881,9 @@ def test_canonical_reader_matches_loadtxt_bit_for_bit(tmp_path_factory, ld_exact
         rows = fh.read().split(b"\n")
     for k in range(2, len(rows) - 1, 5):
         cells = rows[k].split(b",")
-        rows[k] = b",".join(cells[:2] + [b"%.15g" % float(cells[2])] + cells[3:])
+        short = b"%.15g" % float(cells[2])
+        if np.isfinite(float(short)):   # 15 digits round DBL_MAX's neighbours past it
+            rows[k] = b",".join(cells[:2] + [short] + cells[3:])
     for k, token in enumerate(_TIE_TOKENS + _SHORT_TOKENS):
         cells = rows[1 + 37 * k].split(b",")
         rows[1 + 37 * k] = b",".join(cells[:2] + [token] + cells[3:])
@@ -1035,3 +1038,74 @@ def test_non_canonical_payloads_read_as_before(tmp_path, monkeypatch, variant):
                     ComplexField(grid, np.full(grid.shape, 0.25 - 3e-300j))):
             save_field_csv(fld, path)
             assert fields_module._read_canonical(path, grid) is not None
+
+
+# ---------------------------------------------------------------------------
+# run manifests: strict JSON whatever the checks and reports hold
+
+_NON_SPELLED = ("nan", "inf", "-inf")     # how a manifest writes non-finite floats
+
+
+def _plain(obj):
+    """A report value as a run manifest must spell it: numpy scalars as the
+    Python numbers they hold, tuples as lists, and nan, inf and -inf as
+    those strings, which strict JSON has in place of literals."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    return obj
+
+
+_scalars = st.one_of(
+    st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(), st.text(max_size=6),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_))
+_reports = st.recursive(
+    _scalars, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                      st.lists(inner, max_size=3).map(tuple),
+                                      st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=10)
+_checks = st.lists(st.tuples(st.text(min_size=1, max_size=8), st.floats(), st.floats(),
+                             st.sampled_from(["max_below", "min_above"])), max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_checks, st.dictionaries(st.text(max_size=6), _reports, max_size=3),
+       st.dictionaries(st.text(max_size=6), st.floats(), max_size=3))
+def test_run_manifest_is_strict_json_that_round_trips(checks, reports, tolerances):
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = cli.RunManifest("verify", {"input": os.path.join(tmp, "in", "p.json"),
+                                              "name": "run"}, tolerances)
+        for check in checks:
+            manifest.add_check(*check)
+        manifest.reports.update(reports)
+        path = os.path.join(tmp, "run.manifest.json")
+        saved = []
+        for _ in range(2):
+            manifest.save(path)
+            with open(path, "rb") as fh:
+                saved.append(fh.read())
+    doc = json.loads(saved[0], parse_constant=reject)
+    wall = [re.sub(rb'"wall_time_s": [^\n]*', b"", raw) for raw in saved]
+    assert wall[0] == wall[1]
+    assert doc["reports"] == _plain(reports)
+    assert doc["tolerances"] == _plain(tolerances)
+    assert doc["inputs"] == {"input": os.path.join("in", "p.json"), "name": "run"}
+    want = [{"name": name, "value": _plain(value), "threshold": _plain(threshold),
+             "sense": sense, "passed": math.isfinite(value)
+             and (value < threshold if sense == "max_below" else value > threshold)}
+            for name, value, threshold, sense in checks]
+    assert doc["checks"] == want
+    assert doc["passed"] is all(c["passed"] for c in want) and doc["error"] is None
+    assert all(isinstance(c[key], float) or c[key] in _NON_SPELLED
+               for c in doc["checks"] for key in ("value", "threshold"))

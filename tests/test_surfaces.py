@@ -498,6 +498,46 @@ def test_patch_from_samples_round_trip():
         patch_from_samples(fx.grid, chart[:3])
 
 
+def _complex_wirtinger(grid, values):
+    """(f_u - 1j f_v)/2.0 through complex temporaries, the form whose bits
+    the finite-difference wirtinger_dz builds in place."""
+    f_u = np.gradient(values, grid.h_u, axis=0, edge_order=2)
+    f_v = np.gradient(values, grid.h_v, axis=1, edge_order=2)
+    return (f_u - 1j * f_v) / 2.0
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.7])
+def test_fd_chart_patch_is_the_complex_wirtinger_form(theta):
+    grid = Grid2D(-2.0, 2.0, -1.4, 1.4, 65, 65)
+    x = np.stack([c.values for c in fixture_sigma_theta(theta, grid=grid).chart])
+    patch = patch_from_samples(grid, x)
+    xz = np.stack([_complex_wirtinger(grid, row) for row in x])
+    xzzbar = np.stack([fields.laplacian(RealField(grid, row)).values / 4.0 for row in x])
+    assert np.array_equal(patch.xz_stack.view(np.int64), xz.view(np.int64))
+    for row, want in zip(x, xz):
+        assert np.array_equal(wirtinger_dz(RealField(grid, row)).values.view(np.int64),
+                              want.view(np.int64))
+    lam = surfaces._measured_factor(xz)
+    h = surfaces._mean_curvature_stack(xzzbar, lam)
+    assert patch.invariants == surfaces._patch_invariants(
+        xz, h, xzzbar, lam, extra={"loop_residual": 0.0})
+    np.testing.assert_array_equal(patch.x_stack, x)
+
+
+def test_a_mixed_chart_takes_callbacks_where_it_has_them():
+    # catenoid-r3 with x1 and x3 stripped of their callbacks: those rows go
+    # the finite-difference route, x2 and x4 keep their exact dz
+    chart = fixture_classical("catenoid-r3", grid=grid33()).chart
+    coords = tuple(RealField(c.grid, c.values) if k in (0, 2) else c
+                   for k, c in enumerate(chart))
+    patch = patch_from_chart(coords)
+    for k, c in enumerate(coords):
+        want = (_complex_wirtinger(c.grid, c.values) if k in (0, 2)
+                else wirtinger_dz(c).values)
+        assert np.array_equal(patch.xz_stack[k].view(np.int64), want.view(np.int64)), k
+    assert not patch.exact
+
+
 # ---------------------------------------------------------------------------
 # stored stacks and memory
 
