@@ -19,7 +19,7 @@ certification (for a data document), the patch invariants, the quadric
 (with ``--quadric-constant``), the Liu factorization and the congruence
 (with ``--against``, of which only the four coordinates are read).  A flag
 the run cannot use (``--family`` or ``--parameter`` without ``--against``,
-``--anchor`` with a patch manifest) ends it with an error that names it.
+``--anchor`` or ``--rep`` with a patch manifest) ends it in an error naming it.
 
 Grid specifications use the syntax ``umin:umax:vmin:vmax:NUxNV``, e.g.
 ``-2:2:-2:2:129x129``.
@@ -39,8 +39,8 @@ import numpy as np
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError
 from .export import _coordinates_from_document, _jsonable, _patch_from_document, _write_patch
-from .fields import (Grid2D, document_entry, read_document, save_field_csv, sup_abs,
-                     write_document)
+from .fields import (DOCUMENT_KEYS, Grid2D, document_part, read_document, save_field_csv,
+                     sup_abs, write_document)
 from .lorentz import rotation
 from .poisson import _load_problem, solve_weighted_poisson
 from .surfaces import (
@@ -350,11 +350,10 @@ def _anchor_for_data(data, args):
         if len(parts) != 4 or not all(map(math.isfinite, parts)):
             raise ValueError("--anchor needs four finite comma-separated values")
         return tuple(parts)
-    prov = data.provenance
-    name = prov.get("name")
+    name = data.provenance.get("name")
     if name in FIXTURE_NAMES:
-        params = {k: document_entry(args.input, prov, k, "the provenance", float)
-                  for k in ("theta", "alpha", "beta") if k in prov}
+        params = {k: v for k, v in data.provenance.items() if k != "name"}
+        document_part(args.input, params, "the provenance", DOCUMENT_KEYS["fixture parameters"])
         g = data.grid
         fixture = fixture_by_name(name, Grid2D(g.u_min, g.u_max, g.v_min, g.v_max, 3, 3), params)
         return fixture.expected.get("anchor")
@@ -362,7 +361,7 @@ def _anchor_for_data(data, args):
 
 
 def cmd_verify(args):
-    inputs = {"input": args.input, "rep": args.rep,
+    inputs = {"input": args.input, "rep": args.rep or "second",
               "against": args.against, "family": args.family,
               "parameter": args.parameter,
               "quadric_constant": args.quadric_constant}
@@ -380,11 +379,13 @@ def cmd_verify(args):
             data = _data_from_document(args.input, doc)
             cert = _certificate(data)
             manifest.add_report_checks(cert.report, "data_")
-            patch, = _represent([cert], args.rep, _anchor_for_data(data, args))
-        elif args.anchor is not None:
-            raise ValueError("--anchor needs a data document; %r is a patch manifest"
-                             % args.input)
+            patch, = _represent([cert], manifest.inputs["rep"], _anchor_for_data(data, args))
         else:
+            for flag in ("anchor", "rep"):
+                if getattr(args, flag) is not None:
+                    raise ValueError("--%s needs a data document; %r is a patch manifest"
+                                     % (flag, args.input))
+            manifest.inputs["rep"] = None
             patch = _patch_from_document(args.input, doc)
 
         _patch_checks(manifest, patch)
@@ -470,10 +471,9 @@ def main(argv=None):
                                       "data or patches")
     v.add_argument("--input", required=True,
                    help="data document or patch manifest")
-    v.add_argument("--rep", choices=("first", "second", "third"),
-                   default="second",
+    v.add_argument("--rep", choices=("first", "second", "third"), default=None,
                    help="representation used when the input is a data triple "
-                        "(default %(default)s)")
+                        "(default second)")
     v.add_argument("--quadric-constant", type=float, default=None,
                    help="expected value of <X,X> for the quadric check")
     v.add_argument("--anchor", default=None,

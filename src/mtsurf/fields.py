@@ -43,14 +43,15 @@ part that is +0.0 everywhere as the literal ``0``, and the patch writer
 formats each coordinate once for all of its files.  Memory stays at block
 scale.  Every JSON document is written by ``write_document``.  Data
 triples, patch manifests and problem descriptors are read only through
-``read_document``, the one JSON parse; each of their parts holds only the
-keys of its row of ``DOCUMENT_KEYS``, the one key table, checked by
-``document_keys``, and ``document_entry`` names the document and key of a
-missing or mistyped entry.  Field payloads are written by ``save_payload``
-and resolved only by ``load_payload``, which accepts a plain file name next
-to the document and nothing else.  A field CSV on a known grid is read back
-by the inverse of the text kernel, ``_read_canonical``, when its bytes are
-the writer's layout (see :func:`load_field_csv`).
+``read_document``, the one JSON parse, which refuses a repeated key and
+NaN or Infinity.  ``DOCUMENT_KEYS``, the one typed document table, gives
+the keys each part may and must hold and the JSON type of each, and
+``document_part`` checks a part against its row, so a loader only indexes
+what it reads and checks its values' domains.  Field payloads are written by
+``save_payload`` and resolved only by ``load_payload``, which accepts a plain
+file name next to the document and nothing else.  A field CSV on a known
+grid is read back by the inverse of the text kernel, ``_read_canonical``,
+when its bytes are the writer's layout (see :func:`load_field_csv`).
 """
 
 from __future__ import annotations
@@ -194,21 +195,8 @@ class Grid2D:
     @classmethod
     def from_dict(cls, d):
         """The grid of a document's grid entry, coercing nothing: an object
-        of the keys ``DOCUMENT_KEYS["grid"]``, with integer node counts and
-        bounds that are JSON numbers (see :func:`is_json_number`)."""
-        if not isinstance(d, dict):
-            raise ValueError("grid entry must be an object, got %r" % (d,))
-        keys = DOCUMENT_KEYS["grid"]
-        missing, stray = [k for k in keys if k not in d], [k for k in d if k not in keys]
-        if missing or stray:
-            raise ValueError("grid entry lacks %s" % ", ".join(missing) if missing else "grid "
-                             "entry has unknown key %r; known: %s" % (stray[0], ", ".join(keys)))
-        for k in keys:
-            count = k.startswith("n_")
-            if not (type(d[k]) is int if count else is_json_number(d[k])):
-                raise ValueError("grid entry %r must be %s, got %r"
-                                 % (k, "an integer" if count else "a finite number", d[k]))
-        return cls(**d)
+        of its row of ``DOCUMENT_KEYS`` (see :func:`document_part`)."""
+        return cls(**document_part(None, d, "grid", DOCUMENT_KEYS["grid"]))
 
 
 def _axis(low, high, n):
@@ -1229,52 +1217,33 @@ def write_document(path, doc):
     return path
 
 
-#: The keys each part of a document may hold (run manifests are never read).
+#: The keys each part of a document may hold (run manifests are never read),
+#: each with the JSON type of its value ("string", "integer", "number",
+#: "object", "list", or the name of the row an object value must match in
+#: turn); "?" marks a key that may be absent.
 DOCUMENT_KEYS = {
-    "mtsurf-data": ("format", "version", "kind", "grid", "fields", "provenance"),
-    "mtsurf-patch": ("format", "version", "grid", "fields", "invariants", "provenance"),
-    "mtsurf-problem": ("format", "version", "grid", "weight", "source", "boundary", "options"),
-    "grid": ("u_min", "u_max", "v_min", "v_max", "n_u", "n_v"), "payload": ("file", "format"),
-    "named": ("kind", "name"), "constant": ("kind", "value"), "edges": ("kind", "edges"),
-    "file": ("kind", "file", "format"), "options": ("max_iter", "target"),
-    "boundary edges": ("u_min", "u_max", "v_min", "v_max"),
+    "mtsurf-data": {"format": "string", "version": "integer?", "kind": "string", "grid": "grid",
+                    "fields": "object", "provenance": "object?"},
+    "mtsurf-patch": {"format": "string", "version": "integer?", "grid": "grid",
+                     "fields": "object", "invariants": "object?", "provenance": "object?"},
+    "mtsurf-problem": {"format": "string", "version": "integer?", "grid": "grid",
+                       "weight": "object", "source": "object", "boundary": "object",
+                       "options": "options?"},
+    "grid": {"u_min": "number", "u_max": "number", "v_min": "number", "v_max": "number",
+             "n_u": "integer", "n_v": "integer"},
+    "payload": {"file": "string", "format": "string"},
+    "named": {"kind": "string", "name": "string"},
+    "constant": {"kind": "string", "value": "number"},
+    "edges": {"kind": "string", "edges": "boundary edges"},
+    "file": {"kind": "string", "file": "string", "format": "string"},
+    "options": {"max_iter": "integer?", "target": "number?"},
+    "boundary edges": {"u_min": "list", "u_max": "list", "v_min": "list", "v_max": "list"},
+    "fixture parameters": {"theta": "number?", "alpha": "number?", "beta": "number?"},
 }
 
 #: Each format's noun; errors about its entries call it "the <last word>".
 _FORMATS = {"mtsurf-data": "data document", "mtsurf-patch": "patch manifest",
             "mtsurf-problem": "problem descriptor"}
-
-
-def document_keys(path, spec, what, known):
-    """``spec``, the part ``what`` of the document at ``path``, once each of
-    its keys is in ``known``, a row of ``DOCUMENT_KEYS`` or a list of field
-    names; otherwise a ValueError names the document, the part and the key."""
-    for key in spec:
-        if key not in known:
-            raise ValueError("%r: %s has unknown key %r; known: %s"
-                             % (path, what, key, ", ".join(known)))
-    return spec
-
-
-def read_document(path, *formats):
-    """The JSON object at ``path``, of one of ``formats`` (the one JSON parse):
-    its top-level keys must be in its format's row and its ``version``, if
-    any, the JSON integer 1, not true; else a ValueError names them."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") not in formats:
-        nouns = " nor of a ".join(_FORMATS[f] for f in formats)
-        raise ValueError("%r: its 'format' is %s that of a %s"
-                         % (path, "neither" if len(formats) > 1 else "not", nouns))
-    what = "the " + _FORMATS[doc["format"]].split()[1]
-    document_keys(path, doc, what, DOCUMENT_KEYS[doc["format"]])
-    if type(doc.get("version", 1)) is not int or doc.get("version", 1) != 1:
-        raise ValueError("%r: %s entry 'version' must be the JSON integer 1, got %r"
-                         % (path, what, doc["version"]))
-    return doc
-
-
-_REQUIRED = object()
 
 
 def is_json_number(x):
@@ -1287,28 +1256,67 @@ def is_json_number(x):
         return False
 
 
-def document_entry(path, spec, key, what, kind=object, default=_REQUIRED):
-    """``spec[key]`` of the document at ``path``, which must be a ``kind``
-    (``float`` asks for a JSON number, see :func:`is_json_number`);
-    ``default`` stands in for a missing key when given.  Otherwise a
-    ValueError names the document, ``what`` (the part of the document
-    ``spec`` is) and ``key``."""
-    if not isinstance(spec, dict) or (key not in spec and default is _REQUIRED):
-        raise ValueError("%r: %s has no %r entry" % (path, what, key))
-    value = spec.get(key, default)
-    if not (is_json_number(value) if kind is float else isinstance(value, kind)):
-        raise ValueError("%r: %s entry %r must be a JSON %s, got %r"
-                         % (path, what, key,
-                            {dict: "object", float: "number"}.get(kind, kind.__name__),
-                            value))
-    return value
+def document_part(path, part, what, row):
+    """``part``, the part ``what`` of the document at ``path`` (None outside a
+    document), once it is an object of the keys of ``row``, a row of
+    ``DOCUMENT_KEYS``, that holds each required key and each value of its
+    JSON type (exactly, so an integer is never a bool; a number is finite); a
+    value whose type names a row is checked against that row, as the part of
+    its name.  Otherwise a ValueError names the document, the part and the key."""
+    where = what if path is None else "%r: %s" % (path, what)
+    if not isinstance(part, dict):
+        raise ValueError("%s must be a JSON object, got %r" % (where, part))
+    for key, kind in row.items():
+        if key not in part and not kind.endswith("?"):
+            raise ValueError("%s has no %r entry" % (where, key))
+    for key, value in part.items():
+        if key not in row:
+            raise ValueError("%s has unknown key %r; known: %s" % (where, key, ", ".join(row)))
+        kind = row[key].rstrip("?")
+        cls = {"string": str, "integer": int, "number": float, "list": list}.get(kind, dict)
+        if not (is_json_number(value) if cls is float else type(value) is cls):
+            noun = "finite number" if cls is float else "object" if cls is dict else kind
+            raise ValueError("%s entry %r must be a JSON %s, got %r" % (where, key, noun, value))
+        if kind in DOCUMENT_KEYS:
+            document_part(path, value, kind, DOCUMENT_KEYS[kind])
+    return part
+
+
+def read_document(path, *formats):
+    """The JSON object at ``path``, of one of ``formats`` (the one JSON parse),
+    once it is strict JSON (no key twice in an object, no NaN or Infinity) of
+    its format's row of ``DOCUMENT_KEYS`` (see :func:`document_part`) and
+    version 1, if any; else a ValueError names the document and the key."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError("%r: key %r appears twice in one object" % (path, key))
+            obj[key] = value
+        return obj
+
+    def constant(literal):
+        raise ValueError("%r: %s is not strict JSON" % (path, literal))
+
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh, object_pairs_hook=unique, parse_constant=constant)
+    if not isinstance(doc, dict) or doc.get("format") not in formats:
+        nouns = " nor of a ".join(_FORMATS[f] for f in formats)
+        raise ValueError("%r: its 'format' is %s that of a %s"
+                         % (path, "neither" if len(formats) > 1 else "not", nouns))
+    what = "the " + _FORMATS[doc["format"]].split()[1]
+    document_part(path, doc, what, DOCUMENT_KEYS[doc["format"]])
+    if doc.get("version", 1) != 1:
+        raise ValueError("%r: %s entry 'version' must be the JSON integer 1, got %r"
+                         % (path, what, doc["version"]))
+    return doc
 
 
 def document_grid(path, doc):
     """The :class:`Grid2D` of the ``"grid"`` entry of the document ``doc``
     read from ``path``; a ValueError names the document."""
     try:
-        return Grid2D.from_dict(doc.get("grid"))
+        return Grid2D.from_dict(doc["grid"])
     except ValueError as exc:
         raise ValueError("%r: %s" % (path, exc)) from None
 
@@ -1318,9 +1326,10 @@ def document_fields(path, doc, names, real=()):
     grid, through its ``fields`` object of these payload references (see
     :func:`load_payload`) and no other; a name in ``real`` must be real."""
     grid = document_grid(path, doc)
-    what = "the " + _FORMATS[doc["format"]].split()[1]
-    refs = document_keys(path, document_entry(path, doc, "fields", what, dict), "fields", names)
-    return [load_payload(path, refs.get(name), name, grid, name in real) for name in names]
+    refs = document_part(path, doc["fields"], "fields", dict.fromkeys(names, "object"))
+    return [load_payload(path, document_part(path, refs[name], "field %r reference" % name,
+                                             DOCUMENT_KEYS["payload"]), name, grid, name in real)
+            for name in names]
 
 
 _PAYLOAD_EXT = {"csv": "csv", "binary": "fld"}
@@ -1347,8 +1356,9 @@ def save_payload(field, doc_path, tag, payload="csv"):
 
 def load_payload(doc_path, ref, name, grid, real=False):
     """Field ``name`` of the document at ``doc_path``, read through its
-    reference ``ref``: a plain file name in the document's own directory,
-    a format, "csv" or "binary", and no other key.  The name must stay in
+    reference ``ref``, already checked against its row of ``DOCUMENT_KEYS``:
+    its file is a plain name in the document's directory and its format
+    "csv" or "binary".  The name must stay in
     that directory once symlinks are resolved, so a link elsewhere is refused.
     The payload must lie on ``grid``, and with ``real`` it must be a
     RealField: a CSV payload with a nonzero imaginary part, or a complex
@@ -1359,10 +1369,7 @@ def load_payload(doc_path, ref, name, grid, real=False):
     def refuse(why):
         return ValueError("%r: field %r %s" % (doc_path, name, why))
 
-    if not isinstance(ref, dict) or not isinstance(ref.get("file"), str):
-        raise refuse("has a missing or malformed payload reference")
-    document_keys(doc_path, ref, "field %r reference" % name, DOCUMENT_KEYS["payload"])
-    fname, fmt = ref["file"], ref.get("format")
+    fname, fmt = ref["file"], ref["format"]
     if fname in ("", ".", "..") or "\\" in fname or os.path.basename(fname) != fname:
         raise refuse("payload %r is not a plain file name next to the document" % fname)
     if fmt not in _PAYLOAD_EXT:

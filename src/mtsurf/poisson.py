@@ -26,9 +26,8 @@ import numpy as np
 
 from .catalog import _product
 from .errors import DomainError
-from .fields import (DOCUMENT_KEYS, Analytic, Grid2D, RealField, document_entry,
-                     document_grid, document_keys, is_json_number, load_payload,
-                     read_document, save_payload, write_document)
+from .fields import (DOCUMENT_KEYS, Analytic, Grid2D, RealField, document_grid, document_part,
+                     is_json_number, load_payload, read_document, save_payload, write_document)
 from .tolerances import passes
 from .weierstrass import WeierstrassSecond, validate_second
 
@@ -290,37 +289,32 @@ def _named_boundary(name, grid):
     return boundary_from_function(grid, NAMED_FIELDS[name]()[0])
 
 
-def _load_field_entry(path, doc, tag, grid, named, kinds=("named", "constant", "file")):
-    """The field of the descriptor's ``tag`` entry, of one of ``kinds``."""
-    entry = document_entry(path, doc, tag, "the descriptor", dict)
+def _load_field_entry(path, entry, tag, grid, named, kinds=("named", "constant", "file")):
+    """The field of the descriptor's ``tag`` entry ``entry``, of one of ``kinds``."""
     kind = entry.get("kind")
     what = "field %r" % tag
     if kind not in kinds:
-        raise ValueError("%r: %s has unknown kind %r" % (path, what, kind))
-    document_keys(path, entry, what, DOCUMENT_KEYS[kind])
+        raise ValueError("%r: %s has unknown 'kind' %r" % (path, what, kind))
+    document_part(path, entry, what, DOCUMENT_KEYS[kind])
     if kind == "named":
-        name = document_entry(path, entry, "name", what, str)
         try:
-            return named(name, grid)
+            return named(entry["name"], grid)
         except KeyError as exc:
             raise ValueError("%r: %s: %s" % (path, what, exc.args[0])) from None
     if kind == "constant":
-        value = float(document_entry(path, entry, "value", what, float))
-        return RealField(grid, np.full(grid.shape, value))
+        return RealField(grid, np.full(grid.shape, float(entry["value"])))
     if kind == "edges":
-        return _load_edges(path, entry, grid)
-    return load_payload(path, {k: v for k, v in entry.items() if k != "kind"}, tag, grid, True)
+        return _load_edges(path, entry["edges"], grid)
+    return load_payload(path, entry, tag, grid, True)
 
 
-def _load_edges(path, bspec, grid):
-    """The ring field of a descriptor's four-edge boundary entry; two edges
+def _load_edges(path, edges, grid):
+    """The ring field of a descriptor's four boundary ``edges``; two edges
     that meet at a corner must agree there to 1e-10 of their scale."""
-    edges = document_keys(path, document_entry(path, bspec, "edges", "boundary", dict),
-                          "boundary edges", _EDGE_NAMES)
     n_u, n_v = grid.shape
     values = []
     for name, want in zip(_EDGE_NAMES, (n_v, n_v, n_u, n_u)):
-        edge = document_entry(path, edges, name, "boundary edges", list)
+        edge = edges[name]
         for i, x in enumerate(edge):
             if not is_json_number(x):
                 raise ValueError("%r: boundary edge %r entry %d must be a JSON "
@@ -345,15 +339,11 @@ def _load_problem(path):
     """(:func:`load_problem` of ``path``, the descriptor it read)."""
     doc = read_document(path, "mtsurf-problem")
     grid = document_grid(path, doc)
-    weight = _load_field_entry(path, doc, "weight", grid, named_weight)
-    source = _load_field_entry(path, doc, "source", grid, named_field)
-    boundary = _load_field_entry(path, doc, "boundary", grid, _named_boundary,
+    weight = _load_field_entry(path, doc["weight"], "weight", grid, named_weight)
+    source = _load_field_entry(path, doc["source"], "source", grid, named_field)
+    boundary = _load_field_entry(path, doc["boundary"], "boundary", grid, _named_boundary,
                                  ("edges", "constant", "named"))
-    opts = document_keys(path, document_entry(path, doc, "options", "the descriptor", dict,
-                                              {}), "options", DOCUMENT_KEYS["options"])
-    if type(opts.get("max_iter", 0)) is not int:
-        raise ValueError("%r: options entry 'max_iter' must be a JSON integer" % path)
-    target = float(document_entry(path, opts, "target", "options", float, _TARGET))
+    target = float(doc.get("options", {}).get("target", _TARGET))
     return PoissonProblem(grid, weight, source, boundary, target), doc
 
 

@@ -41,7 +41,6 @@ from .fields import (
     Analytic,
     ComplexField,
     RealField,
-    document_entry,
     document_fields,
     integrate_primitive,
     laplacian,
@@ -534,10 +533,9 @@ def load_data(path):
 
 def _data_from_document(path, doc):
     """The triple of the data document ``doc``, already read from ``path``."""
-    kind = document_entry(path, doc, "kind", "the document", str)
+    kind = doc["kind"]
     if kind not in _FIELD_NAMES:
         raise ValueError("%r: unknown data kind %r" % (path, kind))
-    provenance = document_entry(path, doc, "provenance", "the document", dict, default={})
     # the holomorphic field is complex, the two potentials real
     holo, a, b = document_fields(path, doc, _FIELD_NAMES[kind], _FIELD_NAMES[kind][1:])
-    return _CLASS[kind](ComplexField(holo.grid, holo.values), a, b, provenance)
+    return _CLASS[kind](ComplexField(holo.grid, holo.values), a, b, doc.get("provenance", {}))

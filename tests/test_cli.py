@@ -588,6 +588,47 @@ class TestVerify:
         assert run(["verify", "--input", os.path.join(out, "patch.data.json"),
                     "--anchor", "0,0,0,0", "--out", out, "--name", "d"]) == 0
 
+    @pytest.mark.parametrize("rep", ["first", "second", "third"])
+    def test_rep_with_a_patch_manifest_is_refused(self, tmp_path, rep):
+        # refused before any payload is read: the manifest's payloads are gone
+        out = str(tmp_path)
+        assert run(["generate", "--fixture", "sigma-theta", "--grid", "-2:2:-2:2:9x9",
+                    "--out", out]) == 0
+        assert run(["verify", "--input", os.path.join(out, "patch.json"),
+                    "--out", out, "--name", "p"]) == 0
+        assert manifest_of(out, "p")["inputs"]["rep"] is None
+        assert run(["verify", "--input", os.path.join(out, "patch.data.json"),
+                    "--out", out, "--name", "d"]) == 0
+        assert manifest_of(out, "d")["inputs"]["rep"] == "second"
+        for name in os.listdir(out):
+            if name.startswith("patch.x"):
+                os.remove(os.path.join(out, name))
+        assert run(["verify", "--input", os.path.join(out, "patch.json"), "--rep", rep,
+                    "--out", out, "--name", "v"]) == 1
+        doc = failed_run(out, "v")
+        assert "--rep needs a data document" in doc["error"] and "patch.json" in doc["error"]
+        assert doc["checks"] == [] and doc["inputs"]["rep"] == rep
+
+    @pytest.mark.parametrize("edit,word", [
+        (lambda text: text.replace('"provenance": {', '"provenance": {}, "provenance": {', 1),
+         "key 'provenance' appears twice"),
+        (lambda text: text.replace('"theta": 0.3', '"theta": NaN', 1), "NaN is not strict JSON"),
+    ], ids=["repeated-provenance", "nan-theta"])
+    def test_a_document_that_is_not_strict_json_fails_with_manifest(self, tmp_path, edit, word):
+        # json.load keeps the last of two keys, so the repeat alone would
+        # verify, with the fixture anchor of the provenance written second
+        out = str(tmp_path)
+        fx = fixture_sigma_theta(0.3, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 9, 9))
+        path = os.path.join(out, "doc.data.json")
+        save_data(fx.data, path)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(edit(text))
+        assert run(["verify", "--input", path, "--out", out]) == 1
+        error = failed_run(out, "verify")["error"]
+        assert "doc.data.json" in error and word in error
+
     def test_data_document_auto_checks(self, tmp_path):
         out = str(tmp_path)
         fx = fixture_sigma_theta(0.0, grid=Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17))
@@ -1143,7 +1184,9 @@ class TestMemoryError:
         out = str(tmp_path)
         doc_path = os.path.join(out, "patch.json")
         with open(doc_path, "w") as fh:
-            json.dump({"format": "mtsurf-patch"}, fh)
+            # the table's required keys; the stub loader reads no payload
+            json.dump({"format": "mtsurf-patch", "grid": Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9)
+                       .to_dict(), "fields": {}}, fh)
         assert run(["verify", "--input", doc_path, "--out", out, "--name", "oom"]) == 1
         assert failed_run(out, "oom")["error"] == "MemoryError"
 

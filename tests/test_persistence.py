@@ -22,6 +22,7 @@ from mtsurf.export import (_face_blocks, _face_text, load_patch_manifest, save_o
 from mtsurf.fields import (
     _float_text,
     _int_text,
+    DOCUMENT_KEYS,
     ComplexField,
     Grid2D,
     RealField,
@@ -585,6 +586,105 @@ def test_a_misspelt_provenance_is_refused_not_dropped(tmp_path):
         assert "unknown key 'provenace'" in json.load(fh)["error"]
 
 
+def _named_weight(doc):
+    doc["weight"] = {"kind": "named", "name": "re-exp-iz"}
+    return doc["weight"]
+
+
+def _constant_boundary(doc):
+    doc["boundary"] = {"kind": "constant", "value": 0.0}
+    return doc["boundary"]
+
+
+#: Where each row of the table sits: the kind of document of ``DOCUMENTS``
+#: that holds it, and the part of that document the row describes, put in
+#: place first where the document holds another kind of entry there.
+_ROW_SITES = {
+    "mtsurf-data": ("data", lambda doc: doc), "mtsurf-patch": ("patch", lambda doc: doc),
+    "mtsurf-problem": ("problem", lambda doc: doc), "grid": ("data", lambda doc: doc["grid"]),
+    "payload": ("data", lambda doc: doc["fields"]["height"]),
+    "named": ("problem", _named_weight), "constant": ("problem", _constant_boundary),
+    "edges": ("problem", lambda doc: doc["boundary"]),
+    "file": ("problem", lambda doc: doc["source"]),
+    "options": ("problem", lambda doc: doc["options"]),
+    "boundary edges": ("problem", lambda doc: doc["boundary"]["edges"]),
+    "fixture parameters": ("data", lambda doc: doc["provenance"]),
+}
+
+#: A value of another JSON type than each type of the table (a type that
+#: names a row is an object).
+_MISTYPED = {"string": 5, "integer": True, "number": "1", "list": {}, "object": []}
+
+
+def test_every_row_of_the_table_has_a_site():
+    assert set(_ROW_SITES) == set(DOCUMENT_KEYS)
+
+
+@pytest.mark.parametrize("row,key,case", [
+    (row, key, case) for row in sorted(DOCUMENT_KEYS)
+    for key, kind in DOCUMENT_KEYS[row].items()
+    for case in ("mistyped",) + (() if kind.endswith("?") else ("missing",))])
+def test_every_key_of_the_table_is_refused_by_name(tmp_path, row, key, case):
+    """For every row and key of ``DOCUMENT_KEYS``, a value of another JSON
+    type, or the absence of a required key, is refused by the loader and by
+    the command (exit 1, a manifest naming the document and the key)."""
+    kind, site = _ROW_SITES[row]
+    fname, load, _ = DOCUMENTS[kind](str(tmp_path))
+    path = os.path.join(str(tmp_path), fname)
+    with open(path) as fh:
+        doc = json.load(fh)
+    part = site(doc)
+    if case == "missing":
+        del part[key]
+    else:
+        part[key] = _MISTYPED.get(DOCUMENT_KEYS[row][key].rstrip("?"), [])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    if row == "fixture parameters":     # read by verify only, to rebuild the anchor
+        def load(path):
+            return cli._anchor_for_data(load_data(path), SimpleNamespace(anchor=None, input=path))
+    with pytest.raises(ValueError, match=r"%s.*'%s'" % (re.escape(fname), key)):
+        load(path)
+    out = str(tmp_path / "out")
+    command = ["solve", "--problem"] if kind == "problem" else ["verify", "--input"]
+    assert cli.main(command + [path, "--out", out, "--name", "run"]) == 1
+    with open(os.path.join(out, "run.manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["passed"] is False
+    assert fname in manifest["error"] and "'%s'" % key in manifest["error"]
+
+
+#: An object of each kind of document whose values no loader reads.
+_FREE_OBJECT = {"data": '"provenance": {', "patch": '"invariants": {', "problem": '"options": {'}
+
+
+@pytest.mark.parametrize("case,word", [
+    ("twice", "key 'grid' appears twice"), ("twice-in-grid", "key 'n_u' appears twice"),
+    ("NaN", "NaN is not strict JSON"), ("Infinity", "Infinity is not strict JSON"),
+    ("-Infinity", "-Infinity is not strict JSON")])
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_repeated_keys_and_non_json_constants_are_refused(tmp_path, kind, case, word):
+    """The one parse refuses a key repeated in an object (json.load would
+    keep the last) and the literals NaN and Infinity, which strict JSON
+    lacks, by the document and the key or the literal.  Every repeat here
+    comes first, so the value kept would be the document's own."""
+    fname, load, _ = DOCUMENTS[kind](str(tmp_path))
+    path = os.path.join(str(tmp_path), fname)
+    with open(path) as fh:
+        text = fh.read()
+    if case == "twice":
+        text = '{"grid": {},' + text[1:]
+    elif case == "twice-in-grid":
+        text = text.replace('"grid": {', '"grid": {"n_u": 0,', 1)
+    else:
+        text = text.replace(_FREE_OBJECT[kind], '%s"note": %s,' % (_FREE_OBJECT[kind], case), 1)
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert fname in str(exc.value) and word in str(exc.value)
+
+
 def test_payload_grid_mismatch_is_typed(tmp_path):
     fname, load, _ = _patch_manifest(str(tmp_path))
     path = os.path.join(str(tmp_path), fname)
@@ -612,7 +712,7 @@ def test_grid_entry_is_not_coerced(key, value):
 
 
 def test_grid_entry_lacking_a_key_is_named():
-    with pytest.raises(ValueError, match="lacks n_v"):
+    with pytest.raises(ValueError, match="has no 'n_v' entry"):
         Grid2D.from_dict({"u_min": 0.0, "u_max": 1.0, "v_min": 0.0, "v_max": 1.0,
                           "n_u": 3})
 
