@@ -12,7 +12,8 @@ Outputs are byte-deterministic except for the manifest's ``wall_time_s``.
 Every check is capped through :func:`mtsurf.tolerances.cap` on the route
 its patch records (``SurfacePatch.exact``); the command line sets no cap
 or floor.  A non-finite numeric option ends the run with an error that
-names it.
+names it.  ``deform`` checks congruence on coordinates alone, from one sweep
+of ``surfaces._coordinates``: on the exact route it builds no other stack.
 
 ``verify`` runs every check its input allows, in one fixed order: the data
 certification (for a data document), the patch invariants, the quadric
@@ -44,6 +45,7 @@ from .fields import (DOCUMENT_KEYS, Grid2D, document_part, read_document, save_f
 from .lorentz import rotation
 from .poisson import _load_problem, solve_weighted_poisson
 from .surfaces import (
+    _coordinates,
     liu_decompose,
     mean_curvature,
     patch_from_chart,
@@ -286,13 +288,15 @@ def cmd_deform(args):
                         "hyperbolic": ("first", deform_hyperbolic)}[args.family]
         base = _as_kind(base, need)     # once: the congruence check reuses it
         deformed = deform(base, args.parameter)
-        cert = _certificate(deformed)
+        cert = _as_kind(deformed, need)
         manifest.add_report_checks(cert.report, "deformed_")
         ident = deformed.provenance.get("identity_residual")
         if ident is not None:
             manifest.add_check("deformation_identity", ident, cap(
                 "deformation_identity", deformed.grid, _exact_callbacks(base)))
-        _congruence_check(manifest, *_represent([base, cert], need, None), args)
+        pair = [SimpleNamespace(grid=c.holo.grid, x_stack=x, exact=_exact_callbacks(c))
+                for c, (x, _, _) in zip((base, cert), _coordinates([base, cert], need))]
+        _congruence_check(manifest, *pair, args)
         manifest.add_artifacts(
             save_data(deformed, os.path.join(args.out, args.name + ".data.json")))
 

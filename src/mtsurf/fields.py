@@ -13,7 +13,8 @@ when ``dzbar(f) == 0``.
 
 Every field carries an :class:`Analytic` bundle of closed-form callbacks,
 empty when it has none: it keeps value, dz, dzbar and lap, and takes du/dv
-as input only.  Operations use the callbacks when they are present
+as input only, as dz and dzbar filled from the real partials in the bits
+of (du -/+ i dv)/2.  Operations use the callbacks when they are present
 (derivatives are then exact up to roundoff and path integrals switch to
 per-interval Gauss quadrature); otherwise they fall back to second-order
 finite differences (central in the interior, one-sided at the edges) and
@@ -212,10 +213,11 @@ class Analytic:
 
     A bundle keeps four callbacks of broadcastable coordinate arrays
     ``(u, v)``: value, dz, dzbar and lap.  A ``(du, dv)`` pair is stored as
-    dz, dzbar = (du -/+ i dv)/2 unless dz or dzbar is given itself.  ``du``
-    and ``dv`` return the complex dz + dzbar and i (dz - dzbar).  Missing
-    quantities raise when requested; the ``has_*`` flags let callers pick a
-    fallback.  A bundle without callbacks is empty and false.
+    dz, dzbar = (du -/+ i dv)/2, in those bits (see ``_from_partials``),
+    unless dz or dzbar is given itself.  ``du`` and ``dv`` return the
+    complex dz + dzbar and i (dz - dzbar).  Missing quantities raise when
+    requested; the ``has_*`` flags let callers pick a fallback.  A bundle
+    without callbacks is empty and false.
 
     On grid nodes a callback receives an (n_u, 1) column of u and a (1, n_v)
     row of v (see :meth:`Grid2D.on_nodes`); in a Gauss sweep it receives
@@ -228,9 +230,9 @@ class Analytic:
     def __init__(self, value=None, du=None, dv=None, dz=None, dzbar=None, lap=None):
         if du is not None and dv is not None:
             if dz is None:
-                dz = lambda u, v: (np.asarray(du(u, v)) - 1j * np.asarray(dv(u, v))) / 2.0
+                dz = lambda u, v: _from_partials(du(u, v), dv(u, v), np.subtract)
             if dzbar is None:
-                dzbar = lambda u, v: (np.asarray(du(u, v)) + 1j * np.asarray(dv(u, v))) / 2.0
+                dzbar = lambda u, v: _from_partials(du(u, v), dv(u, v), np.add)
         self._value = value
         self._dz = dz
         self._dzbar = dzbar
@@ -283,6 +285,24 @@ class Analytic:
 
     def lap(self, u, v):
         return self._call(self._lap, "lap", u, v)
+
+
+def _from_partials(du, dv, op):
+    """``op(du, 1j dv) / 2`` in its bits: dz with np.subtract, dzbar with np.add.
+    Of float64 partials it is one array (du/2, -/+ dv/2) wherever du and dv
+    are finite and nonzero, where the complex arithmetic adds only zeros that
+    flip no sign; the formula runs on the other nodes and other dtypes."""
+    du, dv = np.asarray(du), np.asarray(dv)
+    if du.dtype != np.float64 or dv.dtype != np.float64:
+        return op(du, 1j * dv) / 2.0
+    out = np.empty(np.broadcast_shapes(du.shape, dv.shape), dtype=complex)
+    np.multiply(du, 0.5, out=out.real)
+    np.multiply(dv, 0.5 if op is np.add else -0.5, out=out.imag)
+    odd = ~(np.isfinite(du) & np.isfinite(dv) & (du != 0.0) & (dv != 0.0))
+    if odd.any():
+        du, dv = np.broadcast_to(du, out.shape)[odd], np.broadcast_to(dv, out.shape)[odd]
+        out[odd] = op(du, 1j * dv) / 2.0
+    return out
 
 
 class _Field:
@@ -537,10 +557,16 @@ def _edge_integrals_gauss(values, grid):
                 (C, v_rows, au[v_rows, None, None], vq[None, :, :],          # (rows, n_v-1, 5)
                  grid.h_v, -2.0, np.imag, "q,ijq->ij")):
             _EVAL.scope = {}
+            # sign * part(E) fills one contiguous scratch array: einsum's sum
+            # order follows its operand's strides, so the strided part(E)
+            # view, with sign folded into the weights, would change bits
+            scratch = np.empty(np.broadcast_shapes(u.shape, v.shape))
             try:
                 for out_k, value in zip(out, values):
-                    out_k[rows] = (h / 2.0) * np.einsum(
-                        sum_q, _GAUSS_W, sign * part(value(u, v)))
+                    term = part(value(u, v))
+                    buf = scratch if term.shape == scratch.shape else None
+                    term = np.multiply(sign, term, out=buf)
+                    out_k[rows] = (h / 2.0) * np.einsum(sum_q, _GAUSS_W, term)
             finally:
                 _EVAL.scope = None
     return R, C
@@ -1286,7 +1312,8 @@ def read_document(path, *formats):
     """The JSON object at ``path``, of one of ``formats`` (the one JSON parse),
     once it is strict JSON (no key twice in an object, no NaN or Infinity) of
     its format's row of ``DOCUMENT_KEYS`` (see :func:`document_part`) and
-    version 1, if any; else a ValueError names the document and the key."""
+    version 1, if any; else (also for a file that is not UTF-8 JSON at all) a
+    ValueError names the document and the key."""
     def unique(pairs):
         obj = {}
         for key, value in pairs:
@@ -1298,8 +1325,11 @@ def read_document(path, *formats):
     def constant(literal):
         raise ValueError("%r: %s is not strict JSON" % (path, literal))
 
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, object_pairs_hook=unique, parse_constant=constant)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=unique, parse_constant=constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError("%r: not a UTF-8 JSON document: %s" % (path, exc)) from None
     if not isinstance(doc, dict) or doc.get("format") not in formats:
         nouns = " nor of a ".join(_FORMATS[f] for f in formats)
         raise ValueError("%r: its 'format' is %s that of a %s"

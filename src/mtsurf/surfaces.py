@@ -7,15 +7,17 @@ is null: the first consumes a (gauss, pot1, pot2) triple, the second a
 triple.  They are one construction driven by a per-kind table: a triple
 is a holomorphic field w plus potentials (a, b) with lap(a) = weight
 lap(b), the tangent field is Xz = dz(a) frame1(w) + dz(b) frame2(w), and
-X_zzbar is lap(b)/4 times a real multiple of a null direction.  One core
-consumes the certificates of k triples (a list passed in place of the
-triple; either kind, by the kind rule ``weierstrass._as_kind``), reuses
-the arrays the certification computed, integrates their 4k coordinates of
-Xz in one quadrature sweep (each coordinate is a field of its certificate
-from ``weierstrass._certificate_field``; a Gauss node set runs each closed
-form once, so coordinates share w, dz a and dz b and a deformed triple's
-nested callbacks reuse its base's evaluations; see :mod:`mtsurf.fields`),
-and assembles X_zzbar from the closed formula, so the nullness of H is
+X_zzbar is lap(b)/4 times a real multiple of a null direction.  One
+coordinates core, under the representations and ``mtsurf deform`` (whose
+congruence check reads only coordinates), raises for a failed certificate
+of k triples (either kind, by the kind rule ``weierstrass._as_kind``) and
+integrates their 4k coordinates of Xz in one quadrature sweep, sampling
+Xz only for the trapezoid route or a patch (each coordinate is a field of
+its certificate from ``weierstrass._certificate_field``; a Gauss node set
+runs each closed form once, so coordinates share w, dz a and dz b and a
+deformed triple's nested callbacks reuse its base's evaluations; see
+:mod:`mtsurf.fields`).  The patch assembly reuses the certification's
+arrays and builds X_zzbar from the closed formula, so the nullness of H is
 carried by algebra while conformality, metric agreement and the
 coordinate identities are measured and recorded in
 ``SurfacePatch.invariants``.  The loop caps use the exact-callback cap.
@@ -154,19 +156,14 @@ def _mean_curvature_stack(xzzbar_stack, lam_values):
 
 def _integrate_coords(tangents, anchor, loop_cap, what):
     """Integrate the 4k tangent fields ``tangents``, k patches' four
-    coordinates in turn, into one (4k, n_u, n_v) coordinate stack,
-    origin-anchored.
-
-    ``anchor`` gives the value of each coordinate at the grid origin node
-    (defaults to zero).  The fields go through one quadrature sweep of
-    :func:`mtsurf.fields._integrate_primitives`: Gauss quadrature of their
-    value callbacks, or the trapezoid rule on their samples.  Returns the
-    stack and each patch's worst loop residual.  Raises when a loop
-    certificate exceeds the cap, naming the coordinate.
+    coordinates in turn, into one (4k, n_u, n_v) coordinate stack whose
+    values at the grid origin node are ``anchor`` (default zero), by one
+    sweep of :func:`mtsurf.fields._integrate_primitives` (Gauss quadrature
+    of value callbacks, or the trapezoid rule on samples).  Returns the stack
+    and each patch's worst loop residual; raises, naming the coordinate,
+    when a loop certificate exceeds ``loop_cap``.
     """
-    if anchor is None:
-        anchor = (0.0, 0.0, 0.0, 0.0)
-    anchor = tuple(float(a) for a in anchor)
+    anchor = tuple(float(a) for a in ((0.0,) * 4 if anchor is None else anchor))
     if len(anchor) != 4:
         raise ValueError("anchor must supply four coordinate values")
     primitives = _integrate_primitives(tangents)
@@ -191,7 +188,7 @@ def _shift_residual(actual, target):
 
 
 def _one(w):
-    return 1.0 + 0j * w
+    return 1.0 + 0j     # the bits of 1.0 + 0j * w at finite w (of -1.0 alike)
 
 
 def _zero(w):
@@ -218,7 +215,7 @@ _Kind = namedtuple("_Kind", "frame1 frame2 scale null_dir xzzbar_factor identiti
 _KINDS = {
     "first": _Kind(
         frame1=(lambda w: 1.0 / w, lambda w: 1j / w, _one, _one),
-        frame2=(lambda w: w, lambda w: -1j * w, lambda w: -1.0 + 0j * w, _one),
+        frame2=(lambda w: w, lambda w: -1j * w, lambda w: -1.0 + 0j, _one),
         scale=lambda g: 4.0 / np.abs(g) ** 2,
         null_dir=_stereographic_null,
         xzzbar_factor=lambda g: 1.0,
@@ -243,55 +240,60 @@ _KINDS = {
 }
 
 
-def _represent(data, kind, anchor=None):
-    """The one representation pipeline, driven by ``_KINDS[kind]``: the patch
-    of a triple or certificate, or the patches of a list of them from one
-    quadrature sweep (those on other grids or routes one at a time).
-    Every failed certificate raises first: the frames and the conformal
-    scale divide by ``holo``.  The coordinates come from the Gauss
-    quadrature of the exact callbacks when ``holo`` has a value callback and
-    both potentials first derivatives, and from the Xz samples otherwise.
-    """
-    if not isinstance(data, list):
-        return _represent([data], kind, anchor)[0]
-    certs = [_as_kind(d, kind) for d in data]
+def _coordinates(certs, kind, anchor=None, samples=False):
+    """The coordinates core: per ``kind`` certificate of ``certs`` (each failed
+    one raising first), its (4, n_u, n_v) x, its Xz or None and its worst
+    loop, from one sweep of their 4k Xz fields (one certificate at a time on
+    mixed grids or routes): Gauss quadrature of the exact callbacks, else the
+    trapezoid rule on the Xz samples, taken only then or with ``samples``."""
     for cert in certs:
         cert.report.raise_for_failure()
     routes = {(c.holo.grid, _exact_callbacks(c)) for c in certs}
     if len(routes) > 1:
-        return [_represent(cert, kind, anchor) for cert in certs]
+        return [_coordinates([cert], kind, anchor, samples)[0] for cert in certs]
     (grid, exact), = routes
     spec = _KINDS[kind]
-    xz = np.empty((4 * len(certs),) + grid.shape, dtype=complex)
+    xz = np.empty((4 * len(certs),) + grid.shape, complex) if samples or not exact else None
     tangents = []
     for p, cert in enumerate(certs):
         for k, (c1, c2) in enumerate(zip(spec.frame1, spec.frame2)):
             def coordinate(w, a_z, b_z, _c1=c1, _c2=c2):
                 return a_z * _c1(w) + b_z * _c2(w)
-            tangents.append(_certificate_field(cert, coordinate, out=xz[4 * p + k]))
+            tangents.append(_certificate_field(
+                cert, coordinate, out=None if xz is None else xz[4 * p + k]))
     x, worst_loop = _integrate_coords(
         tangents, anchor, cap("loop_residual", grid, exact), "represent_" + kind)
+    return [(x[4 * p:4 * p + 4], None if xz is None else xz[4 * p:4 * p + 4], worst_loop[p])
+            for p in range(len(certs))]
 
+
+def _represent(data, kind, anchor=None):
+    """The patch of a triple or certificate, or the patches of a list of them:
+    the coordinates and Xz of :func:`_coordinates` plus the patch assembly."""
+    if not isinstance(data, list):
+        return _represent([data], kind, anchor)[0]
+    certs = [_as_kind(d, kind) for d in data]
+    spec = _KINDS[kind]
     patches = []
-    for p, (_, holo, a, b, source, _, weight, a_z, b_z, b_zzbar) in enumerate(certs):
-        rows = slice(4 * p, 4 * p + 4)
+    for cert, (x, xz, worst_loop) in zip(certs, _coordinates(certs, kind, anchor, samples=True)):
+        _, holo, a, b, source, _, weight, a_z, b_z, b_zzbar = cert
         w = holo.values
         gauss = np.stack(spec.null_dir(w))
         xzzbar = (b_zzbar * spec.xzzbar_factor(w)) * gauss
         lam_values = spec.scale(w) * np.abs(a_z - weight * b_z) ** 2
         h = _mean_curvature_stack(xzzbar, lam_values)
         coord_res = max(_shift_residual(actual, target) for actual, target
-                        in spec.identities(x[rows], a.values, b.values))
+                        in spec.identities(x, a.values, b.values))
         provenance = {"representation": kind, "anchor": list(anchor or (0.0,) * 4)}
         if source is not None:
             provenance["source"] = dict(source)
         patches.append(SurfacePatch(
-            grid, x[rows], xz[rows], xzzbar, RealField._view(grid, lam_values), h, gauss,
+            holo.grid, x, xz, xzzbar, RealField._view(holo.grid, lam_values), h, gauss,
             provenance=provenance,
             invariants=_patch_invariants(
-                xz[rows], h, gauss, lam_values, closed_metric=lam_values,
-                extra={"loop_residual": worst_loop[p], "coordinate_identity": coord_res}),
-            exact=exact))
+                xz, h, gauss, lam_values, closed_metric=lam_values,
+                extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}),
+            exact=_exact_callbacks(cert)))
     return patches
 
 

@@ -314,18 +314,22 @@ def _reciprocal_field(f):
 
 def _certificate_field(cert, formula, out=None):
     """formula(w, dz a, dz b) of the certified triple (w, a, b) as a
-    ComplexField: samples from the certificate's arrays (written into
-    ``out`` when given) and, on the exact route, a value callback on the
-    triple's callbacks, whose results a quadrature node set shares."""
-    values = formula(cert.holo.values, cert.a_z, cert.b_z)
-    if out is not None:
-        out[...] = values
-        values = out
+    ComplexField: on the exact route, a value callback on the triple's
+    callbacks, whose results a quadrature node set shares; samples from the
+    certificate's arrays, written into ``out`` when given.  Without an
+    ``out`` the exact route samples nothing (NaN samples): its Gauss
+    quadrature reads only the callback."""
     w, a, b = cert.holo.analytic, cert.a.analytic, cert.b.analytic
     value = None
     if _exact_callbacks(cert):
         def value(u, v):
             return formula(w.value(u, v), a.dz(u, v), b.dz(u, v))
+    values = np.broadcast_to(np.complex128(np.nan), cert.holo.grid.shape)
+    if out is not None or value is None:
+        values = formula(cert.holo.values, cert.a_z, cert.b_z)
+    if out is not None:
+        out[...] = values
+        values = out
     return ComplexField._view(cert.holo.grid, values, Analytic(value=value))
 
 

@@ -289,10 +289,11 @@ class TestDeform:
 
     def test_one_sweep_evaluates_each_closed_form_once_per_node_set(self, tmp_path,
                                                                     monkeypatch):
-        # the parabolic deform represents its base and deformed patches in
-        # one quadrature sweep over 129 rows, three row blocks of two node
-        # sets each; the deformed patch's nested callbacks reach the fixture's
-        # closed forms only through evaluations the base patch made
+        # the parabolic deform integrates the coordinates of its base and
+        # deformed patches in one quadrature sweep of the coordinates core
+        # over 129 rows, three row blocks of two node sets each; the deformed
+        # patch's nested callbacks reach the fixture's closed forms only
+        # through evaluations the base patch made
         calls, counting = {}, [False]
 
         def counted(fld, name):
@@ -314,15 +315,15 @@ class TestDeform:
                 counted(d.holo, "holo"), counted(d.height, "height"),
                 counted(d.null_pot, "null_pot"), d.provenance))
 
-        def sweep(*args, _represent=cli.represent_first, **kwargs):
+        def sweep(*args, _coordinates=cli._coordinates, **kwargs):
             counting[0] = True
             try:
-                return _represent(*args, **kwargs)
+                return _coordinates(*args, **kwargs)
             finally:
                 counting[0] = False
 
         monkeypatch.setattr(cli, "_resolve_fixture", fixture)
-        monkeypatch.setattr(cli, "represent_first", sweep)
+        monkeypatch.setattr(cli, "_coordinates", sweep)
         rc = run(["deform", "--fixture", "sigma-theta", "--theta", "0.3",
                   "--grid", "-2:2:-2:0:129x33", "--family", "parabolic",
                   "--parameter", "0.5", "--out", str(tmp_path)])
@@ -346,6 +347,35 @@ class TestDeform:
         checks = check_map(manifest_of(out, "again"))
         assert checks["congruence_residual"]["passed"]
         assert checks["deformed_nonvanishing"]["passed"]
+
+
+@pytest.mark.parametrize("theta,bounds", [
+    (0.0, "-2:2:-2:0"), (0.3, "-2:2:-2:0"), (math.pi / 2, "-1:1:-1:1")])
+@pytest.mark.parametrize("family", ["parabolic", "elliptic", "hyperbolic"])
+def test_deform_integrates_the_coordinates_represent_gives(tmp_path, monkeypatch, theta,
+                                                           bounds, family):
+    # the coordinates core, called by deform without Xz samples, gives in
+    # every bit the x_stack of the patches represent builds from the same
+    # pair; at theta 0 and pi/2 a partial of a potential is exactly +-0 on
+    # some nodes
+    seen = []
+
+    def core(certs, kind, *args, _coordinates=cli._coordinates, **kwargs):
+        result = _coordinates(certs, kind, *args, **kwargs)
+        seen.append((certs, kind, result))
+        return result
+
+    monkeypatch.setattr(cli, "_coordinates", core)
+    assert run(["deform", "--fixture", "sigma-theta", "--theta", repr(theta),
+                "--grid", bounds + ":17x17", "--family", family, "--parameter", "0.5",
+                "--out", tmp_path]) == 0
+    (certs, kind, result), = seen
+    patches = {"first": surfaces.represent_first, "second": surfaces.represent_second}[kind](
+        list(certs))
+    assert len(result) == len(patches) == 2
+    for (x, xz, _), patch in zip(result, patches):
+        assert xz is None
+        assert np.array_equal(x.view(np.uint64), patch.x_stack.view(np.uint64))
 
 
 def test_represent_third_of_second_kind_data_is_the_generate_patch(tmp_path):
@@ -628,6 +658,17 @@ class TestVerify:
         assert run(["verify", "--input", path, "--out", out]) == 1
         error = failed_run(out, "verify")["error"]
         assert "doc.data.json" in error and word in error
+
+    @pytest.mark.parametrize("raw", [b'{"format": "mtsurf-patch", ',
+                                     b'\xff\xfe{"format": "mtsurf-patch"}'])
+    def test_a_file_that_is_not_json_fails_with_a_manifest_naming_it(self, tmp_path, raw):
+        # a truncated document and one that is not UTF-8 (a UTF-16 byte order mark)
+        out = str(tmp_path)
+        path = os.path.join(out, "broken.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        assert run(["verify", "--input", path, "--out", out]) == 1
+        assert "broken.json" in failed_run(out, "verify")["error"]
 
     def test_data_document_auto_checks(self, tmp_path):
         out = str(tmp_path)

@@ -32,6 +32,12 @@ def grid(n=33, bounds=(-1.0, 1.0, -1.0, 1.0)):
     return Grid2D(bounds[0], bounds[1], bounds[2], bounds[3], n, n)
 
 
+#: Finite partials, with zeros of both signs, subnormals and values near the
+#: float range's edge drawn often.
+_partial = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+
+
 class TestGrid2D:
     def test_spacing_and_axes(self):
         g = Grid2D(0.0, 1.0, -2.0, 2.0, 5, 9)
@@ -194,6 +200,30 @@ class TestAnalytic:
         assert np.array_equal(bits(a.dz(u, v)), bits((du(u, v) - 1j * dv(u, v)) / 2.0))
         assert np.array_equal(bits(a.dzbar(u, v)), bits((du(u, v) + 1j * dv(u, v)) / 2.0))
         assert a.has_first and not a.has_lap
+
+    @given(st.lists(_partial, min_size=1, max_size=12),
+           st.lists(_partial, min_size=1, max_size=12),
+           st.sampled_from(["real", "complex du", "complex dv"]))
+    @example([0.0, -0.0, 1.0, -1.0, 5e-324, 1e308], [-0.0, 0.0, -2.0, 1e308, -5e-324], "real")
+    @example([1e308, -1e308], [1e308, 2.0], "complex du")
+    def test_split_derivatives_are_the_complex_form_bit_for_bit(self, du, dv, kind):
+        # real partials take the direct fill wherever du and dv are finite
+        # and nonzero and the complex form elsewhere; complex ones the complex
+        # form: either way the bits of (du -/+ i dv)/2, every pair of values
+        # meeting once as a column against a row
+        du, dv = np.array(du)[:, None], np.array(dv)[None, :]
+        if kind == "complex du":
+            du = du + 1j * du[::-1]
+        elif kind == "complex dv":
+            dv = dv - 1j * dv[:, ::-1]
+        a = Analytic(du=lambda u, v: du, dv=lambda u, v: dv)
+        with np.errstate(over="ignore", invalid="ignore"):     # complex ones may overflow
+            pairs = ((a.dz(0.0, 0.0), (du - 1j * dv) / 2.0),
+                     (a.dzbar(0.0, 0.0), (du + 1j * dv) / 2.0))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
 
     def test_missing_callback_raises(self):
         a = Analytic(value=lambda u, v: u)

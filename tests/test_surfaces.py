@@ -360,6 +360,17 @@ def test_representations_convert_data_of_the_other_kind_bit_for_bit():
         assert patch.provenance["source"]["transform"] == convert.__name__
 
 
+def test_constant_frame_entries_multiply_as_their_complex_forms_did():
+    # 1 + 0j and -1 + 0j hold the bits of 1.0 + 0j * w and -1.0 + 0j * w for
+    # every finite w, whichever zeros w's parts are
+    parts = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5, -2.5, 1e308, -1e308])
+    w = (parts[:, None] + 1j * parts[None, :]).ravel()
+    a_z = w[::-1]
+    for frame, old in ((surfaces._one, 1.0 + 0j * w),
+                       (surfaces._KINDS["first"].frame2[2], -1.0 + 0j * w)):
+        assert (a_z * frame(w)).tobytes() == (a_z * old).tobytes()
+
+
 def test_triples_of_different_routes_or_grids_are_swept_one_at_a_time():
     # the FD copy of a triple, or a triple on another grid, cannot share the
     # exact triple's Gauss sweep
