@@ -13,8 +13,9 @@ when ``dzbar(f) == 0``.
 
 Every field carries an :class:`Analytic` bundle of closed-form callbacks,
 empty when it has none: it keeps value, dz, dzbar and lap, and takes du/dv
-as input only, as dz and dzbar filled from the real partials in the bits
-of (du -/+ i dv)/2.  Operations use the callbacks when they are present
+as input only, as dz and dzbar.  One function, ``_from_partials``, gives
+(f_u -/+ i f_v)/2 its bits, from a bundle's partials or from finite
+differences.  Operations use the callbacks when they are present
 (derivatives are then exact up to roundoff and path integrals switch to
 per-interval Gauss quadrature); otherwise they fall back to second-order
 finite differences (central in the interior, one-sided at the edges) and
@@ -214,7 +215,8 @@ class Analytic:
     A bundle keeps four callbacks of broadcastable coordinate arrays
     ``(u, v)``: value, dz, dzbar and lap.  A ``(du, dv)`` pair is stored as
     dz, dzbar = (du -/+ i dv)/2, in those bits (see ``_from_partials``),
-    unless dz or dzbar is given itself.  ``du`` and ``dv`` return the
+    unless dz or dzbar is given itself; in a node set each partial runs
+    once, whichever of dz and dzbar read it.  ``du`` and ``dv`` return the
     complex dz + dzbar and i (dz - dzbar).  Missing quantities raise when
     requested; the ``has_*`` flags let callers pick a fallback.  A bundle
     without callbacks is empty and false.
@@ -229,10 +231,12 @@ class Analytic:
 
     def __init__(self, value=None, du=None, dv=None, dz=None, dzbar=None, lap=None):
         if du is not None and dv is not None:
+            def partials(u, v):
+                return self._call(du, "du", u, v), self._call(dv, "dv", u, v)
             if dz is None:
-                dz = lambda u, v: _from_partials(du(u, v), dv(u, v), np.subtract)
+                dz = lambda u, v: _from_partials(*partials(u, v), np.subtract)
             if dzbar is None:
-                dzbar = lambda u, v: _from_partials(du(u, v), dv(u, v), np.add)
+                dzbar = lambda u, v: _from_partials(*partials(u, v), np.add)
         self._value = value
         self._dz = dz
         self._dzbar = dzbar
@@ -397,20 +401,16 @@ def _fd_second(values, h, axis):
 
 def _wirtinger(field, slot, combine):
     """combine(f_u, i f_v)/2 as a ComplexField, or the ``slot`` callback
-    (dz or dzbar) on the nodes when the field has first derivatives."""
+    (dz or dzbar) on the nodes when the field has first derivatives.  The
+    finite-difference partials go through ``_from_partials``, the one bit
+    rule a (du, dv) bundle's callbacks use too."""
     grid = field.grid
     if field.analytic.has_first:
         cb = getattr(field.analytic, slot)
         return ComplexField(grid, grid.on_nodes(cb), Analytic(value=cb))
-    fu = _fd_first(field.values, grid.h_u, 0)
-    fv = _fd_first(field.values, grid.h_v, 1)
-    if isinstance(field, ComplexField):
-        return ComplexField._view(grid, combine(fu, 1j * fv) / 2.0)
-    out = np.empty(grid.shape, dtype=complex)     # the same bits, in place
-    out.real = fu
-    combine(0.0, fv, out=out.imag)
-    out /= 2.0
-    return ComplexField._view(grid, out)
+    return ComplexField._view(grid, _from_partials(_fd_first(field.values, grid.h_u, 0),
+                                                   _fd_first(field.values, grid.h_v, 1),
+                                                   combine))
 
 
 def wirtinger_dz(field):

@@ -16,11 +16,13 @@ Xz only for the trapezoid route or a patch (each coordinate is a field of
 its certificate from ``weierstrass._certificate_field``; a Gauss node set
 runs each closed form once, so coordinates share w, dz a and dz b and a
 deformed triple's nested callbacks reuse its base's evaluations; see
-:mod:`mtsurf.fields`).  The patch assembly reuses the certification's
+:mod:`mtsurf.fields`).  A representation reuses the certification's
 arrays and builds X_zzbar from the closed formula, so the nullness of H is
 carried by algebra while conformality, metric agreement and the
 coordinate identities are measured and recorded in
 ``SurfacePatch.invariants``.  The loop caps use the exact-callback cap.
+Both routes hand their stacks to one patch assembly, ``_assemble``: it
+forms H = 4 X_zzbar / lam, the invariants and the patch.
 
 A patch stores each of its quantities once, as one read-only
 (4, n_u, n_v) stack that its route builds in place, and keeps no
@@ -147,11 +149,15 @@ def _patch_invariants(xz_stack, h_stack, gauss_stack, lam_values,
     return inv
 
 
-def _mean_curvature_stack(xzzbar_stack, lam_values):
-    """H = (4 X_zzbar) / lam as one new stack, divided in place."""
-    h = 4.0 * xzzbar_stack
-    h /= lam_values
-    return h
+def _assemble(grid, x, xz, xzzbar, lam, gauss, provenance, closed_metric, extra, exact):
+    """The one patch assembly of both routes: H = (4 X_zzbar) / lam as one
+    new stack, divided in place, the invariants and the patch."""
+    h = 4.0 * xzzbar
+    h /= lam
+    return SurfacePatch(grid, x, xz, xzzbar, RealField._view(grid, lam), h, gauss,
+                        provenance=provenance,
+                        invariants=_patch_invariants(xz, h, gauss, lam, closed_metric, extra),
+                        exact=exact)
 
 
 def _integrate_coords(tangents, anchor, loop_cap, what):
@@ -281,19 +287,15 @@ def _represent(data, kind, anchor=None):
         gauss = np.stack(spec.null_dir(w))
         xzzbar = (b_zzbar * spec.xzzbar_factor(w)) * gauss
         lam_values = spec.scale(w) * np.abs(a_z - weight * b_z) ** 2
-        h = _mean_curvature_stack(xzzbar, lam_values)
         coord_res = max(_shift_residual(actual, target) for actual, target
                         in spec.identities(x, a.values, b.values))
         provenance = {"representation": kind, "anchor": list(anchor or (0.0,) * 4)}
         if source is not None:
             provenance["source"] = dict(source)
-        patches.append(SurfacePatch(
-            holo.grid, x, xz, xzzbar, RealField._view(holo.grid, lam_values), h, gauss,
-            provenance=provenance,
-            invariants=_patch_invariants(
-                xz, h, gauss, lam_values, closed_metric=lam_values,
-                extra={"loop_residual": worst_loop, "coordinate_identity": coord_res}),
-            exact=_exact_callbacks(cert)))
+        patches.append(_assemble(
+            holo.grid, x, xz, xzzbar, lam_values, gauss, provenance, lam_values,
+            {"loop_residual": worst_loop, "coordinate_identity": coord_res},
+            _exact_callbacks(cert)))
     return patches
 
 
@@ -369,15 +371,10 @@ def patch_from_chart(coords, provenance=None):
         raise DomainError(
             "chart is not spacelike on this grid: conformal factor %.3e "
             "near (u,v)=(%.6g, %.6g)" % (float(np.min(lam_values)), u, v))
-    h = _mean_curvature_stack(xzzbar, lam_values)
-
-    return SurfacePatch(
-        grid, np.stack([c.values for c in coords]), xz, xzzbar,
-        RealField._view(grid, lam_values), h, xzzbar,
-        provenance=dict(provenance or {"representation": "chart"}),
-        invariants=_patch_invariants(xz, h, xzzbar, lam_values, closed_metric=None,
-                                     extra={"loop_residual": 0.0}),
-        exact=all(c.analytic.has_first and c.analytic.has_lap for c in coords))
+    return _assemble(grid, np.stack([c.values for c in coords]), xz, xzzbar, lam_values,
+                     xzzbar, dict(provenance or {"representation": "chart"}), None,
+                     {"loop_residual": 0.0},
+                     all(c.analytic.has_first and c.analytic.has_lap for c in coords))
 
 
 def patch_from_samples(grid, coords_array, provenance=None):
@@ -404,12 +401,12 @@ def mean_curvature(patch):
     h_stack = patch.h_stack
     hh = minkowski_inner(h_stack, h_stack)
     norm = np.sqrt(_euclid_sq(h_stack))
-    i, j = np.unravel_index(int(np.argmin(norm)), norm.shape)
+    u, v, min_norm = min_abs_location(patch.grid, norm)
     report = {
         "sup_null_residual": sup_abs_interior(hh / (1.0 + norm ** 2)),
-        "min_norm": float(norm[i, j]),
+        "min_norm": min_norm,
         "max_norm": float(np.max(norm)),
-        "min_norm_location": (float(patch.grid.axis_u[i]), float(patch.grid.axis_v[j])),
+        "min_norm_location": (float(u), float(v)),
     }
     return h_stack, report
 

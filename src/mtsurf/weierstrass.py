@@ -6,11 +6,12 @@ nowhere-zero holomorphic field ``gauss`` with two real potentials
 second-kind triple bundles a nowhere-zero holomorphic field ``holo`` with
 a real ``height`` (which becomes the first coordinate of the surface) and
 a real ``null_pot`` (which becomes the sum of the last two coordinates),
-coupled by ``lap(height) = Re(holo) lap(null_pot)``.  One validator
-certifies the defining conditions of either kind on a grid and returns a
-certificate: the triple, its report and the arrays the checks computed.
-The report's checks are :class:`mtsurf.tolerances.CheckResult` records
-(re-exported here), the record a run manifest keeps too.
+coupled by ``lap(height) = Re(holo) lap(null_pot)``.  Both kinds share
+one grid rule: the three fields of a triple live on one grid.  One
+validator certifies the defining conditions of either kind on a grid and
+returns a certificate: the triple, its report and the arrays the checks
+computed.  The report's checks are :class:`mtsurf.tolerances.CheckResult`
+records (re-exported here), the record a run manifest keeps too.
 The two kind conversions and the three one-parameter deformation families
 (each the counterpart of a rotation family in :mod:`mtsurf.lorentz`) are
 thin wrappers over one transform core: it consumes the certificate of its
@@ -32,7 +33,7 @@ pinned by the coupling condition.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,18 +72,22 @@ __all__ = [
 ]
 
 
-def _check_grids(named_fields):
-    grid = None
-    for name, f in named_fields:
-        if grid is None:
-            grid = f.grid
-        elif f.grid != grid:
-            raise GridMismatchError("%s lives on a different grid" % name)
-    return grid
+class _Triple:
+    """The one grid rule of both kinds: a triple's three fields, the
+    holomorphic field first, live on one grid, the triple's ``grid``."""
+
+    def __post_init__(self):
+        for f in fields(self)[1:3]:
+            if getattr(self, f.name).grid != self.grid:
+                raise GridMismatchError("%s lives on a different grid" % f.name)
+
+    @property
+    def grid(self):
+        return getattr(self, fields(self)[0].name).grid
 
 
 @dataclass(frozen=True)
-class WeierstrassFirst:
+class WeierstrassFirst(_Triple):
     """First-kind data triple (gauss, pot1, pot2).
 
     The generated surface has third coordinate pot1 - pot2 and fourth
@@ -95,16 +100,9 @@ class WeierstrassFirst:
     pot2: RealField
     provenance: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        _check_grids([("gauss", self.gauss), ("pot1", self.pot1), ("pot2", self.pot2)])
-
-    @property
-    def grid(self):
-        return self.gauss.grid
-
 
 @dataclass(frozen=True)
-class WeierstrassSecond:
+class WeierstrassSecond(_Triple):
     """Second-kind data triple (holo, height, null_pot).
 
     The generated surface has first coordinate height and the sum of its
@@ -116,20 +114,9 @@ class WeierstrassSecond:
     null_pot: RealField
     provenance: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        _check_grids([("holo", self.holo), ("height", self.height),
-                      ("null_pot", self.null_pot)])
 
-    @property
-    def grid(self):
-        return self.holo.grid
-
-
-_FIELD_NAMES = {
-    "first": ("gauss", "pot1", "pot2"),
-    "second": ("holo", "height", "null_pot"),
-}
 _CLASS = {"first": WeierstrassFirst, "second": WeierstrassSecond}
+_FIELD_NAMES = {kind: tuple(f.name for f in fields(cls)[:3]) for kind, cls in _CLASS.items()}
 
 
 def _triple(data):

@@ -468,6 +468,18 @@ class TestSharedQuadrature:
         np.testing.assert_array_equal(out.dzbar(u, v), np.conj(a.value(u, v)))
         np.testing.assert_array_equal(out.du(u, v), 2.0 * np.real(a.value(u, v)))
 
+    def test_primitive_lap_callback_is_four_re_dzbar_of_the_integrand(self):
+        # E = dz(u^2 v^2) = u v^2 - i u^2 v, whose dzbar is (u^2 + v^2)/2
+        g = grid(9)
+        a = Analytic(value=lambda u, v: u * v ** 2 - 1j * u ** 2 * v,
+                     dz=lambda u, v: (v ** 2 - u ** 2) / 2.0 - 2j * u * v,
+                     dzbar=lambda u, v: (u ** 2 + v ** 2) / 2.0 + 0j)
+        out = integrate_primitive(ComplexField.sample(g, a)).field.analytic
+        u = np.linspace(-1.0, 1.0, 6)[:, None]
+        v = np.linspace(-1.0, 1.0, 4)[None, :]
+        np.testing.assert_array_equal(out.lap(u, v), 4.0 * np.real(a.dzbar(u, v)))
+        np.testing.assert_allclose(out.lap(u, v), 2.0 * (u ** 2 + v ** 2), rtol=1e-15)
+
     def test_needs_one_integrand_per_field_on_one_grid(self):
         g = grid(5)
         fld = ComplexField(g, np.zeros(g.shape, complex))

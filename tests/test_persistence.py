@@ -586,6 +586,25 @@ def test_a_misspelt_provenance_is_refused_not_dropped(tmp_path):
         assert "unknown key 'provenace'" in json.load(fh)["error"]
 
 
+def test_a_data_document_of_the_third_kind_is_refused_by_kind(tmp_path):
+    # a data document holds a first- or second-kind triple; the third kind
+    # is a representation only
+    fname, _, _ = _data_document(str(tmp_path))
+    path = os.path.join(str(tmp_path), fname)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["kind"] = "third"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="unknown data kind 'third'"):
+        load_data(path)
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--input", path, "--out", out, "--name", "run"]) == 1
+    with open(os.path.join(out, "run.manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["passed"] is False and "unknown data kind 'third'" in manifest["error"]
+
+
 def _named_weight(doc):
     doc["weight"] = {"kind": "named", "name": "re-exp-iz"}
     return doc["weight"]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtsurf import fields, surfaces
+from mtsurf import cli, fields, surfaces
 from mtsurf.catalog import fixture_classical, fixture_sigma_theta
 from mtsurf.errors import DomainError, InvalidDataError
 from mtsurf.fields import (
@@ -448,6 +448,43 @@ def test_a_memoised_result_is_read_only_and_keyed_by_identity():
     assert inner.value(u, v).flags.writeable
 
 
+def _deform_17(tmp_path):
+    assert cli.main(["deform", "--fixture", "sigma-theta", "--theta", "0.3",
+                     "--grid=-2:2:-2:0:17x17", "--family", "parabolic", "--parameter", "0.5",
+                     "--out", str(tmp_path)]) == 0
+
+
+def _sweep_reading_du(tmp_path):
+    # Analytic.du reads both dz and dzbar of the height's (du, dv) bundle
+    grid = Grid2D(-2.0, 2.0, -2.0, 0.0, 17, 17)
+    height = fixture_sigma_theta(0.3, grid=grid).data.height.analytic
+    fields.integrate_primitive(ComplexField.sample(grid, Analytic(value=height.du)))
+
+
+@pytest.mark.parametrize("run", [_deform_17, _sweep_reading_du])
+def test_a_partials_bundle_runs_each_partial_once_per_node_set(run, monkeypatch, tmp_path):
+    # the sigma-theta potentials are (du, dv) bundles: however many of dz and
+    # dzbar a node set reads, each raw partial runs once on its arrays
+    calls = []
+    init = Analytic.__init__
+
+    def counted(cb):
+        def partial(u, v):
+            scope = getattr(fields._EVAL, "scope", None)
+            if scope is not None:
+                calls.append((scope, partial, u, v))    # held, so no id is reused
+            return cb(u, v)
+        return partial
+
+    def init_counted(self, value=None, du=None, dv=None, **slots):
+        init(self, value, du and counted(du), dv and counted(dv), **slots)
+
+    monkeypatch.setattr(Analytic, "__init__", init_counted)
+    run(tmp_path)
+    keys = [tuple(map(id, call)) for call in calls]
+    assert keys and len(set(keys)) == len(keys)
+
+
 def test_a_deform_pair_sweep_peaks_within_58_grid_arrays():
     # base and deformed patch of a parabolic deform at 257^2 from one sweep:
     # 55.3 grid arrays traced above the call's start, where two separate
@@ -517,10 +554,14 @@ def _complex_wirtinger(grid, values):
     return (f_u - 1j * f_v) / 2.0
 
 
-@pytest.mark.parametrize("theta", [0.3, 0.7])
-def test_fd_chart_patch_is_the_complex_wirtinger_form(theta):
+@pytest.mark.parametrize("chart", [0.3, 0.7, "catenoid-r3"])
+def test_fd_chart_patch_is_the_complex_wirtinger_form(chart):
+    # catenoid-r3's x4 is all zeros, so its partials take the complex form
+    # of _from_partials on every node
     grid = Grid2D(-2.0, 2.0, -1.4, 1.4, 65, 65)
-    x = np.stack([c.values for c in fixture_sigma_theta(theta, grid=grid).chart])
+    fx = (fixture_classical(chart, grid=grid) if isinstance(chart, str)
+          else fixture_sigma_theta(chart, grid=grid))
+    x = np.stack([c.values for c in fx.chart])
     patch = patch_from_samples(grid, x)
     xz = np.stack([_complex_wirtinger(grid, row) for row in x])
     xzzbar = np.stack([fields.laplacian(RealField(grid, row)).values / 4.0 for row in x])
@@ -529,7 +570,7 @@ def test_fd_chart_patch_is_the_complex_wirtinger_form(theta):
         assert np.array_equal(wirtinger_dz(RealField(grid, row)).values.view(np.int64),
                               want.view(np.int64))
     lam = surfaces._measured_factor(xz)
-    h = surfaces._mean_curvature_stack(xzzbar, lam)
+    h = 4.0 * xzzbar / lam
     assert patch.invariants == surfaces._patch_invariants(
         xz, h, xzzbar, lam, extra={"loop_residual": 0.0})
     np.testing.assert_array_equal(patch.x_stack, x)
