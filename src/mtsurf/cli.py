@@ -13,7 +13,8 @@ Every check is capped through :func:`mtsurf.tolerances.cap` on the route
 its patch records (``SurfacePatch.exact``); the command line sets no cap
 or floor.  A non-finite numeric option ends the run with an error that
 names it.  ``deform`` checks congruence on coordinates alone, from one sweep
-of ``surfaces._coordinates``: on the exact route it builds no other stack.
+of ``surfaces._coordinates``, which also integrates the potentials of its
+conversion and deformation: on the exact route it builds no other stack.
 
 ``verify`` runs every check its input allows, in one fixed order: the data
 certification (for a data document), the patch invariants, the quadric
@@ -40,8 +41,8 @@ import numpy as np
 from .catalog import FIXTURE_NAMES, _holo_exp_iz, fixture_by_name
 from .errors import DomainError
 from .export import _coordinates_from_document, _jsonable, _patch_from_document, _write_patch
-from .fields import (DOCUMENT_KEYS, Grid2D, document_part, read_document, save_field_csv,
-                     sup_abs, write_document)
+from .fields import (DOCUMENT_KEYS, Grid2D, deferred_sweeps, document_part, read_document,
+                     save_field_csv, sup_abs, write_document)
 from .lorentz import rotation
 from .poisson import _load_problem, solve_weighted_poisson
 from .surfaces import (
@@ -268,6 +269,15 @@ def cmd_generate(args):
 
 
 def cmd_deform(args):
+    """Deform the data and check the congruence of the two patches in one
+    quadrature sweep: inside a ``fields.deferred_sweeps`` scope the
+    conversion's and the deformation's potentials are integrated with the
+    base and deformed coordinates, and their loop gates (and, for a
+    rapidity eta >= 0, the range check of e^-eta pot2) fire at the end of
+    that sweep, after the deformed certificate's checks are in the manifest.
+    A pole or a parameter that takes the data out of the float range is
+    refused before any sweep; a potential still unswept when the run fails
+    is swept and gated as the scope closes, so its error comes first."""
     inputs = {"fixture": args.fixture, "data": args.data, "grid": args.grid,
               "family": args.family, "parameter": args.parameter,
               "name": args.name}
@@ -286,16 +296,17 @@ def cmd_deform(args):
         need, deform = {"parabolic": ("first", deform_parabolic),
                         "elliptic": ("second", deform_elliptic),
                         "hyperbolic": ("first", deform_hyperbolic)}[args.family]
-        base = _as_kind(base, need)     # once: the congruence check reuses it
-        deformed = deform(base, args.parameter)
-        cert = _as_kind(deformed, need)
-        manifest.add_report_checks(cert.report, "deformed_")
-        ident = deformed.provenance.get("identity_residual")
-        if ident is not None:
-            manifest.add_check("deformation_identity", ident, cap(
-                "deformation_identity", deformed.grid, _exact_callbacks(base)))
-        pair = [SimpleNamespace(grid=c.holo.grid, x_stack=x, exact=_exact_callbacks(c))
-                for c, (x, _, _) in zip((base, cert), _coordinates([base, cert], need))]
+        with deferred_sweeps():
+            base = _as_kind(base, need)     # once: the congruence check reuses it
+            deformed = deform(base, args.parameter)
+            cert = _as_kind(deformed, need)
+            manifest.add_report_checks(cert.report, "deformed_")
+            ident = deformed.provenance.get("identity_residual")
+            if ident is not None:
+                manifest.add_check("deformation_identity", ident, cap(
+                    "deformation_identity", deformed.grid, _exact_callbacks(base)))
+            pair = [SimpleNamespace(grid=c.holo.grid, x_stack=x, exact=_exact_callbacks(c))
+                    for c, (x, _, _) in zip((base, cert), _coordinates([base, cert], need))]
         _congruence_check(manifest, *pair, args)
         manifest.add_artifacts(
             save_data(deformed, os.path.join(args.out, args.name + ".data.json")))

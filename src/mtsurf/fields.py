@@ -31,6 +31,11 @@ forms those callbacks call, so every exact callback runs once per node
 set and (u, v).  :func:`integrate_primitive` is its one-field case.  A
 primitive F of E answers dz(F) with E and dzbar(F) with conj(E), one
 evaluation each, and owns its accumulated samples without a copy.
+Inside a :class:`deferred_sweeps` scope an exact primitive waits for the
+next Gauss sweep on its grid, which integrates it with its own fields;
+what waits on it, such as a loop gate, runs right after that sweep.  A
+read of its samples before then sweeps it alone, and so does the scope's
+close for one still unswept.
 
 This module also owns persistence, and every ASCII table (field CSVs
 here, mesh vertices, faces and the x4 channel in :mod:`mtsurf.export`)
@@ -347,6 +352,31 @@ class _Field:
         return fld
 
     @classmethod
+    def _later(cls, grid, settle, analytic):
+        """A field with its callbacks now and its samples later: the first
+        read of ``values`` calls ``settle()``, which hands them to ``_settle``
+        unless a sweep has done so already."""
+        fld = cls.__new__(cls)
+        fld.grid = grid
+        fld.analytic = analytic
+        fld._pending = settle
+        return fld
+
+    def _settle(self, values):
+        """Give a field from ``_later`` its samples, as ``_view`` takes them."""
+        values.setflags(write=False)
+        self.__dict__.pop("_pending", None)
+        self.values = values
+
+    def __getattr__(self, name):
+        # only a field from _later lacks ``values``, until it is read
+        settle = self.__dict__.get("_pending") if name == "values" else None
+        if settle is None:
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        settle()
+        return self.values
+
+    @classmethod
     def sample(cls, grid, analytic):
         """Sample the closed form on the grid nodes and keep the callbacks.
         A sample that is not finite, such as a cosh that overflows on a far
@@ -474,6 +504,8 @@ def lincomb_real(pairs):
     the summands' own callbacks, only when every summand provides it, so a
     primitive among them answers dz with one evaluation of its integrand.
     Sums start from the first term, so c f keeps the sign of f's zeros.
+    A sum of deferred primitives (see :class:`deferred_sweeps`) is summed
+    on its first read.
     """
     pairs = [(float(w), f) for w, f in pairs]
     if not pairs:
@@ -482,14 +514,19 @@ def lincomb_real(pairs):
     for _, f in pairs[1:]:
         if f.grid != grid:
             raise GridMismatchError("lincomb_real summands live on different grids")
-    values = functools.reduce(np.add, (w * f.values for w, f in pairs))
+    def combine():
+        return functools.reduce(np.add, (w * f.values for w, f in pairs))
+
     slots = {}
     for name in ("value", "dz", "dzbar", "lap"):
         if all(getattr(f.analytic, "_" + name) is not None for _, f in pairs):
             def combined(u, v, _cbs=tuple((w, getattr(f.analytic, name)) for w, f in pairs)):
                 return functools.reduce(np.add, (w * cb(u, v) for w, cb in _cbs))
             slots[name] = combined
-    return RealField(grid, values, Analytic(**slots))
+    if any("_pending" in vars(f) for _, f in pairs):      # a deferred summand's samples
+        fld = RealField._later(grid, lambda: fld._settle(combine()), Analytic(**slots))
+        return fld
+    return RealField(grid, combine(), Analytic(**slots))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +548,83 @@ class PathIntegralResult:
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
-_EVAL = threading.local()       # .scope: the callback memo of the node set being swept
+_EVAL = threading.local()       # .scope: the callback memo of the node set being swept;
+                                # .deferred: the unswept primitives of a deferral scope
+
+
+class deferred_sweeps:
+    """The deferral scope of a run whose integrated potentials meet a later
+    sweep on their grid (``mtsurf deform``).  Inside it,
+    :func:`integrate_primitive` of a field with a value callback returns a
+    ``_Pending`` primitive: its callbacks at once, its samples and loop
+    residual from the next Gauss sweep of :func:`_integrate_primitives` on
+    its grid, or from a sweep of its own if they are read first.  What
+    :func:`_when_swept` queues on it (a loop gate, the provenance of its
+    residual) runs right after that sweep.  One still unswept when the scope
+    closes, normally or on an error, is swept then, so its gate's error
+    takes precedence as if it had been eager.  Outside the scope every
+    integration is eager."""
+
+    def __enter__(self):
+        self._outer = getattr(_EVAL, "deferred", None)
+        _EVAL.deferred = []
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        queue, _EVAL.deferred = _EVAL.deferred, self._outer
+        if exc_type is None or issubclass(exc_type, Exception):
+            while queue:
+                queue[0]()
+
+
+class _Pending:
+    """A deferred primitive of ``integrand``, waiting in ``queue``: ``field``
+    has the callbacks of :func:`_primitive_analytic` and, once swept, the
+    samples; reading them or ``loop_residual`` first sweeps it alone."""
+
+    def __init__(self, integrand, queue):
+        self.integrand = integrand
+        self.field = RealField._later(integrand.grid, self,
+                                      _primitive_analytic(integrand.analytic))
+        self.after = []         # callbacks to run once swept, in order
+        self._queue = queue
+        self._loop_residual = None
+        queue.append(self)
+
+    @property
+    def loop_residual(self):
+        self.field.values
+        return self._loop_residual
+
+    def __call__(self):
+        if self in self._queue:
+            self._queue.remove(self)
+        _settle_pending([self], _sweep([self.integrand]))
+
+
+def _settle_pending(pending, results):
+    """Hand each pending primitive its swept result, then run what was queued
+    on each, primitive by primitive."""
+    for p, r in zip(pending, results):
+        p.field._settle(r.field.values)
+        p._loop_residual = r.loop_residual
+    for p in pending:
+        after, p.after = p.after, None      # run once; a gate's cycle through p ends
+        for callback in after:
+            callback()
+
+
+def _when_swept(fld, callback):
+    """Run ``callback()`` once ``fld`` has its samples: right after its sweep
+    when it is a deferred primitive, now otherwise (a deferred sum of such
+    primitives is read, so that its summands are swept first)."""
+    settle = vars(fld).get("_pending")
+    if isinstance(settle, _Pending):
+        settle.after.append(callback)
+        return
+    fld.values
+    callback()
+
 
 #: Grid rows per block of the Gauss edge quadrature.  A block evaluates the
 #: integrands on the 5 Gauss nodes of every edge in its rows (the last block
@@ -536,11 +649,11 @@ def _edge_integrals_gauss(values, grid):
     """Per-edge Gauss integrals of a_k = 2 Re E_k (along u) and b_k = -2 Im E_k
     (along v) for k fields, as (k, n_u-1, n_v) and (k, n_u, n_v-1) arrays.
 
-    The raw value callback ``values[k](u, v)`` gives E_k on the node set of
+    The value callback ``values[k](u, v)`` gives E_k on the node set of
     each row block, reduced before the next is evaluated.  Within a node set
     an :class:`Analytic` call returns the read-only result of an earlier
-    call of its callback on the same u and v objects; the raw callbacks
-    bypass that memo, so it never keeps an E_k.
+    call of its callback on the same u and v objects; a raw callback
+    bypasses that memo, so it keeps no E_k that nothing else reads.
     """
     au = grid.axis_u
     av = grid.axis_v
@@ -610,6 +723,8 @@ def _integrate_primitives(fields):
     quadrature of each field's own value callback in blocks of
     ``_QUAD_ROWS`` grid rows when every field has one (see
     ``_edge_integrals_gauss``), the trapezoid rule on the samples otherwise.
+    A Gauss sweep also integrates the primitives deferred on its grid (see
+    :class:`deferred_sweeps`), and settles them before it returns.
 
     Returns one :class:`PathIntegralResult` per field.  A primitive keeps
     exact first-derivative callbacks (see ``_primitive_analytic``) when its
@@ -621,8 +736,26 @@ def _integrate_primitives(fields):
     grid = fields[0].grid
     if any(f.grid != grid for f in fields[1:]):
         raise GridMismatchError("fields to integrate live on different grids")
+    pending = []
     if all(f.analytic.has_value for f in fields):
-        R, C = _edge_integrals_gauss([f.analytic._value for f in fields], grid)
+        queue = getattr(_EVAL, "deferred", None) or []
+        pending = [p for p in queue if p.field.grid == grid]
+        for p in pending:
+            queue.remove(p)
+    results = _sweep([p.integrand for p in pending] + list(fields), len(pending))
+    _settle_pending(pending, results)
+    return results[len(pending):]
+
+
+def _sweep(fields, memoised=0):
+    """The one edge quadrature of :func:`_integrate_primitives`, of exactly
+    ``fields``.  The first ``memoised`` fields' values go through the node
+    set's memo, where the dz callbacks of their primitives, which the other
+    fields' callbacks call, find them."""
+    grid = fields[0].grid
+    if all(f.analytic.has_value for f in fields):
+        R, C = _edge_integrals_gauss([f.analytic.value if k < memoised else f.analytic._value
+                                      for k, f in enumerate(fields)], grid)
     else:
         R, C = zip(*(_edge_integrals_trapezoid(f.values, grid) for f in fields))
 
@@ -640,8 +773,13 @@ def integrate_primitive(field):
     """Real primitive F with F_z = E, anchored to F = 0 at the origin node:
     the one-field case of :func:`_integrate_primitives`.  F keeps exact
     callbacks dz F = E and dzbar F = conj E when E has a value callback,
-    and lap F = 4 Re dzbar E when it also has a dzbar.
+    and lap F = 4 Re dzbar E when it also has a dzbar.  Inside a
+    :class:`deferred_sweeps` scope such an E gives a ``_Pending``, which
+    answers ``field`` and ``loop_residual`` as a result does.
     """
+    queue = getattr(_EVAL, "deferred", None)
+    if queue is not None and field.analytic.has_value:
+        return _Pending(field, queue)
     return _integrate_primitives([field])[0]
 
 

@@ -11,7 +11,8 @@ X_zzbar is lap(b)/4 times a real multiple of a null direction.  One
 coordinates core, under the representations and ``mtsurf deform`` (whose
 congruence check reads only coordinates), raises for a failed certificate
 of k triples (either kind, by the kind rule ``weierstrass._as_kind``) and
-integrates their 4k coordinates of Xz in one quadrature sweep, sampling
+integrates their 4k coordinates of Xz in one quadrature sweep (with the
+primitives deferred on their grid, see ``fields.deferred_sweeps``), sampling
 Xz only for the trapezoid route or a patch (each coordinate is a field of
 its certificate from ``weierstrass._certificate_field``; a Gauss node set
 runs each closed form once, so coordinates share w, dz a and dz b and a

@@ -32,6 +32,7 @@ pinned by the coupling condition.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
@@ -42,6 +43,7 @@ from .fields import (
     Analytic,
     ComplexField,
     RealField,
+    _when_swept,
     document_fields,
     integrate_primitive,
     laplacian,
@@ -323,6 +325,19 @@ def _certificate_field(cert, formula, out=None):
 # ---------------------------------------------------------------------------
 # the transform core
 
+def _refuse_non_finite(name, head, what, grid, *node_values):
+    """DomainError at the first grid node where one of ``node_values`` is not
+    finite: ``what`` leaves the float range in the transform ``name``, under
+    the parameter (``--parameter``) of a family's ``head``."""
+    bad = ~functools.reduce(np.logical_and, map(np.isfinite, node_values))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DomainError("%s: %s leaves the float range at (u,v)=(%.6g, %.6g)%s" % (
+            name, what, grid.axis_u[i], grid.axis_v[j],
+            " under the %s parameter %g (--parameter)" % (head["family"], head["parameter"])
+            if "family" in head else ""))
+
+
 def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     """The one pipeline behind the kind conversions and the deformations.
 
@@ -336,6 +351,14 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     ``factor(w, w')`` is the immersion factor: provenance records
     sup |imm' - factor imm| with imm = dz a - weight dz b, next to
     ``head``, the loop residual and the source's provenance.
+
+    The new potential's dz and Laplacian on the grid nodes come first, from
+    the certificate's samples and the coupling; one that is not finite raises
+    DomainError (naming ``--parameter`` for a family) before any sweep.
+    Inside a :class:`mtsurf.fields.deferred_sweeps` scope its integration
+    waits for the next sweep on the grid: the loop gate fires, and the loop
+    residual is written into the provenance (NaN until then) and into each
+    later transform's copy of it as ``source``, right after that sweep.
     """
     _, holo, a, b, source, report, weight, a_z, b_z, _ = cert
     report.raise_for_failure()
@@ -353,24 +376,36 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
     prov = dict(head)
     if integrand is not None:
         slot = keep.index(None)
-        pr = integrate_primitive(_certificate_field(cert, integrand))
-        loop_cap = cap("loop_residual", grid, _exact_callbacks(cert))
-        if not passes(pr.loop_residual, loop_cap, "max_below"):
-            what = head.get("transform") or "deform_" + head["family"]
-            raise ValueError(
-                "%s: loop residual %.3e exceeds %.3e; the integrand is not "
-                "integrable on this grid" % (what, pr.loop_residual, loop_cap))
-        out = pr.field
+        exact = _exact_callbacks(cert)
+        what = head.get("transform") or "deform_" + head["family"]
         kept = pots[1 - slot]
+        lap_cb = None
         if holo_out.analytic.has_value and kept.analytic.has_lap:
             def lap_cb(u, v, _w=holo_out.analytic, _k=kept.analytic):
                 wt = weight_out(_w.value(u, v))
                 return wt * _k.lap(u, v) if slot == 0 else _k.lap(u, v) / wt
-            out = RealField(grid, out.values, Analytic(
-                dz=out.analytic._dz, dzbar=out.analytic._dzbar, lap=lap_cb))
+        # the new potential's dz and lap on the nodes decide its range before any sweep
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            node_dz = integrand(holo.values, a_z, b_z)
+            node_lap = grid.on_nodes(lap_cb) if lap_cb else 0.0
+        _refuse_non_finite(what, head, "the integrated potential", grid, node_dz, node_lap)
+        pr = integrate_primitive(_certificate_field(cert, integrand))
+        loop_cap = cap("loop_residual", grid, exact)
+        prov["loop_residual"] = np.nan          # until the gate records it
+
+        def gate():
+            if not passes(pr.loop_residual, loop_cap, "max_below"):
+                raise ValueError(
+                    "%s: loop residual %.3e exceeds %.3e; the integrand is not "
+                    "integrable on this grid" % (what, pr.loop_residual, loop_cap))
+            prov["loop_residual"] = pr.loop_residual
+
+        _when_swept(pr.field, gate)
+        out = pr.field
+        if lap_cb is not None:      # the primitive is new and shared with no one
+            out.analytic = Analytic(dz=out.analytic._dz, dzbar=out.analytic._dzbar, lap=lap_cb)
         pots[slot] = out
-        pots_z[slot] = wirtinger_dz(out).values
-        prov["loop_residual"] = pr.loop_residual
+        pots_z[slot] = node_dz if exact else wirtinger_dz(out).values
 
     w, w_out = holo.values, holo_out.values
     imm_out = pots_z[0] - weight_out(w_out) * pots_z[1]
@@ -378,6 +413,8 @@ def _transform(cert, out_kind, holo_map, keep, integrand, factor, head):
         imm_out - factor(w, w_out) * (a_z - weight * b_z))))
     if source:
         prov["source"] = dict(source)
+        for p in (a, b):        # a deferred input records its residual in source when swept
+            _when_swept(p, lambda: prov["source"].update(source))
     return _CLASS[out_kind](holo_out, *pots, prov)
 
 
@@ -431,9 +468,16 @@ def deform_parabolic(data, lam):
     somewhere on the grid (the deformed gauss field has a pole there).
     """
     lam = float(lam)
+    head = {"family": "parabolic", "parameter": lam}
 
     def gauss_lam(g):
-        u, v, mag = min_abs_location(g.grid, 1.0 + 1j * lam * g.values)
+        # the deformed gauss field divides by 1 + i lam gauss, its derivatives
+        # by the square: a lam that takes it out of range is refused first
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = 1.0 + 1j * lam * g.values
+            _refuse_non_finite("deform_parabolic", head, "(1 + i*lambda*gauss)^2", g.grid,
+                               den * den)
+        u, v, mag = min_abs_location(g.grid, den)
         if mag <= EPS_ZERO:
             raise PoleError(
                 "deformed gauss field has a pole near (u,v)=(%.6g, %.6g): "
@@ -443,8 +487,7 @@ def deform_parabolic(data, lam):
 
     return _transform(_as_kind(data, "first"), "first", gauss_lam, ((1.0, 0), None),
                       lambda g, p_z, q_z: (1.0 / g + 1j * lam) * (g * q_z - 1j * lam * p_z),
-                      lambda g, g_lam: np.conj(g_lam) / np.conj(g),
-                      {"family": "parabolic", "parameter": lam})
+                      lambda g, g_lam: np.conj(g_lam) / np.conj(g), head)
 
 
 def deform_elliptic(data, tau):
@@ -474,19 +517,36 @@ def deform_hyperbolic(data, eta):
     is involved and the immersion expression scales by e^eta exactly.  The
     generated surfaces are congruent under the boost of the last two
     coordinates by ``eta``.  Raises :class:`DomainError` when a scaled
-    field or the coupling weight |e^eta gauss|^2 leaves the float range.
+    field or the coupling weight |e^eta gauss|^2 leaves the float range,
+    before the output is certified: e^-eta pot2 of a deferred pot2 (see
+    :class:`mtsurf.fields.deferred_sweeps`) is checked when it is swept if
+    e^-eta <= 1, and forces that sweep at once otherwise.
     """
     eta = float(eta)
+    cert = _as_kind(data, "first")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = np.exp(eta)
-        out = _transform(_as_kind(data, "first"), "first",
+        out = _transform(cert, "first",
                          lambda g: _holo_map(g, lambda w: s * w, lambda w, dw: s * dw),
                          ((s, 0), (1.0 / s, 1)), None, lambda g, g_eta: s,
                          {"family": "hyperbolic", "parameter": eta})
-        finite = np.isfinite(np.abs(out.gauss.values) ** 2 + out.pot1.values + out.pot2.values)
-    if not finite.all():
-        raise DomainError("the hyperbolic rapidity %g (--parameter) scales the data "
-                          "out of the float range" % eta)
+        known = np.abs(out.gauss.values) ** 2 + out.pot1.values
+
+    def refuse_unless_finite(values):
+        if not np.isfinite(values).all():
+            raise DomainError("the hyperbolic rapidity %g (--parameter) scales the data "
+                              "out of the float range" % eta)
+
+    def with_pot2():
+        cert.b.values       # a deferred pot2 is swept here, outside the errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            refuse_unless_finite(known + out.pot2.values)
+
+    refuse_unless_finite(known)
+    if s < 1.0:
+        with_pot2()     # e^-eta > 1 may take pot2 out of range: read it now
+    else:
+        _when_swept(cert.b, with_pot2)
     return out
 
 

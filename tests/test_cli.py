@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mtsurf import cli, surfaces, tolerances, weierstrass
+from mtsurf import catalog, cli, surfaces, tolerances, weierstrass
 from mtsurf.catalog import fixture_sigma_theta
 from mtsurf.cli import main, parse_grid_spec
 from mtsurf.export import load_patch_manifest, save_patch_manifest
@@ -385,6 +386,140 @@ def test_represent_third_of_second_kind_data_is_the_generate_patch(tmp_path):
     reloaded, _ = load_patch_manifest(os.path.join(str(tmp_path), "patch.json"))
     patch = surfaces.represent_third(fx.data, anchor=fx.expected.get("anchor"))
     assert patch.x_stack.tobytes() == reloaded.x_stack.tobytes()
+
+
+class TestOneSweepDeform:
+    """``deform`` integrates its transforms' potentials in its coordinate
+    sweep (``fields.deferred_sweeps``): the bytes and residuals of the eager
+    library path, each closed form once per Gauss node set, refusals before
+    any sweep, and a scope that closes however the run ends."""
+
+    FAMILIES = {"parabolic": ("first", weierstrass.deform_parabolic, 0.5),
+                "elliptic": ("second", weierstrass.deform_elliptic, 0.8),
+                "hyperbolic": ("first", weierstrass.deform_hyperbolic, 0.6)}
+
+    @staticmethod
+    def deform(out, family, parameter, gridspec="-2:2:-2:0:17x17", name="d"):
+        return run(["deform", "--fixture", "sigma-theta", "--theta", "0.3", "--grid", gridspec,
+                    "--family", family, "--parameter=%r" % parameter, "--out", out,
+                    "--name", name])
+
+    # 129 rows: three row blocks of the coordinate sweep
+    @pytest.mark.parametrize("gridspec", ["-2:2:-2:0:17x17", "-2:2:-2:0:129x33"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_the_eager_path_gives_the_same_bytes(self, tmp_path, family, gridspec):
+        kind, deform, parameter = self.FAMILIES[family]
+        fused, eager = str(tmp_path / "fused"), str(tmp_path / "eager")
+        assert self.deform(fused, family, parameter, gridspec) == 0
+        os.makedirs(eager)
+        fixture = fixture_sigma_theta(0.3, grid=parse_grid_spec(gridspec))
+        base = weierstrass._as_kind(fixture.data, kind)
+        deformed = deform(base, parameter)
+        for path in save_data(deformed, os.path.join(eager, "d.data.json")):
+            with open(path, "rb") as a, open(os.path.join(fused, os.path.basename(path)), "rb") as b:
+                assert a.read() == b.read(), path
+        prov = deformed.provenance
+        residuals = [p["loop_residual"] for p in (prov, prov.get("source", {})) if "loop_residual" in p]
+        assert len(residuals) == {"parabolic": 2, "elliptic": 1, "hyperbolic": 1}[family]
+        assert all(0.0 < r < 1e-8 for r in residuals)
+        certs = [base, weierstrass._as_kind(deformed, kind)]
+        residual = surfaces.verify_congruence(
+            *[SimpleNamespace(grid=base.holo.grid, x_stack=x, exact=True)
+              for x, _, _ in surfaces._coordinates(certs, kind)],
+            rotation(family, parameter))["residual"]
+        assert check_map(manifest_of(fused, "d"))["congruence_residual"]["value"] == residual
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_each_closed_form_runs_once_per_node_set(self, tmp_path, monkeypatch, family):
+        # over the whole run at 129x33 (three row blocks of two node sets):
+        # the conversion's and the deformation's potentials share the
+        # coordinate sweep, where separate sweeps ran each closed form 18
+        # (parabolic) or 12 times
+        calls = {}
+
+        def counted(fld, name):
+            def wrap(slot, cb):
+                def leaf(u, v):
+                    if np.ndim(u) == 3:
+                        calls[name + "." + slot] = calls.get(name + "." + slot, 0) + 1
+                    return cb(u, v)
+                return leaf
+            a = fld.analytic
+            return type(fld)(fld.grid, fld.values, Analytic(**{
+                slot: wrap(slot, getattr(a, slot)) for slot in ("value", "dz", "dzbar", "lap")
+                if getattr(a, "_" + slot) is not None}))
+
+        def fixture(args, _resolve=cli._resolve_fixture):
+            fx = _resolve(args)
+            d = fx.data
+            return dataclasses.replace(fx, data=type(d)(
+                counted(d.holo, "holo"), counted(d.height, "height"),
+                counted(d.null_pot, "null_pot"), d.provenance))
+
+        monkeypatch.setattr(cli, "_resolve_fixture", fixture)
+        assert self.deform(str(tmp_path), family, self.FAMILIES[family][2],
+                           "-2:2:-2:0:129x33") == 0
+        assert calls == {"holo.value": 6, "height.dz": 6, "null_pot.dz": 6}
+
+    @pytest.mark.parametrize("family,count", [("parabolic", 3), ("elliptic", 1),
+                                              ("hyperbolic", 2)])
+    def test_integrands_run_on_the_grid_nodes_only_to_certify(self, tmp_path, monkeypatch,
+                                                               family, count):
+        # a transform takes its new potential's node dz from the certificate's
+        # samples; an integrand's callback runs on the grid nodes only in the
+        # certification of a new triple (parabolic: the converted triple, and
+        # the deformed one, whose integrand calls the converted one's), where
+        # the transform's own dz of the primitive ran it too (6, 2 and 3)
+        calls = []
+
+        def certificate_field(cert, formula, out=None, _field=weierstrass._certificate_field):
+            def counted(w, a_z, b_z):
+                calls.extend([1] if np.ndim(w) == 2 else [])
+                return formula(w, a_z, b_z)
+            return _field(cert, counted, out)
+
+        monkeypatch.setattr(weierstrass, "_certificate_field", certificate_field)
+        assert self.deform(str(tmp_path), family, self.FAMILIES[family][2]) == 0
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("parameter", [1e154, 1e160, -1e200, 1e308, -1.7e308])
+    def test_an_overflowing_parabolic_parameter_is_refused(self, tmp_path, parameter):
+        # lambda^2 takes dz (or, near 1e154, lap) of the deformed pot2, or
+        # (1 + i lambda gauss)^2, out of the float range: refused on the grid
+        # nodes before any sweep or certification, with numeric warnings as
+        # errors
+        out = str(tmp_path)
+        assert self.deform(out, "parabolic", parameter) == 1
+        doc = failed_run(out, "d")
+        assert "the parabolic parameter %g (--parameter)" % parameter in doc["error"]
+        assert not any(c["name"].startswith("deformed_") for c in doc["checks"])
+        assert os.listdir(out) == ["d.manifest.json"]
+
+    @pytest.mark.parametrize("failure", ["pole", "overflow"])
+    def test_the_scope_closes_when_a_deform_fails_before_its_sweep(self, tmp_path, monkeypatch,
+                                                                  failure):
+        out = str(tmp_path)
+        if failure == "pole":
+            gridspec = "%r:%r:%r:%r:65x65" % (-math.pi / 2 - 1.0, -math.pi / 2 + 1.0,
+                                              -math.log(2.0) - 1.0, -math.log(2.0) + 1.0)
+            rc = run(["deform", "--fixture", "sigma-theta", "--theta", "0.0", "--grid", gridspec,
+                      "--family", "parabolic", "--parameter", "2.0", "--out", out])
+        else:
+            rc = self.deform(out, "parabolic", 1e200)
+        assert rc == 1
+        # a library call after the run integrates eagerly again: on (exp(iz),
+        # u, 0), whose certification residuals are exact zeros, the loop gate
+        # raises within the call
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
+        zeros = catalog._zeros
+        linear = Analytic(value=lambda u, v: u + zeros(u, v), du=lambda u, v: 1.0 + zeros(u, v),
+                          dv=zeros, lap=zeros)
+        data = weierstrass.WeierstrassFirst(
+            catalog._holo_exp_iz(g), RealField.sample(g, linear),
+            RealField.sample(g, Analytic(value=zeros, du=zeros, dv=zeros, lap=zeros)))
+        monkeypatch.setattr(tolerances, "TOL_EXACT", 1e-300)
+        with pytest.raises(ValueError, match=r"first_to_second: loop residual .* exceeds 1\.000e-300"):
+            weierstrass.first_to_second(data)
 
 
 class TestSolve:

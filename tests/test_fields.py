@@ -489,6 +489,66 @@ class TestSharedQuadrature:
             fields._integrate_primitives([fld, ComplexField(grid(7), np.zeros((7, 7)))])
 
 
+class TestDeferredSweeps:
+    """Inside ``fields.deferred_sweeps`` the primitive of a field with a value
+    callback waits for the next sweep on its grid; whenever its samples
+    come, they are the bits an eager integration gives."""
+
+    @staticmethod
+    def same_bits(res, ref):
+        assert res.field.values.tobytes() == ref.field.values.tobytes()
+        assert res.loop_residual == ref.loop_residual
+
+    # 98 rows span three row blocks
+    def test_the_next_sweep_integrates_the_deferred_primitives(self):
+        g = Grid2D(-1.0, 1.5, -0.5, 1.0, 98, 7)
+        flds = TestSharedQuadrature.shared(g)
+        eager = [integrate_primitive(f) for f in flds]
+        swept = []
+        with fields.deferred_sweeps():
+            pending = [integrate_primitive(f) for f in flds[:2]]
+            assert all("_pending" in vars(p.field) for p in pending)
+            fields._when_swept(pending[1].field, lambda: swept.append(pending[1].loop_residual))
+            assert swept == []
+            own = fields._integrate_primitives(flds[2:])
+            assert swept == [eager[1].loop_residual]
+            assert fields._EVAL.deferred == []
+        for res, ref in zip(pending + own, eager):
+            self.same_bits(res, ref)
+
+    def test_a_read_before_the_sweep_sweeps_alone(self):
+        f = TestSharedQuadrature.shared(grid(17))[1]
+        ref = integrate_primitive(f)
+        with fields.deferred_sweeps():
+            res = integrate_primitive(f)
+            half = lincomb_real([(0.5, res.field)])
+            assert "_pending" in vars(half)
+            self.same_bits(res, ref)
+            assert half.values.tobytes() == (0.5 * ref.field.values).tobytes()
+            assert fields._EVAL.deferred == []
+        assert fields._EVAL.deferred is None
+
+    def test_what_is_left_is_swept_when_the_scope_closes(self):
+        f = TestSharedQuadrature.shared(grid(17))[2]
+        ran = []
+        with fields.deferred_sweeps():
+            res = integrate_primitive(f)
+            fields._when_swept(res.field, lambda: ran.append(True))
+        assert ran == [True] and "_pending" not in vars(res.field)
+        self.same_bits(res, integrate_primitive(f))
+
+    def test_a_trapezoid_sweep_is_eager_and_leaves_the_deferred(self):
+        g = grid(17)
+        f = TestSharedQuadrature.shared(g)[0]
+        samples = ComplexField(g, f.values)         # no callback: the trapezoid route
+        with fields.deferred_sweeps():
+            res = integrate_primitive(f)
+            trapezoid = integrate_primitive(samples)
+            assert isinstance(trapezoid, fields.PathIntegralResult)
+            assert fields._EVAL.deferred != []
+        self.same_bits(res, integrate_primitive(f))
+
+
 class TestLincomb:
     def test_third_kind_coordinate_dz_evaluates_the_integrand_once(self, monkeypatch):
         # pot1 -/+ pot2 are the third-kind coordinates; pot2 is a primitive

@@ -13,6 +13,7 @@ from mtsurf.fields import (
     ComplexField,
     Grid2D,
     RealField,
+    deferred_sweeps,
     sup_abs,
     wirtinger_dz,
 )
@@ -471,6 +472,34 @@ def test_tol_exact_reaches_certification_and_loop_caps(monkeypatch):
         represent_first(cert)
     monkeypatch.undo()
     assert first_to_second(weierstrass._certificate(data)).provenance["loop_residual"] > 0.0
+
+
+def test_a_deferred_loop_failure_keeps_its_message(monkeypatch):
+    # inside a deferral scope the conversion's loop gate fires when its
+    # potential is swept: on the first read of its samples, or when the
+    # scope closes, with the message of the eager gate
+    cert = weierstrass._certificate(exp_iz_plane(grid(17)))
+    monkeypatch.setattr(tolerances, "TOL_EXACT", 1e-300)
+    message = r"first_to_second: loop residual .* exceeds 1\.000e-300"
+    with deferred_sweeps():
+        out = first_to_second(cert)
+        with pytest.raises(ValueError, match=message):
+            out.height.values
+    with pytest.raises(ValueError, match=message):
+        with deferred_sweeps():
+            first_to_second(cert)
+
+
+def test_deferred_provenance_records_the_swept_residuals():
+    # the conversion's residual reaches its own provenance and the copy that
+    # the deformation keeps as its source
+    data = fixture_sigma_theta(0.3, grid=grid(17)).data
+    eager = deform_parabolic(second_to_first(data), 0.5).provenance
+    with deferred_sweeps():
+        deferred = deform_parabolic(second_to_first(data), 0.5).provenance
+        assert np.isnan(deferred["loop_residual"]) and np.isnan(deferred["source"]["loop_residual"])
+    assert list(deferred) == list(eager) and list(deferred["source"]) == list(eager["source"])
+    assert deferred == eager
 
 
 def test_parabolic_gauss_evaluates_its_input_once_per_call():
