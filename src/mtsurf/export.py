@@ -110,7 +110,7 @@ def _write_patch(patch, obj=None, ply=None, manifest=None):
                 refs[name], path = payload_path(manifest, name)
                 payloads.append(start(path, _CSV_HEADER))
 
-        for nodes, u, v in _node_blocks(grid):
+        for nodes, i, j in _node_blocks(grid):
             x1, x2, x3, x4 = text = [_float_text(c[nodes]) for c in x]
             if obj is not None:
                 obj_fh.write(_rows(b"v ", x1, b" ", x2, b" ", x3, b"\n"))
@@ -119,7 +119,7 @@ def _write_patch(patch, obj=None, ply=None, manifest=None):
             if ply is not None:
                 ply_fh.write(_rows(x1, b" ", x2, b" ", x3, b" ", x4, b"\n"))
             for fh, coord in zip(payloads, text):
-                fh.write(_csv_text(u, v, coord))
+                fh.write(_csv_text(grid, i, j, coord))
 
         if obj is not None or ply is not None:
             for ids in _face_blocks(n_u, n_v):

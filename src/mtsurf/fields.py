@@ -42,13 +42,15 @@ here, mesh vertices, faces and the x4 channel in :mod:`mtsurf.export`)
 formats each number once, through one numpy text kernel:
 ``_float_text`` and ``_int_text`` turn a block of numbers into the exact
 bytes of ``'%.17g'`` and ``'%d'`` as NUL-padded uint8 rows (the float
-kernel's docstring gives its exactness argument); ``_rows`` lays text
-columns side by side and drops the padding, one ``write`` per block;
-``_node_blocks`` walks a grid's nodes a block at a time with the u and v
-columns formatted once per axis value.  A field CSV writes an imaginary
-part that is +0.0 everywhere as the literal ``0``, and the patch writer
-formats each coordinate once for all of its files.  Memory stays at block
-scale.  Every JSON document is written by ``write_document``.  Data
+kernel's docstring gives its exactness argument), both splitting integers
+into 4-digit groups by ``_quads``; ``_rows`` lays text columns side by side
+and drops the padding, one ``write`` per block.  Each grid has one text
+table, ``_prefix_tables``, the ``'%.17g,'`` of its axis values, that
+``_csv_text`` lays out for the writers and ``_read_canonical`` compares,
+and one block walk, ``_node_blocks``, for both.  A field CSV writes an
+imaginary part that is +0.0 everywhere as the literal ``0``, and the patch
+writer formats each coordinate once for all of its files.  Memory stays at
+block scale.  Every JSON document is written by ``write_document``.  Data
 triples, patch manifests and problem descriptors are read only through
 ``read_document``, the one JSON parse, which refuses a repeated key and
 NaN or Infinity.  ``DOCUMENT_KEYS``, the one typed document table, gives
@@ -845,7 +847,7 @@ def _quad_tables():
 # "0.000" of fixed notation below 1; the 17 digits, each of the first 16
 # followed by a dot slot; and "e+" or "e-" and two exponent digits.  A layout
 # keeps the slots that one notation, sign and number of digits use.
-_DIGIT_SLOTS = slice(6, 39, 2)
+_DIGIT_SLOTS = np.isin(np.arange(44), np.arange(6, 39, 2))
 _SLOTS = np.frombuffer(b"-0.000" + b"\0." * 16 + b"\0e+-\0\0", np.uint8)
 #: Notations (X + 4) * 17 + nz - 1, -4 <= X <= 16, are fixed, and
 #: _FIXED + nz - 1 (+ 17 for X < 0) scientific, nz the digits left after
@@ -925,17 +927,24 @@ def _decimal(x):
                                 | (d <= 10 ** 16) | (d >= 10 ** 17))
 
 
+def _quads(values, count):
+    """The ``count`` 4-digit groups of each integer >= 0 of the int64 array
+    ``values``, most significant first, the first holding the digits left;
+    ``//`` and a multiply-subtract take half the time of np.divmod on int64."""
+    quads = [values]
+    for _ in range(count - 1):
+        high = quads[0] // 10000
+        quads[:1] = high, quads[0] - high * 10000
+    return quads
+
+
 def _digit_words(d):
     """The 17 digits of each D of ``d`` as five little-endian uint32 words
     (the first digit in the last byte of the first word), and how many of
     them are trailing zeros."""
     _, digits4, zeros4, _ = _text_tables()
-    hi, lo = np.divmod(d, 10 ** 8)
-    first, hi = np.divmod(hi, 10 ** 8)
-    quads = (first,) + np.divmod(hi, 10000) + np.divmod(lo, 10000)
-    words = np.empty((d.size, 5), "<u4")
-    for k, quad in enumerate(quads):
-        words[:, k] = digits4[quad]
+    quads = _quads(d, 5)
+    words = np.stack([digits4[quad] for quad in quads], axis=1)
     zeros = zeros4[quads[4]]
     deeper = np.flatnonzero(quads[4] == 0)
     for quad in quads[3:0:-1]:
@@ -951,39 +960,31 @@ def _float_text(values):
     of an (n, w) uint8 array padded with NUL bytes anywhere in a row.
 
     :func:`_decimal` gives the digits and exponent of most values exactly;
-    the rest take one batched '%.17g' %.  '%.17g' prints the 17 digits
+    the rest take '%.17g' %.  '%.17g' prints the 17 digits
     without their trailing zeros, in fixed notation when -4 <= X < 17 and
     in scientific notation otherwise.  The characters fill fixed slots
     (``_SLOTS``); a table row per notation, sign and number of digits
-    masks them, and a block keeps only the columns that some row uses.
+    masks them; a block fills only the slots that some row of it uses.
     """
     _, digits4, _, layouts = _text_tables()
     x = np.ravel(np.asarray(values, dtype=np.float64))
-    n = x.size
     d, e, fallback = _decimal(x)
     words, zeros = _digit_words(d)
     sci = (e < -4) | (e > 16)
     layout = 2 * (np.where(sci, _FIXED + 17 * (e < 0), 17 * (e + 4)) + 16 - zeros) + (x < 0)
-    layout[fallback] = len(layouts) - 1
-    text = np.empty((n, _SLOTS.size), np.uint8)
-    text[:] = _SLOTS
-    text[:, _DIGIT_SLOTS] = words.view(np.uint8)[:, 3:]
+    layout[fallback] = len(layouts) - 1                     # keeps no slot
+    spelled = np.array([b"%.17g" % v for v in x[fallback].tolist()], "S")
+    slots = np.flatnonzero(layouts[np.bincount(layout, minlength=len(layouts)) > 0].any(axis=0))
+    text = np.zeros((x.size, max(slots.size, spelled.itemsize)), np.uint8)
+    fill = text[:, :slots.size]                             # the rest: room for the fallback
+    fill[:] = _SLOTS[slots]
+    digit = _DIGIT_SLOTS[slots]                             # slot 6 + 2k: byte 3 + k
+    fill[:, digit] = words.view(np.uint8)[:, slots[digit] // 2]
     if sci.any():
-        text[:, 42:] = digits4[np.abs(e)].view(np.uint8).reshape(n, 4)[:, 2:]
-    text &= np.take(layouts, layout, axis=0)
-    used = np.zeros(len(layouts), bool)
-    used[layout] = True
-    text = text[:, layouts[used].any(axis=0)]
-
-    if fallback.size:
-        spelled = np.array(("%.17g\n" * fallback.size % tuple(x[fallback].tolist()))
-                           .encode("ascii").split(b"\n")[:-1])
-        width = spelled.dtype.itemsize
-        if text.shape[1] < width:
-            text = np.concatenate([text, np.zeros((n, width - text.shape[1]), np.uint8)],
-                                  axis=1)
-        text[fallback] = 0
-        text[fallback, :width] = spelled.view(np.uint8).reshape(-1, width)
+        fill[:, slots >= 42] = (digits4[np.abs(e)].view(np.uint8).reshape(-1, 4)
+                                [:, slots[slots >= 42] - 40])
+    fill &= np.take(layouts[:, slots], layout, axis=0)
+    text[fallback, :spelled.itemsize] = spelled.view(np.uint8).reshape(-1, spelled.itemsize)
     return text
 
 
@@ -992,15 +993,10 @@ def _int_text(values):
     ``values``, as the rows of an (n, w) uint8 array padded with leading
     NUL bytes."""
     digits4 = _text_tables()[1]
-    rest = np.ravel(values).astype(np.int64)
-    width = len(str(int(rest.max(initial=0))))
-    digits = np.ones(rest.size, np.int64)
-    for k in range(1, width):
-        digits += rest >= 10 ** k
-    words = np.empty((rest.size, -(-width // 4)), "<u4")
-    for k in range(words.shape[1] - 1, -1, -1):
-        rest, quad = np.divmod(rest, 10000)
-        words[:, k] = digits4[quad]
+    values = np.ravel(values).astype(np.int64)
+    width = len(str(int(values.max(initial=0))))
+    digits = 1 + np.searchsorted(10 ** np.arange(1, width), values, side="right")
+    words = np.stack([digits4[quad] for quad in _quads(values, -(-width // 4))], axis=1)
     text = words.view(np.uint8)[:, words.shape[1] * 4 - width:]
     text[np.arange(width) < width - digits[:, None]] = 0
     return text
@@ -1022,26 +1018,49 @@ def _rows(*columns):
     return buf.translate(None, b"\0")
 
 
+def _axis_text(axis):
+    """``'%.17g,'`` of each value of ``axis`` as uint8 rows, NUL-padded at
+    the end to a multiple of eight bytes; the masks of their text bytes, as
+    little-endian words; and their lengths; all read-only."""
+    text = np.array([b"%.17g," % x for x in axis.tolist()], "S32")
+    text = text.view(np.uint8).reshape(axis.size, -1)
+    length = np.count_nonzero(text, axis=1)
+    text = np.ascontiguousarray(text[:, :8 * -(-length.max() // 8)])
+    tables = text, (np.uint8(255) * (text != 0)).view("<u8"), length
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _prefix_tables(grid):
+    """:func:`_axis_text` of both axes of ``grid``: the one spelling of the
+    ``u,`` and ``v,`` columns of a field CSV, built once per grid for every
+    payload written or read on it, and read-only, as they all share it."""
+    return _axis_text(grid.axis_u), _axis_text(grid.axis_v)
+
+
 def _node_blocks(grid):
     """The nodes of ``grid`` in row-major order, ``_ROW_BLOCK`` at a time:
-    per block, its slice of the flattened samples and the text of its u
-    and v columns.  Each axis value is formatted once, not once per node."""
-    u_text = _float_text(grid.axis_u)
-    v_text = _float_text(grid.axis_v)
+    per block, its slice of the flattened samples and its nodes' (i, j)."""
     size = grid.n_u * grid.n_v
     for start in range(0, size, _ROW_BLOCK):
-        i, j = np.divmod(np.arange(start, min(start + _ROW_BLOCK, size)), grid.n_v)
-        yield (slice(start, start + _ROW_BLOCK), np.take(u_text, i, axis=0),
-               np.take(v_text, j, axis=0))
+        k = np.arange(start, min(start + _ROW_BLOCK, size))
+        i = k // grid.n_v
+        yield slice(start, start + k.size), i, k - i * grid.n_v
 
 
-def _csv_text(u, v, re, im=None):
-    """Field CSV rows ``u,v,re,im`` of one node block from the text of its
-    columns; ``im=None`` stands for an imaginary part of +0.0 at every
-    node, written as the literal ``0`` that ``%.17g`` gives it."""
+def _csv_text(grid, i, j, re, im=None):
+    """Field CSV rows ``u,v,re,im`` of the nodes (i, j) of a block of
+    ``grid`` from the text of their values, the u and v columns from the
+    grid's axis tables (:func:`_prefix_tables`); ``im=None`` stands for an
+    imaginary part of +0.0 at every node, written as the literal ``0`` that
+    ``%.17g`` gives it."""
+    (u, _, _), (v, _, _) = _prefix_tables(grid)
+    u, v = np.take(u, i, axis=0), np.take(v, j, axis=0)
     if im is None:
-        return _rows(u, b",", v, b",", re, b",0\n")
-    return _rows(u, b",", v, b",", re, b",", im, b"\n")
+        return _rows(u, v, re, b",0\n")
+    return _rows(u, v, re, b",", im, b"\n")
 
 
 def save_field_csv(field, path):
@@ -1054,8 +1073,8 @@ def save_field_csv(field, path):
         im = None
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER.encode("ascii"))
-        for nodes, u, v in _node_blocks(field.grid):
-            fh.write(_csv_text(u, v, _float_text(re[nodes]),
+        for nodes, i, j in _node_blocks(field.grid):
+            fh.write(_csv_text(field.grid, i, j, _float_text(re[nodes]),
                                None if im is None else _float_text(im[nodes])))
 
 
@@ -1076,12 +1095,14 @@ _PAD = 32
 #: ``_LEAD[g]`` keeps the bytes of a window after its first g, as words.
 _LEAD = (np.uint8(255) * (np.arange(_TOKEN) >= np.arange(_TOKEN + 1)[:, None])
          .astype(np.uint8)).view("<u8")
-#: 10^p, the divisor that splits off the p digits after a dot; where 10^p
-#: passes 2^64, 2^64 - 1, which leaves a mantissa (below 10^18) whole.
-_DIV10 = np.array([10 ** p if p < 20 else 2 ** 64 - 1 for p in range(_TOKEN)], np.uint64)
-#: 10^p as longdoubles, built by products that are exact up to 10^27; a
-#: token of ``_TOKEN`` bytes has p <= 23.
-_L10 = np.cumprod([_LD(1)] + [_LD(10)] * (_TOKEN - 1))
+#: At index p + 1, 10^p, the divisor that splits off the p digits after a
+#: dot; where 10^p passes 2^64, and at index 0 (no dot), 2^64 - 1, which
+#: leaves a mantissa (below 10^18) whole.
+_DIV10 = np.array([2 ** 64 - 1] + [10 ** p if p < 20 else 2 ** 64 - 1 for p in range(_TOKEN)],
+                  np.uint64)
+#: At index p + 1, 10^p as longdoubles, built by products that are exact up
+#: to 10^27 (a token of ``_TOKEN`` bytes has p <= 23); at index 0, 1.
+_L10 = np.cumprod([_LD(1), _LD(1)] + [_LD(10)] * (_TOKEN - 1))
 #: The bytes of a token that is handed to float(), as np.loadtxt would parse
 #: it: digits, '.', an exponent and signs; anything else leaves the file to
 #: np.loadtxt.
@@ -1119,14 +1140,14 @@ def _read_numbers(buf, start, stop):
     text -= np.uint8(48)                                      # digits become 0..9
     words = text.view("<u8")
     words &= np.take(_LEAD, np.clip(_TOKEN - width + neg, 0, _TOKEN), axis=0)
-    dots = np.flatnonzero(text == np.uint8(ord(".") - 48 + 256))
-    row, col = np.divmod(dots, _TOKEN)
-    text.reshape(-1)[dots] = 0
+    odd = np.flatnonzero(text > 9)            # the dot and any other non-digit byte
+    row, flat = odd // _TOKEN, text.reshape(-1)
     p = np.zeros(size, np.intp)
-    p[row] = _TOKEN - 1 - col                 # digits after the dot
-    dotted = np.bincount(row, minlength=size)
-    slow = (dotted > 1) | (width > _TOKEN) | (width <= neg + dotted)
-    slow[np.flatnonzero(text > 9) // _TOKEN] = True
+    p[row] = _TOKEN - (odd - row * _TOKEN)    # 1 + the digits after the dot; 0 without
+    slow = (width > _TOKEN) | (width - neg <= (p > 0))
+    slow[row[flat[odd] != np.uint8(ord(".") - 48 + 256)]] = True    # not a dot
+    slow[row[1:][row[1:] == row[:-1]]] = True                       # a second one
+    flat[odd] = 0
 
     # eight digits per little-endian word, the first in the lowest byte
     w = words * np.uint64(10) + (words >> np.uint64(8))
@@ -1136,9 +1157,8 @@ def _read_numbers(buf, start, stop):
     slow |= w[:, 0] >= 100                  # the digits reach 10^18
     m = w[:, 0] * np.uint64(10 ** 16) + w[:, 1] * np.uint64(10 ** 8) + w[:, 2]
     # the dot, read as a 0, put the digits before it one place too high:
-    # m = (m' + 9 (m' mod 10^p)) / 10; a token without a dot is scaled by
-    # 10 first, which the same steps undo
-    m *= np.where(dotted, np.uint64(1), np.uint64(10))
+    # m = (m' + 9 (m' mod 10^p)) / 10; without a dot the divisor 2^64 - 1
+    # leaves m' whole, and the same steps give m = m'
     m += np.uint64(9) * (m % np.take(_DIV10, p))
     m //= np.uint64(10)
 
@@ -1173,27 +1193,6 @@ def _gather(buf, at, width):
     return items[at].view(np.uint8).reshape(-1, width)
 
 
-def _axis_text(axis):
-    """``'%.17g,'`` of each value of ``axis`` as rows of little-endian
-    words, NUL-padded at the end; the masks of their text bytes, as words;
-    and their lengths."""
-    text = np.array([b"%.17g," % x for x in axis.tolist()], "S32")
-    text = text.view(np.uint8).reshape(axis.size, -1)
-    length = np.count_nonzero(text, axis=1)
-    text = np.ascontiguousarray(text[:, :8 * -(-length.max() // 8)])
-    return text.view("<u8"), (np.uint8(255) * (text != 0)).view("<u8"), length
-
-
-@functools.lru_cache(maxsize=8)
-def _prefix_tables(grid):
-    """:func:`_axis_text` of both axes of ``grid``, built once for all the
-    payloads of a document on it, and read-only, as every read shares them."""
-    tables = _axis_text(grid.axis_u) + _axis_text(grid.axis_v)
-    for table in tables:
-        table.setflags(write=False)
-    return tables[:3], tables[3:]
-
-
 def _read_canonical(path, grid):
     """The field of the CSV at ``path`` when its bytes are those that
     :func:`save_field_csv` writes on ``grid``, up to the spelling of the
@@ -1219,13 +1218,12 @@ def _read_canonical(path, grid):
         return None
     (u_text, u_mask, u_len), (v_text, v_mask, v_len) = _prefix_tables(grid)
     re, im = np.empty(n), None
-    for begin in range(0, n, _ROW_BLOCK):
-        nodes = slice(begin, min(begin + _ROW_BLOCK, n))
-        i, j = np.divmod(np.arange(nodes.start, nodes.stop), grid.n_v)
+    for nodes, i, j in _node_blocks(grid):
         start, end = ends[nodes] + 1, ends[nodes.start + 1:nodes.stop + 1]
         v_start = start + np.take(u_len, i)
         for text, mask, at, k in ((u_text, u_mask, start, i), (v_text, v_mask, v_start, j)):
-            found = _gather(buf, at, 8 * text.shape[1]).view("<u8") ^ np.take(text, k, axis=0)
+            found = _gather(buf, at, text.shape[1]).view("<u8")
+            found ^= np.take(text, k, axis=0).view("<u8")
             if (found & np.take(mask, k, axis=0)).any():
                 return None
         if (buf[end - 2] == 44).all() and (buf[end - 1] == 48).all():   # ",0"

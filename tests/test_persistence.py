@@ -1036,15 +1036,29 @@ def test_gather_moves_the_windows_sliding_window_view_holds(window, picks):
     assert got.dtype == np.uint8 and got.flags.writeable
 
 
-def test_a_patch_manifest_builds_each_axis_table_once(tmp_path, monkeypatch):
-    # its four payloads lie on one grid: one table per axis, not one per payload
-    fname, load, _ = _patch_manifest(str(tmp_path))
+def test_one_axis_table_per_grid_for_writes_and_reads(tmp_path, monkeypatch):
+    # generate writes seven payloads on one grid and verify reads the four
+    # of its patch back: one table per axis serves them all, built by the
+    # writer, and the reader builds none of the writer's kernel tables
     built, build = [], fields_module._axis_text
     monkeypatch.setattr(fields_module, "_axis_text", lambda axis: built.append(axis.size)
                         or build(axis))
     fields_module._prefix_tables.cache_clear()
-    load(str(tmp_path / fname))
-    assert built == [5, 4]
+    out = str(tmp_path)
+    assert cli.main(["generate", "--fixture", "sigma-theta", "--theta", "0.3",
+                     "--grid=-2:2:-2:0:97x97", "--out", out, "--name", "run"]) == 0
+    assert built == [97, 97]
+    fields_module._text_tables.cache_clear()
+    assert cli.main(["verify", "--input", os.path.join(out, "run.json"),
+                     "--out", out, "--name", "again"]) == 0
+    assert built == [97, 97]
+    assert fields_module._text_tables.cache_info().currsize == 0
+
+    grid = Grid2D(-2.0, 2.0, -2.0, 0.0, 97, 97)
+    text, _, length = fields_module._prefix_tables(grid)[1]
+    spelled = [bytes(row[:k]) for row, k in zip(text, length)]
+    assert spelled == [b"%.17g," % v for v in grid.axis_v.tolist()]
+    assert any(float("%.16g" % v) != v for v in grid.axis_v.tolist())   # 17 digits
 
 
 # v runs over 10..26, so another grid on 11..27 and rows swapped within a
@@ -1080,6 +1094,8 @@ _VARIANTS = {
     "nan": (lambda d: d.replace(b",1.5,0\n", b",nan,0\n", 1), False),
     "inf": (lambda d: d.replace(b",0.001,0\n", b",-inf,0\n", 1), False),
     "truncated-last-row": (lambda d: d[:d.rindex(b",")] + b"\n", False),
+    "two-dots": (lambda d: d.replace(b",1.5,0\n", b",1.2.3,0\n", 1), False),
+    "dot-and-letter": (lambda d: d.replace(b",1.5,0\n", b",1.5x,0\n", 1), False),
     "rows-out-of-order": (_edit_rows(_swap_rows), False),
     "another-grid": ("grid", False),
     "huge-document-grid": ("huge", False),
